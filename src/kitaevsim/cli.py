@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -165,6 +166,13 @@ def _build_scene(cfg: RunConfig):
         drive = DriveSpec.custom(
             data[:, 0], data[:, 1] + 1j * data[:, 2], plaquette=cfg.plaquette
         )
+        # b_of would hold the end samples outside the file's interval
+        t_first, t_last = float(data[0, 0]), float(data[-1, 0])
+        if t_first > 0.0 or t_last < cfg.t_max:
+            raise ConfigError(
+                f"drive file covers t in [{t_first:.17g}, {t_last:.17g}]; "
+                f"it must cover [0, t_max = {cfg.t_max:.17g}]"
+            )
     else:
         drive = DriveSpec.exponential(cfg.d, cfg.omega, plaquette=cfg.plaquette)
     initial = FlipConfig(cfg.initial, geom.n_plaquettes)
@@ -413,8 +421,6 @@ def cmd_correlate(cfg: RunConfig, args) -> int:
     t0 = 0.0 if args.literal_t0 else float(times[1])
     if coeffs:
         phases = [decompose(c) for c in coeffs]
-        import warnings
-
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             val = correlation_formula(coeffs, phases, t, t0)

@@ -25,6 +25,10 @@ from .perturbation import CoefficientSeries
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
 
+# largest dense mixture matrix ThermalEnsemble.density will allocate; the
+# 2x3 torus needs 256 MiB, the 2x4 torus 64 GiB
+DENSE_DENSITY_BUDGET_BYTES = 1 << 30
+
 
 @dataclass
 class DensityMatrix:
@@ -91,6 +95,12 @@ class ThermalEnsemble:
 
     def density(self, labels: tuple[str, ...] | None = None) -> DensityMatrix:
         dim = len(self.states[0])
+        nbytes = 16 * dim * dim
+        if nbytes > DENSE_DENSITY_BUDGET_BYTES:
+            raise RuntimeError(
+                f"the dense {dim}x{dim} mixture density matrix needs {nbytes} "
+                f"bytes, over the budget of {DENSE_DENSITY_BUDGET_BYTES} bytes"
+            )
         rho = np.zeros((dim, dim), dtype=complex)
         for p, psi in zip(self.weights, self.states):
             rho += p * np.outer(psi, psi.conj())

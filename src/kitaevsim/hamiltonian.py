@@ -27,6 +27,7 @@ from .pauli import (
     PAULI,
     apply_pauli,
     apply_pauli_string,
+    dense_from_apply,
     pauli_eigenvector,
 )
 
@@ -85,14 +86,7 @@ def apply_h0(geom: LatticeGeometry, params: CouplingParams, psi: np.ndarray) -> 
 
 def dense_h0(geom: LatticeGeometry, params: CouplingParams) -> np.ndarray:
     """Dense H0 matrix; intended for small-lattice validation only."""
-    dim = 2**geom.n_sites
-    mat = np.zeros((dim, dim), dtype=complex)
-    e = np.zeros(dim, dtype=complex)
-    for k in range(dim):
-        e[k] = 1.0
-        mat[:, k] = apply_h0(geom, params, e)
-        e[k] = 0.0
-    return mat
+    return dense_from_apply(lambda v: apply_h0(geom, params, v), 2**geom.n_sites)
 
 
 def plaquette_string(geom: LatticeGeometry, p: int) -> tuple[tuple[int, str], ...]:

@@ -19,15 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import CouplingParams, apply_h0, dense_h0, drive_string
+from .hamiltonian import CouplingParams, apply_h0, drive_string
 from .lattice import LatticeGeometry
-from .pauli import HILBERT_CAP_SITES, apply_pauli_string, dense_from_apply
+from .pauli import HILBERT_CAP_SITES, string_term
 from .perturbation import CoefficientSeries, DriveSpec
 
 _MAX_TOTAL_STEPS = 1 << 22
-# below this dimension the generator is materialized once; a dense matvec
-# per RK4 stage is far cheaper than streaming Pauli applications
-_DENSE_DIM_LIMIT = 4096
 
 
 @dataclass
@@ -58,31 +55,43 @@ class TdptErrorReport:
 
 
 def _rhs(geom: LatticeGeometry, params: CouplingParams, drive: DriveSpec):
-    string = drive_string(geom, drive.plaquette)
+    """Compile f(t, psi) = -i (H0 + B(t) S) psi once for this lattice.
+
+    Every Pauli string acts as ``phase[k] * psi[k ^ mask]``
+    (:func:`string_term`): the z bonds sum into one diagonal, the x and
+    y bonds into one (index, coefficient) pair per distinct mask, and
+    the drive string S is one more pair scaled by B(t).
+    """
+    n = geom.n_sites
+    k = np.arange(2**n)
+    diag = np.zeros(2**n)
+    by_mask: dict[int, np.ndarray] = {}
+    for i, j, comp in geom.bonds:
+        coupling = params.j(comp)
+        if coupling == 0.0:
+            continue
+        mask, phase = string_term(((i, comp), (j, comp)), n)
+        # two-site x, y and z strings all have real phases
+        term = coupling * phase.real
+        if mask == 0:
+            diag += term
+        else:
+            by_mask[mask] = by_mask.get(mask, 0.0) + term
+    pairs = [(k ^ mask, coeff) for mask, coeff in by_mask.items()]
+
     driven = drive.kind == "custom" or drive.amplitude != 0.0
-    dim = 2**geom.n_sites
-
-    if dim <= _DENSE_DIM_LIMIT:
-        h = dense_h0(geom, params)
-        s = (
-            dense_from_apply(lambda v: apply_pauli_string(v, string), dim)
-            if driven
-            else None
-        )
-
-        def f(t: float, psi: np.ndarray) -> np.ndarray:
-            out = h @ psi
-            if driven:
-                out = out + complex(drive.b_of(t)) * (s @ psi)
-            return -1j * out
-
-        return f
+    if driven:
+        mask, drive_phase = string_term(drive_string(geom, drive.plaquette), n)
+        drive_idx = k ^ mask
 
     def f(t: float, psi: np.ndarray) -> np.ndarray:
-        h_psi = apply_h0(geom, params, psi)
+        out = diag * psi
+        for idx, coeff in pairs:
+            out += coeff * psi[idx]
         if driven:
-            h_psi = h_psi + complex(drive.b_of(t)) * apply_pauli_string(psi, string)
-        return -1j * h_psi
+            out += complex(drive.b_of(t)) * (drive_phase * psi[drive_idx])
+        out *= -1j
+        return out
 
     return f
 

@@ -83,6 +83,36 @@ def apply_pauli_string(psi: np.ndarray, ops) -> np.ndarray:
     return out
 
 
+def string_term(ops, n: int) -> tuple[int, np.ndarray]:
+    """Compile a Pauli string on distinct sites to (mask, phase).
+
+    The string then acts as ``out[k] = phase[k] * psi[k ^ mask]`` on a
+    vector of length 2**n: x and y flip their site's bit, and y and z
+    contribute a factor that depends on the output index's bit.
+    """
+    sites = [site for site, _ in ops]
+    if len(set(sites)) != len(sites):
+        raise ValueError(f"Pauli string {tuple(ops)} repeats a site")
+    k = np.arange(2**n)
+    mask = 0
+    phase = np.ones(2**n, dtype=complex)
+    for site, comp in ops:
+        if not 0 <= site < n:
+            raise ValueError(f"site {site} out of range for {n} sites")
+        # sign = +1 where the output bit is 0, -1 where it is 1
+        sign = 1 - 2 * ((k >> site) & 1)
+        if comp == "x":
+            mask |= 1 << site
+        elif comp == "y":
+            mask |= 1 << site
+            phase *= -1j * sign
+        elif comp == "z":
+            phase *= sign
+        else:
+            raise ValueError(f"unknown Pauli component {comp!r}")
+    return mask, phase
+
+
 def dense_from_apply(apply_fn, dim: int) -> np.ndarray:
     """Materialize a linear operator column by column (validation use)."""
     mat = np.empty((dim, dim), dtype=complex)

@@ -8,6 +8,7 @@ suite cannot drift apart.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -140,6 +141,7 @@ def check_closed_form_vs_quadrature() -> CheckResult:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def _tdpt_scenario(d: float):
     """2x2 scenario at weak coupling so basis non-stationarity stays small."""
     geom = build_lattice(2, 2)
@@ -414,16 +416,23 @@ def check_correlation() -> CheckResult:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _convergence_2x2() -> tuple[float, float, float]:
+    """Step-halving errors and ratio of the driven 2x2 oracle scenario."""
+    geom = build_lattice(2, 2)
+    psi0 = build_product_ket(geom, FlipConfig(0, 4))
+    params = CouplingParams(jx=1.0, jy=0.8, jz=1.2, d=0.05, omega=0.7)
+    drive = DriveSpec.exponential(0.05, 0.7, plaquette=0)
+    return convergence_ratio(
+        geom, params, drive, psi0, t_end=2.0, coarse_substeps=16, samples=5
+    )
+
+
 def check_oracle_quality() -> CheckResult:
     """Order-4 convergence and unitary norm drift of the integrator."""
     geom = build_lattice(2, 2)
     psi0 = build_product_ket(geom, FlipConfig(0, 4))
-
-    params = CouplingParams(jx=1.0, jy=0.8, jz=1.2, d=0.05, omega=0.7)
-    drive = DriveSpec.exponential(0.05, 0.7, plaquette=0)
-    err_c, err_f, ratio = convergence_ratio(
-        geom, params, drive, psi0, t_end=2.0, coarse_substeps=16, samples=5
-    )
+    err_c, err_f, ratio = _convergence_2x2()
 
     params0 = CouplingParams(jx=1.0, jy=0.8, jz=1.2, d=0.0, omega=0.7)
     drive0 = DriveSpec.exponential(0.0, 0.7, plaquette=0)
@@ -467,13 +476,7 @@ def oracle_error_report() -> dict:
             }
         )
 
-    geom = build_lattice(2, 2)
-    psi0 = build_product_ket(geom, FlipConfig(0, 4))
-    params = CouplingParams(jx=1.0, jy=0.8, jz=1.2, d=0.05, omega=0.7)
-    drive = DriveSpec.exponential(0.05, 0.7, plaquette=0)
-    _, _, ratio = convergence_ratio(
-        geom, params, drive, psi0, t_end=2.0, coarse_substeps=16, samples=5
-    )
+    _, _, ratio = _convergence_2x2()
     return {"targets": targets, "convergence_order": math.log2(ratio)}
 
 
@@ -495,9 +498,7 @@ def run_acceptance(seed: int = 12345) -> list[CheckResult]:
     """Run the full property suite; one result per criterion."""
     results = []
     for fn in ALL_CHECKS:
-        if fn is check_entropy:
-            results.append(fn(seed=seed))
-        elif fn is check_thermal:
+        if fn in (check_entropy, check_thermal):
             results.append(fn(seed=seed))
         else:
             results.append(fn())

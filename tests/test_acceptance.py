@@ -63,3 +63,16 @@ def test_full_suite_summary():
         print(r.line())
     assert len(results) == 10
     assert all(r.passed for r in results)
+
+
+def test_oracle_report_is_identical_without_the_scenario_cache(monkeypatch):
+    # the report reuses the runs of criteria 4 and 10; they are pure, so the
+    # cached report must equal one computed from fresh runs
+    cached = validation.oracle_error_report()
+    monkeypatch.setattr(
+        validation, "_tdpt_scenario", validation._tdpt_scenario.__wrapped__
+    )
+    monkeypatch.setattr(
+        validation, "_convergence_2x2", validation._convergence_2x2.__wrapped__
+    )
+    assert validation.oracle_error_report() == cached

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 
@@ -41,6 +42,44 @@ class TestExitCodes:
         )
         assert proc.returncode == 3
         assert "computation failed" in proc.stderr
+
+    def test_thermal_mixture_over_memory_budget_exits_3(self, tmp_path):
+        # the 2x4 mixture density matrix would take 64 GiB
+        proc = run_cli(
+            "thermal", "--nx", "2", "--ny", "4", "--outdir", str(tmp_path),
+            "--samples", "3",
+        )
+        assert proc.returncode == 3
+        assert "68719476736 bytes" in proc.stderr
+
+
+class TestDriveFileCoverage:
+    T_MAX = 2.0 * np.pi
+
+    def _drive_file(self, tmp_path, t_first, t_last):
+        t = np.linspace(t_first, t_last, 201)
+        b = 0.01 * np.exp(-0.8j * t)
+        path = tmp_path / "drive.csv"
+        np.savetxt(path, np.c_[t, b.real, b.imag], delimiter=",")
+        return path
+
+    def _evolve(self, tmp_path, drive_file):
+        return run_cli(
+            "evolve", "--drive-file", str(drive_file), "--d", "1",
+            "--t-max", repr(self.T_MAX), "--samples", "9",
+            "--outdir", str(tmp_path / "out"),
+        )
+
+    @pytest.mark.parametrize("t_first,t_last", [(0.0, 3.0), (0.5, 2.0 * np.pi)])
+    def test_short_file_exits_2_naming_both_ends(self, tmp_path, t_first, t_last):
+        proc = self._evolve(tmp_path, self._drive_file(tmp_path, t_first, t_last))
+        assert proc.returncode == 2
+        assert "configuration error" in proc.stderr
+        assert f"[{t_first:.17g}, {t_last:.17g}]" in proc.stderr
+
+    def test_file_covering_exactly_0_to_t_max_runs(self, tmp_path):
+        proc = self._evolve(tmp_path, self._drive_file(tmp_path, 0.0, self.T_MAX))
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestManifoldCommand:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,3 +245,21 @@ class TestThermal:
             thermal_mix([], 1.0)
         with pytest.raises(ValueError):
             thermal_weights([0.0], -1.0)
+
+    def test_density_over_budget_raises_before_allocating(self):
+        # nine 2x4-torus kets: the 65536x65536 mixture would need 64 GiB
+        dim = 2**16
+        members = []
+        for q in range(9):
+            psi = np.zeros(dim, dtype=complex)
+            psi[q] = 1.0
+            members.append((float(q), psi))
+        ens = thermal_ensemble(members, 1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="68719476736 bytes"):
+                ens.density()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
