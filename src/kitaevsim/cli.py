@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -36,6 +35,7 @@ from .hamiltonian import (
     CouplingParams,
     build_energy_table,
     energy_expectation,
+    perturbation_element,
 )
 from .lattice import build_lattice, geometry_to_json, validate_geometry
 from .manifold import (
@@ -47,7 +47,7 @@ from .manifold import (
 )
 from .output import write_csv, write_json, write_plot_script
 from .pauli import HILBERT_CAP_SITES
-from .perturbation import DriveSpec, connected_targets, evolve_coefficients
+from .perturbation import DriveSpec, coefficient_closed_form, connected_targets, evolve_coefficients
 from .phase import decompose, decompose_values, effective_level, shifted_transition_frequency, stability_intervals
 from .validation import oracle_error_report, run_acceptance
 
@@ -81,7 +81,7 @@ class RunConfig:
     scan_tol: float = 1e-8
     outdir: str = "out"
     seed: int = 12345
-    jobs: int = 1
+    jobs: int = 1  # no effect; kept because every output header records it
     kt: float = 1.0
 
     def validate(self) -> None:
@@ -230,8 +230,8 @@ def cmd_manifold(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _evolved(cfg: RunConfig, connected_only: bool):
-    geom, params, drive, initial, times = _build_scene(cfg)
+def _evolved(cfg: RunConfig, connected_only: bool, scene=None):
+    geom, params, drive, initial, times = scene or _build_scene(cfg)
     if connected_only:
         targets = connected_targets(geom, params, initial, drive.plaquette, cfg.engine)
     else:
@@ -324,53 +324,35 @@ def cmd_phase(cfg: RunConfig, args) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
-    geom, params, drive, initial, times, targets, coeffs = _evolved(cfg, True)
+    if cfg.drive_file:
+        raise ConfigError(
+            "sweep scans the exponential drive's omega; --drive-file has none"
+        )
+    geom, params, _, initial, times, _, coeffs = _evolved(cfg, True)
     if not coeffs:
         raise RuntimeError("no target is connected to the initial configuration")
     series = coeffs[0]
     omega0 = series.omega0
-    omegas = np.linspace(args.omega_min, args.omega_max, args.omega_steps)
-    outdir = _outdir(cfg)
-
-    def point(omega: float):
-        params_w = CouplingParams(cfg.jx, cfg.jy, cfg.jz, d=cfg.d, omega=omega)
-        drive_w = DriveSpec.exponential(cfg.d, omega, plaquette=cfg.plaquette)
-        cs = evolve_coefficients(
-            geom, params_w, drive_w, initial, [series.target], times,
-            engine=cfg.engine, quad_tol=cfg.quad_tol,
-        )[0]
-        ph = decompose(cs)
-        k = len(times) - 1
-        weight = float(np.abs(cs.values[k]) ** 2)
+    # only the detuning omega0 - omega changes along the sweep
+    m = perturbation_element(
+        geom, initial, series.target, params,
+        drive_plaquette=cfg.plaquette, engine=cfg.engine,
+    )
+    k = len(times) - 1
+    rows = []
+    for omega in np.linspace(args.omega_min, args.omega_max, args.omega_steps):
+        values = m * np.asarray(
+            coefficient_closed_form(1, 1.0, omega0 - omega, times), dtype=complex
+        )
+        ph = decompose_values(times, values)
+        weight = float(np.abs(values[k]) ** 2)
         if ph.singular[k]:
             predicted = float("nan")
         else:
             predicted = omega0 - float(ph.angle[k]) / float(times[k])
-        return weight, predicted
-
-    chunks = np.array_split(np.arange(len(omegas)), cfg.jobs)
-    shard_paths = []
-
-    def run_chunk(ci: int) -> Path:
-        shard = outdir / f"sweep_shard_{ci}.csv"
-        lines = []
-        for k in chunks[ci]:
-            weight, predicted = point(float(omegas[k]))
-            lines.append(f"{omegas[k]:.17g},{weight:.17g},{predicted:.17g}")
-        shard.write_text("\n".join(lines) + ("\n" if lines else ""))
-        return shard
-
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        shard_paths = list(pool.map(run_chunk, range(len(chunks))))
-
-    rows = []
-    for shard in shard_paths:
-        for line in shard.read_text().splitlines():
-            w, wt, pred = line.split(",")
-            rows.append((float(w), float(wt), float(pred)))
-        shard.unlink()
-    rows.sort(key=lambda r: r[0])
-
+        rows.append((float(omega), weight, predicted))
+    rows.sort(key=lambda r: r[0])  # a descending range is written ascending
+    outdir = _outdir(cfg)
     out = outdir / "sweep.csv"
     write_csv(
         out, {**cfg.as_dict(), "omega_min": args.omega_min,
@@ -394,9 +376,10 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 
 def cmd_entropy(cfg: RunConfig, args) -> int:
-    geom, params, drive, initial, times, targets, coeffs = _evolved(cfg, True)
-    if geom.n_sites > HILBERT_CAP_SITES:
+    scene = _build_scene(cfg)
+    if scene[0].n_sites > HILBERT_CAP_SITES:
         raise RuntimeError("entropy needs the full Hilbert space; lattice too large")
+    geom, _, _, initial, times, _, coeffs = _evolved(cfg, True, scene)
     rows = []
     for t in times:
         state = assemble_state(coeffs, float(t), initial) if coeffs else None
@@ -461,7 +444,7 @@ def cmd_correlate(cfg: RunConfig, args) -> int:
 
 
 def cmd_thermal(cfg: RunConfig, args) -> int:
-    geom, params, drive, initial, times, targets, coeffs = _evolved(cfg, True)
+    geom, params, drive, _, times = _build_scene(cfg)
     if geom.n_sites > HILBERT_CAP_SITES:
         raise RuntimeError("thermal mixing materializes full kets; lattice too large")
     if args.members == "weight01":
@@ -579,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scan-tol", dest="scan_tol", type=float)
         p.add_argument("--outdir")
         p.add_argument("--seed", type=int)
-        p.add_argument("--jobs", type=int)
+        p.add_argument("--jobs", type=int, help="no effect; recorded in output headers")
         p.add_argument("--kt", type=float)
         p.add_argument("--emit-plot-script", action="store_true")
 

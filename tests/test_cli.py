@@ -5,6 +5,13 @@ import sys
 import numpy as np
 import pytest
 
+from kitaevsim import cli
+from kitaevsim.hamiltonian import CouplingParams
+from kitaevsim.lattice import build_lattice
+from kitaevsim.manifold import FlipConfig
+from kitaevsim.perturbation import DriveSpec, connected_targets, evolve_coefficients
+from kitaevsim.phase import decompose
+
 
 def run_cli(*argv, cwd=None):
     return subprocess.run(
@@ -52,6 +59,18 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "68719476736 bytes" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["entropy", "thermal"])
+    def test_hilbert_cap_exits_3_before_first_order_work(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        def no_first_order_work(*args, **kwargs):
+            raise AssertionError("first-order work ran before the Hilbert cap check")
+
+        monkeypatch.setattr(cli, "connected_targets", no_first_order_work)
+        code = cli.main([command, "--nx", "3", "--ny", "3", "--outdir", str(tmp_path)])
+        assert code == 3
+        assert "lattice too large" in capsys.readouterr().err
+
 
 class TestDriveFileCoverage:
     T_MAX = 2.0 * np.pi
@@ -80,6 +99,73 @@ class TestDriveFileCoverage:
     def test_file_covering_exactly_0_to_t_max_runs(self, tmp_path):
         proc = self._evolve(tmp_path, self._drive_file(tmp_path, 0.0, self.T_MAX))
         assert proc.returncode == 0, proc.stderr
+
+    def test_sweep_rejects_drive_file(self, tmp_path):
+        # the sweep scans the exponential drive's omega; a custom drive has none
+        proc = run_cli(
+            "sweep", "--drive-file", str(self._drive_file(tmp_path, 0.0, self.T_MAX)),
+            "--d", "1", "--omega-min", "-1", "--omega-max", "1", "--omega-steps", "5",
+            "--samples", "9", "--outdir", str(tmp_path / "out"),
+        )
+        assert proc.returncode == 2
+        assert "configuration error" in proc.stderr
+        assert "--drive-file" in proc.stderr
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+# (nx, ny, engine, jx, jy, jz, d, initial, t_max, samples, omega_min, omega_max, omega_steps)
+SWEEP_CASES = {
+    "label_2x2": (2, 2, "label", 0.1, 0.1, 0.1, 0.05, 0x0, 20.0, 11, -0.6, 0.2, 17),
+    "hilbert_2x3": (2, 3, "hilbert", 0.7, 1.1, 0.9, 0.03, 0x2D, 6.0, 21, -4.0, 4.0, 33),
+    "d_zero": (2, 2, "label", 1.0, 1.0, 1.0, 0.0, 0x0, 6.0, 7, -1.0, 1.0, 9),
+    "descending": (2, 2, "label", 0.2, 0.3, 0.4, 0.05, 0x0, 15.0, 31, 0.5, -0.7, 25),
+}
+
+
+def _reference_sweep_lines(
+    nx, ny, engine, jx, jy, jz, d, initial, t_max, samples, omega_min, omega_max, omega_steps
+):
+    """sweep.csv data lines from one evolve_coefficients run per omega."""
+    geom = build_lattice(nx, ny)
+    config = FlipConfig(initial, geom.n_plaquettes)
+    times = np.linspace(0.0, t_max, samples)
+    targets = connected_targets(geom, CouplingParams(jx, jy, jz, d=d), config, 0, engine)
+    k = samples - 1
+    rows = []
+    for omega in np.linspace(omega_min, omega_max, omega_steps):
+        series = evolve_coefficients(
+            geom, CouplingParams(jx, jy, jz, d=d, omega=omega),
+            DriveSpec.exponential(d, omega), config, targets, times, engine=engine,
+        )[0]
+        phase = decompose(series)
+        weight = float(np.abs(series.values[k]) ** 2)
+        predicted = (float("nan") if phase.singular[k]
+                     else series.omega0 - float(phase.angle[k]) / float(times[k]))
+        rows.append((float(omega), weight, predicted))
+    rows.sort(key=lambda r: r[0])
+    return [",".join(f"{x:.17g}" for x in row) for row in rows]
+
+
+class TestSweepCommand:
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_rows_match_per_omega_evolution(self, case, tmp_path):
+        (nx, ny, engine, jx, jy, jz, d, initial, t_max, samples,
+         omega_min, omega_max, omega_steps) = SWEEP_CASES[case]
+        proc = run_cli(
+            "sweep", "--nx", str(nx), "--ny", str(ny), "--engine", engine,
+            "--jx", repr(jx), "--jy", repr(jy), "--jz", repr(jz), "--d", repr(d),
+            "--initial", hex(initial), "--t-max", repr(t_max), "--samples", str(samples),
+            "--omega-min", repr(omega_min), "--omega-max", repr(omega_max),
+            "--omega-steps", str(omega_steps), "--jobs", "2", "--outdir", str(tmp_path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = [
+            l for l in (tmp_path / "sweep.csv").read_text().splitlines()
+            if not l.startswith("#")
+        ]
+        assert lines[0] == "omega,weight_at_t_max,predicted_resonance"
+        assert lines[1:] == _reference_sweep_lines(*SWEEP_CASES[case])
+        assert not list(tmp_path.glob("sweep_shard_*"))
 
 
 class TestManifoldCommand:
