@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -23,11 +24,11 @@ import numpy as np
 from . import __version__
 from .correlation import correlation_exact_scan, correlation_formula, selection_rule_report
 from .density import (
+    _sublattice_sites,
     assemble_state,
     density_matrix,
     embed_active_state,
     entropy_of_density,
-    partial_trace_matrix,
     reduced_entropy,
     thermal_ensemble,
 )
@@ -94,19 +95,21 @@ class RunConfig:
             raise ConfigError(f"plaquette {self.plaquette} out of range")
         if self.engine not in ("hilbert", "label"):
             raise ConfigError(f"engine must be hilbert or label, got {self.engine!r}")
-        if self.d < 0:
-            raise ConfigError("drive amplitude must be >= 0")
-        if self.t_max <= 0:
-            raise ConfigError("t_max must be positive")
+        try:
+            CouplingParams(self.jx, self.jy, self.jz, self.d, self.omega)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ConfigError(f"t_max must be positive and finite, got {self.t_max}")
         if self.samples < 2:
             raise ConfigError("need at least 2 time samples")
         for name in ("quad_tol", "evolve_tol", "scan_tol"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # a NaN tolerance is never met
                 raise ConfigError(f"{name} must be positive")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        if self.kt < 0:
-            raise ConfigError("kt must be >= 0")
+        if not self.kt >= 0:  # also rejects NaN; inf means uniform weights
+            raise ConfigError(f"kt must be >= 0, got {self.kt}")
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -150,7 +153,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         override = getattr(args, f.name, None)
         if override is not None:
             if f.name == "initial" and isinstance(override, str):
-                override = int(override, 0)
+                override = _coerce(f.name, override)
             cfg = replace(cfg, **{f.name: override})
     cfg.validate()
     return cfg
@@ -328,6 +331,13 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         raise ConfigError(
             "sweep scans the exponential drive's omega; --drive-file has none"
         )
+    if args.omega_steps < 1:
+        raise ConfigError(f"--omega-steps must be >= 1, got {args.omega_steps}")
+    if not (math.isfinite(args.omega_min) and math.isfinite(args.omega_max)):
+        raise ConfigError(
+            f"--omega-min and --omega-max must be finite, got "
+            f"{args.omega_min} and {args.omega_max}"
+        )
     geom, params, _, initial, times, _, coeffs = _evolved(cfg, True)
     if not coeffs:
         raise RuntimeError("no target is connected to the initial configuration")
@@ -445,8 +455,6 @@ def cmd_correlate(cfg: RunConfig, args) -> int:
 
 def cmd_thermal(cfg: RunConfig, args) -> int:
     geom, params, drive, _, times = _build_scene(cfg)
-    if geom.n_sites > HILBERT_CAP_SITES:
-        raise RuntimeError("thermal mixing materializes full kets; lattice too large")
     if args.members == "weight01":
         members_cfg = [FlipConfig(0, geom.n_plaquettes)] + [
             FlipConfig(1 << q, geom.n_plaquettes) for q in range(geom.n_plaquettes)
@@ -457,10 +465,15 @@ def cmd_thermal(cfg: RunConfig, args) -> int:
             for bits in range(1 << geom.n_plaquettes)
         ]
     else:
-        members_cfg = [
-            FlipConfig(int(tok, 0), geom.n_plaquettes)
-            for tok in args.members.split(",")
-        ]
+        try:
+            members_cfg = [
+                FlipConfig(int(tok, 0), geom.n_plaquettes)
+                for tok in args.members.split(",")
+            ]
+        except ValueError as exc:
+            raise ConfigError(f"bad --members {args.members!r}: {exc}") from exc
+    if geom.n_sites > HILBERT_CAP_SITES:
+        raise RuntimeError("thermal mixing materializes full kets; lattice too large")
 
     t = float(times[-1])
     members = []
@@ -481,9 +494,9 @@ def cmd_thermal(cfg: RunConfig, args) -> int:
         labels.append(f"cfg:{config.hex}")
 
     ensemble = thermal_ensemble(members, cfg.kt)
-    rho = ensemble.density()
-    keep = [k for k in range(geom.n_sites) if geom.sublattice[k] == "A"]
-    rho_a = partial_trace_matrix(rho.matrix, geom.n_sites, keep)
+    # the K x K Gram matrix carries the mixture's trace, purity and spectrum
+    rho = ensemble.gram(tuple(labels))
+    rho_a = ensemble.reduced(_sublattice_sites(geom, "A"))
     summary = {
         "kt": cfg.kt,
         "t_evaluated": t,
@@ -495,16 +508,16 @@ def cmd_thermal(cfg: RunConfig, args) -> int:
         "mixture_entropy": entropy_of_density(rho.matrix),
         "sublattice_entropy": entropy_of_density(rho_a),
     }
-    outdir = _outdir(cfg)
     if args.emit_density:
-        summary["density"] = rho.to_payload()
+        summary["density"] = ensemble.density().to_payload()
+    outdir = _outdir(cfg)
     write_json(outdir / "thermal.json", cfg.as_dict(), cfg.engine, summary)
     write_csv(
         outdir / "thermal_weights.csv", cfg.as_dict(), cfg.engine,
         ["member", "energy", "weight"],
         list(zip(labels, summary["energies"], summary["weights"])),
     )
-    print(f"wrote thermal.json ({len(labels)} members, purity {rho.purity():.6f})")
+    print(f"wrote thermal.json ({len(labels)} members, purity {summary['purity']:.6f})")
     return EXIT_OK
 
 

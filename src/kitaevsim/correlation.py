@@ -82,7 +82,6 @@ def correlation_exact_scan(
     components,
     t: float,
     tol: float = 1e-9,
-    cap: int = HILBERT_CAP_SITES,
     samples: int = 9,
 ) -> list[CorrelationRecord]:
     """Heisenberg-picture correlation table from exact evolution.
@@ -94,11 +93,13 @@ def correlation_exact_scan(
     operator inversion, so it stays valid for the non-unitary driven
     evolution.
     """
-    if geom.n_sites > cap:
-        raise ValueError(f"{geom.n_sites} sites exceeds the Hilbert cap of {cap}")
+    if geom.n_sites > HILBERT_CAP_SITES:
+        raise ValueError(
+            f"{geom.n_sites} sites exceeds the Hilbert cap of {HILBERT_CAP_SITES}"
+        )
     pairs = [(int(i), int(j)) for i, j in pairs]
     components = [(a, b) for a, b in components]
-    psi0 = build_product_ket(geom, initial, cap=cap)
+    psi0 = build_product_ket(geom, initial)
 
     if t == 0.0:
         psi_t = psi0
@@ -109,7 +110,7 @@ def correlation_exact_scan(
 
     else:
         times = np.linspace(0.0, float(t), max(2, samples))
-        res = exact_evolve(geom, params, drive, psi0, times, tol=tol, cap=cap)
+        res = exact_evolve(geom, params, drive, psi0, times, tol=tol)
         psi_t = res.kets[-1]
         substeps = res.substeps
 

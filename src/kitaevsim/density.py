@@ -106,6 +106,25 @@ class ThermalEnsemble:
             rho += p * np.outer(psi, psi.conj())
         return DensityMatrix(matrix=rho, labels=labels)
 
+    def gram(self, labels: tuple[str, ...] | None = None) -> DensityMatrix:
+        """K x K member Gram matrix G_kl = sqrt(p_k p_l) <psi_k|psi_l>.
+
+        G = A^H A for the matrix A whose columns are sqrt(p_k) psi_k, while
+        the mixture is rho = A A^H; so G has the trace, the purity and the
+        nonzero spectrum of ``density()`` without its 2**n x 2**n matrix.
+        """
+        kets = np.asarray(self.states)
+        amp = np.sqrt(self.weights)
+        g = amp[:, None] * (kets.conj() @ kets.T) * amp[None, :]
+        return DensityMatrix(matrix=g, labels=labels)
+
+    def reduced(self, keep_sites) -> np.ndarray:
+        """Reduced mixture sum_k p_k Tr_rest |psi_k><psi_k| on the kept sites."""
+        return sum(
+            p * reduced_density_matrix(psi, keep_sites)
+            for p, psi in zip(self.weights, self.states)
+        )
+
 
 def initial_label(config: FlipConfig) -> str:
     return f"cfg:{config.hex}"
@@ -216,11 +235,12 @@ def reduced_entropy(
     full_ket: np.ndarray,
     part: str = "A",
     floor: float = ENTROPY_EIGENVALUE_FLOOR,
-    cap: int = HILBERT_CAP_SITES,
 ) -> tuple[DensityMatrix, float]:
     """Partial trace onto one sublattice and its entanglement entropy."""
-    if geom.n_sites > cap:
-        raise ValueError(f"{geom.n_sites} sites exceeds the Hilbert cap of {cap}")
+    if geom.n_sites > HILBERT_CAP_SITES:
+        raise ValueError(
+            f"{geom.n_sites} sites exceeds the Hilbert cap of {HILBERT_CAP_SITES}"
+        )
     if len(full_ket) != 2**geom.n_sites:
         raise ValueError("ket dimension does not match the lattice")
     if abs(np.linalg.norm(full_ket) - 1.0) > 1e-9:
@@ -237,7 +257,6 @@ def embed_active_state(
     initial: FlipConfig,
     targets,
     state: ActiveState,
-    cap: int = HILBERT_CAP_SITES,
 ) -> np.ndarray:
     """Lift active-basis amplitudes to the full 2**n_sites Hilbert space.
 
@@ -247,9 +266,9 @@ def embed_active_state(
     targets = list(targets)
     if len(state.amplitudes) != len(targets) + 1:
         raise ValueError("state and target list are inconsistent")
-    psi = state.amplitudes[0] * build_product_ket(geom, initial, cap=cap)
+    psi = state.amplitudes[0] * build_product_ket(geom, initial)
     for amp, target in zip(state.amplitudes[1:], targets):
-        psi = psi + amp * build_product_ket(geom, target.base, target, cap=cap)
+        psi = psi + amp * build_product_ket(geom, target.base, target)
     return psi
 
 

@@ -23,7 +23,6 @@ import numpy as np
 from .lattice import PLAQUETTE_PATTERN, LatticeGeometry
 from .manifold import ExcitedLabel, FlipConfig, build_product_ket, flip_signature
 from .pauli import (
-    HILBERT_CAP_SITES,
     PAULI,
     apply_pauli,
     apply_pauli_string,
@@ -149,7 +148,6 @@ def perturbation_element(
     params: CouplingParams,
     drive_plaquette: int | None = None,
     engine: str = "hilbert",
-    cap: int = HILBERT_CAP_SITES,
 ) -> complex:
     """Time-independent drive matrix element M = D <target| string |ground>.
 
@@ -165,8 +163,8 @@ def perturbation_element(
         return 0.0 + 0.0j
 
     if engine == "hilbert":
-        ket_g = build_product_ket(geom, ground, cap=cap)
-        ket_t = build_product_ket(geom, target.base, target, cap=cap)
+        ket_g = build_product_ket(geom, ground)
+        ket_t = build_product_ket(geom, target.base, target)
         return params.d * complex(np.vdot(ket_t, apply_pauli_string(ket_g, string)))
 
     # label engine: product of single-site 2x2 matrix elements
@@ -192,13 +190,12 @@ def energy_expectation(
     config: FlipConfig,
     excitation: ExcitedLabel | None = None,
     engine: str = "label",
-    cap: int = HILBERT_CAP_SITES,
 ) -> float:
     """<state| H0 |state> for a labeled manifold state."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     if engine == "hilbert":
-        ket = build_product_ket(geom, config, excitation, cap=cap)
+        ket = build_product_ket(geom, config, excitation)
         return float(np.vdot(ket, apply_h0(geom, params, ket)).real)
 
     signs = flip_signature(geom, config, excitation)
@@ -234,7 +231,6 @@ def build_energy_table(
     params: CouplingParams,
     states,
     engine: str = "label",
-    cap: int = HILBERT_CAP_SITES,
 ) -> EnergyTable:
     """Tabulate H0 expectations for (config, optional excitation) pairs."""
     entries: dict[tuple[int, int], float] = {}
@@ -244,6 +240,6 @@ def build_energy_table(
             -1 if excitation is None else excitation.flipped_plaquette,
         )
         entries[key] = energy_expectation(
-            geom, params, config, excitation, engine=engine, cap=cap
+            geom, params, config, excitation, engine=engine
         )
     return EnergyTable(engine=engine, entries=entries)

@@ -158,12 +158,11 @@ def build_product_ket(
     geom: LatticeGeometry,
     config: FlipConfig,
     excitation: ExcitedLabel | None = None,
-    cap: int = HILBERT_CAP_SITES,
 ) -> np.ndarray:
     """Explicit unit-norm product vector in the 2**n_sites Hilbert space."""
-    if geom.n_sites > cap:
+    if geom.n_sites > HILBERT_CAP_SITES:
         raise ValueError(
-            f"{geom.n_sites} sites exceeds the Hilbert cap of {cap} sites"
+            f"{geom.n_sites} sites exceeds the Hilbert cap of {HILBERT_CAP_SITES} sites"
         )
     signs = flip_signature(geom, config, excitation)
     return product_ket(geom.site_components, signs)

@@ -130,7 +130,6 @@ def exact_evolve(
     psi0: np.ndarray,
     times,
     tol: float = 1e-9,
-    cap: int = HILBERT_CAP_SITES,
     start_substeps: int = 4,
 ) -> EvolutionResult:
     """Exact Schrodinger evolution sampled on ``times``.
@@ -139,8 +138,10 @@ def exact_evolve(
     finer run's error drops below ``tol``.
     """
     times = np.asarray(times, dtype=float)
-    if geom.n_sites > cap:
-        raise ValueError(f"{geom.n_sites} sites exceeds the Hilbert cap of {cap}")
+    if geom.n_sites > HILBERT_CAP_SITES:
+        raise ValueError(
+            f"{geom.n_sites} sites exceeds the Hilbert cap of {HILBERT_CAP_SITES}"
+        )
     if len(psi0) != 2**geom.n_sites:
         raise ValueError("psi0 dimension does not match the lattice")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:

@@ -50,14 +50,61 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "computation failed" in proc.stderr
 
-    def test_thermal_mixture_over_memory_budget_exits_3(self, tmp_path):
-        # the 2x4 mixture density matrix would take 64 GiB
+    def test_thermal_at_the_hilbert_cap_runs(self, tmp_path):
+        # 2x4 is the 16-site cap; the summary needs only the K x K member forms
         proc = run_cli(
             "thermal", "--nx", "2", "--ny", "4", "--outdir", str(tmp_path),
             "--samples", "3",
         )
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads((tmp_path / "thermal.json").read_text())
+        assert doc["trace"] == pytest.approx(1.0, abs=1e-12)
+        assert len(doc["members"]) == 9
+
+    def test_thermal_emit_density_over_memory_budget_exits_3(self, tmp_path):
+        # the 2x4 mixture density matrix would take 64 GiB
+        proc = run_cli(
+            "thermal", "--nx", "2", "--ny", "4", "--outdir", str(tmp_path),
+            "--samples", "3", "--emit-density",
+        )
         assert proc.returncode == 3
         assert "68719476736 bytes" in proc.stderr
+        assert not (tmp_path / "thermal.json").exists()
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--jx", "nan"), ("--omega", "inf"), ("--d", "-inf"), ("--d", "-1"),
+         ("--t-max", "nan"), ("--t-max", "inf"), ("--kt", "nan"), ("--scan-tol", "nan"),
+         ("--initial", "foo")],
+    )
+    def test_bad_config_value_exits_2_before_output(self, flag, value, tmp_path):
+        proc = run_cli("evolve", f"{flag}={value}", "--samples", "3", "--outdir", str(tmp_path))
+        assert proc.returncode == 2, proc.stderr
+        assert "configuration error" in proc.stderr
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "grid",
+        [("-1", "1", "0"), ("-1", "1", "-2"), ("nan", "1", "5"), ("-1", "inf", "5")],
+    )
+    def test_sweep_bad_omega_grid_exits_2(self, grid, tmp_path):
+        omega_min, omega_max, steps = grid
+        proc = run_cli(
+            "sweep", f"--omega-min={omega_min}", f"--omega-max={omega_max}",
+            f"--omega-steps={steps}", "--samples", "5", "--outdir", str(tmp_path),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "configuration error: --omega-" in proc.stderr
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("members", ["foo", "0x100", "0x1,,0x2"])
+    def test_thermal_bad_members_exits_2(self, members, tmp_path):
+        proc = run_cli(
+            "thermal", "--members", members, "--samples", "3", "--outdir", str(tmp_path),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "--members" in proc.stderr
+        assert not (tmp_path / "thermal.json").exists()
 
     @pytest.mark.parametrize("command", ["entropy", "thermal"])
     def test_hilbert_cap_exits_3_before_first_order_work(
@@ -300,6 +347,14 @@ class TestPipelineCommands:
         doc = json.loads((out / "thermal.json").read_text())
         assert doc["trace"] == pytest.approx(1.0, abs=1e-10)
         assert len(doc["weights"]) == 2
+
+        # kt = inf is valid and means uniform weights
+        proc = run_cli(
+            "thermal", "--outdir", str(out), "--kt", "inf", "--d", "0.05",
+            "--t-max", "1.0", "--samples", "5", "--members", "0x0,0x1",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((out / "thermal.json").read_text())["weights"] == [0.5, 0.5]
 
     def test_emit_plot_script(self, tmp_path):
         out = tmp_path / "plot"

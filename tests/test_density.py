@@ -3,9 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kitaevsim.density import (
     DensityMatrix,
+    ThermalEnsemble,
     assemble_state,
     density_matrix,
     embed_active_state,
@@ -263,3 +266,37 @@ class TestThermal:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(
+    n_sites=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    picks=st.lists(st.integers(0, 2), min_size=1, max_size=6),
+    weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=6, max_size=6),
+    data=st.data(),
+)
+def test_gram_and_reduced_match_the_dense_mixture(n_sites, seed, picks, weights, data):
+    # members drawn from a pool of three kets, so duplicates occur
+    rng = np.random.default_rng(seed)
+    pool = rng.normal(size=(3, 2**n_sites)) + 1j * rng.normal(size=(3, 2**n_sites))
+    pool /= np.linalg.norm(pool, axis=1)[:, None]
+    w = np.array(weights[: len(picks)])
+    assume(w.sum() > 0.0)
+    ens = ThermalEnsemble(
+        energies=np.zeros(len(picks)),
+        states=[pool[k] for k in picks],
+        kt=1.0,
+        weights=w / w.sum(),
+    )
+    keep = data.draw(st.permutations(range(n_sites)))[: data.draw(st.integers(1, n_sites))]
+
+    gram, rho = ens.gram(), ens.density()
+    p = ens.weights
+    overlaps = [[np.vdot(a, b) for b in ens.states] for a in ens.states]
+    assert np.max(np.abs(gram.matrix - np.sqrt(np.outer(p, p)) * overlaps)) < 1e-12
+    assert abs(gram.trace - rho.trace) < 1e-12
+    assert abs(gram.purity() - rho.purity()) < 1e-12
+    assert abs(entropy_of_density(gram.matrix) - entropy_of_density(rho.matrix)) < 1e-12
+    dense_a = partial_trace_matrix(rho.matrix, n_sites, keep)
+    assert np.max(np.abs(ens.reduced(keep) - dense_a)) < 1e-12
