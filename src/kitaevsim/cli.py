@@ -455,6 +455,8 @@ def cmd_correlate(cfg: RunConfig, args) -> int:
 
 def cmd_thermal(cfg: RunConfig, args) -> int:
     geom, params, drive, _, times = _build_scene(cfg)
+    if geom.n_sites > HILBERT_CAP_SITES:
+        raise RuntimeError("thermal mixing materializes full kets; lattice too large")
     if args.members == "weight01":
         members_cfg = [FlipConfig(0, geom.n_plaquettes)] + [
             FlipConfig(1 << q, geom.n_plaquettes) for q in range(geom.n_plaquettes)
@@ -472,8 +474,6 @@ def cmd_thermal(cfg: RunConfig, args) -> int:
             ]
         except ValueError as exc:
             raise ConfigError(f"bad --members {args.members!r}: {exc}") from exc
-    if geom.n_sites > HILBERT_CAP_SITES:
-        raise RuntimeError("thermal mixing materializes full kets; lattice too large")
 
     t = float(times[-1])
     members = []
@@ -495,7 +495,7 @@ def cmd_thermal(cfg: RunConfig, args) -> int:
 
     ensemble = thermal_ensemble(members, cfg.kt)
     # the K x K Gram matrix carries the mixture's trace, purity and spectrum
-    rho = ensemble.gram(tuple(labels))
+    rho = ensemble.gram()
     rho_a = ensemble.reduced(_sublattice_sites(geom, "A"))
     summary = {
         "kt": cfg.kt,

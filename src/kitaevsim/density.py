@@ -29,6 +29,9 @@ ENTROPY_EIGENVALUE_FLOOR = 1e-14
 # 2x3 torus needs 256 MiB, the 2x4 torus 64 GiB
 DENSE_DENSITY_BUDGET_BYTES = 1 << 30
 
+# ket entries per slice that ThermalEnsemble.gram stacks and conjugates at once
+GRAM_BLOCK_ENTRIES = 4096
+
 
 @dataclass
 class DensityMatrix:
@@ -106,17 +109,22 @@ class ThermalEnsemble:
             rho += p * np.outer(psi, psi.conj())
         return DensityMatrix(matrix=rho, labels=labels)
 
-    def gram(self, labels: tuple[str, ...] | None = None) -> DensityMatrix:
+    def gram(self) -> DensityMatrix:
         """K x K member Gram matrix G_kl = sqrt(p_k p_l) <psi_k|psi_l>.
 
         G = A^H A for the matrix A whose columns are sqrt(p_k) psi_k, while
         the mixture is rho = A A^H; so G has the trace, the purity and the
         nonzero spectrum of ``density()`` without its 2**n x 2**n matrix.
+        The overlaps are summed over slices of GRAM_BLOCK_ENTRIES entries,
+        so no K x 2**n copy of the member kets is made.
         """
-        kets = np.asarray(self.states)
+        dim = len(self.states[0])
+        overlaps = np.zeros((len(self.states), len(self.states)), dtype=complex)
+        for start in range(0, dim, GRAM_BLOCK_ENTRIES):
+            block = np.array([psi[start:start + GRAM_BLOCK_ENTRIES] for psi in self.states])
+            overlaps += block.conj() @ block.T
         amp = np.sqrt(self.weights)
-        g = amp[:, None] * (kets.conj() @ kets.T) * amp[None, :]
-        return DensityMatrix(matrix=g, labels=labels)
+        return DensityMatrix(matrix=amp[:, None] * overlaps * amp[None, :])
 
     def reduced(self, keep_sites) -> np.ndarray:
         """Reduced mixture sum_k p_k Tr_rest |psi_k><psi_k| on the kept sites."""

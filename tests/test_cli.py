@@ -106,15 +106,31 @@ class TestExitCodes:
         assert "--members" in proc.stderr
         assert not (tmp_path / "thermal.json").exists()
 
-    @pytest.mark.parametrize("command", ["entropy", "thermal"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["entropy"], ["thermal"], ["thermal", "--members", "all"]],
+        ids=["entropy", "thermal", "thermal-members-all"],
+    )
     def test_hilbert_cap_exits_3_before_first_order_work(
-        self, command, tmp_path, monkeypatch, capsys
+        self, argv, tmp_path, monkeypatch, capsys
     ):
         def no_first_order_work(*args, **kwargs):
             raise AssertionError("first-order work ran before the Hilbert cap check")
 
         monkeypatch.setattr(cli, "connected_targets", no_first_order_work)
-        code = cli.main([command, "--nx", "3", "--ny", "3", "--outdir", str(tmp_path)])
+        # the scene's initial configuration is the one FlipConfig allowed; the
+        # thermal member list (2**n_plaquettes of them for "all") must wait
+        made = []
+        real_flip_config = cli.FlipConfig
+
+        def one_flip_config(*args, **kwargs):
+            made.append(args)
+            if len(made) > 1:
+                no_first_order_work()
+            return real_flip_config(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "FlipConfig", one_flip_config)
+        code = cli.main([*argv, "--nx", "3", "--ny", "3", "--outdir", str(tmp_path)])
         assert code == 3
         assert "lattice too large" in capsys.readouterr().err
 

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kitaevsim.density import (
+    GRAM_BLOCK_ENTRIES,
     DensityMatrix,
     ThermalEnsemble,
     assemble_state,
@@ -300,3 +301,26 @@ def test_gram_and_reduced_match_the_dense_mixture(n_sites, seed, picks, weights,
     assert abs(entropy_of_density(gram.matrix) - entropy_of_density(rho.matrix)) < 1e-12
     dense_a = partial_trace_matrix(rho.matrix, n_sites, keep)
     assert np.max(np.abs(ens.reduced(keep) - dense_a)) < 1e-12
+
+
+def test_gram_sums_slices_without_stacking_the_kets():
+    # three full slices and a partial one; nine kets of 48 KiB each
+    rng = np.random.default_rng(11)
+    dim = 3 * GRAM_BLOCK_ENTRIES + 5
+    kets = rng.normal(size=(9, dim)) + 1j * rng.normal(size=(9, dim))
+    kets /= np.linalg.norm(kets, axis=1)[:, None]
+    w = rng.uniform(0.1, 1.0, size=9)
+    ens = ThermalEnsemble(
+        energies=np.zeros(9), states=list(kets), kt=1.0, weights=w / w.sum()
+    )
+    tracemalloc.start()
+    try:
+        gram = ens.gram()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    p = ens.weights
+    expected = np.sqrt(np.outer(p, p)) * (kets.conj() @ kets.T)
+    assert np.max(np.abs(gram.matrix - expected)) < 1e-12
+    # two K x GRAM_BLOCK_ENTRIES slices, against 16 * 9 * dim bytes for one copy
+    assert peak < 3 * 16 * 9 * GRAM_BLOCK_ENTRIES
