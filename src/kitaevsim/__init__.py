@@ -36,6 +36,7 @@ from .perturbation import (
     CoefficientSeries,
     DriveSpec,
     coefficient_closed_form,
+    coefficient_interpolated,
     coefficient_quadrature,
     evolve_coefficients,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "build_lattice",
     "build_product_ket",
     "coefficient_closed_form",
+    "coefficient_interpolated",
     "coefficient_quadrature",
     "correlation_exact_scan",
     "correlation_formula",

@@ -77,7 +77,7 @@ class RunConfig:
     t_max: float = 6.283185307179586
     samples: int = 65
     engine: str = "label"
-    quad_tol: float = 1e-10
+    quad_tol: float = 1e-10  # only coefficient_quadrature has a tolerance; kept in headers
     evolve_tol: float = 1e-9
     scan_tol: float = 1e-8
     outdir: str = "out"
@@ -166,6 +166,12 @@ def _build_scene(cfg: RunConfig):
         data = np.genfromtxt(cfg.drive_file, delimiter=",", comments="#")
         if data.ndim != 2 or data.shape[1] < 3:
             raise ConfigError("drive file needs columns t, ReB, ImB")
+        bad = np.flatnonzero(~np.all(np.isfinite(data[:, :3]), axis=1))
+        if len(bad):
+            raise ConfigError(
+                f"drive file has {len(bad)} sample(s) with a non-finite t, ReB or "
+                f"ImB, the first in data row {bad[0] + 1}"
+            )
         drive = DriveSpec.custom(
             data[:, 0], data[:, 1] + 1j * data[:, 2], plaquette=cfg.plaquette
         )
@@ -240,8 +246,7 @@ def _evolved(cfg: RunConfig, connected_only: bool, scene=None):
     else:
         targets = [excite(initial, j) for j in range(geom.n_plaquettes)]
     coeffs = evolve_coefficients(
-        geom, params, drive, initial, targets, times,
-        engine=cfg.engine, quad_tol=cfg.quad_tol,
+        geom, params, drive, initial, targets, times, engine=cfg.engine
     )
     return geom, params, drive, initial, times, targets, coeffs
 
@@ -480,10 +485,7 @@ def cmd_thermal(cfg: RunConfig, args) -> int:
     labels = []
     for config in members_cfg:
         tg = connected_targets(geom, params, config, drive.plaquette, cfg.engine)
-        cs = evolve_coefficients(
-            geom, params, drive, config, tg, times,
-            engine=cfg.engine, quad_tol=cfg.quad_tol,
-        )
+        cs = evolve_coefficients(geom, params, drive, config, tg, times, engine=cfg.engine)
         if cs:
             state = assemble_state(cs, t, config)
             psi = embed_active_state(geom, config, [c.target for c in cs], state)

@@ -15,12 +15,13 @@ the hilbert engine before it is trusted on lattices beyond the cap.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import PLAQUETTE_PATTERN, LatticeGeometry
+from .lattice import COMPONENTS, PLAQUETTE_PATTERN, LatticeGeometry
 from .manifold import ExcitedLabel, FlipConfig, build_product_ket, flip_signature
 from .pauli import (
     PAULI,
@@ -133,12 +134,71 @@ def ground_projection(geom: LatticeGeometry, psi: np.ndarray) -> tuple[np.ndarra
     return out / norm, norm
 
 
+# keyed by (component, sign, sign, op): at most 3 * 2 * 2 * 3 entries
+@functools.cache
 def _single_site_element(component: str, sign_ket: int, sign_bra: int, op: str) -> complex:
     """<component,sign_bra| sigma^op |component,sign_ket> in the frozen
     eigenvector convention of :mod:`kitaevsim.pauli`."""
     bra = pauli_eigenvector(component, sign_bra)
     ket = pauli_eigenvector(component, sign_ket)
     return complex(np.vdot(bra, PAULI[op] @ ket))
+
+
+def perturbation_elements(
+    geom: LatticeGeometry,
+    ground: FlipConfig,
+    targets,
+    params: CouplingParams,
+    drive_plaquette: int | None = None,
+    engine: str = "hilbert",
+) -> list[complex]:
+    """:func:`perturbation_element` from one ground state to each target.
+
+    The ground state's ket (hilbert engine) or flip signature (label
+    engine) is built once for all targets.
+    """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
+    targets = list(targets)
+    strings = [
+        drive_string(geom, tg.flipped_plaquette if drive_plaquette is None else drive_plaquette)
+        for tg in targets
+    ]
+
+    if params.d == 0.0:
+        return [0.0 + 0.0j] * len(targets)
+
+    if engine == "hilbert":
+        ket_g = build_product_ket(geom, ground)
+        return [
+            params.d * complex(
+                np.vdot(build_product_ket(geom, tg.base, tg), apply_pauli_string(ket_g, string))
+            )
+            for tg, string in zip(targets, strings)
+        ]
+
+    signs_g = flip_signature(geom, ground)
+    return [
+        _label_element(geom, signs_g, flip_signature(geom, tg.base, tg), string, params.d)
+        for tg, string in zip(targets, strings)
+    ]
+
+
+def _label_element(geom, signs_g, signs_t, string, d: float) -> complex:
+    """Product of single-site 2x2 matrix elements along the drive string;
+    zero if the two signatures differ on a site off the string."""
+    differing = np.flatnonzero(signs_g != signs_t).tolist()
+    on_string = {s for s, _ in string}
+    if any(s not in on_string for s in differing):
+        return 0.0 + 0.0j
+    val = complex(d)
+    for s, op in string:
+        val *= _single_site_element(
+            geom.site_components[s], int(signs_g[s]), int(signs_t[s]), op
+        )
+        if val == 0.0:
+            return 0.0 + 0.0j
+    return val
 
 
 def perturbation_element(
@@ -154,34 +214,9 @@ def perturbation_element(
     The string acts on ``drive_plaquette`` (defaults to the target's own
     flipped plaquette).  The full time-dependent element is B(t) * M / D.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
-    i = target.flipped_plaquette if drive_plaquette is None else drive_plaquette
-    string = drive_string(geom, i)
-
-    if params.d == 0.0:
-        return 0.0 + 0.0j
-
-    if engine == "hilbert":
-        ket_g = build_product_ket(geom, ground)
-        ket_t = build_product_ket(geom, target.base, target)
-        return params.d * complex(np.vdot(ket_t, apply_pauli_string(ket_g, string)))
-
-    # label engine: product of single-site 2x2 matrix elements
-    signs_g = flip_signature(geom, ground)
-    signs_t = flip_signature(geom, target.base, target)
-    string_sites = {s for s, _ in string}
-    for s in range(geom.n_sites):
-        if s not in string_sites and signs_g[s] != signs_t[s]:
-            return 0.0 + 0.0j
-    val = complex(params.d)
-    for s, op in string:
-        val *= _single_site_element(
-            geom.site_components[s], int(signs_g[s]), int(signs_t[s]), op
-        )
-        if val == 0.0:
-            return 0.0 + 0.0j
-    return val
+    return perturbation_elements(
+        geom, ground, [target], params, drive_plaquette, engine
+    )[0]
 
 
 def energy_expectation(
@@ -198,13 +233,13 @@ def energy_expectation(
         ket = build_product_ket(geom, config, excitation)
         return float(np.vdot(ket, apply_h0(geom, params, ket)).real)
 
-    signs = flip_signature(geom, config, excitation)
-    comps = geom.site_components
-    e = 0.0
-    for i, j, bond_comp in geom.bonds:
-        if comps[i] == comps[j] == bond_comp:
-            e += params.j(bond_comp) * float(signs[i]) * float(signs[j])
-    return e
+    signs = flip_signature(geom, config, excitation).astype(float)
+    i, j, comp = geom.labelled_bonds
+    couplings = np.array([params.j(c) for c in COMPONENTS])
+    terms = couplings[comp] * signs[i] * signs[j]
+    # cumsum adds left to right from 0.0, as a loop over the bonds would;
+    # np.sum's pairwise order would change the last bits
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
 @dataclass

@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 PLAQUETTE_PATTERN = ("x", "y", "z", "x", "y", "z")
 COMPONENTS = ("x", "y", "z")
@@ -48,6 +51,32 @@ class LatticeGeometry:
     def position3_site(self, p: int) -> int:
         """Site sitting at the third position (z label) of plaquette p."""
         return self.plaquettes[p][2]
+
+    @cached_property
+    def site_plaquette_index(self) -> np.ndarray:
+        """(n_sites, 3) array of the plaquettes around each site."""
+        return np.array(
+            [[p for p, _ in inc] for inc in self.site_plaquettes], dtype=np.intp
+        ).reshape(self.n_sites, 3)
+
+    @cached_property
+    def labelled_bonds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(i, j, component index) arrays of the bonds, in bond order, whose
+        two endpoints both carry the bond's component as their label.
+
+        Only these bonds have a nonzero expectation on a product ket of the
+        manifold.  The component index points into ``COMPONENTS``.
+        """
+        comps = self.site_components
+        picked = np.array(
+            [
+                (i, j, COMPONENTS.index(c))
+                for i, j, c in self.bonds
+                if comps[i] == comps[j] == c
+            ],
+            dtype=np.intp,
+        ).reshape(-1, 3)
+        return picked[:, 0], picked[:, 1], picked[:, 2]
 
 
 @dataclass

@@ -45,6 +45,13 @@ class FlipConfig:
     def hex(self) -> str:
         return f"0x{self.bits:x}"
 
+    def unpacked(self) -> np.ndarray:
+        """The n bits as a uint8 array; entry p is bit p."""
+        raw = self.bits.to_bytes((self.n + 7) // 8, "little")
+        return np.unpackbits(
+            np.frombuffer(raw, dtype=np.uint8), count=self.n, bitorder="little"
+        )
+
 
 @dataclass(frozen=True)
 class ExcitedLabel:
@@ -97,13 +104,8 @@ def flip_signature(
     if excitation is not None and excitation.base != config:
         raise ValueError("excitation.base does not match the given config")
 
-    signs = np.ones(geom.n_sites, dtype=np.int8)
-    for s in range(geom.n_sites):
-        flipped = sum(
-            1 for p, _ in geom.site_plaquettes[s] if config.contains(p)
-        )
-        if flipped % 2:
-            signs[s] = -1
+    parity = config.unpacked()[geom.site_plaquette_index].sum(axis=1, dtype=np.int8) & 1
+    signs = 1 - 2 * parity
 
     if excitation is not None:
         i = excitation.flipped_plaquette

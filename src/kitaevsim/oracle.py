@@ -146,7 +146,7 @@ def exact_evolve(
         raise ValueError("psi0 dimension does not match the lattice")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("psi0 must be normalized")
-    if tol <= 0:
+    if not tol > 0:  # a NaN tolerance is never met
         raise ValueError("tolerance must be positive")
     if len(times) < 2 or np.any(np.diff(times) <= 0):
         raise ValueError("time grid must be strictly increasing")

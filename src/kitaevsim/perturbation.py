@@ -7,9 +7,10 @@ coefficient of a target at detuning delta = omega0 - omega is
     a(t) = (D/delta) (1 - cos(delta t)),   b(t) = -(D/delta) sin(delta t),
 
 with omega0 = E_target - E_initial (hbar = 1).  Near resonance the
-(1 - cos)/delta form is replaced by its Taylor expansion.  For arbitrary
-drives the defining time integral is evaluated by adaptive-panel Simpson
-quadrature.
+(1 - cos)/delta form is replaced by its Taylor expansion.  A custom drive
+is the linear interpolation of its samples, so its defining time integral
+also has a closed form, summed segment by segment.  Adaptive Simpson
+quadrature of the same integral is kept as an independent reference.
 """
 
 from __future__ import annotations
@@ -19,13 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import CouplingParams, energy_expectation, perturbation_element
+from .hamiltonian import CouplingParams, energy_expectation, perturbation_elements
 from .lattice import LatticeGeometry
 from .manifold import ExcitedLabel, FlipConfig, excite
 
 # below this |delta * t| the closed form switches to its Taylor branch;
 # cancellation in (1 - cos)/delta is the concern, not the sin term
 RESONANCE_SERIES_THRESHOLD = 1e-4
+# below this |delta * h| a segment of the interpolated drive takes the
+# Taylor branch; cancellation in (e^w - E1(w)) / w is the concern
+SEGMENT_SERIES_THRESHOLD = 1e-3
 
 _QUAD_MAX_DEPTH = 48
 _QUAD_MAX_PANELS = 200_000
@@ -51,8 +55,12 @@ class DriveSpec:
             if self.t_samples is None or self.b_samples is None:
                 raise ValueError("custom drive needs t_samples and b_samples")
             t = np.asarray(self.t_samples, dtype=float)
+            if not np.all(np.isfinite(t)):
+                raise ValueError("custom drive sample times must be finite")
             if t.ndim != 1 or len(t) < 2 or np.any(np.diff(t) <= 0):
                 raise ValueError("custom drive grid must be strictly increasing")
+            if not np.all(np.isfinite(np.asarray(self.b_samples, dtype=complex))):
+                raise ValueError("custom drive values must be finite")
 
     @classmethod
     def exponential(cls, d: float, omega: float, plaquette: int = 0) -> "DriveSpec":
@@ -147,14 +155,25 @@ def coefficient_closed_form(m_sign: int, d: float, delta: float, t):
     return complex(out) if t_arr.ndim == 0 else out
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float):
-    """Adaptive Simpson for complex integrands; returns (value, err_est)."""
+def _adaptive_simpson(f, edges, tol: float):
+    """Adaptive Simpson for complex integrands over the panels between
+    consecutive ``edges``; returns (value, err_est).
+
+    Each initial panel gets the share of ``tol`` of its width.  The error
+    test compares one Simpson panel with its two halves, so it can pass
+    by accident when every sample of a panel lands on the same phase of
+    an oscillation; callers choose ``edges`` so that no panel spans more
+    than a quarter period.
+    """
 
     def simpson(fa, fm, fb, h):
         return (h / 6.0) * (fa + 4.0 * fm + fb)
 
-    m0 = 0.5 * (a + b)
-    stack = [(a, b, f(a), f(m0), f(b), None, tol, 0)]
+    span = edges[-1] - edges[0]
+    stack = [
+        (lo, hi, f(lo), f(0.5 * (lo + hi)), f(hi), None, tol * (hi - lo) / span, 0)
+        for lo, hi in zip(edges[:-1], edges[1:])
+    ]
     total = 0.0 + 0.0j
     err_total = 0.0
     panels = 0
@@ -172,8 +191,10 @@ def _adaptive_simpson(f, a: float, b: float, tol: float):
             s_whole = simpson(flo, fmid, fhi, h)
         flm = f(0.5 * (lo + mid))
         frm = f(0.5 * (mid + hi))
-        s_left = simpson(flo, flm, fmid, h / 2.0)
-        s_right = simpson(fmid, frm, fhi, h / 2.0)
+        # the halves' own widths: h / 2 misses them by an ulp of lo, which
+        # is an error floor that no depth removes once the panels are small
+        s_left = simpson(flo, flm, fmid, mid - lo)
+        s_right = simpson(fmid, frm, fhi, hi - mid)
         err = abs(s_left + s_right - s_whole) / 15.0
         if err <= tol_loc or depth >= _QUAD_MAX_DEPTH:
             if depth >= _QUAD_MAX_DEPTH and err > tol_loc:
@@ -188,6 +209,27 @@ def _adaptive_simpson(f, a: float, b: float, tol: float):
     return total, err_total
 
 
+def _quadrature_edges(drive: DriveSpec, delta_e: float, t: float) -> np.ndarray:
+    """Initial panel edges over [0, t]: every custom-drive sample inside
+    (0, t) is an edge, and no panel is wider than a quarter period of the
+    integrand's carrier frequency."""
+    if drive.kind == "custom":
+        inner = drive.t_samples[(drive.t_samples > 0.0) & (drive.t_samples < t)]
+        edges = np.concatenate(([0.0], inner, [t]))
+        freq = delta_e
+    else:
+        edges = np.array([0.0, t])
+        freq = delta_e - drive.omega
+    if freq == 0.0:
+        return edges
+    quarter = 0.5 * math.pi / abs(freq)
+    pieces = [
+        np.linspace(lo, hi, int(math.ceil((hi - lo) / quarter)) + 1)[:-1]
+        for lo, hi in zip(edges[:-1], edges[1:])
+    ]
+    return np.concatenate(pieces + [[t]])
+
+
 def coefficient_quadrature(
     m: complex, drive: DriveSpec, delta_e: float, t: float, tol: float
 ) -> complex:
@@ -197,7 +239,7 @@ def coefficient_quadrature(
     where D_ref is the drive's amplitude field (the normalization under
     which m was computed).
     """
-    if tol <= 0:
+    if not tol > 0:  # a NaN tolerance is never met
         raise ValueError("tolerance must be positive")
     if t < 0:
         raise ValueError("time must be >= 0")
@@ -211,8 +253,46 @@ def coefficient_quadrature(
     def integrand(tp: float) -> complex:
         return -1j * np.exp(1j * delta_e * tp) * complex(drive.b_of(tp)) * scale
 
-    value, _ = _adaptive_simpson(integrand, 0.0, float(t), tol)
+    value, _ = _adaptive_simpson(integrand, _quadrature_edges(drive, delta_e, float(t)), tol)
     return value
+
+
+def coefficient_interpolated(m: complex, drive: DriveSpec, delta_e: float, times) -> np.ndarray:
+    """Exact coefficient integral of a custom drive on a time grid.
+
+    B(t) is the linear interpolation of the drive samples, so on each
+    segment [x0, x0 + h] between consecutive breakpoints (the samples
+    and the grid times) it is b0 + (b1 - b0) u / h, and
+
+        integral_0^h exp(i delta_e (x0 + u)) B dt
+            = exp(i delta_e x0) h [b0 E1(w) + (b1 - b0) E2(w)],  w = i delta_e h,
+
+    with E1(w) = (e^w - 1)/w and E2(w) = (e^w - E1(w))/w.  The segment
+    integrals are summed cumulatively and read off at the grid times.
+    """
+    times = np.asarray(times, dtype=float)
+    d_ref = drive.amplitude
+    if m == 0 or d_ref == 0:
+        return np.zeros(len(times), dtype=complex)
+    t_max = times[-1]
+    inner = drive.t_samples[(drive.t_samples > 0.0) & (drive.t_samples < t_max)]
+    x = np.union1d(times, inner)
+    b = drive.b_of(x)
+    h = np.diff(x)
+    theta = delta_e * h
+    # E1(i theta) = e^{i theta/2} sin(theta/2) / (theta/2) has no cancellation
+    e1 = np.exp(0.5j * theta) * np.sinc(theta / (2.0 * math.pi))
+    w = 1j * theta
+    e2 = np.empty_like(w)
+    series = np.abs(theta) < SEGMENT_SERIES_THRESHOLD
+    ws = w[series]
+    # E2(w) = sum_k w^k / (k! (k + 2))
+    e2[series] = 0.5 + ws * (1.0 / 3.0 + ws * (1.0 / 8.0 + ws * (1.0 / 30.0 + ws / 144.0)))
+    wm = w[~series]
+    e2[~series] = (np.exp(wm) - e1[~series]) / wm
+    segments = np.exp(1j * delta_e * x[:-1]) * h * (b[:-1] * e1 + (b[1:] - b[:-1]) * e2)
+    integral = np.concatenate(([0.0], np.cumsum(segments)))
+    return -1j * (m / d_ref) * integral[np.searchsorted(x, times)]
 
 
 def connected_targets(
@@ -226,16 +306,11 @@ def connected_targets(
     ref = params if params.d > 0 else CouplingParams(
         params.jx, params.jy, params.jz, d=1.0, omega=params.omega
     )
-    out = []
-    for j in range(geom.n_plaquettes):
-        target = excite(initial, j)
-        m = perturbation_element(
-            geom, initial, target, ref, drive_plaquette=drive_plaquette,
-            engine=engine,
-        )
-        if m != 0:
-            out.append(target)
-    return out
+    candidates = [excite(initial, j) for j in range(geom.n_plaquettes)]
+    elements = perturbation_elements(
+        geom, initial, candidates, ref, drive_plaquette=drive_plaquette, engine=engine
+    )
+    return [target for target, m in zip(candidates, elements) if m != 0]
 
 
 def evolve_coefficients(
@@ -246,13 +321,13 @@ def evolve_coefficients(
     targets,
     times,
     engine: str = "label",
-    quad_tol: float = 1e-10,
 ) -> list[CoefficientSeries]:
     """One first-order CoefficientSeries per target state.
 
     The initial state carries zeroth-order amplitude one and no series of
     its own.  Targets whose drive matrix element vanishes get identically
-    zero series.
+    zero series.  A custom drive's series is the exact integral of its
+    linear interpolation (:func:`coefficient_interpolated`).
     """
     times = np.asarray(times, dtype=float)
     if len(times) == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
@@ -264,13 +339,12 @@ def evolve_coefficients(
 
     e_init = energy_expectation(geom, params, initial, engine=engine)
     ordered = sorted(targets, key=lambda tg: (tg.flipped_plaquette, tg.base.bits))
+    elements = perturbation_elements(
+        geom, initial, ordered, params, drive_plaquette=drive.plaquette, engine=engine
+    )
     out = []
-    for target in ordered:
+    for target, m in zip(ordered, elements):
         e_t = energy_expectation(geom, params, target.base, target, engine=engine)
-        m = perturbation_element(
-            geom, initial, target, params,
-            drive_plaquette=drive.plaquette, engine=engine,
-        )
         if m == 0:
             values = np.zeros(len(times), dtype=complex)
         elif drive.kind == "exponential":
@@ -279,13 +353,7 @@ def evolve_coefficients(
             unit = coefficient_closed_form(1, 1.0, delta, times)
             values = m * np.asarray(unit, dtype=complex)
         else:
-            values = np.array(
-                [
-                    coefficient_quadrature(m, drive, e_t - e_init, tk, quad_tol)
-                    for tk in times
-                ],
-                dtype=complex,
-            )
+            values = coefficient_interpolated(m, drive, e_t - e_init, times)
         out.append(
             CoefficientSeries(
                 target=target,

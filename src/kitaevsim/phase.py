@@ -125,7 +125,7 @@ def stability_intervals(
         # series (a identically zero up to roundoff) stay unclassified
         peak = float(np.max(np.abs(phase.log_modulus[ok])))
         slope_tol = 1e-9 * peak + 1e-12
-    elif slope_tol < 0:
+    elif not slope_tol >= 0:  # NaN would compare false and classify nothing
         raise ValueError("slope_tol must be >= 0")
 
     slope = _slopes(phase)

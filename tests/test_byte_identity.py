@@ -24,6 +24,8 @@ SCENES = {
     "4x4": ["--nx", "4", "--ny", "4", "--initial", "0x5a3c", "--samples", "33"],
     # 3x3 has a two-dimensional flip kernel: distinct configurations share kets
     "3x3": ["--nx", "3", "--ny", "3", "--initial", "0x1b5", "--samples", "33"],
+    # twelve labelled bonds: the energy sum's order shows in its last bits
+    "12x4": ["--nx", "12", "--ny", "4", "--initial", "0x1", "--samples", "17"],
     "2x3-hilbert": ["--nx", "2", "--ny", "3", "--initial", "0x2d", "--samples", "17",
                     "--engine", "hilbert"],
 }
@@ -69,6 +71,22 @@ DIGESTS = {
         "f6876cbe7b83d04c3a16338ec61498f2fd86d92a719ff89017d7d2326d4f45a3",
     ("3x3", "phase", "levels.csv"):
         "8d4cafe62200097836b622f32333d275bdfc354905b232a613a45f5ea0341ea2",
+    ("12x4", "evolve", "coefficients.csv"):
+        "e6f8a018d0c3f830bd4dcfd46905f9ca1c981ed33b928e2c87a3c694f6ff938c",
+    ("12x4", "evolve", "energies.csv"):
+        "5251f52ee6d4c4f068a1f0b99d86763284dfacfedb5c4904bb78a65038a56e60",
+    ("12x4", "evolve", "density.json"):
+        "08d091364017abd56ca09a4c19825ebf6022b69d07babb5003150357d8426b83",
+    ("12x4", "sweep", "sweep.csv"):
+        "758fb775a0a579708803ab6cc5d4f97e6d32e26f34b05136f95debb9a09705fd",
+    ("12x4", "sweep", "sweep_summary.json"):
+        "84c37f62a94ac60884a6a9588a95df94c4718ff4e84e9890d2629e546317b3b4",
+    ("12x4", "phase", "phase.csv"):
+        "997333b8b986c97f896ac8a24458a4d62184b0d7b5053e0fa1fe65bb9586fd4d",
+    ("12x4", "phase", "intervals.csv"):
+        "24c51a2073970bd163eb9fa9c9addc4ff3b65279307e8c2eaac353dfd17c8263",
+    ("12x4", "phase", "levels.csv"):
+        "5f61263d92d31c8c73ae2ab6c99742cc62d900fc9555e4235e8b0b3ad30c643f",
     ("2x3-hilbert", "evolve", "coefficients.csv"):
         "069d2ff18461377b963d3daf66ae32c156dd7523995eb50593a1f737cdef897f",
     ("2x3-hilbert", "evolve", "energies.csv"):

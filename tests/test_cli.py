@@ -163,6 +163,20 @@ class TestDriveFileCoverage:
         proc = self._evolve(tmp_path, self._drive_file(tmp_path, 0.0, self.T_MAX))
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("row", ["nan,0.01,0", "1.5,inf,0", "2.5,0.01,nan"])
+    def test_non_finite_sample_exits_2_before_output(self, tmp_path, row):
+        path = self._drive_file(tmp_path, 0.0, self.T_MAX)
+        lines = path.read_text().splitlines()
+        lines.insert(3, row)
+        path.write_text("\n".join(lines) + "\n")
+        proc = run_cli(
+            "phase", "--drive-file", str(path), "--d", "1", "--nx", "2", "--ny", "2",
+            "--t-max", repr(self.T_MAX), "--samples", "9", "--outdir", str(tmp_path / "out"),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "non-finite" in proc.stderr and "data row 4" in proc.stderr
+        assert not (tmp_path / "out" / "phase.csv").exists()
+
     def test_sweep_rejects_drive_file(self, tmp_path):
         # the sweep scans the exponential drive's omega; a custom drive has none
         proc = run_cli(

@@ -151,6 +151,13 @@ class TestExactScan:
         assert report["consistent"] is False
         assert len(report["offenders"]) == 10
 
+    def test_nan_tolerance_rejected(self):
+        params, drive, *_ = scene()
+        with pytest.raises(ValueError, match="tolerance"):
+            correlation_exact_scan(
+                GEOM, params, drive, EMPTY, [(0, 1)], [("x", "x")], 1.0, tol=float("nan")
+            )
+
     def test_cap_guard(self):
         geom = build_lattice(3, 3)
         params = CouplingParams(jx=0.2, jy=0.2, jz=0.2, d=0.0)

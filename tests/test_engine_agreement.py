@@ -2,15 +2,25 @@
 
 The hilbert engine evaluates energies and drive matrix elements on
 explicit 2^n kets and is the reference; the label engine must give the
-same numbers from the flip signatures alone.
+same numbers from the flip signatures alone.  The label engine's array
+kernels are also held to the per-site loops they replaced, bit for bit,
+including on 3x3, which is beyond the hilbert engine's cap.
 """
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kitaevsim.hamiltonian import CouplingParams, energy_expectation, perturbation_element
+from kitaevsim.hamiltonian import (
+    CouplingParams,
+    drive_string,
+    energy_expectation,
+    perturbation_element,
+)
 from kitaevsim.lattice import build_lattice
-from kitaevsim.manifold import FlipConfig, excite
+from kitaevsim.manifold import FlipConfig, excite, flip_signature
+from kitaevsim.pauli import HILBERT_CAP_SITES, PAULI, pauli_eigenvector
 
 GEOMS = {shape: build_lattice(*shape) for shape in ((2, 3), (3, 2))}
 
@@ -58,3 +68,124 @@ def test_label_engine_matches_hilbert_engine(shape, jx, jy, jz, d, same_base, da
         geom, ground, target, params, drive_plaquette=driven, engine="hilbert"
     )
     assert abs(m_label - m_hilbert) <= 1e-12
+
+
+# --- the array kernels against the per-site loops they replaced -------------
+
+# 12x4 has twelve labelled bonds, enough for np.sum's unrolled pairwise
+# order to differ from a left-to-right sum
+LOOP_GEOMS = {
+    shape: build_lattice(*shape) for shape in ((2, 2), (2, 3), (3, 2), (3, 3), (12, 4))
+}
+
+
+def loop_signature(geom, config, excitation=None):
+    """Per-site parity of flipped incident plaquettes, one site at a time."""
+    signs = np.ones(geom.n_sites, dtype=np.int8)
+    for s in range(geom.n_sites):
+        if sum(1 for p, _ in geom.site_plaquettes[s] if config.contains(p)) % 2:
+            signs[s] = -1
+    if excitation is not None:
+        s3 = geom.position3_site(excitation.flipped_plaquette)
+        signs[s3] = -signs[s3]
+    return signs
+
+
+def loop_energy(geom, params, signs):
+    """Left-to-right sum over the bonds whose endpoints carry its label."""
+    comps = geom.site_components
+    e = 0.0
+    for i, j, bond_comp in geom.bonds:
+        if comps[i] == comps[j] == bond_comp:
+            e += params.j(bond_comp) * float(signs[i]) * float(signs[j])
+    return e
+
+
+def loop_element(geom, signs_g, signs_t, driven, d):
+    """Site-by-site off-string check, then the product along the string."""
+    string = drive_string(geom, driven)
+    string_sites = {s for s, _ in string}
+    for s in range(geom.n_sites):
+        if s not in string_sites and signs_g[s] != signs_t[s]:
+            return 0.0 + 0.0j
+    val = complex(d)
+    for s, op in string:
+        bra = pauli_eigenvector(geom.site_components[s], int(signs_t[s]))
+        ket = pauli_eigenvector(geom.site_components[s], int(signs_g[s]))
+        val *= complex(np.vdot(bra, PAULI[op] @ ket))
+        if val == 0.0:
+            return 0.0 + 0.0j
+    return val
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    shape=st.sampled_from(sorted(LOOP_GEOMS)),
+    jx=couplings,
+    jy=couplings,
+    jz=couplings,
+    d=amplitudes,
+    data=st.data(),
+)
+def test_array_kernels_match_loops_and_hilbert_engine(shape, jx, jy, jz, d, data):
+    geom = LOOP_GEOMS[shape]
+    n = geom.n_plaquettes
+    plaquettes = st.integers(0, n - 1)
+    ground = FlipConfig(data.draw(st.integers(0, 2**n - 1), label="ground"), n)
+    base = data.draw(
+        st.one_of(st.just(ground), st.builds(lambda b: FlipConfig(b, n), st.integers(0, 2**n - 1))),
+        label="base",
+    )
+    target = excite(base, data.draw(plaquettes, label="excited"))
+    driven = data.draw(st.one_of(st.just(0), plaquettes), label="driven")
+    params = CouplingParams(jx=jx, jy=jy, jz=jz, d=d)
+    on_cap = geom.n_sites <= HILBERT_CAP_SITES
+
+    signs_g = flip_signature(geom, ground)
+    signs_t = flip_signature(geom, base, target)
+    assert np.array_equal(signs_g, loop_signature(geom, ground))
+    assert np.array_equal(signs_t, loop_signature(geom, base, target))
+    assert signs_g.dtype == np.int8
+
+    for config, excitation, signs in ((ground, None, signs_g), (base, target, signs_t)):
+        e = energy_expectation(geom, params, config, excitation, engine="label")
+        # bit-identical: the loop's summation order is kept
+        assert e == loop_energy(geom, params, signs)
+        if on_cap:
+            assert abs(e - energy_expectation(geom, params, config, excitation, engine="hilbert")) <= 1e-12
+
+    m = perturbation_element(geom, ground, target, params, drive_plaquette=driven, engine="label")
+    assert m == loop_element(geom, signs_g, signs_t, driven, d)
+    if on_cap:
+        m_hilbert = perturbation_element(
+            geom, ground, target, params, drive_plaquette=driven, engine="hilbert"
+        )
+        assert abs(m - m_hilbert) <= 1e-12
+
+
+@pytest.mark.parametrize("jz,bits", [(0.1, 0x0), (0.7, 0x1), (1.2, 0x1)])
+def test_energy_keeps_the_loops_summation_order(jz, bits):
+    # cases where np.sum's pairwise order rounds differently from the loop
+    geom = LOOP_GEOMS[(12, 4)]
+    config = FlipConfig(bits, geom.n_plaquettes)
+    params = CouplingParams(jx=1.0, jy=1.0, jz=jz)
+    signs = flip_signature(geom, config)
+    assert energy_expectation(geom, params, config) == loop_energy(geom, params, signs)
+
+
+def test_difference_off_the_drive_string_gives_zero():
+    # the target matches the drive image of the ground state on the six
+    # string sites, and differs from it on a plaquette that shares none
+    geom = LOOP_GEOMS[(12, 4)]
+    n = geom.n_plaquettes
+    ground = FlipConfig(0, n)
+    far = next(p for p in range(n) if not set(geom.plaquettes[p]) & set(geom.plaquettes[0]))
+    params = CouplingParams(jx=1.0, jy=1.0, jz=1.0, d=1.0)
+    image = excite(ground, 0)
+    assert perturbation_element(geom, ground, image, params, drive_plaquette=0, engine="label") != 0
+
+    target = excite(FlipConfig(1 << far, n), 0)
+    signs_g = flip_signature(geom, ground)
+    signs_t = flip_signature(geom, target.base, target)
+    assert loop_element(geom, signs_g, signs_t, 0, 1.0) == 0
+    assert perturbation_element(geom, ground, target, params, drive_plaquette=0, engine="label") == 0

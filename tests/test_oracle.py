@@ -24,6 +24,15 @@ def undriven(jx=1.0, jy=0.8, jz=1.2):
 
 
 class TestExactEvolve:
+    def test_nan_tolerance_rejected_before_any_step(self, monkeypatch):
+        def no_steps(*args, **kwargs):
+            raise AssertionError("propagation ran with a NaN tolerance")
+
+        monkeypatch.setattr(oracle_mod, "evolve_fixed_substeps", no_steps)
+        params, drive = undriven()
+        with pytest.raises(ValueError, match="tolerance"):
+            exact_evolve(GEOM, params, drive, PSI0, np.linspace(0.0, 1.0, 3), tol=float("nan"))
+
     def test_undriven_run_conserves_norm_and_energy(self):
         params, drive = undriven()
         times = np.linspace(0.0, 3.0, 7)

@@ -3,14 +3,17 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kitaevsim.hamiltonian import CouplingParams, energy_expectation
+from kitaevsim.hamiltonian import CouplingParams, energy_expectation, perturbation_element
 from kitaevsim.lattice import build_lattice
 from kitaevsim.manifold import FlipConfig, excite
 from kitaevsim.perturbation import (
     CoefficientSeries,
     DriveSpec,
     coefficient_closed_form,
+    coefficient_interpolated,
     coefficient_quadrature,
     connected_targets,
     evolve_coefficients,
@@ -132,6 +135,96 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             coefficient_quadrature(1.0, drive, 1.0, 1.0, 0.0)
 
+    def test_nan_tolerance_rejected(self):
+        drive = DriveSpec.exponential(1.0, 0.0)
+        with pytest.raises(ValueError, match="tolerance"):
+            coefficient_quadrature(1.0, drive, 1.0, 1.0, float("nan"))
+
+    def test_seed_points_on_one_phase_do_not_alias(self):
+        # all five seed points of a single [0, 4 pi] panel see e^{2 i t} = 1,
+        # so the halving test passed at once with 4 pi; the integral is 0
+        drive = DriveSpec.exponential(1.0, 0.0)
+        q = coefficient_quadrature(1.0, drive, 2.0, 4.0 * np.pi, 1e-10)
+        assert abs(q) < 1e-12
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(delta=st.floats(0.3, 12.0), t=st.floats(0.1, 20.0), omega=st.floats(-2.0, 2.0))
+    def test_matches_closed_form_over_delta_and_t(self, delta, t, omega):
+        drive = DriveSpec.exponential(1.0, omega)
+        q = coefficient_quadrature(1.0, drive, delta + omega, t, 1e-10)
+        c = coefficient_closed_form(1, 1.0, delta, t)
+        assert abs(q - c) < 1e-8
+
+    def test_custom_panels_stop_at_drive_samples(self):
+        # a triangle pulse: the kink at t = 1 sits inside [0, 3]
+        drive = DriveSpec.custom([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, 0.0])
+        q = coefficient_quadrature(1.0, drive, 0.0, 3.0, 1e-12)
+        assert q == pytest.approx(-1j, abs=1e-12)
+
+
+def sampled_drive(n: int, t_max: float, seed: int) -> DriveSpec:
+    """A smooth complex drive on an uneven grid over [0, t_max]."""
+    rng = np.random.default_rng(seed)
+    t = np.sort(np.r_[0.0, rng.uniform(0.0, t_max, n - 2), t_max])
+    b = 0.01 * np.exp(-0.8j * t) + 0.004 * np.cos(1.7 * t) + 0.002j * t
+    return DriveSpec.custom(t, b, amplitude=0.01)
+
+
+class TestInterpolatedDrive:
+    """The exact integral of the interpolated drive against quadrature run
+    on panels aligned to the drive samples."""
+
+    T_MAX = 2.0 * np.pi
+    TIMES = np.r_[0.0, np.sort(np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, 7)), 2.0 * np.pi]
+
+    @pytest.mark.parametrize(
+        "delta_e",
+        # 1e-6 and 0.05 put every segment's |delta h| below the series
+        # threshold; 0.3 straddles it
+        [0.0, 1e-6, 0.05, 0.3, 0.8, -1.3, 5.0, -7.0, 10.0],
+    )
+    def test_matches_sample_aligned_quadrature(self, delta_e):
+        drive = sampled_drive(81, self.T_MAX, seed=7)
+        m = 0.37 - 0.21j
+        c = coefficient_interpolated(m, drive, delta_e, self.TIMES)
+        ref = [coefficient_quadrature(m, drive, delta_e, t, 1e-13) for t in self.TIMES]
+        assert c[0] == 0.0
+        assert np.max(np.abs(c - ref)) <= 1e-12
+
+    def test_constant_drive_is_exact(self):
+        drive = DriveSpec.custom([0.0, 10.0], [0.7, 0.7], amplitude=0.7)
+        c = coefficient_interpolated(0.7, drive, 0.0, np.array([0.0, 1.0, 3.0]))
+        assert np.allclose(c, [0.0, -0.7j, -2.1j], rtol=0.0, atol=1e-15)
+
+    def test_drive_held_outside_its_samples(self):
+        # library callers may pass samples that do not cover [0, t]; b_of
+        # holds the end values there, and so does the integral
+        drive = DriveSpec.custom([0.5, 1.0, 2.0], [0.2, 1.0, -0.4j])
+        times = np.array([0.0, 0.25, 1.5, 3.0])
+        c = coefficient_interpolated(1.0, drive, 0.9, times)
+        ref = [coefficient_quadrature(1.0, drive, 0.9, t, 1e-13) for t in times]
+        assert np.max(np.abs(c - ref)) <= 1e-12
+
+    def test_zero_element_or_amplitude_gives_zeros(self):
+        drive = sampled_drive(11, 1.0, seed=1)
+        assert np.array_equal(coefficient_interpolated(0.0, drive, 1.0, [0.0, 1.0]), [0, 0])
+        silent = DriveSpec.custom(drive.t_samples, drive.b_samples, amplitude=0.0)
+        assert np.array_equal(coefficient_interpolated(1.0, silent, 1.0, [0.0, 1.0]), [0, 0])
+
+    def test_evolve_uses_the_exact_integral(self):
+        geom = build_lattice(2, 2)
+        empty = FlipConfig(0, 4)
+        params = CouplingParams(jx=0.3, jy=0.5, jz=0.7, d=1.0)
+        drive = sampled_drive(41, self.T_MAX, seed=2)
+        series = evolve_coefficients(
+            geom, params, drive, empty, [excite(empty, 0)], self.TIMES
+        )[0]
+        m = perturbation_element(geom, empty, excite(empty, 0), params, engine="label")
+        expected = coefficient_interpolated(
+            m, drive, series.e_target - series.e_initial, self.TIMES
+        )
+        assert np.array_equal(series.values, expected)
+
 
 class TestDriveSpec:
     def test_custom_requires_samples(self):
@@ -145,6 +238,18 @@ class TestDriveSpec:
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
             DriveSpec.custom([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "t,b",
+        [([0.0, np.nan, 1.0], [1.0, 1.0, 1.0]),
+         ([np.nan, 0.0, 1.0], [1.0, 1.0, 1.0]),
+         ([0.0, 0.5, np.inf], [1.0, 1.0, 1.0]),
+         ([0.0, 0.5, 1.0], [1.0, np.inf, 1.0]),
+         ([0.0, 0.5, 1.0], [1.0, complex(0.0, np.nan), 1.0])],
+    )
+    def test_non_finite_samples_rejected(self, t, b):
+        with pytest.raises(ValueError, match="finite"):
+            DriveSpec.custom(t, b)
 
     def test_exponential_values(self):
         drive = DriveSpec.exponential(2.0, 0.5)

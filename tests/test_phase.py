@@ -105,6 +105,12 @@ class TestStabilityIntervals:
         ph = decompose_values(t, np.exp(1j * 0.3 * t))
         assert stability_intervals(ph) == []
 
+    def test_nan_slope_tol_rejected(self):
+        t = np.linspace(0.0, 5.0, 50)
+        ph = decompose_values(t, coefficient_closed_form(1, 1.0, 1.0, t))
+        with pytest.raises(ValueError, match="slope_tol"):
+            stability_intervals(ph, slope_tol=float("nan"))
+
     def test_too_few_samples(self):
         ph = decompose_values([0.0, 1.0], [1.0 + 0j, 2.0 + 0j])
         with pytest.raises(ValueError):
