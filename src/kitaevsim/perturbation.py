@@ -268,9 +268,14 @@ def coefficient_interpolated(m: complex, drive: DriveSpec, delta_e: float, times
             = exp(i delta_e x0) h [b0 E1(w) + (b1 - b0) E2(w)],  w = i delta_e h,
 
     with E1(w) = (e^w - 1)/w and E2(w) = (e^w - E1(w))/w.  The segment
-    integrals are summed cumulatively and read off at the grid times.
+    integrals are summed cumulatively and read off at the grid times,
+    which must start at 0 and increase strictly.
     """
+    if drive.kind != "custom":
+        raise ValueError("coefficient_interpolated needs a custom drive")
     times = np.asarray(times, dtype=float)
+    if len(times) == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
+        raise ValueError("time grid must start at 0 and increase strictly")
     d_ref = drive.amplitude
     if m == 0 or d_ref == 0:
         return np.zeros(len(times), dtype=complex)

@@ -211,6 +211,15 @@ class TestInterpolatedDrive:
         silent = DriveSpec.custom(drive.t_samples, drive.b_samples, amplitude=0.0)
         assert np.array_equal(coefficient_interpolated(1.0, silent, 1.0, [0.0, 1.0]), [0, 0])
 
+    @pytest.mark.parametrize("times", [[0.5, 1.0], [0.0, 1.0, 1.0], []])
+    def test_bad_grid_rejected(self, times):
+        with pytest.raises(ValueError, match="time grid"):
+            coefficient_interpolated(1.0, sampled_drive(11, 1.0, seed=1), 1.0, times)
+
+    def test_exponential_drive_rejected(self):
+        with pytest.raises(ValueError, match="custom"):
+            coefficient_interpolated(1.0, DriveSpec.exponential(1.0, 0.5), 1.0, [0.0, 1.0])
+
     def test_evolve_uses_the_exact_integral(self):
         geom = build_lattice(2, 2)
         empty = FlipConfig(0, 4)
