@@ -65,15 +65,17 @@ class DensityMatrix:
         return issues
 
     def to_payload(self) -> dict:
-        """JSON-ready form: basis labels plus row-major [re, im] entries."""
+        """JSON-ready form: basis labels plus row-major [re, im] entries.
+
+        ``entries`` is the (dim**2, 2) float view of the matrix, which
+        ``output.write_json`` streams without building per-entry lists.
+        """
         if self.labels is not None:
             basis = list(self.labels)
         else:
             basis = [f"hilbert:{k}" for k in range(self.dim)]
-        entries = [
-            [float(v.real), float(v.imag)] for v in self.matrix.reshape(-1)
-        ]
-        return {"basis": basis, "dim": self.dim, "entries": entries}
+        flat = np.ascontiguousarray(self.matrix, dtype=complex).reshape(-1)
+        return {"basis": basis, "dim": self.dim, "entries": flat.view(float).reshape(-1, 2)}
 
 
 @dataclass
@@ -105,8 +107,11 @@ class ThermalEnsemble:
                 f"bytes, over the budget of {DENSE_DENSITY_BUDGET_BYTES} bytes"
             )
         rho = np.zeros((dim, dim), dtype=complex)
+        buf = np.empty_like(rho)  # one member's weighted projector at a time
         for p, psi in zip(self.weights, self.states):
-            rho += p * np.outer(psi, psi.conj())
+            np.multiply.outer(psi, psi.conj(), out=buf)
+            buf *= p
+            rho += buf
         return DensityMatrix(matrix=rho, labels=labels)
 
     def gram(self) -> DensityMatrix:

@@ -59,7 +59,15 @@ class DriveSpec:
                 raise ValueError("custom drive sample times must be finite")
             if t.ndim != 1 or len(t) < 2 or np.any(np.diff(t) <= 0):
                 raise ValueError("custom drive grid must be strictly increasing")
-            if not np.all(np.isfinite(np.asarray(self.b_samples, dtype=complex))):
+            b = np.asarray(self.b_samples, dtype=complex)
+            if b.ndim != 1:
+                raise ValueError("custom drive values must be a 1-D sequence")
+            if len(b) != len(t):
+                raise ValueError(
+                    f"custom drive needs one value per sample time: "
+                    f"{len(b)} values for {len(t)} times"
+                )
+            if not np.all(np.isfinite(b)):
                 raise ValueError("custom drive values must be finite")
 
     @classmethod

@@ -5,6 +5,8 @@ engine (flip signatures, bond energies and drive elements in Python
 loops).  Any rewrite of those kernels must reproduce every output byte:
 the coefficient series, the energy table, the active-basis density
 matrix, the frequency sweep and the exponential-drive phase analysis.
+The thermal pins, taken from the per-entry list encoding of the dense
+mixture matrix, hold ``thermal --emit-density`` to the same bytes.
 
 The runs write to the relative directory ``out`` under a fresh working
 directory, so the configuration recorded in each header, and with it the
@@ -28,6 +30,9 @@ SCENES = {
     "12x4": ["--nx", "12", "--ny", "4", "--initial", "0x1", "--samples", "17"],
     "2x3-hilbert": ["--nx", "2", "--ny", "3", "--initial", "0x2d", "--samples", "17",
                     "--engine", "hilbert"],
+    # dense 256 x 256 mixture matrices from sixteen members and from two
+    "2x2-all": ["--nx", "2", "--ny", "2", "--samples", "17", "--members", "all"],
+    "2x2-pair": ["--nx", "2", "--ny", "2", "--samples", "17", "--members", "0x0,0x1"],
 }
 
 COMMANDS = {
@@ -35,7 +40,16 @@ COMMANDS = {
     "sweep": (["sweep", "--omega-min", "-7", "--omega-max", "7", "--omega-steps", "41"],
               ("sweep.csv", "sweep_summary.json")),
     "phase": (["phase"], ("phase.csv", "intervals.csv", "levels.csv")),
+    "thermal": (["thermal", "--kt", "0.5", "--emit-density"],
+                ("thermal.json", "thermal_weights.csv")),
 }
+
+CASES = [
+    *((s, c) for s in ("4x4", "3x3", "12x4") for c in ("evolve", "sweep", "phase")),
+    ("2x3-hilbert", "evolve"),
+    ("2x2-all", "thermal"),
+    ("2x2-pair", "thermal"),
+]
 
 # (scene, command, file) -> sha256 of the file's bytes
 DIGESTS = {
@@ -93,13 +107,18 @@ DIGESTS = {
         "33bce2c0569f776b5183ea36893c973388692ec6c207a4ca11ec7a8c0778870a",
     ("2x3-hilbert", "evolve", "density.json"):
         "7cec697e3f1b6eb75bb509ea7c80f2a8fe80fa725c336cd331c6656d3f640ce2",
+    ("2x2-all", "thermal", "thermal.json"):
+        "dc86cd6026015d09c6408a87848921b29f6edc8e45c2af148adb7edd882e03e8",
+    ("2x2-all", "thermal", "thermal_weights.csv"):
+        "0a4e3da42774af218b8966b7e21d494f2f519a6878568039b3f80f74e735570b",
+    ("2x2-pair", "thermal", "thermal.json"):
+        "1957946aacb461c5d9a167882ab2c3946b90c537381c2566af6884033ac2242c",
+    ("2x2-pair", "thermal", "thermal_weights.csv"):
+        "e67274897821f9a492a63006b3b5c4f03cba8cf29a93f0d5907697a279924508",
 }
 
 
-@pytest.mark.parametrize(
-    "scene,command",
-    [(s, c) for s in SCENES for c in COMMANDS if s != "2x3-hilbert" or c == "evolve"],
-)
+@pytest.mark.parametrize("scene,command", CASES)
 def test_outputs_match_pinned_digests(scene, command, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     argv, files = COMMANDS[command]

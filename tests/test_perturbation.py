@@ -260,6 +260,15 @@ class TestDriveSpec:
         with pytest.raises(ValueError, match="finite"):
             DriveSpec.custom(t, b)
 
+    @pytest.mark.parametrize(
+        "b,message",
+        [([1.0, 2.0], "2 values for 3 times"),
+         ([[1.0], [2.0], [3.0]], "1-D")],
+    )
+    def test_values_must_match_the_time_grid(self, b, message):
+        with pytest.raises(ValueError, match=message):
+            DriveSpec.custom([0, 1, 2], b)
+
     def test_exponential_values(self):
         drive = DriveSpec.exponential(2.0, 0.5)
         assert drive.b_of(0.0) == pytest.approx(2.0)
