@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +30,11 @@ from .density import (
     embed_active_state,
     entropy_of_density,
     reduced_entropy,
+    require_dense_budget,
     thermal_ensemble,
 )
 from .hamiltonian import (
+    ENGINES,
     CouplingParams,
     build_energy_table,
     energy_expectation,
@@ -47,7 +49,7 @@ from .manifold import (
     signature_kernel,
 )
 from .output import write_csv, write_json, write_plot_script
-from .pauli import HILBERT_CAP_SITES
+from .pauli import HILBERT_CAP_SITES, require_hilbert
 from .perturbation import DriveSpec, coefficient_closed_form, connected_targets, evolve_coefficients
 from .phase import decompose, decompose_values, effective_level, shifted_transition_frequency, stability_intervals
 from .validation import oracle_error_report, run_acceptance
@@ -56,6 +58,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
+
+# manifold lists every configuration of n plaquettes: 2**20 rows take about
+# 5 s and 264 MB, and each further plaquette doubles both
+MANIFOLD_MAX_PLAQUETTES = 20
 
 
 class ConfigError(ValueError):
@@ -78,7 +84,7 @@ class RunConfig:
     samples: int = 65
     engine: str = "label"
     quad_tol: float = 1e-10  # only coefficient_quadrature has a tolerance; kept in headers
-    evolve_tol: float = 1e-9
+    evolve_tol: float = 1e-9  # no command reads it; kept in headers
     scan_tol: float = 1e-8
     outdir: str = "out"
     seed: int = 12345
@@ -93,8 +99,8 @@ class RunConfig:
             raise ConfigError(f"initial bitmask 0x{self.initial:x} out of range")
         if not 0 <= self.plaquette < n_plaq:
             raise ConfigError(f"plaquette {self.plaquette} out of range")
-        if self.engine not in ("hilbert", "label"):
-            raise ConfigError(f"engine must be hilbert or label, got {self.engine!r}")
+        if self.engine not in ENGINES:
+            raise ConfigError(f"engine must be {' or '.join(ENGINES)}, got {self.engine!r}")
         try:
             CouplingParams(self.jx, self.jy, self.jz, self.d, self.omega)
         except ValueError as exc:
@@ -129,7 +135,22 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
+# help text of the command-line flags that need more than the key's name
+_FIELD_HELP = {
+    "d": "drive amplitude",
+    "omega": "drive frequency",
+    "drive_file": "CSV of t,ReB,ImB samples for a custom drive",
+    "initial": "initial flip configuration (hex bitmask)",
+    "plaquette": "driven plaquette index",
+    "engine": f"first-order engine: {' or '.join(ENGINES)}",
+    "quad_tol": "no effect; recorded in output headers",
+    "evolve_tol": "no effect; recorded in output headers",
+    "jobs": "no effect; recorded in output headers",
+}
+
+
 def _coerce(name: str, raw: str):
+    """Parse one raw run-setting value from a config file or a flag."""
     kinds = {f.name: f.type for f in fields(RunConfig)}
     if name not in kinds:
         raise ConfigError(f"unknown config key {name!r}")
@@ -145,16 +166,15 @@ def _coerce(name: str, raw: str):
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+    """The config file's values, then the flags' (flags win), validated."""
+    values = {}
     if getattr(args, "config", None):
-        for key, raw in parse_config_file(args.config).items():
-            cfg = replace(cfg, **{key: _coerce(key, raw)})
+        values = {key: _coerce(key, raw) for key, raw in parse_config_file(args.config).items()}
     for f in fields(RunConfig):
-        override = getattr(args, f.name, None)
-        if override is not None:
-            if f.name == "initial" and isinstance(override, str):
-                override = _coerce(f.name, override)
-            cfg = replace(cfg, **{f.name: override})
+        raw = getattr(args, f.name, None)
+        if raw is not None:
+            values[f.name] = _coerce(f.name, raw)
+    cfg = RunConfig(**values)
     cfg.validate()
     return cfg
 
@@ -224,6 +244,11 @@ def cmd_manifold(cfg: RunConfig, args) -> int:
     n = args.n if args.n is not None else cfg.nx * cfg.ny
     if n < 1:
         raise ConfigError("plaquette count must be >= 1")
+    if n > MANIFOLD_MAX_PLAQUETTES:
+        raise RuntimeError(
+            f"{n} plaquettes have {1 << n} configurations, over the limit of "
+            f"{1 << MANIFOLD_MAX_PLAQUETTES} rows (n <= {MANIFOLD_MAX_PLAQUETTES})"
+        )
     sizes = []
     rows = []
     for k in range(n + 1):
@@ -253,6 +278,8 @@ def _evolved(cfg: RunConfig, connected_only: bool, scene=None):
 
 def cmd_evolve(cfg: RunConfig, args) -> int:
     geom, params, _, initial, times, targets, coeffs = _evolved(cfg, args.connected_only)
+    # density.json holds the dense active-basis matrix over initial + targets
+    require_dense_budget(len(targets) + 1, "active-basis density matrix")
     rows = []
     for series in coeffs:
         for t, c in zip(series.times, series.values):
@@ -392,8 +419,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 def cmd_entropy(cfg: RunConfig, args) -> int:
     scene = _build_scene(cfg)
-    if scene[0].n_sites > HILBERT_CAP_SITES:
-        raise RuntimeError("entropy needs the full Hilbert space; lattice too large")
+    require_hilbert(scene[0].n_sites)
     geom, _, _, initial, times, _, coeffs = _evolved(cfg, True, scene)
     rows = []
     for t in times:
@@ -460,8 +486,7 @@ def cmd_correlate(cfg: RunConfig, args) -> int:
 
 def cmd_thermal(cfg: RunConfig, args) -> int:
     geom, params, drive, _, times = _build_scene(cfg)
-    if geom.n_sites > HILBERT_CAP_SITES:
-        raise RuntimeError("thermal mixing materializes full kets; lattice too large")
+    require_hilbert(geom.n_sites)
     if args.members == "weight01":
         members_cfg = [FlipConfig(0, geom.n_plaquettes)] + [
             FlipConfig(1 << q, geom.n_plaquettes) for q in range(geom.n_plaquettes)
@@ -556,79 +581,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"kitaevsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="key=value configuration file")
-        p.add_argument("--nx", type=int)
-        p.add_argument("--ny", type=int)
-        p.add_argument("--jx", type=float)
-        p.add_argument("--jy", type=float)
-        p.add_argument("--jz", type=float)
-        p.add_argument("--d", type=float, help="drive amplitude")
-        p.add_argument("--omega", type=float, help="drive frequency")
-        p.add_argument("--drive-file", dest="drive_file",
-                       help="CSV of t,ReB,ImB samples for a custom drive")
-        p.add_argument("--initial", help="initial flip configuration (hex bitmask)")
-        p.add_argument("--plaquette", type=int, help="driven plaquette index")
-        p.add_argument("--t-max", dest="t_max", type=float)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--engine", choices=("hilbert", "label"))
-        p.add_argument("--quad-tol", dest="quad_tol", type=float)
-        p.add_argument("--evolve-tol", dest="evolve_tol", type=float)
-        p.add_argument("--scan-tol", dest="scan_tol", type=float)
-        p.add_argument("--outdir")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--jobs", type=int, help="no effect; recorded in output headers")
-        p.add_argument("--kt", type=float)
-        p.add_argument("--emit-plot-script", action="store_true")
-
-    p = sub.add_parser("lattice", help="build, validate, and dump the geometry")
-    add_common(p)
-    p.set_defaults(fn=cmd_lattice)
-
-    p = sub.add_parser("manifold", help="enumerate flip configurations")
-    add_common(p)
-    p.add_argument("--n", type=int, help="plaquette count (default nx*ny)")
-    p.set_defaults(fn=cmd_manifold)
-
-    p = sub.add_parser("evolve", help="first-order coefficient series")
-    add_common(p)
-    p.add_argument("--connected-only", action="store_true",
-                   help="emit only targets with nonzero drive elements")
-    p.set_defaults(fn=cmd_evolve)
-
-    p = sub.add_parser("phase", help="phase decomposition and stability")
-    add_common(p)
-    p.set_defaults(fn=cmd_phase)
-
-    p = sub.add_parser("sweep", help="drive-frequency sweep")
-    add_common(p)
-    p.add_argument("--omega-min", type=float, required=True)
-    p.add_argument("--omega-max", type=float, required=True)
-    p.add_argument("--omega-steps", type=int, default=41)
-    p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("entropy", help="sublattice entanglement entropy series")
-    add_common(p)
-    p.set_defaults(fn=cmd_entropy)
-
-    p = sub.add_parser("correlate", help="correlation formula and exact scan")
-    add_common(p)
-    p.add_argument("--literal-t0", action="store_true",
-                   help="evaluate the formula at t0 = 0 (degenerately zero)")
-    p.set_defaults(fn=cmd_correlate)
-
-    p = sub.add_parser("thermal", help="Boltzmann mixture of evolved states")
-    add_common(p)
-    p.add_argument("--members", default="weight01",
-                   help="'weight01', 'all', or comma-separated hex bitmasks")
-    p.add_argument("--emit-density", action="store_true",
-                   help="include the full mixture density matrix in thermal.json")
-    p.set_defaults(fn=cmd_thermal)
-
-    p = sub.add_parser("validate", help="run the acceptance property suite")
-    add_common(p)
-    p.set_defaults(fn=cmd_validate)
-
+    # built per call, not at import, so the cmd_* looked up are the module's current ones
+    commands = (
+        ("lattice", cmd_lattice, "build, validate, and dump the geometry"),
+        ("manifold", cmd_manifold, "enumerate flip configurations"),
+        ("evolve", cmd_evolve, "first-order coefficient series"),
+        ("phase", cmd_phase, "phase decomposition and stability"),
+        ("sweep", cmd_sweep, "drive-frequency sweep"),
+        ("entropy", cmd_entropy, "sublattice entanglement entropy series"),
+        ("correlate", cmd_correlate, "correlation formula and exact scan"),
+        ("thermal", cmd_thermal, "Boltzmann mixture of evolved states"),
+        ("validate", cmd_validate, "run the acceptance property suite"),
+    )
+    p = {}
+    for name, fn, help_text in commands:
+        p[name] = sub.add_parser(name, help=help_text)
+        p[name].add_argument("--config", help="key=value configuration file")
+        # one flag per config key, its raw text parsed by _coerce in load_config
+        for f in fields(RunConfig):
+            p[name].add_argument(f"--{f.name.replace('_', '-')}", help=_FIELD_HELP.get(f.name))
+        p[name].add_argument("--emit-plot-script", action="store_true")
+        p[name].set_defaults(fn=fn)
+    p["manifold"].add_argument("--n", type=int, help="plaquette count (default nx*ny)")
+    p["evolve"].add_argument("--connected-only", action="store_true",
+                             help="emit only targets with nonzero drive elements")
+    p["sweep"].add_argument("--omega-min", type=float, required=True)
+    p["sweep"].add_argument("--omega-max", type=float, required=True)
+    p["sweep"].add_argument("--omega-steps", type=int, default=41)
+    p["correlate"].add_argument("--literal-t0", action="store_true",
+                                help="evaluate the formula at t0 = 0 (degenerately zero)")
+    p["thermal"].add_argument("--members", default="weight01",
+                              help="'weight01', 'all', or comma-separated hex bitmasks")
+    p["thermal"].add_argument("--emit-density", action="store_true",
+                              help="include the full mixture density matrix in thermal.json")
     return parser
 
 

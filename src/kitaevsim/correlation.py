@@ -23,7 +23,7 @@ from .hamiltonian import CouplingParams
 from .lattice import LatticeGeometry
 from .manifold import FlipConfig, build_product_ket
 from .oracle import exact_evolve, evolve_fixed_substeps
-from .pauli import HILBERT_CAP_SITES, apply_pauli
+from .pauli import apply_pauli, require_hilbert
 from .perturbation import CoefficientSeries, DriveSpec
 from .phase import SubGeometricPhase
 
@@ -93,10 +93,7 @@ def correlation_exact_scan(
     operator inversion, so it stays valid for the non-unitary driven
     evolution.
     """
-    if geom.n_sites > HILBERT_CAP_SITES:
-        raise ValueError(
-            f"{geom.n_sites} sites exceeds the Hilbert cap of {HILBERT_CAP_SITES}"
-        )
+    require_hilbert(geom.n_sites)
     pairs = [(int(i), int(j)) for i, j in pairs]
     components = [(a, b) for a, b in components]
     psi0 = build_product_ket(geom, initial)

@@ -20,17 +20,28 @@ import numpy as np
 
 from .lattice import LatticeGeometry
 from .manifold import FlipConfig, build_product_ket
-from .pauli import HILBERT_CAP_SITES
+from .pauli import require_hilbert
 from .perturbation import CoefficientSeries
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
 
-# largest dense mixture matrix ThermalEnsemble.density will allocate; the
-# 2x3 torus needs 256 MiB, the 2x4 torus 64 GiB
+# largest dense density matrix require_dense_budget lets through; the 2x3
+# torus's full-Hilbert mixture needs 256 MiB, the 2x4 torus's 64 GiB, and
+# evolve's (N+1)**2 active-basis matrix fits up to the 90x90 torus
 DENSE_DENSITY_BUDGET_BYTES = 1 << 30
 
 # ket entries per slice that ThermalEnsemble.gram stacks and conjugates at once
 GRAM_BLOCK_ENTRIES = 4096
+
+
+def require_dense_budget(dim: int, what: str) -> None:
+    """Raise RuntimeError if a dense complex dim x dim matrix is over budget."""
+    nbytes = 16 * dim * dim
+    if nbytes > DENSE_DENSITY_BUDGET_BYTES:
+        raise RuntimeError(
+            f"the dense {dim}x{dim} {what} needs {nbytes} bytes, over the "
+            f"budget of {DENSE_DENSITY_BUDGET_BYTES} bytes"
+        )
 
 
 @dataclass
@@ -100,12 +111,7 @@ class ThermalEnsemble:
 
     def density(self, labels: tuple[str, ...] | None = None) -> DensityMatrix:
         dim = len(self.states[0])
-        nbytes = 16 * dim * dim
-        if nbytes > DENSE_DENSITY_BUDGET_BYTES:
-            raise RuntimeError(
-                f"the dense {dim}x{dim} mixture density matrix needs {nbytes} "
-                f"bytes, over the budget of {DENSE_DENSITY_BUDGET_BYTES} bytes"
-            )
+        require_dense_budget(dim, "mixture density matrix")
         rho = np.zeros((dim, dim), dtype=complex)
         buf = np.empty_like(rho)  # one member's weighted projector at a time
         for p, psi in zip(self.weights, self.states):
@@ -187,6 +193,7 @@ def density_matrix(state: ActiveState | np.ndarray) -> DensityMatrix:
         labels = None
     if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
         raise ValueError("state must be normalized to 1e-10")
+    require_dense_budget(len(amps), "density matrix")
     return DensityMatrix(matrix=np.outer(amps, amps.conj()), labels=labels)
 
 
@@ -250,10 +257,7 @@ def reduced_entropy(
     floor: float = ENTROPY_EIGENVALUE_FLOOR,
 ) -> tuple[DensityMatrix, float]:
     """Partial trace onto one sublattice and its entanglement entropy."""
-    if geom.n_sites > HILBERT_CAP_SITES:
-        raise ValueError(
-            f"{geom.n_sites} sites exceeds the Hilbert cap of {HILBERT_CAP_SITES}"
-        )
+    require_hilbert(geom.n_sites)
     if len(full_ket) != 2**geom.n_sites:
         raise ValueError("ket dimension does not match the lattice")
     if abs(np.linalg.norm(full_ket) - 1.0) > 1e-9:

@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .lattice import LatticeGeometry
-from .pauli import HILBERT_CAP_SITES, product_ket
+from .pauli import product_ket, require_hilbert
 
 log = logging.getLogger(__name__)
 
@@ -162,9 +162,6 @@ def build_product_ket(
     excitation: ExcitedLabel | None = None,
 ) -> np.ndarray:
     """Explicit unit-norm product vector in the 2**n_sites Hilbert space."""
-    if geom.n_sites > HILBERT_CAP_SITES:
-        raise ValueError(
-            f"{geom.n_sites} sites exceeds the Hilbert cap of {HILBERT_CAP_SITES} sites"
-        )
+    require_hilbert(geom.n_sites)
     signs = flip_signature(geom, config, excitation)
     return product_ket(geom.site_components, signs)

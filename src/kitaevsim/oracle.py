@@ -21,10 +21,12 @@ import numpy as np
 
 from .hamiltonian import CouplingParams, apply_h0, drive_string
 from .lattice import LatticeGeometry
-from .pauli import HILBERT_CAP_SITES, string_term
+from .pauli import require_hilbert, string_term
 from .perturbation import CoefficientSeries, DriveSpec
 
 _MAX_TOTAL_STEPS = 1 << 22
+# substeps per output interval of exact_evolve's first (coarsest) pass
+_START_SUBSTEPS = 4
 
 
 @dataclass
@@ -130,7 +132,6 @@ def exact_evolve(
     psi0: np.ndarray,
     times,
     tol: float = 1e-9,
-    start_substeps: int = 4,
 ) -> EvolutionResult:
     """Exact Schrodinger evolution sampled on ``times``.
 
@@ -138,10 +139,7 @@ def exact_evolve(
     finer run's error drops below ``tol``.
     """
     times = np.asarray(times, dtype=float)
-    if geom.n_sites > HILBERT_CAP_SITES:
-        raise ValueError(
-            f"{geom.n_sites} sites exceeds the Hilbert cap of {HILBERT_CAP_SITES}"
-        )
+    require_hilbert(geom.n_sites)
     if len(psi0) != 2**geom.n_sites:
         raise ValueError("psi0 dimension does not match the lattice")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
@@ -152,7 +150,7 @@ def exact_evolve(
         raise ValueError("time grid must be strictly increasing")
 
     n_intervals = len(times) - 1
-    substeps = max(1, int(start_substeps))
+    substeps = _START_SUBSTEPS
     prev = evolve_fixed_substeps(geom, params, drive, psi0, times, substeps)
     while True:
         if 2 * substeps * n_intervals > _MAX_TOTAL_STEPS:

@@ -34,6 +34,15 @@ def pauli_eigenvector(component: str, sign: int) -> np.ndarray:
     return _EIGVEC[(component, int(sign))].copy()
 
 
+def require_hilbert(n_sites: int) -> None:
+    """Raise ValueError unless a 2**n_sites state vector is within the cap."""
+    if n_sites > HILBERT_CAP_SITES:
+        raise ValueError(
+            f"{n_sites} sites exceeds the Hilbert cap of {HILBERT_CAP_SITES} "
+            f"sites; lattice too large for the full 2**n state space"
+        )
+
+
 def n_sites_of(psi: np.ndarray) -> int:
     n = int(len(psi)).bit_length() - 1
     if 2**n != len(psi):

@@ -1,0 +1,122 @@
+"""Size limits fail cleanly: one Hilbert-cap message, manifold and density budgets."""
+
+import numpy as np
+import pytest
+
+from kitaevsim import cli, density
+from kitaevsim.correlation import correlation_exact_scan
+from kitaevsim.density import DENSE_DENSITY_BUDGET_BYTES, density_matrix, reduced_entropy
+from kitaevsim.hamiltonian import CouplingParams
+from kitaevsim.lattice import build_lattice
+from kitaevsim.manifold import FlipConfig, build_product_ket
+from kitaevsim.oracle import exact_evolve
+from kitaevsim.pauli import HILBERT_CAP_SITES, require_hilbert
+from kitaevsim.perturbation import DriveSpec
+
+GEOM_3X3 = build_lattice(3, 3)  # 18 sites, over the 16-site cap
+PARAMS = CouplingParams(1.0, 1.0, 1.0, d=0.01)
+
+
+def cap_message(n_sites: int) -> str:
+    with pytest.raises(ValueError) as info:
+        require_hilbert(n_sites)
+    return str(info.value)
+
+
+def test_require_hilbert_passes_at_the_cap():
+    require_hilbert(HILBERT_CAP_SITES)
+    message = cap_message(HILBERT_CAP_SITES + 1)
+    assert "Hilbert cap" in message and "lattice too large" in message
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: build_product_ket(GEOM_3X3, FlipConfig(0, 9)),
+        lambda: exact_evolve(
+            GEOM_3X3, PARAMS, DriveSpec.exponential(0.01, 0.5),
+            np.ones(1, dtype=complex), [0.0, 1.0],
+        ),
+        lambda: correlation_exact_scan(
+            GEOM_3X3, PARAMS, DriveSpec.exponential(0.01, 0.5),
+            FlipConfig(0, 9), [(0, 1)], [("x", "x")], 1.0,
+        ),
+        lambda: reduced_entropy(GEOM_3X3, np.ones(1, dtype=complex)),
+    ],
+    ids=["build_product_ket", "exact_evolve", "correlation_exact_scan", "reduced_entropy"],
+)
+def test_library_entry_points_raise_the_cap_message(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == cap_message(GEOM_3X3.n_sites)
+
+
+@pytest.mark.parametrize("command", ["entropy", "thermal"])
+def test_cli_prints_the_cap_message(command, tmp_path, capsys):
+    code = cli.main([command, "--nx", "3", "--ny", "3", "--samples", "3",
+                     "--outdir", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"computation failed: {cap_message(GEOM_3X3.n_sites)}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+class TestManifoldLimit:
+    @pytest.fixture(autouse=True)
+    def no_enumeration(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("manifold enumerated configurations over its limit")
+
+        monkeypatch.setattr(cli, "enumerate_weight_class", fail)
+
+    @pytest.mark.parametrize(
+        "argv,rows",
+        [(["--n", "21"], 1 << 21), (["--nx", "6", "--ny", "6"], 1 << 36)],
+        ids=["n21", "6x6"],
+    )
+    def test_over_the_limit_exits_3_before_output(self, argv, rows, tmp_path, capsys):
+        code = cli.main(["manifold", *argv, "--outdir", str(tmp_path / "out")])
+        assert code == 3
+        assert f"{rows} configurations" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_limit_is_2_to_the_20_rows(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "enumerate_weight_class", lambda n, k: [])
+        assert cli.MANIFOLD_MAX_PLAQUETTES == 20
+        code = cli.main(["manifold", "--n", "20", "--outdir", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "configs.csv").exists()
+
+
+class TestEvolveDensityBudget:
+    # 3x3 without --connected-only: one target per plaquette, so the
+    # active-basis density matrix is 10x10 complex, 1600 bytes
+    ARGV = ["evolve", "--nx", "3", "--ny", "3", "--samples", "3"]
+
+    def test_90x90_fits_and_91x91_does_not(self):
+        assert 16 * (90 * 90 + 1) ** 2 <= DENSE_DENSITY_BUDGET_BYTES
+        assert 16 * (91 * 91 + 1) ** 2 > DENSE_DENSITY_BUDGET_BYTES
+
+    def test_over_budget_exits_3_before_any_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(density, "DENSE_DENSITY_BUDGET_BYTES", 1599)
+        code = cli.main([*self.ARGV, "--outdir", str(tmp_path / "out")])
+        assert code == 3
+        assert "1600 bytes" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_at_budget_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(density, "DENSE_DENSITY_BUDGET_BYTES", 1600)
+        assert cli.main([*self.ARGV, "--outdir", str(tmp_path)]) == 0
+        assert (tmp_path / "density.json").exists()
+
+    def test_connected_only_is_unaffected(self, tmp_path, monkeypatch):
+        # --connected-only keeps the initial state and its one target: 2x2
+        monkeypatch.setattr(density, "DENSE_DENSITY_BUDGET_BYTES", 64)
+        assert cli.main([*self.ARGV, "--connected-only", "--outdir", str(tmp_path)]) == 0
+        assert (tmp_path / "density.json").exists()
+
+    def test_density_matrix_checks_the_budget(self, monkeypatch):
+        monkeypatch.setattr(density, "DENSE_DENSITY_BUDGET_BYTES", 63)
+        with pytest.raises(RuntimeError, match="64 bytes"):
+            density_matrix(np.array([1.0, 0.0], dtype=complex))
