@@ -264,12 +264,17 @@ def cmd_manifold(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _evolved(cfg: RunConfig, connected_only: bool, scene=None):
+def _evolved(cfg: RunConfig, connected_only: bool, scene=None, dense_basis: bool = False):
+    """Scene, targets and first-order series; ``dense_basis`` checks the
+    active-basis density matrix over initial + targets against the memory
+    budget before any series is evolved."""
     geom, params, drive, initial, times = scene or _build_scene(cfg)
     if connected_only:
         targets = connected_targets(geom, params, initial, drive.plaquette, cfg.engine)
     else:
         targets = [excite(initial, j) for j in range(geom.n_plaquettes)]
+    if dense_basis:
+        require_dense_budget(len(targets) + 1, "active-basis density matrix")
     coeffs = evolve_coefficients(
         geom, params, drive, initial, targets, times, engine=cfg.engine
     )
@@ -277,9 +282,10 @@ def _evolved(cfg: RunConfig, connected_only: bool, scene=None):
 
 
 def cmd_evolve(cfg: RunConfig, args) -> int:
-    geom, params, _, initial, times, targets, coeffs = _evolved(cfg, args.connected_only)
     # density.json holds the dense active-basis matrix over initial + targets
-    require_dense_budget(len(targets) + 1, "active-basis density matrix")
+    geom, params, _, initial, times, targets, coeffs = _evolved(
+        cfg, args.connected_only, dense_basis=True
+    )
     rows = []
     for series in coeffs:
         for t, c in zip(series.times, series.values):
@@ -573,6 +579,11 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def integer(raw: str) -> int:
+    """A command-specific integer flag; like the config keys, it accepts 0x.. hex."""
+    return int(raw, 0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kitaevsim",
@@ -602,12 +613,12 @@ def build_parser() -> argparse.ArgumentParser:
             p[name].add_argument(f"--{f.name.replace('_', '-')}", help=_FIELD_HELP.get(f.name))
         p[name].add_argument("--emit-plot-script", action="store_true")
         p[name].set_defaults(fn=fn)
-    p["manifold"].add_argument("--n", type=int, help="plaquette count (default nx*ny)")
+    p["manifold"].add_argument("--n", type=integer, help="plaquette count (default nx*ny)")
     p["evolve"].add_argument("--connected-only", action="store_true",
                              help="emit only targets with nonzero drive elements")
     p["sweep"].add_argument("--omega-min", type=float, required=True)
     p["sweep"].add_argument("--omega-max", type=float, required=True)
-    p["sweep"].add_argument("--omega-steps", type=int, default=41)
+    p["sweep"].add_argument("--omega-steps", type=integer, default=41)
     p["correlate"].add_argument("--literal-t0", action="store_true",
                                 help="evaluate the formula at t0 = 0 (degenerately zero)")
     p["thermal"].add_argument("--members", default="weight01",

@@ -22,7 +22,7 @@ import numpy as np
 from .hamiltonian import CouplingParams
 from .lattice import LatticeGeometry
 from .manifold import FlipConfig, build_product_ket
-from .oracle import exact_evolve, evolve_fixed_substeps
+from .oracle import _rhs, exact_evolve, propagate
 from .pauli import apply_pauli, require_hilbert
 from .perturbation import CoefficientSeries, DriveSpec
 from .phase import SubGeometricPhase
@@ -102,23 +102,24 @@ def correlation_exact_scan(
         psi_t = psi0
         chi = psi0
 
-        def propagate(vec: np.ndarray) -> np.ndarray:
+        def u_of_t(vec: np.ndarray) -> np.ndarray:
             return vec
 
     else:
         times = np.linspace(0.0, float(t), max(2, samples))
-        res = exact_evolve(geom, params, drive, psi0, times, tol=tol)
+        f = _rhs(geom, params, drive)
+        res = exact_evolve(geom, params, drive, psi0, times, tol=tol, rhs=f)
         psi_t = res.kets[-1]
-        substeps = res.substeps
 
-        def propagate(vec: np.ndarray) -> np.ndarray:
-            return evolve_fixed_substeps(geom, params, drive, vec, times, substeps)[-1]
+        def u_of_t(vec: np.ndarray) -> np.ndarray:
+            # the same steps the accepted passes took, interval by interval
+            return propagate(geom, params, drive, vec, times, res.substeps, rhs=f)
 
-        chi = propagate(psi_t)
+        chi = u_of_t(psi_t)
 
     records = []
     for j, beta in sorted({(j, b) for _, j in pairs for _, b in components}):
-        eta = propagate(apply_pauli(psi_t, j, beta))
+        eta = u_of_t(apply_pauli(psi_t, j, beta))
         for i, jj in pairs:
             if jj != j:
                 continue

@@ -1,10 +1,12 @@
 """Ground-truth engine: exact time evolution in the full Hilbert space.
 
 Integrates i d/dt psi = (H0 + B(t) S) psi with a classical fixed-step
-RK4 stepper wrapped in a step-doubling refinement loop: the substep
-count per output interval doubles until the Richardson error estimate
-meets the tolerance.  The fixed-step core is exposed so convergence
-order can be measured directly by step halving.
+RK4 stepper under per-interval Richardson step control: each output
+interval is refined on its own, from the ket accepted at its start, until
+the step-doubling estimate of its error fits its share of the tolerance
+(Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4).  The right-hand
+side is compiled once per run.  The fixed-step core is exposed so
+convergence order can be measured directly by step halving.
 
 Note the exponential drive B(t) = D exp(-i omega t) multiplies a
 Hermitian Pauli string by a complex scalar, so the driven generator is
@@ -15,6 +17,7 @@ undriven (unitary) evolutions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +27,10 @@ from .lattice import LatticeGeometry
 from .pauli import require_hilbert, string_term
 from .perturbation import CoefficientSeries, DriveSpec
 
+# RK4 steps one exact_evolve may take over all its passes
 _MAX_TOTAL_STEPS = 1 << 22
-# substeps per output interval of exact_evolve's first (coarsest) pass
-_START_SUBSTEPS = 4
+# largest factor by which one estimate may raise the substep count
+_MAX_GROWTH = 16
 
 
 @dataclass
@@ -35,8 +39,10 @@ class EvolutionResult:
     kets: list[np.ndarray]
     norm_drift: float
     energy_drift: float | None  # only meaningful for D = 0 runs
-    substeps: int
-    error_estimate: float
+    # accepted RK4 substeps per output interval (per piece for a custom drive)
+    substeps: tuple[int, ...]
+    error_estimate: float  # sum of the accepted intervals' estimates
+    rk4_steps: int  # over every pass, rejected ones included
 
 
 @dataclass
@@ -105,10 +111,16 @@ def evolve_fixed_substeps(
     psi0: np.ndarray,
     times,
     substeps: int,
+    *,
+    rhs=None,
 ) -> list[np.ndarray]:
-    """RK4 with a fixed number of substeps per output interval."""
+    """RK4 with a fixed number of substeps per output interval.
+
+    ``rhs`` is a right-hand side that :func:`_rhs` compiled for the same
+    lattice, couplings and drive; it is compiled here when omitted.
+    """
     times = np.asarray(times, dtype=float)
-    f = _rhs(geom, params, drive)
+    f = _rhs(geom, params, drive) if rhs is None else rhs
     psi = psi0.astype(complex, copy=True)
     kets = [psi.copy()]
     for k in range(len(times) - 1):
@@ -125,6 +137,50 @@ def evolve_fixed_substeps(
     return kets
 
 
+def _interval_grid(drive: DriveSpec, t0: float, t1: float) -> np.ndarray:
+    """[t0, t1] split at the custom drive's sample times inside it.
+
+    A custom B(t) interpolates linearly, so its slope jumps at each
+    sample; an RK4 step across a jump loses its fourth order and with it
+    the Richardson estimate.  Every step ends on the samples instead.
+    """
+    if drive.kind != "custom":
+        return np.array([t0, t1])
+    samples = drive.t_samples
+    inside = samples[(samples > t0) & (samples < t1)]
+    return np.concatenate(([t0], inside, [t1]))
+
+
+def propagate(
+    geom: LatticeGeometry,
+    params: CouplingParams,
+    drive: DriveSpec,
+    psi0: np.ndarray,
+    times,
+    substeps,
+    *,
+    rhs=None,
+) -> np.ndarray:
+    """Final ket over ``times`` with the step choice of :func:`exact_evolve`:
+    ``substeps[k]`` RK4 substeps on each piece of output interval k, as in
+    the accepted :attr:`EvolutionResult.substeps`."""
+    times = np.asarray(times, dtype=float)
+    f = _rhs(geom, params, drive) if rhs is None else rhs
+    psi = psi0
+    for k, steps in enumerate(substeps):
+        grid = _interval_grid(drive, times[k], times[k + 1])
+        psi = evolve_fixed_substeps(geom, params, drive, psi, grid, steps, rhs=f)[-1]
+    return psi
+
+
+def _next_substeps(substeps: int, estimate: float, target: float) -> int:
+    """Substeps that bring an RK4 estimate to ``target`` by the h^4 law."""
+    if not math.isfinite(estimate):
+        return _MAX_GROWTH * substeps
+    factor = min((estimate / target) ** 0.25, _MAX_GROWTH)
+    return max(1, math.ceil(substeps * factor))
+
+
 def exact_evolve(
     geom: LatticeGeometry,
     params: CouplingParams,
@@ -132,11 +188,22 @@ def exact_evolve(
     psi0: np.ndarray,
     times,
     tol: float = 1e-9,
+    *,
+    rhs=None,
 ) -> EvolutionResult:
     """Exact Schrodinger evolution sampled on ``times``.
 
-    Substeps double until the step-doubling (Richardson) estimate of the
-    finer run's error drops below ``tol``.
+    Each output interval starts from the ket accepted at its left end.
+    A coarse pass of s substeps and a fine pass of 2s give the
+    Richardson estimate max|coarse - fine| / 15 of the fine pass's
+    error; the fine pass is accepted once that estimate is within the
+    interval's share tol * dt_k / (t_end - t_0) of the tolerance, so the
+    accepted estimates sum to at most ``tol``.  The next s, and a
+    rejected interval's retry, follow the h^4 law toward half the share;
+    the first interval starts at one substep.  A custom drive's sample
+    times split an interval into pieces of s (and 2s) substeps each.
+    ``rhs`` is as in :func:`evolve_fixed_substeps` and is compiled once
+    here when omitted.
     """
     times = np.asarray(times, dtype=float)
     require_hilbert(geom.n_sites)
@@ -149,34 +216,45 @@ def exact_evolve(
     if len(times) < 2 or np.any(np.diff(times) <= 0):
         raise ValueError("time grid must be strictly increasing")
 
-    n_intervals = len(times) - 1
-    substeps = _START_SUBSTEPS
-    prev = evolve_fixed_substeps(geom, params, drive, psi0, times, substeps)
-    while True:
-        if 2 * substeps * n_intervals > _MAX_TOTAL_STEPS:
-            raise RuntimeError(
-                f"step refinement exhausted at {substeps} substeps/interval "
-                f"without reaching tol={tol}"
-            )
-        cur = evolve_fixed_substeps(geom, params, drive, psi0, times, 2 * substeps)
-        diff = max(
-            float(np.max(np.abs(a - b))) for a, b in zip(prev, cur)
-        )
-        # RK4: the finer run's error is ~ diff / 15
-        estimate = diff / 15.0
-        substeps *= 2
-        prev = cur
-        if estimate <= tol:
-            break
+    f = _rhs(geom, params, drive) if rhs is None else rhs
+    span = times[-1] - times[0]
+    kets = [psi0.astype(complex, copy=True)]
+    accepted: list[int] = []
+    estimate = 0.0
+    rk4_steps = 0
+    s = 1
+    for k in range(len(times) - 1):
+        grid = _interval_grid(drive, times[k], times[k + 1])
+        pieces = len(grid) - 1
+        budget = tol * (times[k + 1] - times[k]) / span
+        while True:
+            if rk4_steps + 3 * s * pieces > _MAX_TOTAL_STEPS:
+                raise RuntimeError(
+                    f"step refinement exhausted at {2 * s} substeps on interval "
+                    f"{k} without reaching tol={tol}"
+                )
+            coarse = evolve_fixed_substeps(geom, params, drive, kets[-1], grid, s, rhs=f)[-1]
+            fine = evolve_fixed_substeps(geom, params, drive, kets[-1], grid, 2 * s, rhs=f)[-1]
+            rk4_steps += 3 * s * pieces
+            # RK4: the fine pass's error is ~ diff / 15
+            est = float(np.max(np.abs(coarse - fine))) / 15.0
+            s_next = _next_substeps(s, est, 0.5 * budget)
+            if est <= budget:
+                break
+            s = s_next
+        kets.append(fine)
+        accepted.append(2 * s)
+        estimate += est
+        s = s_next
 
-    norms = np.array([np.linalg.norm(k) for k in prev])
+    norms = np.array([np.linalg.norm(k) for k in kets])
     norm_drift = float(np.max(np.abs(norms - 1.0)))
 
     undriven = drive.kind == "exponential" and drive.amplitude == 0.0
     energy_drift = None
     if undriven:
         e = np.array(
-            [np.vdot(k, apply_h0(geom, params, k)).real for k in prev]
+            [np.vdot(k, apply_h0(geom, params, k)).real for k in kets]
         )
         energy_drift = float(np.max(np.abs(e - e[0])))
         if norm_drift > max(1e-8, 10.0 * tol):
@@ -186,11 +264,12 @@ def exact_evolve(
 
     return EvolutionResult(
         times=times,
-        kets=prev,
+        kets=kets,
         norm_drift=norm_drift,
         energy_drift=energy_drift,
-        substeps=substeps,
-        error_estimate=float(estimate),
+        substeps=tuple(accepted),
+        error_estimate=estimate,
+        rk4_steps=rk4_steps,
     )
 
 
@@ -263,9 +342,10 @@ def convergence_ratio(
     integrator in the asymptotic regime.
     """
     times = np.linspace(0.0, t_end, samples)
-    ref = exact_evolve(geom, params, drive, psi0, times, tol=1e-12).kets
-    coarse = evolve_fixed_substeps(geom, params, drive, psi0, times, coarse_substeps)
-    fine = evolve_fixed_substeps(geom, params, drive, psi0, times, 2 * coarse_substeps)
+    f = _rhs(geom, params, drive)
+    ref = exact_evolve(geom, params, drive, psi0, times, tol=1e-12, rhs=f).kets
+    coarse = evolve_fixed_substeps(geom, params, drive, psi0, times, coarse_substeps, rhs=f)
+    fine = evolve_fixed_substeps(geom, params, drive, psi0, times, 2 * coarse_substeps, rhs=f)
     err_c = max(float(np.max(np.abs(a - b))) for a, b in zip(coarse, ref))
     err_f = max(float(np.max(np.abs(a - b))) for a, b in zip(fine, ref))
     return err_c, err_f, err_c / err_f

@@ -431,3 +431,44 @@ class TestValidateCommand:
         captured = capsys.readouterr().out
         assert "[FAIL] criterion  2" in captured
         assert json.loads((tmp_path / "validate.json").read_text())["failed"] == 1
+
+
+class TestHexIntegerFlags:
+    """The command-specific integer flags accept hex like the config keys."""
+
+    @staticmethod
+    def _outputs(path):
+        return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+    @pytest.mark.parametrize(
+        "argv, flag, hex_value, dec_value",
+        [
+            (["manifold"], "--n", "0x4", "4"),
+            (["sweep", "--omega-min", "-1", "--omega-max", "1", "--samples", "5"],
+             "--omega-steps", "0x5", "5"),
+        ],
+        ids=["manifold-n", "sweep-omega-steps"],
+    )
+    def test_hex_and_decimal_give_identical_outputs(
+        self, argv, flag, hex_value, dec_value, tmp_path, monkeypatch
+    ):
+        outputs = []
+        for value in (hex_value, dec_value):
+            # the same relative outdir, since every header records it
+            (tmp_path / value).mkdir()
+            monkeypatch.chdir(tmp_path / value)
+            assert cli.main([*argv, flag, value, "--outdir", "out"]) == 0
+            outputs.append(self._outputs(tmp_path / value / "out"))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["manifold", "--n", "0xg"],
+         ["sweep", "--omega-min", "-1", "--omega-max", "1", "--omega-steps", "five"]],
+        ids=["manifold-n", "sweep-omega-steps"],
+    )
+    def test_bad_integer_exits_2(self, argv, tmp_path):
+        proc = run_cli(*argv, "--outdir", str(tmp_path))
+        assert proc.returncode == 2
+        assert "invalid integer value" in proc.stderr
+        assert not list(tmp_path.iterdir())

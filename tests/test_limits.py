@@ -120,3 +120,22 @@ class TestEvolveDensityBudget:
         monkeypatch.setattr(density, "DENSE_DENSITY_BUDGET_BYTES", 63)
         with pytest.raises(RuntimeError, match="64 bytes"):
             density_matrix(np.array([1.0, 0.0], dtype=complex))
+
+
+class TestEvolveDensityBudgetBeforeWork:
+    """The active-basis budget is checked before any series is evolved."""
+
+    @pytest.mark.parametrize(
+        "extra, budget",
+        [([], 1599), (["--connected-only"], 63)],
+        ids=["all-plaquettes", "connected-only"],
+    )
+    def test_over_budget_exits_3_before_evolving(self, extra, budget, tmp_path, monkeypatch):
+        def no_evolution(*args, **kwargs):
+            raise AssertionError("series were evolved before the budget check")
+
+        monkeypatch.setattr(density, "DENSE_DENSITY_BUDGET_BYTES", budget)
+        monkeypatch.setattr(cli, "evolve_coefficients", no_evolution)
+        argv = TestEvolveDensityBudget.ARGV + extra
+        assert cli.main([*argv, "--outdir", str(tmp_path / "out")]) == 3
+        assert not (tmp_path / "out").exists()

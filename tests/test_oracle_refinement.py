@@ -9,11 +9,16 @@ whose own error estimate is at most tol / 100.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kitaevsim.correlation as correlation_mod
+import kitaevsim.oracle as oracle_mod
+from kitaevsim.correlation import correlation_exact_scan
 from kitaevsim.hamiltonian import CouplingParams
 from kitaevsim.lattice import build_lattice
+from kitaevsim.manifold import FlipConfig, build_product_ket
 from kitaevsim.oracle import evolve_fixed_substeps, exact_evolve
 from kitaevsim.perturbation import DriveSpec
 
@@ -77,3 +82,131 @@ def test_kets_match_a_fine_fixed_step_run(
     assert len(res.kets) == samples
     worst = max(float(np.max(np.abs(a - b))) for a, b in zip(res.kets, ref))
     assert worst <= 2.0 * tol
+
+
+GEOM = GEOMS[(2, 2)]
+PSI0 = build_product_ket(GEOM, FlipConfig(0, GEOM.n_plaquettes))
+
+
+def _driven(d=0.05, omega=0.7):
+    return CouplingParams(jx=1.0, jy=0.8, jz=1.2, d=d, omega=omega), DriveSpec.exponential(d, omega)
+
+
+def _record_passes(monkeypatch):
+    """Route every evolve_fixed_substeps call through a recorder."""
+    calls = []
+    real = oracle_mod.evolve_fixed_substeps
+
+    def recording(geom, params, drive, psi0, times, substeps, **kwargs):
+        calls.append((tuple(times), substeps))
+        return real(geom, params, drive, psi0, times, substeps, **kwargs)
+
+    monkeypatch.setattr(oracle_mod, "evolve_fixed_substeps", recording)
+    return calls
+
+
+def test_rk4_steps_counts_every_pass(monkeypatch):
+    calls = _record_passes(monkeypatch)
+    params, drive = _driven()
+    times = np.linspace(0.0, 2.0, 5)
+    res = exact_evolve(GEOM, params, drive, PSI0, times, tol=1e-10)
+    assert res.rk4_steps == sum(s * (len(t) - 1) for t, s in calls)
+    assert len(calls) >= 2 * (len(times) - 1)  # a coarse and a fine pass each
+    assert len(res.substeps) == len(times) - 1
+    assert all(isinstance(s, int) and s >= 2 for s in res.substeps)
+    assert res.error_estimate <= 1e-10
+
+
+def _count_compiles(monkeypatch):
+    compiled = []
+    real = oracle_mod._rhs
+
+    def counting(*args):
+        compiled.append(args)
+        return real(*args)
+
+    for module in (oracle_mod, correlation_mod):
+        monkeypatch.setattr(module, "_rhs", counting)
+    return compiled
+
+
+def test_right_hand_side_is_compiled_once_per_run(monkeypatch):
+    compiled = _count_compiles(monkeypatch)
+    params, drive = _driven()
+    res = exact_evolve(GEOM, params, drive, PSI0, np.linspace(0.0, 2.0, 5), tol=1e-10)
+    assert len(compiled) == 1 and res.rk4_steps > 8
+
+
+def test_steps_end_on_custom_drive_samples(monkeypatch):
+    calls = _record_passes(monkeypatch)
+    grid = np.array([0.0, 0.3, 0.5, 1.1, 2.0])
+    drive = DriveSpec.custom(grid, [0.05, 0.02j, -0.04, 0.01, 0.03])
+    params = CouplingParams(jx=1.0, jy=0.8, jz=1.2, d=1.0, omega=0.0)
+    times = np.array([0.0, 1.0, 2.0])
+    res = exact_evolve(GEOM, params, drive, PSI0, times, tol=1e-10)
+    pieces = {(0.0, 1.0): (0.0, 0.3, 0.5, 1.0), (1.0, 2.0): (1.0, 1.1, 2.0)}
+    for t, _ in calls:
+        assert t == pieces[(t[0], t[-1])]
+    assert res.rk4_steps == sum(s * (len(t) - 1) for t, s in calls)
+
+
+def test_correlation_scan_replays_the_accepted_substeps(monkeypatch):
+    calls = _record_passes(monkeypatch)
+    compiled = _count_compiles(monkeypatch)
+    runs = []
+    real_exact = correlation_mod.exact_evolve
+
+    def keep(*args, **kwargs):
+        res = real_exact(*args, **kwargs)
+        runs.append((res, len(calls)))
+        return res
+
+    monkeypatch.setattr(correlation_mod, "exact_evolve", keep)
+    params, drive = _driven(d=0.01, omega=0.5)
+    pairs = [(0, 1), (2, 3)]
+    components = [("x", "x"), ("y", "z")]
+    correlation_exact_scan(
+        GEOM, params, drive, FlipConfig(0, 4), pairs, components, t=1.5, tol=1e-9, samples=4
+    )
+    (res, seen), = runs
+    times = np.linspace(0.0, 1.5, 4)
+    one_vector = [((times[k], times[k + 1]), s) for k, s in enumerate(res.substeps)]
+    vectors = 1 + len({(j, b) for _, j in pairs for _, b in components})
+    assert calls[seen:] == one_vector * vectors
+    assert len(compiled) == 1
+
+
+def test_overflowing_pass_ends_in_refinement_exhausted(monkeypatch):
+    # one RK4 step over t = 1e200 overflows to NaN; the substeps keep
+    # growing until the step budget stops the run
+    monkeypatch.setattr(oracle_mod, "_MAX_TOTAL_STEPS", 1000)
+    params, drive = _driven()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match="refinement exhausted"):
+            exact_evolve(GEOM, params, drive, PSI0, np.array([0.0, 1e200]), tol=1e-9)
+
+
+def test_an_interval_is_accepted_only_within_its_share(monkeypatch):
+    params, drive = _driven()
+    times = np.linspace(0.0, 2.0, 9)
+    one, two = (evolve_fixed_substeps(GEOM, params, drive, PSI0, times[:2], s)[-1] for s in (1, 2))
+    # the first interval's one-substep estimate fits tol but not its share tol / 8
+    tol = 2.0 * float(np.max(np.abs(one - two))) / 15.0
+
+    passes = {}
+    real = oracle_mod.evolve_fixed_substeps
+
+    def recording(geom, params, drive, psi0, grid, substeps, **kwargs):
+        kets = real(geom, params, drive, psi0, grid, substeps, **kwargs)
+        passes.setdefault(float(grid[0]), []).append(kets[-1])
+        return kets
+
+    monkeypatch.setattr(oracle_mod, "evolve_fixed_substeps", recording)
+    res = exact_evolve(GEOM, params, drive, PSI0, times, tol=tol)
+    assert len(passes[0.0]) > 2  # the first coarse/fine pair was rejected
+    estimates = []
+    for t0, t1 in zip(times[:-1], times[1:]):
+        coarse, fine = passes[float(t0)][-2:]
+        estimates.append(float(np.max(np.abs(coarse - fine))) / 15.0)
+        assert estimates[-1] <= tol * (t1 - t0) / (times[-1] - times[0])
+    assert res.error_estimate == pytest.approx(sum(estimates), rel=1e-12)
