@@ -159,17 +159,16 @@ def propagate(
     times,
     substeps,
     *,
-    rhs=None,
+    rhs,
 ) -> np.ndarray:
     """Final ket over ``times`` with the step choice of :func:`exact_evolve`:
     ``substeps[k]`` RK4 substeps on each piece of output interval k, as in
-    the accepted :attr:`EvolutionResult.substeps`."""
+    the accepted :attr:`EvolutionResult.substeps`, and its compiled ``rhs``."""
     times = np.asarray(times, dtype=float)
-    f = _rhs(geom, params, drive) if rhs is None else rhs
     psi = psi0
     for k, steps in enumerate(substeps):
         grid = _interval_grid(drive, times[k], times[k + 1])
-        psi = evolve_fixed_substeps(geom, params, drive, psi, grid, steps, rhs=f)[-1]
+        psi = evolve_fixed_substeps(geom, params, drive, psi, grid, steps, rhs=rhs)[-1]
     return psi
 
 
