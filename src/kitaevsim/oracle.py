@@ -62,46 +62,225 @@ class TdptErrorReport:
     overall_max_error: float
 
 
-def _rhs(geom: LatticeGeometry, params: CouplingParams, drive: DriveSpec):
-    """Compile f(t, psi) = -i (H0 + B(t) S) psi once for this lattice.
+# 4th-order commutator-free Magnus step CF4 (Alvermann & Fehske, J. Comput.
+# Phys. 230, 5930 (2011)): exp(-i h/2 (H0 + b2 S)) exp(-i h/2 (H0 + b1 S)),
+# with b1,2 = m0 -/+ 4 m1 from the moments m0 = <B>, m1 = <(t - t_mid) B> / h
+# of the drive over the step (Gauss points give the original scheme)
+_GAUSS_OFFSET = math.sqrt(3.0) / 6.0
+# largest Arnoldi basis of one exponential
+_KRYLOV_DIM = 30
+# Krylov sub-steps one exponential may take before it gives up
+_MAX_KRYLOV_STEPS = 128
+# Krylov error allowed per unit time when no run has set it
+_KRYLOV_TOL = 1e-14
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a small matrix: Taylor series after scaling to norm <= 1/2,
+    then squaring back."""
+    norm = float(np.max(np.sum(np.abs(a), axis=0)))
+    if not math.isfinite(norm):
+        return np.full_like(a, np.nan)
+    squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.0 else 0
+    a = a / 2.0**squarings
+    term = np.eye(len(a), dtype=a.dtype)
+    out = term.copy()
+    for k in range(1, 30):
+        term = term @ a / k
+        out += term
+        if np.max(np.abs(term)) <= 1e-17 * np.max(np.abs(out)):
+            break
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def expv(apply, v: np.ndarray, scale: complex, tol: float) -> tuple[np.ndarray, float]:
+    """exp(scale * M) v by Arnoldi, where ``apply(x)`` returns M x.
+
+    The unit interval is covered by sub-steps tau; each builds an Arnoldi
+    basis of at most ``_KRYLOV_DIM`` vectors from the current vector and
+    is accepted when the a-posteriori estimate
+    beta |[exp(scale tau H_aug)]_{m+1,1}| of its error (Saad, SIAM J.
+    Numer. Anal. 29, 209 (1992); Hochbruck & Lubich, SIAM J. Numer.
+    Anal. 34, 1911 (1997)) is within tol * tau.  A full basis that misses
+    shrinks tau, without new matvecs.  Returns the vector and the summed
+    estimates (<= tol); when the exponential does not converge within
+    ``_MAX_KRYLOV_STEPS`` sub-steps, or turns non-finite, the vector is
+    NaN and the estimate inf.
+    """
+    w = np.asarray(v, dtype=complex)
+    done, tau, err = 0.0, 1.0, 0.0
+    for step in range(_MAX_KRYLOV_STEPS):
+        if done >= 1.0:
+            return w, err
+        beta = float(np.linalg.norm(w))
+        if beta == 0.0:
+            return w, err
+        if not math.isfinite(beta):
+            break
+        tau = min(tau, 1.0 - done)
+        basis = [w / beta]
+        hess = np.zeros((_KRYLOV_DIM + 1, _KRYLOV_DIM + 1), dtype=complex)
+        # beta |scale|^m prod h_{i+1,i} / m!: the leading term of the estimate
+        lead = beta
+        slack = 1.0  # how far the last full estimate exceeded the leading term
+        for j in range(_KRYLOV_DIM):
+            p = apply(basis[j])
+            for i, q in enumerate(basis):  # modified Gram-Schmidt
+                hess[i, j] = np.vdot(q, p)
+                p -= hess[i, j] * q
+            h_next = float(np.linalg.norm(p))
+            hess[j + 1, j] = h_next
+            m = j + 1
+            lead *= abs(scale) * h_next / m
+            last = m == _KRYLOV_DIM or h_next == 0.0
+            if not (last or slack * lead * tau**m <= tol * tau):
+                basis.append(p / h_next)
+                continue
+            # the augmented (m+1)-matrix: its last row holds the estimate
+            aug = hess[: m + 1, : m + 1].copy()
+            aug[:, m] = 0.0
+            small = _expm(scale * tau * aug)
+            est = beta * abs(small[m, 0])
+            if not last and est > tol * tau:
+                slack = est / (lead * tau**m) if lead * tau**m > 0.0 else math.inf
+                basis.append(p / h_next)
+                continue
+            break
+        # a full basis that misses: shrink tau on the same basis
+        for _ in range(_MAX_KRYLOV_STEPS):
+            if est <= tol * tau:
+                break
+            shrink = 0.9 * (tol * tau / est) ** (1.0 / m) if math.isfinite(est) else 0.5
+            tau *= min(0.5, shrink)
+            if (1.0 - done) / tau > _MAX_KRYLOV_STEPS - step:
+                return np.full_like(w, np.nan), math.inf
+            small = _expm(scale * tau * aug)
+            est = beta * abs(small[m, 0])
+        else:
+            break
+        y = beta * small[:m, 0]
+        w = y[0] * basis[0]
+        for coeff, q in zip(y[1:], basis[1:m]):
+            w += coeff * q
+        done = 1.0 if tau == 1.0 - done else done + tau
+        err += est
+        # the next sub-step tries what this one would have allowed
+        tau *= min(2.0, 0.9 * (tol * tau / est) ** (1.0 / m)) if est > 0.0 else 2.0
+    if done >= 1.0:
+        return w, err
+    return np.full_like(w, np.nan), math.inf
+
+
+def _magnus_moments(drive: DriveSpec, t: float, h: float) -> tuple[complex, complex]:
+    """m0 = (1/h) int B and m1 = (1/h^2) int (t' - t_mid) B over [t, t + h].
+
+    Closed form for the exponential drive; two Gauss points for a custom
+    drive, exact because its linear interpolation is one line on every
+    step that ends on its samples.
+    """
+    t_mid = t + 0.5 * h
+    if drive.kind == "exponential":
+        x = 0.5 * drive.omega * h
+        # sin(x) / x and (sin x - x cos x) / x^2, by series near x = 0
+        if abs(x) < 0.1:
+            x2 = x * x
+            sinc = 1.0 - x2 / 6.0 + x2 * x2 / 120.0 - x2**3 / 5040.0
+            odd = x * (1.0 / 3.0 - x2 / 30.0 + x2 * x2 / 840.0 - x2**3 / 45360.0)
+        else:
+            sinc = math.sin(x) / x
+            odd = (math.sin(x) - x * math.cos(x)) / (x * x)
+        b_mid = drive.amplitude * complex(math.cos(drive.omega * t_mid), -math.sin(drive.omega * t_mid))
+        return b_mid * sinc, -0.5j * odd * b_mid
+    b1, b2 = drive.b_of(np.array([t_mid - _GAUSS_OFFSET * h, t_mid + _GAUSS_OFFSET * h]))
+    return 0.5 * (b1 + b2), 0.5 * _GAUSS_OFFSET * (b2 - b1)
+
+
+class _Generator:
+    """H(t) = H0 + B(t) S compiled once for one lattice, couplings and drive.
 
     Every Pauli string acts as ``phase[k] * psi[k ^ mask]``
     (:func:`string_term`): the z bonds sum into one diagonal, the x and
     y bonds into one (index, coefficient) pair per distinct mask, and
-    the drive string S is one more pair scaled by B(t).
+    the drive string S is one more pair scaled by a drive value.
+    Calling it gives the right-hand side f(t, psi) = -i H(t) psi;
+    :meth:`step` takes one CF4 step.  ``krylov_tol`` is the Krylov error
+    each step may spend per unit time, and ``krylov_error`` sums the
+    estimates of every exponential taken.
     """
-    n = geom.n_sites
-    k = np.arange(2**n)
-    diag = np.zeros(2**n)
-    by_mask: dict[int, np.ndarray] = {}
-    for i, j, comp in geom.bonds:
-        coupling = params.j(comp)
-        if coupling == 0.0:
-            continue
-        mask, phase = string_term(((i, comp), (j, comp)), n)
-        # two-site x, y and z strings all have real phases
-        term = coupling * phase.real
-        if mask == 0:
-            diag += term
-        else:
-            by_mask[mask] = by_mask.get(mask, 0.0) + term
-    pairs = [(k ^ mask, coeff) for mask, coeff in by_mask.items()]
 
-    driven = drive.kind == "custom" or drive.amplitude != 0.0
-    if driven:
-        mask, drive_phase = string_term(drive_string(geom, drive.plaquette), n)
-        drive_idx = k ^ mask
+    def __init__(self, geom: LatticeGeometry, params: CouplingParams, drive: DriveSpec):
+        n = geom.n_sites
+        k = np.arange(2**n)
+        self.diag = np.zeros(2**n)
+        by_mask: dict[int, np.ndarray] = {}
+        for i, j, comp in geom.bonds:
+            coupling = params.j(comp)
+            if coupling == 0.0:
+                continue
+            mask, phase = string_term(((i, comp), (j, comp)), n)
+            # two-site x, y and z strings all have real phases
+            term = coupling * phase.real
+            if mask == 0:
+                self.diag += term
+            else:
+                by_mask[mask] = by_mask.get(mask, 0.0) + term
+        self.pairs = [(k ^ mask, coeff) for mask, coeff in by_mask.items()]
+        self.drive = drive
+        self.driven = drive.kind == "custom" or drive.amplitude != 0.0
+        if self.driven:
+            mask, self.drive_phase = string_term(drive_string(geom, drive.plaquette), n)
+            self.drive_idx = k ^ mask
+        self.krylov_tol = _KRYLOV_TOL
+        self.krylov_error = 0.0
 
-    def f(t: float, psi: np.ndarray) -> np.ndarray:
-        out = diag * psi
-        for idx, coeff in pairs:
+    def h0(self, psi: np.ndarray) -> np.ndarray:
+        out = self.diag * psi
+        for idx, coeff in self.pairs:
             out += coeff * psi[idx]
-        if driven:
-            out += complex(drive.b_of(t)) * (drive_phase * psi[drive_idx])
+        return out
+
+    def apply(self, psi: np.ndarray, b: complex) -> np.ndarray:
+        """(H0 + b S) psi."""
+        out = self.h0(psi)
+        if self.driven and b != 0.0:
+            out += b * (self.drive_phase * psi[self.drive_idx])
+        return out
+
+    def __call__(self, t: float, psi: np.ndarray) -> np.ndarray:
+        b = complex(self.drive.b_of(t)) if self.driven else 0.0
+        out = self.apply(psi, b)
         out *= -1j
         return out
 
-    return f
+    def step(self, psi: np.ndarray, t: float, h: float) -> np.ndarray:
+        """One CF4 step of size h from t."""
+        m0, m1 = _magnus_moments(self.drive, t, h) if self.driven else (0.0, 0.0)
+        tol = self.krylov_tol * 0.5 * h
+        for b in (m0 - 4.0 * m1, m0 + 4.0 * m1):
+            psi, err = expv(lambda x: self.apply(x, b), psi, -0.5j * h, tol)
+            self.krylov_error += err
+        return psi
+
+
+def _rhs(geom: LatticeGeometry, params: CouplingParams, drive: DriveSpec) -> _Generator:
+    """Compile f(t, psi) = -i (H0 + B(t) S) psi once for this lattice."""
+    return _Generator(geom, params, drive)
+
+
+def evolve_cf4(geom, params, drive, psi0, times, substeps, *, rhs=None):
+    """CF4 with a fixed number of substeps per output interval."""
+    times = np.asarray(times, dtype=float)
+    f = _rhs(geom, params, drive) if rhs is None else rhs
+    psi = psi0.astype(complex, copy=True)
+    kets = [psi.copy()]
+    for k in range(len(times) - 1):
+        h = (times[k + 1] - times[k]) / substeps
+        for i in range(substeps):
+            psi = f.step(psi, times[k] + i * h, h)
+        kets.append(psi.copy())
+    return kets
 
 
 def evolve_fixed_substeps(
@@ -285,9 +464,8 @@ def project_and_compare(
     """
     if len(basis_kets) != len(tdpt) + 1:
         raise ValueError("need one basis ket per series plus the initial ket")
-    gram = np.array(
-        [[np.vdot(a, b) for b in basis_kets] for a in basis_kets]
-    )
+    basis = np.array(basis_kets).conj()
+    gram = basis @ basis.T.conj()
     if np.max(np.abs(gram - np.eye(len(basis_kets)))) > 1e-10:
         raise ValueError("active basis is not orthonormal to 1e-10")
     for series in tdpt:
@@ -295,25 +473,17 @@ def project_and_compare(
             raise ValueError("series grid does not match the evolution grid")
 
     times = result.times
+    # overlaps[m, k] = <basis_m | psi(t_k)>
+    overlaps = basis @ np.array(result.kets).T
     e_init = tdpt[0].e_initial if tdpt else 0.0
-    c_init = np.array(
-        [
-            np.vdot(basis_kets[0], ket) * np.exp(1j * e_init * t)
-            for t, ket in zip(times, result.kets)
-        ]
-    )
+    c_init = overlaps[0] * np.exp(1j * e_init * times)
     initial_deviation = float(np.max(np.abs(c_init - 1.0)))
 
     max_error: dict[str, float] = {}
     labels = []
     overall = initial_deviation
-    for m, series in enumerate(tdpt):
-        c_exact = np.array(
-            [
-                np.vdot(basis_kets[m + 1], ket) * np.exp(1j * series.e_target * t)
-                for t, ket in zip(times, result.kets)
-            ]
-        )
+    for series, row in zip(tdpt, overlaps[1:]):
+        c_exact = row * np.exp(1j * series.e_target * times)
         err = float(np.max(np.abs(c_exact - series.values)))
         labels.append(series.label)
         max_error[series.label] = err

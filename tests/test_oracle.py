@@ -9,6 +9,7 @@ from kitaevsim.oracle import (
     convergence_ratio,
     evolve_fixed_substeps,
     exact_evolve,
+    TdptErrorReport,
     project_and_compare,
 )
 from kitaevsim.perturbation import DriveSpec, evolve_coefficients
@@ -102,6 +103,28 @@ class TestConvergence:
         assert ratio >= 15.0
 
 
+def _loop_report(result, basis_kets, tdpt):
+    """project_and_compare's errors from one np.vdot per (ket, time)."""
+    c_init = [
+        np.vdot(basis_kets[0], ket) * np.exp(1j * tdpt[0].e_initial * t)
+        for t, ket in zip(result.times, result.kets)
+    ]
+    initial = float(np.max(np.abs(np.array(c_init) - 1.0)))
+    max_error = {}
+    for ket_m, series in zip(basis_kets[1:], tdpt):
+        c_exact = [
+            np.vdot(ket_m, ket) * np.exp(1j * series.e_target * t)
+            for t, ket in zip(result.times, result.kets)
+        ]
+        max_error[series.label] = float(np.max(np.abs(np.array(c_exact) - series.values)))
+    return TdptErrorReport(
+        labels=list(max_error),
+        max_error=max_error,
+        initial_deviation=initial,
+        overall_max_error=max([initial, *max_error.values()]),
+    )
+
+
 class TestProjectAndCompare:
     def _scene(self, d, j=1e-3):
         params = CouplingParams(jx=j, jy=j, jz=j, d=d)
@@ -135,6 +158,22 @@ class TestProjectAndCompare:
         report = self._scene(0.02)
         assert report.overall_max_error >= report.initial_deviation
         assert report.initial_deviation > max(report.max_error.values())
+
+    def test_matches_the_per_ket_vdot_loop(self):
+        params = CouplingParams(jx=0.3, jy=-0.2, jz=0.5, d=0.05, omega=0.4)
+        drive = DriveSpec.exponential(0.05, 0.4, plaquette=0)
+        times = np.linspace(0.0, 1.5, 7)
+        targets = [excite(EMPTY, q) for q in range(GEOM.n_plaquettes)]
+        tdpt = evolve_coefficients(GEOM, params, drive, EMPTY, targets, times)
+        basis = [PSI0] + [build_product_ket(GEOM, t.base, t) for t in targets]
+        res = exact_evolve(GEOM, params, drive, PSI0, times, tol=1e-8)
+        got = project_and_compare(res, basis, tdpt)
+        ref = _loop_report(res, basis, tdpt)
+        assert got.labels == ref.labels and len(got.labels) == GEOM.n_plaquettes
+        for label in ref.labels:
+            assert got.max_error[label] == pytest.approx(ref.max_error[label], rel=0, abs=1e-13)
+        assert got.initial_deviation == pytest.approx(ref.initial_deviation, rel=0, abs=1e-13)
+        assert got.overall_max_error == pytest.approx(ref.overall_max_error, rel=0, abs=1e-13)
 
     def test_rejects_non_orthonormal_basis(self):
         params = CouplingParams(jx=1e-3, jy=1e-3, jz=1e-3, d=0.01, omega=0.5)
