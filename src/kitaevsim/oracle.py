@@ -1,12 +1,13 @@
 """Ground-truth engine: exact time evolution in the full Hilbert space.
 
-Integrates i d/dt psi = (H0 + B(t) S) psi with a classical fixed-step
-RK4 stepper under per-interval Richardson step control: each output
-interval is refined on its own, from the ket accepted at its start, until
-the step-doubling estimate of its error fits its share of the tolerance
-(Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4).  The right-hand
-side is compiled once per run.  The fixed-step core is exposed so
-convergence order can be measured directly by step halving.
+Integrates i d/dt psi = (H0 + B(t) S) psi with the fourth-order
+commutator-free Magnus integrator CF4 (two exponentials per step, each
+applied by Arnoldi) under per-interval Richardson step control: each
+output interval is refined on its own, from the ket accepted at its
+start, until the step-doubling estimate of its error fits its share of
+the tolerance (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4).
+The generator is compiled once per run.  The fixed-step core is exposed
+so convergence order can be measured directly by step halving.
 
 Note the exponential drive B(t) = D exp(-i omega t) multiplies a
 Hermitian Pauli string by a complex scalar, so the driven generator is
@@ -22,12 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import CouplingParams, apply_h0, drive_string
+from .hamiltonian import CouplingParams, drive_string
 from .lattice import LatticeGeometry
 from .pauli import require_hilbert, string_term
 from .perturbation import CoefficientSeries, DriveSpec
 
-# RK4 steps one exact_evolve may take over all its passes
+# CF4 steps one exact_evolve may take over all its passes
 _MAX_TOTAL_STEPS = 1 << 22
 # largest factor by which one estimate may raise the substep count
 _MAX_GROWTH = 16
@@ -39,10 +40,13 @@ class EvolutionResult:
     kets: list[np.ndarray]
     norm_drift: float
     energy_drift: float | None  # only meaningful for D = 0 runs
-    # accepted RK4 substeps per output interval (per piece for a custom drive)
+    # accepted CF4 substeps per output interval (per piece for a custom drive)
     substeps: tuple[int, ...]
-    error_estimate: float  # sum of the accepted intervals' estimates
-    rk4_steps: int  # over every pass, rejected ones included
+    # sum of the accepted intervals' Richardson and Krylov estimates
+    error_estimate: float
+    # CF4 steps over every pass, rejected ones included (the name predates CF4)
+    rk4_steps: int
+    krylov_error: float  # the Krylov part of error_estimate
 
 
 @dataclass
@@ -73,6 +77,8 @@ _KRYLOV_DIM = 30
 _MAX_KRYLOV_STEPS = 128
 # Krylov error allowed per unit time when no run has set it
 _KRYLOV_TOL = 1e-14
+# exact_evolve's share of its tolerance for the Krylov error
+_KRYLOV_SHARE = 1.0 / 64.0
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -83,13 +89,18 @@ def _expm(a: np.ndarray) -> np.ndarray:
         return np.full_like(a, np.nan)
     squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.0 else 0
     a = a / 2.0**squarings
+    # the degree whose first dropped term, norm^k / k!, is below 1e-17
+    norm /= 2.0**squarings
+    degree, bound = 0, 1.0
+    while bound > 1e-17:
+        degree += 1
+        bound *= norm / degree
     term = np.eye(len(a), dtype=a.dtype)
     out = term.copy()
-    for k in range(1, 30):
-        term = term @ a / k
+    for k in range(1, degree):
+        term = term @ a
+        term /= k
         out += term
-        if np.max(np.abs(term)) <= 1e-17 * np.max(np.abs(out)):
-            break
     for _ in range(squarings):
         out = out @ out
     return out
@@ -217,7 +228,9 @@ class _Generator:
         by_mask: dict[int, np.ndarray] = {}
         for i, j, comp in geom.bonds:
             coupling = params.j(comp)
-            if coupling == 0.0:
+            # a subnormal coupling adds nothing next to a normal one, yet
+            # would slow every matvec with subnormal arithmetic
+            if abs(coupling) < np.finfo(float).tiny:
                 continue
             mask, phase = string_term(((i, comp), (j, comp)), n)
             # two-site x, y and z strings all have real phases
@@ -269,20 +282,6 @@ def _rhs(geom: LatticeGeometry, params: CouplingParams, drive: DriveSpec) -> _Ge
     return _Generator(geom, params, drive)
 
 
-def evolve_cf4(geom, params, drive, psi0, times, substeps, *, rhs=None):
-    """CF4 with a fixed number of substeps per output interval."""
-    times = np.asarray(times, dtype=float)
-    f = _rhs(geom, params, drive) if rhs is None else rhs
-    psi = psi0.astype(complex, copy=True)
-    kets = [psi.copy()]
-    for k in range(len(times) - 1):
-        h = (times[k + 1] - times[k]) / substeps
-        for i in range(substeps):
-            psi = f.step(psi, times[k] + i * h, h)
-        kets.append(psi.copy())
-    return kets
-
-
 def evolve_fixed_substeps(
     geom: LatticeGeometry,
     params: CouplingParams,
@@ -293,10 +292,12 @@ def evolve_fixed_substeps(
     *,
     rhs=None,
 ) -> list[np.ndarray]:
-    """RK4 with a fixed number of substeps per output interval.
+    """CF4 with a fixed number of substeps per output interval.
 
-    ``rhs`` is a right-hand side that :func:`_rhs` compiled for the same
-    lattice, couplings and drive; it is compiled here when omitted.
+    ``rhs`` is a generator that :func:`_rhs` compiled for the same
+    lattice, couplings and drive; it is compiled here when omitted.  A
+    kept ``rhs`` keeps its Krylov tolerance, which :func:`exact_evolve`
+    sets from its own.
     """
     times = np.asarray(times, dtype=float)
     f = _rhs(geom, params, drive) if rhs is None else rhs
@@ -304,15 +305,9 @@ def evolve_fixed_substeps(
     kets = [psi.copy()]
     for k in range(len(times) - 1):
         h = (times[k + 1] - times[k]) / substeps
-        t = times[k]
-        for _ in range(substeps):
-            k1 = f(t, psi)
-            k2 = f(t + 0.5 * h, psi + 0.5 * h * k1)
-            k3 = f(t + 0.5 * h, psi + 0.5 * h * k2)
-            k4 = f(t + h, psi + h * k3)
-            psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-        kets.append(psi.copy())
+        for i in range(substeps):
+            psi = f.step(psi, times[k] + i * h, h)
+        kets.append(psi)
     return kets
 
 
@@ -320,8 +315,9 @@ def _interval_grid(drive: DriveSpec, t0: float, t1: float) -> np.ndarray:
     """[t0, t1] split at the custom drive's sample times inside it.
 
     A custom B(t) interpolates linearly, so its slope jumps at each
-    sample; an RK4 step across a jump loses its fourth order and with it
-    the Richardson estimate.  Every step ends on the samples instead.
+    sample; a step across a jump loses its fourth order and with it the
+    Richardson estimate.  Every step ends on the samples instead, where
+    the two Gauss points give the drive's moments exactly.
     """
     if drive.kind != "custom":
         return np.array([t0, t1])
@@ -341,18 +337,20 @@ def propagate(
     rhs,
 ) -> np.ndarray:
     """Final ket over ``times`` with the step choice of :func:`exact_evolve`:
-    ``substeps[k]`` RK4 substeps on each piece of output interval k, as in
+    ``substeps[k]`` CF4 substeps on each piece of output interval k, as in
     the accepted :attr:`EvolutionResult.substeps`, and its compiled ``rhs``."""
     times = np.asarray(times, dtype=float)
     psi = psi0
     for k, steps in enumerate(substeps):
         grid = _interval_grid(drive, times[k], times[k + 1])
         psi = evolve_fixed_substeps(geom, params, drive, psi, grid, steps, rhs=rhs)[-1]
+    if not np.all(np.isfinite(psi)):
+        raise RuntimeError("a Krylov exponential did not converge on the replayed steps")
     return psi
 
 
 def _next_substeps(substeps: int, estimate: float, target: float) -> int:
-    """Substeps that bring an RK4 estimate to ``target`` by the h^4 law."""
+    """Substeps that bring an order-4 estimate to ``target`` by the h^4 law."""
     if not math.isfinite(estimate):
         return _MAX_GROWTH * substeps
     factor = min((estimate / target) ** 0.25, _MAX_GROWTH)
@@ -374,14 +372,17 @@ def exact_evolve(
     Each output interval starts from the ket accepted at its left end.
     A coarse pass of s substeps and a fine pass of 2s give the
     Richardson estimate max|coarse - fine| / 15 of the fine pass's
-    error; the fine pass is accepted once that estimate is within the
-    interval's share tol * dt_k / (t_end - t_0) of the tolerance, so the
-    accepted estimates sum to at most ``tol``.  The next s, and a
-    rejected interval's retry, follow the h^4 law toward half the share;
-    the first interval starts at one substep.  A custom drive's sample
-    times split an interval into pieces of s (and 2s) substeps each.
-    ``rhs`` is as in :func:`evolve_fixed_substeps` and is compiled once
-    here when omitted.
+    error.  The fine pass's Krylov exponentials are held to
+    ``_KRYLOV_SHARE`` of the tolerance per unit time, and their summed
+    estimates are added to the Richardson one; the fine pass is accepted
+    once that sum is within the interval's share tol * dt_k / (t_end -
+    t_0) of the tolerance, so the accepted estimates sum to at most
+    ``tol``.  The next s, and a rejected interval's retry, follow the h^4
+    law toward half the share; the first interval starts at one substep.
+    A custom drive's sample times split an interval into pieces of s
+    (and 2s) substeps each.  ``rhs`` is as in
+    :func:`evolve_fixed_substeps` and is compiled once here when
+    omitted; its Krylov tolerance is set from ``tol``.
     """
     times = np.asarray(times, dtype=float)
     require_hilbert(geom.n_sites)
@@ -396,9 +397,11 @@ def exact_evolve(
 
     f = _rhs(geom, params, drive) if rhs is None else rhs
     span = times[-1] - times[0]
+    f.krylov_tol = _KRYLOV_SHARE * tol / span
     kets = [psi0.astype(complex, copy=True)]
     accepted: list[int] = []
     estimate = 0.0
+    krylov_total = 0.0
     rk4_steps = 0
     s = 1
     for k in range(len(times) - 1):
@@ -412,17 +415,20 @@ def exact_evolve(
                     f"{k} without reaching tol={tol}"
                 )
             coarse = evolve_fixed_substeps(geom, params, drive, kets[-1], grid, s, rhs=f)[-1]
+            f.krylov_error = 0.0
             fine = evolve_fixed_substeps(geom, params, drive, kets[-1], grid, 2 * s, rhs=f)[-1]
+            krylov = f.krylov_error
             rk4_steps += 3 * s * pieces
-            # RK4: the fine pass's error is ~ diff / 15
+            # order 4: the fine pass's error is ~ diff / 15
             est = float(np.max(np.abs(coarse - fine))) / 15.0
             s_next = _next_substeps(s, est, 0.5 * budget)
-            if est <= budget:
+            if est + krylov <= budget:
                 break
             s = s_next
         kets.append(fine)
         accepted.append(2 * s)
-        estimate += est
+        estimate += est + krylov
+        krylov_total += krylov
         s = s_next
 
     norms = np.array([np.linalg.norm(k) for k in kets])
@@ -431,9 +437,7 @@ def exact_evolve(
     undriven = drive.kind == "exponential" and drive.amplitude == 0.0
     energy_drift = None
     if undriven:
-        e = np.array(
-            [np.vdot(k, apply_h0(geom, params, k)).real for k in kets]
-        )
+        e = np.array([np.vdot(k, f.h0(k)).real for k in kets])
         energy_drift = float(np.max(np.abs(e - e[0])))
         if norm_drift > max(1e-8, 10.0 * tol):
             raise RuntimeError(
@@ -448,6 +452,7 @@ def exact_evolve(
         substeps=tuple(accepted),
         error_estimate=estimate,
         rk4_steps=rk4_steps,
+        krylov_error=krylov_total,
     )
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import kitaevsim.oracle as oracle_mod
-from kitaevsim.hamiltonian import CouplingParams, dense_h0, energy_expectation
+from kitaevsim.hamiltonian import CouplingParams, apply_h0, dense_h0, energy_expectation
 from kitaevsim.lattice import build_lattice
 from kitaevsim.manifold import FlipConfig, build_product_ket, excite
 from kitaevsim.oracle import (
@@ -41,7 +41,14 @@ class TestExactEvolve:
         assert res.norm_drift < 1e-9
         assert res.energy_drift is not None and res.energy_drift < 1e-9
 
-    def test_h0_eigenvector_is_stationary(self):
+    def test_energy_drift_matches_the_reference_h0(self):
+        # the drift from the compiled H0 against <psi|apply_h0 psi>
+        params, drive = undriven(jx=0.9, jy=-0.4, jz=1.3)
+        res = exact_evolve(GEOM, params, drive, PSI0, np.linspace(0.0, 3.0, 7), tol=1e-9)
+        e = np.array([np.vdot(k, apply_h0(GEOM, params, k)).real for k in res.kets])
+        assert res.energy_drift == pytest.approx(float(np.max(np.abs(e - e[0]))), rel=0, abs=1e-12)
+
+
         params, drive = undriven()
         h = dense_h0(GEOM, params)
         _, vecs = np.linalg.eigh(h)
@@ -84,7 +91,10 @@ class TestExactEvolve:
             exact_evolve(GEOM, params, drive, PSI0[:128], times)
 
     def test_step_budget_exhaustion(self, monkeypatch):
-        params, drive = undriven()
+        # driven: on an undriven run each CF4 step is exact up to its
+        # Krylov error, so even tol=1e-14 is met within a few steps
+        params = CouplingParams(jx=1.0, jy=0.8, jz=1.2, d=0.05, omega=0.7)
+        drive = DriveSpec.exponential(0.05, 0.7, plaquette=0)
         monkeypatch.setattr(oracle_mod, "_MAX_TOTAL_STEPS", 64)
         with pytest.raises(RuntimeError, match="refinement exhausted"):
             exact_evolve(
