@@ -149,9 +149,9 @@ def expv(apply, v: np.ndarray, scale: complex, tol: float) -> tuple[np.ndarray, 
             if not (last or slack * lead * tau**m <= tol * tau):
                 basis.append(p / h_next)
                 continue
-            # the augmented (m+1)-matrix: its last row holds the estimate
-            aug = hess[: m + 1, : m + 1].copy()
-            aug[:, m] = 0.0
+            # H_m bordered by the row h_{m+1,m} e_m and a zero column:
+            # its exponential's last row holds the estimate
+            aug = hess[: m + 1, : m + 1]
             small = _expm(scale * tau * aug)
             est = beta * abs(small[m, 0])
             if not last and est > tol * tau:
@@ -434,9 +434,8 @@ def exact_evolve(
     norms = np.array([np.linalg.norm(k) for k in kets])
     norm_drift = float(np.max(np.abs(norms - 1.0)))
 
-    undriven = drive.kind == "exponential" and drive.amplitude == 0.0
     energy_drift = None
-    if undriven:
+    if not f.driven:
         e = np.array([np.vdot(k, f.h0(k)).real for k in kets])
         energy_drift = float(np.max(np.abs(e - e[0])))
         if norm_drift > max(1e-8, 10.0 * tol):

@@ -6,10 +6,10 @@ from kitaevsim.hamiltonian import CouplingParams, apply_h0, dense_h0, energy_exp
 from kitaevsim.lattice import build_lattice
 from kitaevsim.manifold import FlipConfig, build_product_ket, excite
 from kitaevsim.oracle import (
+    TdptErrorReport,
     convergence_ratio,
     evolve_fixed_substeps,
     exact_evolve,
-    TdptErrorReport,
     project_and_compare,
 )
 from kitaevsim.perturbation import DriveSpec, evolve_coefficients
@@ -48,7 +48,7 @@ class TestExactEvolve:
         e = np.array([np.vdot(k, apply_h0(GEOM, params, k)).real for k in res.kets])
         assert res.energy_drift == pytest.approx(float(np.max(np.abs(e - e[0]))), rel=0, abs=1e-12)
 
-
+    def test_h0_eigenvector_is_stationary(self):
         params, drive = undriven()
         h = dense_h0(GEOM, params)
         _, vecs = np.linalg.eigh(h)
