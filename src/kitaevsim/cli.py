@@ -427,11 +427,11 @@ def cmd_entropy(cfg: RunConfig, args) -> int:
     scene = _build_scene(cfg)
     require_hilbert(scene[0].n_sites)
     geom, _, _, initial, times, _, coeffs = _evolved(cfg, True, scene)
+    if not coeffs:
+        raise RuntimeError("no connected targets; nothing to evolve")
     rows = []
     for t in times:
-        state = assemble_state(coeffs, float(t), initial) if coeffs else None
-        if state is None:
-            raise RuntimeError("no connected targets; nothing to evolve")
+        state = assemble_state(coeffs, float(t), initial)
         psi = embed_active_state(geom, initial, [c.target for c in coeffs], state)
         _, s = reduced_entropy(geom, psi, "A")
         rows.append((float(t), float(s)))

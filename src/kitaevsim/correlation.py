@@ -23,7 +23,7 @@ from .hamiltonian import CouplingParams
 from .lattice import LatticeGeometry
 from .manifold import FlipConfig, build_product_ket
 from .oracle import _rhs, exact_evolve, propagate
-from .pauli import apply_pauli, require_hilbert
+from .pauli import apply_pauli_string, require_hilbert
 from .perturbation import CoefficientSeries, DriveSpec
 from .phase import SubGeometricPhase
 
@@ -119,14 +119,14 @@ def correlation_exact_scan(
 
     records = []
     for j, beta in sorted({(j, b) for _, j in pairs for _, b in components}):
-        eta = u_of_t(apply_pauli(psi_t, j, beta))
+        eta = u_of_t(apply_pauli_string(psi_t, ((j, beta),)))
         for i, jj in pairs:
             if jj != j:
                 continue
             for alpha, bb in components:
                 if bb != beta:
                     continue
-                val = complex(np.vdot(chi, apply_pauli(eta, i, alpha)))
+                val = complex(np.vdot(chi, apply_pauli_string(eta, ((i, alpha),))))
                 records.append(
                     CorrelationRecord(
                         site_i=i, site_j=j, alpha=alpha, beta=beta,

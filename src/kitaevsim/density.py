@@ -20,7 +20,7 @@ import numpy as np
 
 from .lattice import LatticeGeometry
 from .manifold import FlipConfig, build_product_ket
-from .pauli import require_hilbert
+from .pauli import n_sites_of, require_hilbert
 from .perturbation import CoefficientSeries
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
@@ -208,9 +208,7 @@ def reduced_density_matrix(psi: np.ndarray, keep_sites) -> np.ndarray:
 
     Site k of the ket lives on bit k of the basis index.
     """
-    n = int(len(psi)).bit_length() - 1
-    if 2**n != len(psi):
-        raise ValueError("ket length is not a power of two")
+    n = n_sites_of(psi)
     keep = list(keep_sites)
     if len(set(keep)) != len(keep) or any(not 0 <= s < n for s in keep):
         raise ValueError("keep_sites must be distinct sites of the ket")

@@ -17,19 +17,14 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import COMPONENTS, PLAQUETTE_PATTERN, LatticeGeometry
 from .manifold import ExcitedLabel, FlipConfig, build_product_ket, flip_signature
-from .pauli import (
-    PAULI,
-    apply_pauli,
-    apply_pauli_string,
-    dense_from_apply,
-    pauli_eigenvector,
-)
+from .pauli import PAULI, apply_pauli_string, pauli_eigenvector, string_term
 
 # the drive string: the plaquette pattern with the third position's
 # component replaced by x, so it flips the z-labeled third spin
@@ -60,33 +55,44 @@ class CouplingParams:
         return {"x": self.jx, "y": self.jy, "z": self.jz}[component]
 
 
-def apply_bond_hamiltonian(bonds, j_of, psi: np.ndarray) -> np.ndarray:
-    """Sum of J_alpha sigma_i^alpha sigma_j^alpha terms streamed over bonds.
+def h0_terms(geom: LatticeGeometry, params: CouplingParams) -> Iterator[tuple[int, np.ndarray]]:
+    """H0 as one (mask, coefficient) term per bond of nonzero coupling.
 
-    ``bonds`` is an iterable of (i, j, component); ``j_of`` maps a
-    component to its coupling.
+    The terms come in bond order; a bond acts as
+    ``coeff[k] * psi[k ^ mask]`` (:func:`string_term`), and two-site x, y
+    and z strings all have real phases.  They are yielded one at a time,
+    so a caller that groups them never holds every bond's vector.
     """
-    out = np.zeros_like(psi)
-    for i, j, comp in bonds:
-        coupling = j_of(comp)
+    for i, j, comp in geom.bonds:
+        coupling = params.j(comp)
         if coupling == 0.0:
             continue
-        out += coupling * apply_pauli(apply_pauli(psi, j, comp), i, comp)
-    return out
+        mask, phase = string_term(((i, comp), (j, comp)), geom.n_sites)
+        yield mask, coupling * phase.real
 
 
 def apply_h0(geom: LatticeGeometry, params: CouplingParams, psi: np.ndarray) -> np.ndarray:
-    """H0 applied to a full Hilbert-space vector."""
+    """H0 applied to a full Hilbert-space vector, summed in bond order."""
     if len(psi) != 2**geom.n_sites:
         raise ValueError(
             f"vector dimension {len(psi)} does not match 2^{geom.n_sites}"
         )
-    return apply_bond_hamiltonian(geom.bonds, params.j, psi)
+    k = np.arange(len(psi))
+    out = np.zeros_like(psi)
+    for mask, coeff in h0_terms(geom, params):
+        out += coeff * psi[k ^ mask]
+    return out
 
 
 def dense_h0(geom: LatticeGeometry, params: CouplingParams) -> np.ndarray:
     """Dense H0 matrix; intended for small-lattice validation only."""
-    return dense_from_apply(lambda v: apply_h0(geom, params, v), 2**geom.n_sites)
+    dim = 2**geom.n_sites
+    k = np.arange(dim)
+    h = np.zeros((dim, dim), dtype=complex)
+    # row k of a term holds its one entry in column k ^ mask
+    for mask, coeff in h0_terms(geom, params):
+        h[k, k ^ mask] += coeff
+    return h
 
 
 def plaquette_string(geom: LatticeGeometry, p: int) -> tuple[tuple[int, str], ...]:

