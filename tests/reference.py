@@ -63,18 +63,14 @@ def apply_h0(geom, params, psi: np.ndarray) -> np.ndarray:
     return apply_bond_hamiltonian(geom.bonds, params.j, psi)
 
 
-def kron_site_ops(n_sites, ops):
-    """Dense operator from explicit Kronecker products, site k on bit k;
-    ``ops`` maps a site to its 2x2 matrix."""
+def kron_string(n_sites, ops):
+    """Dense Pauli string on distinct sites from explicit Kronecker
+    products, site k on bit k; ops = [(site, component), ...]."""
+    on_site = {site: PAULI[comp] for site, comp in ops}
     mat = np.eye(1, dtype=complex)
     for k in range(n_sites):
-        mat = np.kron(ops.get(k, np.eye(2, dtype=complex)), mat)
+        mat = np.kron(on_site.get(k, np.eye(2, dtype=complex)), mat)
     return mat
-
-
-def kron_string(n_sites, ops):
-    """Dense Pauli string on distinct sites; ops = [(site, component), ...]."""
-    return kron_site_ops(n_sites, {site: PAULI[comp] for site, comp in ops})
 
 
 def dense_h0_kron(geom, params):
