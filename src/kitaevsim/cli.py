@@ -83,7 +83,7 @@ class RunConfig:
     t_max: float = 6.283185307179586
     samples: int = 65
     engine: str = "label"
-    quad_tol: float = 1e-10  # only coefficient_quadrature has a tolerance; kept in headers
+    quad_tol: float = 1e-10  # no command reads it; kept in headers
     evolve_tol: float = 1e-9  # no command reads it; kept in headers
     scan_tol: float = 1e-8
     outdir: str = "out"
@@ -201,6 +201,12 @@ def _build_scene(cfg: RunConfig):
             raise ConfigError(
                 f"drive file covers t in [{t_first:.17g}, {t_last:.17g}]; "
                 f"it must cover [0, t_max = {cfg.t_max:.17g}]"
+            )
+        # the samples carry the amplitude; d would scale the drive element again
+        if cfg.d != 1.0:
+            raise ConfigError(
+                f"a drive file's samples carry the drive amplitude, so d must "
+                f"be 1 with --drive-file; got d = {cfg.d:.17g}"
             )
     else:
         drive = DriveSpec.exponential(cfg.d, cfg.omega, plaquette=cfg.plaquette)

@@ -6,9 +6,11 @@ checks come from kitaevsim.validation, the same code the ``validate``
 CLI subcommand runs.
 """
 
+import sys
+
 import pytest
 
-from kitaevsim import validation
+from kitaevsim import pauli, validation
 
 
 def _run(check_fn, **kwargs):
@@ -23,6 +25,23 @@ def test_criterion_01_manifold_counting():
 
 def test_criterion_02_plaquette_algebra():
     _run(validation.check_plaquette_algebra)
+
+
+def test_criterion_02_compiles_each_string_once(monkeypatch):
+    # 4 w_p matrices, 5 configurations x 4 plaquettes for the projections
+    # and again for the expectations, and the 12 bonds of dense H0
+    calls = []
+    real = pauli.string_term
+
+    def counting(ops, n):
+        calls.append(ops)
+        return real(ops, n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kitaevsim") and getattr(module, "string_term", None) is real:
+            monkeypatch.setattr(module, "string_term", counting)
+    assert validation.check_plaquette_algebra().passed
+    assert 0 < len(calls) <= 4 + 20 + 20 + 12
 
 
 def test_criterion_03_closed_form_vs_quadrature():

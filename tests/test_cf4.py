@@ -4,7 +4,9 @@ The fixed-step CF4 propagator is checked against classical RK4 at fine
 steps, and ``expv`` against the dense exponential of H0 + b S, built
 from the Kronecker products of ``tests/reference.py``, from
 ``np.linalg.eig``.  ``rk4_fixed_substeps`` is the RK4 core the oracle
-ran before CF4 replaced it, on the same compiled right-hand side.
+ran before CF4 replaced it, on the same compiled right-hand side.  One
+undriven ``exact_evolve`` run whose exponentials all split into Krylov
+sub-steps is checked against the eigendecomposition of dense H0.
 """
 
 import math
@@ -13,8 +15,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kitaevsim import oracle
 from kitaevsim.hamiltonian import CouplingParams, drive_string
 from kitaevsim.lattice import build_lattice
+from kitaevsim.manifold import FlipConfig, build_product_ket
 from kitaevsim.oracle import _rhs, evolve_fixed_substeps, expv
 from kitaevsim.perturbation import DriveSpec
 
@@ -122,3 +126,35 @@ def test_expv_matches_dense_exponential(jx, jy, jz, b_re, b_im, tau, data):
     got, err = expv(lambda x: f.apply(x, b), v, -1j * tau, 1e-14)
     assert err <= 1e-14
     assert float(np.max(np.abs(got - ref))) <= 1e-12
+
+
+def test_exact_evolve_through_krylov_sub_steps(monkeypatch):
+    # one output interval of length 10: each exponential exp(-5i H0) needs
+    # more than one Arnoldi basis, so expv covers it in sub-steps
+    geom = GEOMS[(2, 2)]
+    params = CouplingParams(jx=1.0, jy=0.8, jz=1.2)
+    psi0 = build_product_ket(geom, FlipConfig(0, geom.n_plaquettes))
+    tol = 1e-9
+    matvecs = []
+
+    def counting_expv(apply, v, scale, tol):
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return apply(x)
+
+        out = expv(counted, v, scale, tol)
+        matvecs.append(calls[0])
+        return out
+
+    monkeypatch.setattr(oracle, "expv", counting_expv)
+    result = oracle.exact_evolve(
+        geom, params, DriveSpec.exponential(0.0, 0.0), psi0, np.array([0.0, 10.0]), tol=tol
+    )
+    # a sub-step after the first needs a full basis of _KRYLOV_DIM first
+    assert matvecs and min(matvecs) > oracle._KRYLOV_DIM
+    evals, vecs = np.linalg.eigh(dense_h0_kron(geom, params))
+    ref = vecs @ (np.exp(-10.0j * evals) * (vecs.conj().T @ psi0))
+    assert float(np.max(np.abs(result.kets[-1] - ref))) <= 10.0 * tol
+    assert result.norm_drift <= 1e-8

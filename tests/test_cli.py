@@ -184,6 +184,19 @@ class TestDriveFileCoverage:
         assert "non-finite" in proc.stderr and "data row 4" in proc.stderr
         assert not (tmp_path / "out" / "phase.csv").exists()
 
+    @pytest.mark.parametrize("command", ["evolve", "phase"])
+    def test_drive_file_without_unit_d_exits_2_before_output(self, tmp_path, command):
+        # the samples carry the amplitude, and the default d = 0.01 would
+        # scale the drive element by it a second time
+        proc = run_cli(
+            command, "--drive-file", str(self._drive_file(tmp_path, 0.0, self.T_MAX)),
+            "--t-max", repr(self.T_MAX), "--samples", "9", "--outdir", str(tmp_path / "out"),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "configuration error" in proc.stderr
+        assert "d must be 1" in proc.stderr and "d = 0.01" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_rejects_drive_file(self, tmp_path):
         # the sweep scans the exponential drive's omega; a custom drive has none
         proc = run_cli(
