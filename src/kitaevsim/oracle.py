@@ -80,6 +80,59 @@ _KRYLOV_TOL = 1e-14
 # exact_evolve's share of its tolerance for the Krylov error
 _KRYLOV_SHARE = 1.0 / 64.0
 
+# OpenBLAS hands a dot of more than 10000 elements, and a gemv of 4096
+# matrix elements or more, to its worker threads.  Waking them has cost
+# some processes milliseconds per call (with two threads, a 30 x 256
+# gemv took 0.4-2.4 ms instead of 5 us, a 65536-element dot 0.43 ms
+# instead of 0.06 ms in 8192-element pieces), so every inner product of
+# kets is cut into calls below both limits.
+_DOT_ELEMENTS = 8192
+_GEMV_ELEMENTS = 4096
+
+
+def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """<a|b> of two kets, in dots of at most ``_DOT_ELEMENTS`` elements."""
+    if len(a) <= _DOT_ELEMENTS:
+        return complex(np.vdot(a, b))
+    return complex(sum(np.vdot(a[i : i + _DOT_ELEMENTS], b[i : i + _DOT_ELEMENTS])
+                       for i in range(0, len(a), _DOT_ELEMENTS)))
+
+
+def _norm(a: np.ndarray) -> float:
+    return math.sqrt(_vdot(a, a).real)
+
+
+def _slabs(block: np.ndarray) -> np.ndarray:
+    """``block`` (rows x n) as a stack of column slabs (slabs x rows x
+    width), each below ``_GEMV_ELEMENTS``: the width is the largest such
+    power of two that divides n."""
+    rows, n = block.shape
+    width = min(n & -n, 1 << (((_GEMV_ELEMENTS - 1) // rows).bit_length() - 1))
+    return block.reshape(rows, n // width, width).transpose(1, 0, 2)
+
+
+def _project(block: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The inner products <block_i|b> of the rows of ``block`` with b.
+
+    A block too large for one gemv is cut into slabs, and one batched
+    matmul makes one gemv per slab; a single row takes :func:`_vdot`.
+    """
+    if block.size < _GEMV_ELEMENTS:
+        return (block @ b.conj()).conj()
+    if len(block) == 1:
+        return np.array([_vdot(block[0], b)])
+    slabs = _slabs(block)
+    return np.add.reduce(slabs @ b.conj().reshape(len(slabs), -1, 1), axis=0)[:, 0].conj()
+
+
+def _combine(coeffs: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[i] block_i, cut into gemvs as in :func:`_project`."""
+    if block.size < _GEMV_ELEMENTS:
+        return coeffs @ block
+    if len(block) == 1:  # matmul's own loop for 1 x 1 by 1 x w is slower
+        return coeffs[0] * block[0]
+    return (coeffs.reshape(1, 1, -1) @ _slabs(block)).reshape(block.shape[1])
+
 
 def _expm(a: np.ndarray) -> np.ndarray:
     """exp(a) of a small matrix: Taylor series after scaling to norm <= 1/2,
@@ -106,7 +159,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def expv(apply, v: np.ndarray, scale: complex, tol: float) -> tuple[np.ndarray, float]:
+def expv(
+    apply, v: np.ndarray, scale: complex, tol: float, basis: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
     """exp(scale * M) v by Arnoldi, where ``apply(x)`` returns M x.
 
     The unit interval is covered by sub-steps tau; each builds an Arnoldi
@@ -115,39 +170,52 @@ def expv(apply, v: np.ndarray, scale: complex, tol: float) -> tuple[np.ndarray, 
     beta |[exp(scale tau H_aug)]_{m+1,1}| of its error (Saad, SIAM J.
     Numer. Anal. 29, 209 (1992); Hochbruck & Lubich, SIAM J. Numer.
     Anal. 34, 1911 (1997)) is within tol * tau.  A full basis that misses
-    shrinks tau, without new matvecs.  Returns the vector and the summed
-    estimates (<= tol); when the exponential does not converge within
-    ``_MAX_KRYLOV_STEPS`` sub-steps, or turns non-finite, the vector is
-    NaN and the estimate inf.
+    shrinks tau, without new matvecs.  Each new vector is orthogonalised
+    by classical Gram-Schmidt against the whole basis, twice (CGS2,
+    Giraud, Langou, Rozloznik & van den Eshof, Numer. Math. 101, 87
+    (2005)), which keeps the basis orthonormal to working precision.
+    ``basis`` is a complex (``_KRYLOV_DIM``, len(v)) work array for the
+    Arnoldi vectors; a caller that takes many exponentials passes one,
+    since a fresh 30 MiB block per call at dim 65536 fragments the heap
+    and raised a run's peak RSS by 9 MB.
+
+    Returns the vector and the summed estimates (<= tol); when the
+    exponential does not converge within ``_MAX_KRYLOV_STEPS`` sub-steps,
+    or turns non-finite, the vector is NaN and the estimate inf.
     """
     w = np.asarray(v, dtype=complex)
+    if basis is None:
+        basis = np.empty((_KRYLOV_DIM, len(w)), dtype=complex)
     done, tau, err = 0.0, 1.0, 0.0
     for step in range(_MAX_KRYLOV_STEPS):
         if done >= 1.0:
             return w, err
-        beta = float(np.linalg.norm(w))
+        beta = _norm(w)
         if beta == 0.0:
             return w, err
         if not math.isfinite(beta):
             break
         tau = min(tau, 1.0 - done)
-        basis = [w / beta]
+        np.divide(w, beta, out=basis[0])
         hess = np.zeros((_KRYLOV_DIM + 1, _KRYLOV_DIM + 1), dtype=complex)
         # beta |scale|^m prod h_{i+1,i} / m!: the leading term of the estimate
         lead = beta
         slack = 1.0  # how far the last full estimate exceeded the leading term
         for j in range(_KRYLOV_DIM):
             p = apply(basis[j])
-            for i, q in enumerate(basis):  # modified Gram-Schmidt
-                hess[i, j] = np.vdot(q, p)
-                p -= hess[i, j] * q
-            h_next = float(np.linalg.norm(p))
+            block = basis[: j + 1]
+            h = _project(block, p)
+            p -= _combine(h, block)
+            h_again = _project(block, p)
+            p -= _combine(h_again, block)
+            hess[: j + 1, j] = h + h_again
+            h_next = _norm(p)
             hess[j + 1, j] = h_next
             m = j + 1
             lead *= abs(scale) * h_next / m
             last = m == _KRYLOV_DIM or h_next == 0.0
             if not (last or slack * lead * tau**m <= tol * tau):
-                basis.append(p / h_next)
+                np.divide(p, h_next, out=basis[m])
                 continue
             # H_m bordered by the row h_{m+1,m} e_m and a zero column:
             # its exponential's last row holds the estimate
@@ -156,7 +224,7 @@ def expv(apply, v: np.ndarray, scale: complex, tol: float) -> tuple[np.ndarray, 
             est = beta * abs(small[m, 0])
             if not last and est > tol * tau:
                 slack = est / (lead * tau**m) if lead * tau**m > 0.0 else math.inf
-                basis.append(p / h_next)
+                np.divide(p, h_next, out=basis[m])
                 continue
             break
         # a full basis that misses: shrink tau on the same basis
@@ -171,10 +239,7 @@ def expv(apply, v: np.ndarray, scale: complex, tol: float) -> tuple[np.ndarray, 
             est = beta * abs(small[m, 0])
         else:
             break
-        y = beta * small[:m, 0]
-        w = y[0] * basis[0]
-        for coeff, q in zip(y[1:], basis[1:m]):
-            w += coeff * q
+        w = _combine(beta * small[:m, 0], basis[:m])
         done = 1.0 if tau == 1.0 - done else done + tau
         err += est
         # the next sub-step tries what this one would have allowed
@@ -208,14 +273,27 @@ def _magnus_moments(drive: DriveSpec, t: float, h: float) -> tuple[complex, comp
     return 0.5 * (b1 + b2), 0.5 * _GAUSS_OFFSET * (b2 - b1)
 
 
+# bytes of the (rows x dim) complex gather one row group of the kernel
+# may take.  Timed per matvec on 2x2, 2x3 and 2x4 (2-core Xeon): at dim
+# 256 all nine rows fit one group, 14-19 us against 34-37 us row by row;
+# at dim 4096 four-row groups were no faster than one row a group, so a
+# row there (64 KiB) is a group, as at dim 65536.
+_GROUP_BYTES = 1 << 16
+
+
 class _Generator:
     """H(t) = H0 + B(t) S compiled once for one lattice, couplings and drive.
 
     Every Pauli string acts as ``phase[k] * psi[k ^ mask]``
     (:func:`string_term`).  Of the bond terms of :func:`h0_terms`, the z
-    bonds sum into one diagonal, the x and y bonds into one (index,
-    coefficient) pair per distinct mask, and the drive string S is one
-    more pair scaled by a drive value.
+    bonds sum into one diagonal and the x and y bonds into one row per
+    distinct mask: an index row k ^ mask and a real coefficient row.  The
+    drive string S is one more row, the last.  Its phase is a constant
+    (-i)^(number of y) times a real sign, so its coefficient row is the
+    sign, and b times the constant is one scalar that :meth:`set_drive`
+    sets once per exponential.  The rows are stacked into groups of at
+    most ``_GROUP_BYTES`` of gathered values, and a matvec is one gather,
+    multiply and sum per group.
     Calling it gives the right-hand side f(t, psi) = -i H(t) psi;
     :meth:`step` takes one CF4 step.  ``krylov_tol`` is the Krylov error
     each step may spend per unit time, and ``krylov_error`` sums the
@@ -224,39 +302,69 @@ class _Generator:
 
     def __init__(self, geom: LatticeGeometry, params: CouplingParams, drive: DriveSpec):
         n = geom.n_sites
-        k = np.arange(2**n)
+        dim = 2**n
         # a subnormal coupling adds nothing next to a normal one, yet
         # would slow every matvec with subnormal arithmetic
         tiny = np.finfo(float).tiny
         params = replace(params, **{f"j{c}": 0.0 for c in COMPONENTS if abs(params.j(c)) < tiny})
-        self.diag = np.zeros(2**n)
-        by_mask: dict[int, np.ndarray] = {}
+        self.diag = np.zeros(dim)
+        rows: dict[int, np.ndarray] = {}
         for mask, term in h0_terms(geom, params):
             if mask == 0:
                 self.diag += term
             else:
-                by_mask[mask] = by_mask.get(mask, 0.0) + term
-        self.pairs = [(k ^ mask, coeff) for mask, coeff in by_mask.items()]
+                rows[mask] = rows.get(mask, 0.0) + term
+        # popped from the end as they are stacked, so no row is held twice
+        pending = list(rows.items())[::-1]
+        del rows
         self.drive = drive
         self.driven = drive.kind == "custom" or drive.amplitude != 0.0
         if self.driven:
-            mask, self.drive_phase = string_term(drive_string(geom, drive.plaquette), n)
-            self.drive_idx = k ^ mask
+            mask, phase = string_term(drive_string(geom, drive.plaquette), n)
+            # phase[0] has every sign +1: it is the constant
+            self.drive_unit = complex(phase[0])
+            pending.insert(0, (mask, (phase * self.drive_unit.conjugate()).real))
+            self.drive_scale = 0.0
+        k = np.arange(dim)
+        per_group = min(max(1, _GROUP_BYTES // (16 * dim)), len(pending))
+        self.groups = []
+        while pending:
+            chunk = [pending.pop() for _ in range(min(per_group, len(pending)))]
+            masks = np.array([mask for mask, _ in chunk])
+            self.groups.append((k ^ masks[:, None], np.array([row for _, row in chunk])))
+        # every group gathers into this one buffer: a fresh gather above
+        # malloc's mmap threshold (128 KiB) is mapped and faulted in on
+        # every matvec, which made 2x3 matvecs in four-row groups twice as
+        # slow
+        self.gathered = np.empty((per_group, dim), dtype=complex)
+        # the Arnoldi basis of every exponential (see :func:`expv`)
+        self.basis = np.empty((_KRYLOV_DIM, dim), dtype=complex)
         self.krylov_tol = _KRYLOV_TOL
         self.krylov_error = 0.0
 
-    def h0(self, psi: np.ndarray) -> np.ndarray:
+    def set_drive(self, b: complex) -> None:
+        """Set the drive value b of the matvecs that follow."""
+        if self.driven:
+            self.drive_scale = b * self.drive_unit
+
+    def matvec(self, psi: np.ndarray) -> np.ndarray:
+        """(H0 + b S) psi, with b from the last :meth:`set_drive`."""
         out = self.diag * psi
-        for idx, coeff in self.pairs:
-            out += coeff * psi[idx]
+        last = len(self.groups) - 1
+        for g, (idx, coeff) in enumerate(self.groups):
+            # every index is in range; the default mode="raise" would
+            # gather into a temporary and copy it to out
+            gathered = psi.take(idx, out=self.gathered[: len(idx)], mode="wrap")
+            gathered *= coeff
+            if self.driven and g == last:
+                gathered[-1] *= self.drive_scale
+            out += gathered[0] if len(gathered) == 1 else np.add.reduce(gathered, axis=0)
         return out
 
     def apply(self, psi: np.ndarray, b: complex) -> np.ndarray:
         """(H0 + b S) psi."""
-        out = self.h0(psi)
-        if self.driven and b != 0.0:
-            out += b * (self.drive_phase * psi[self.drive_idx])
-        return out
+        self.set_drive(b)
+        return self.matvec(psi)
 
     def __call__(self, t: float, psi: np.ndarray) -> np.ndarray:
         b = complex(self.drive.b_of(t)) if self.driven else 0.0
@@ -269,7 +377,8 @@ class _Generator:
         m0, m1 = _magnus_moments(self.drive, t, h) if self.driven else (0.0, 0.0)
         tol = self.krylov_tol * 0.5 * h
         for b in (m0 - 4.0 * m1, m0 + 4.0 * m1):
-            psi, err = expv(lambda x: self.apply(x, b), psi, -0.5j * h, tol)
+            self.set_drive(b)
+            psi, err = expv(self.matvec, psi, -0.5j * h, tol, basis=self.basis)
             self.krylov_error += err
         return psi
 
@@ -385,7 +494,7 @@ def exact_evolve(
     require_hilbert(geom.n_sites)
     if len(psi0) != 2**geom.n_sites:
         raise ValueError("psi0 dimension does not match the lattice")
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
+    if abs(_norm(psi0) - 1.0) > 1e-9:
         raise ValueError("psi0 must be normalized")
     if not tol > 0:  # a NaN tolerance is never met
         raise ValueError("tolerance must be positive")
@@ -428,12 +537,12 @@ def exact_evolve(
         krylov_total += krylov
         s = s_next
 
-    norms = np.array([np.linalg.norm(k) for k in kets])
+    norms = np.array([_norm(k) for k in kets])
     norm_drift = float(np.max(np.abs(norms - 1.0)))
 
     energy_drift = None
     if not f.driven:
-        e = np.array([np.vdot(k, f.h0(k)).real for k in kets])
+        e = np.array([_vdot(k, f.apply(k, 0.0)).real for k in kets])
         energy_drift = float(np.max(np.abs(e - e[0])))
         if norm_drift > max(1e-8, 10.0 * tol):
             raise RuntimeError(

@@ -8,9 +8,14 @@ CLI subcommand runs.
 
 import sys
 
+import numpy as np
 import pytest
 
 from kitaevsim import pauli, validation
+from kitaevsim.hamiltonian import CouplingParams, plaquette_string
+from kitaevsim.lattice import build_lattice
+
+from reference import dense_h0_kron
 
 
 def _run(check_fn, **kwargs):
@@ -42,6 +47,51 @@ def test_criterion_02_compiles_each_string_once(monkeypatch):
             monkeypatch.setattr(module, "string_term", counting)
     assert validation.check_plaquette_algebra().passed
     assert 0 < len(calls) <= 4 + 20 + 20 + 12
+
+
+def _dense_deviations(h, mask, phase):
+    dim = len(phase)
+    w = np.zeros((dim, dim), dtype=complex)
+    w[np.arange(dim), np.arange(dim) ^ mask] = phase
+    comm = np.max(np.abs(h @ w - w @ h))
+    hermiticity = np.max(np.abs(w - w.conj().T))
+    modulus = np.max(np.abs(np.abs(np.linalg.eigvals(w)) - 1.0))
+    return comm, max(hermiticity, modulus)
+
+
+def _corrupt(phase, how, k):
+    phase = phase.copy()
+    phase[k] *= {"sign": -1.0, "quarter turn": 1j, "scale": 1.5}[how]
+    return phase
+
+
+@pytest.mark.parametrize("how", [None, "sign", "quarter turn", "scale"])
+def test_plaquette_deviations_match_the_dense_matrices(how):
+    geom = build_lattice(2, 2)
+    params = CouplingParams(jx=1.0, jy=0.8, jz=1.2)
+    h = dense_h0_kron(geom, params)
+    for p in range(geom.n_plaquettes):
+        mask, phase = pauli.string_term(plaquette_string(geom, p), geom.n_sites)
+        if how is not None:
+            phase = _corrupt(phase, how, 37 * p + 5)
+        got = validation.plaquette_deviations(h, mask, phase)
+        assert np.allclose(got, _dense_deviations(h, mask, phase), rtol=0, atol=1e-12)
+        if how is None:
+            assert got == (0.0, 0.0)
+        else:
+            assert got[0] > 0.1 and got[1] > 0.1
+
+
+@pytest.mark.parametrize("how", ["sign", "quarter turn", "scale"])
+def test_criterion_02_fails_on_a_corrupted_phase(monkeypatch, how):
+    real = validation.string_term
+
+    def corrupted(ops, n):
+        mask, phase = real(ops, n)
+        return mask, _corrupt(phase, how, 3)
+
+    monkeypatch.setattr(validation, "string_term", corrupted)
+    assert not validation.check_plaquette_algebra().passed
 
 
 def test_criterion_03_closed_form_vs_quadrature():

@@ -128,6 +128,43 @@ def test_expv_matches_dense_exponential(jx, jy, jz, b_re, b_im, tau, data):
     assert float(np.max(np.abs(got - ref))) <= 1e-12
 
 
+def test_cgs2_keeps_a_full_basis_orthonormal():
+    # at tau = 4 on 2x3 with unit couplings no basis of 30 vectors meets
+    # the tolerance, so the first sub-step fills every one of them
+    geom = GEOMS[(2, 3)]
+    params = CouplingParams(jx=1.0, jy=1.0, jz=1.0, d=1.0)
+    f = _rhs(geom, params, DriveSpec.exponential(1.0, 0.0, plaquette=0))
+    v = _random_ket(np.random.default_rng(7), 2**geom.n_sites)
+    seen = []
+
+    def recording(x):
+        seen.append(x.copy())
+        return f.apply(x, 0.2 - 0.1j)
+
+    expv(recording, v, -4.0j, 1e-14)
+    basis = np.array(seen[: oracle._KRYLOV_DIM])
+    assert len(seen) >= oracle._KRYLOV_DIM
+    assert np.allclose(basis[0], v)
+    gram = basis.conj() @ basis.T
+    assert np.linalg.norm(gram - np.eye(oracle._KRYLOV_DIM), 2) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(rows=st.integers(1, 31), log_n=st.integers(0, 15), seed=st.integers(0, 2**32 - 1))
+def test_chunked_inner_products_match_numpy(rows, log_n, seed):
+    rng = np.random.default_rng(seed)
+    n = 2**log_n
+    block = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    c = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+    slabs = oracle._slabs(block)
+    assert slabs[0].size < oracle._GEMV_ELEMENTS or slabs.shape[-1] == 1
+    scale = math.sqrt(n) * rows
+    assert np.max(np.abs(oracle._project(block, b) - block.conj() @ b)) <= 1e-13 * scale
+    assert np.max(np.abs(oracle._combine(c, block) - c @ block)) <= 1e-13 * scale
+    assert abs(oracle._vdot(block[0], b) - np.vdot(block[0], b)) <= 1e-13 * scale
+
+
 def test_exact_evolve_through_krylov_sub_steps(monkeypatch):
     # one output interval of length 10: each exponential exp(-5i H0) needs
     # more than one Arnoldi basis, so expv covers it in sub-steps
@@ -137,14 +174,14 @@ def test_exact_evolve_through_krylov_sub_steps(monkeypatch):
     tol = 1e-9
     matvecs = []
 
-    def counting_expv(apply, v, scale, tol):
+    def counting_expv(apply, v, scale, tol, **work):
         calls = [0]
 
         def counted(x):
             calls[0] += 1
             return apply(x)
 
-        out = expv(counted, v, scale, tol)
+        out = expv(counted, v, scale, tol, **work)
         matvecs.append(calls[0])
         return out
 

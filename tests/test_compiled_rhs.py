@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kitaevsim import oracle
 from kitaevsim.hamiltonian import CouplingParams, apply_h0, drive_string, h0_terms
 from kitaevsim.lattice import build_lattice
 from kitaevsim.oracle import _rhs
@@ -110,18 +111,63 @@ def test_h0_terms_match_the_bond_streamed_reference(shape, jx, jy, jz, seed):
              for i, j, comp in geom.bonds if params.j(comp) != 0.0]
     assert [mask for mask, _ in terms] == flips
 
-    # the oracle groups the same terms by mask, in bond order, less the
-    # subnormal couplings it drops
+    # the oracle stacks the same terms into one row per mask, in bond
+    # order, less the subnormal couplings it drops
     grouped: dict[int, list[np.ndarray]] = {}
     for mask, coeff in terms:
         if np.max(np.abs(coeff)) >= np.finfo(float).tiny:
             grouped.setdefault(mask, []).append(coeff)
     gen = _rhs(geom, params, DriveSpec.exponential(0.0, 0.0, plaquette=0))
     assert np.array_equal(gen.diag, sum(grouped.pop(0, []), np.zeros(dim)))
-    assert [int(idx[0]) for idx, _ in gen.pairs] == list(grouped)
-    for (idx, coeff), group in zip(gen.pairs, grouped.values()):
+    idx_rows = [row for idx, _ in gen.groups for row in idx]
+    coeff_rows = [row for _, coeff in gen.groups for row in coeff]
+    assert [int(row[0]) for row in idx_rows] == list(grouped)
+    assert len(coeff_rows) == len(idx_rows)
+    for idx, coeff, group in zip(idx_rows, coeff_rows, grouped.values()):
         assert np.array_equal(idx, np.arange(dim) ^ int(idx[0]))
         assert np.array_equal(coeff, sum(group, np.zeros(dim)))
+
+
+# rows per group: one, a few, all of them
+GROUPINGS = {"one row": 1, "partial": 3, "all rows": 1000}
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    shape=st.sampled_from(sorted(GEOMS)),
+    jx=couplings,
+    jy=couplings,
+    jz=couplings,
+    b_re=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+    b_im=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+    grouping=st.sampled_from(sorted(GROUPINGS)),
+    data=st.data(),
+)
+def test_grouped_kernel_matches_the_reference(shape, jx, jy, jz, b_re, b_im, grouping, data):
+    geom = GEOMS[shape]
+    plaquette = data.draw(st.integers(0, geom.n_plaquettes - 1), label="plaquette")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    params = CouplingParams(jx=jx, jy=jy, jz=jz)
+    dim = 2**geom.n_sites
+    rows = GROUPINGS[grouping]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_GROUP_BYTES", rows * 16 * dim)
+        gen = _rhs(geom, params, DriveSpec.exponential(1.0, 0.0, plaquette=plaquette))
+
+    sizes = [len(idx) for idx, _ in gen.groups]
+    # one row per distinct flip mask, and the drive row last
+    string = drive_string(geom, plaquette)
+    tiny = np.finfo(float).tiny
+    masks = {(1 << i) | (1 << j) for i, j, c in geom.bonds if c in "xy" and abs(params.j(c)) >= tiny}
+    assert sum(sizes) == len(masks) + 1
+    assert int(gen.groups[-1][0][-1][0]) == string_term(string, geom.n_sites)[0]
+    assert all(size == min(rows, sum(sizes) - rows * g) for g, size in enumerate(sizes))
+
+    psi = _random_psi(rng, dim)
+    b = complex(b_re, b_im)
+    got = gen.apply(psi, b)
+    ref = reference.apply_h0(geom, params, psi) + b * reference.apply_pauli_string(psi, string)
+    assert np.linalg.norm(got - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
 
 
 def test_string_term_rejects_repeated_site():
