@@ -126,6 +126,12 @@ def test_criterion_10_oracle_quality():
     _run(validation.check_oracle_quality)
 
 
+def test_convergence_order_is_four():
+    # CF4 is order 4 (4.001 from 1024 substeps per interval); a reference
+    # run whose own error biases the step-halving ratio reads higher
+    assert abs(validation.oracle_error_report()["convergence_order"] - 4.0) <= 0.05
+
+
 def test_full_suite_summary():
     results = validation.run_acceptance()
     for r in results:

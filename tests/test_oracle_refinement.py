@@ -117,15 +117,23 @@ def _record_passes(monkeypatch):
     return calls
 
 
+def _window(grid):
+    return float(grid[0]), float(grid[-1])
+
+
 def test_rk4_steps_counts_every_pass(monkeypatch):
     calls = _record_passes(monkeypatch)
     params, drive = _driven()
     times = np.linspace(0.0, 2.0, 5)
     res = exact_evolve(GEOM, params, drive, PSI0, times, tol=1e-10)
     assert res.rk4_steps == sum(s * (len(t) - 1) for t, s in calls)
-    assert len(calls) >= 2 * (len(times) - 1)  # a coarse and a fine pass each
+    windows = [_window(t) for t, _ in calls]
+    assert sorted(set(windows)) == [(0.0, 1.0), (1.0, 2.0)]
+    for window in set(windows):  # a coarse and a fine pass each
+        assert windows.count(window) >= 2
     assert len(res.substeps) == len(times) - 1
-    assert all(isinstance(s, int) and s >= 2 for s in res.substeps)
+    assert all(isinstance(s, int) and s >= 1 for s in res.substeps)
+    assert res.substeps[0] == res.substeps[1] and res.substeps[2] == res.substeps[3]
     assert res.error_estimate <= 1e-10
 
 
@@ -189,8 +197,9 @@ def test_correlation_scan_replays_the_accepted_substeps(monkeypatch):
 
 
 def test_overflowing_pass_ends_in_refinement_exhausted(monkeypatch):
-    # one RK4 step over t = 1e200 overflows to NaN; the substeps keep
-    # growing until the step budget stops the run
+    # over t = 1e200 the first Krylov exponential of a CF4 step misses its
+    # error bound and returns NaN; the substeps keep growing until the
+    # step budget stops the run
     monkeypatch.setattr(oracle_mod, "_MAX_TOTAL_STEPS", 1000)
     params, drive = _driven()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -201,24 +210,103 @@ def test_overflowing_pass_ends_in_refinement_exhausted(monkeypatch):
 def test_an_interval_is_accepted_only_within_its_share(monkeypatch):
     params, drive = _driven()
     times = np.linspace(0.0, 2.0, 9)
-    one, two = (evolve_fixed_substeps(GEOM, params, drive, PSI0, times[:2], s)[-1] for s in (1, 2))
-    # the first interval's one-substep estimate fits tol but not its share tol / 8
-    tol = 2.0 * float(np.max(np.abs(one - two))) / 15.0
+    coarse, fine = (
+        evolve_fixed_substeps(GEOM, params, drive, PSI0, grid, 1)[-1] for grid in (times[:3:2], times[:3])
+    )
+    # the first window's one-substep estimate fits tol but not its share tol / 4
+    tol = 2.0 * float(np.max(np.abs(coarse - fine))) / 15.0
 
     passes = {}
     real = oracle_mod.evolve_fixed_substeps
 
     def recording(geom, params, drive, psi0, grid, substeps, **kwargs):
         kets = real(geom, params, drive, psi0, grid, substeps, **kwargs)
-        passes.setdefault(float(grid[0]), []).append(kets[-1])
+        passes.setdefault(_window(grid), []).append(kets[-1])
         return kets
 
     monkeypatch.setattr(oracle_mod, "evolve_fixed_substeps", recording)
     res = exact_evolve(GEOM, params, drive, PSI0, times, tol=tol)
-    assert len(passes[0.0]) > 2  # the first coarse/fine pair was rejected
+    windows = [(float(t0), float(t2)) for t0, t2 in zip(times[:-2:2], times[2::2])]
+    assert sorted(passes) == windows
+    assert len(passes[windows[0]]) > 2  # the first coarse/fine pair was rejected
     estimates = []
-    for t0, t1 in zip(times[:-1], times[1:]):
-        coarse, fine = passes[float(t0)][-2:]
+    for t0, t2 in windows:
+        coarse, fine = passes[(t0, t2)][-2:]
         estimates.append(float(np.max(np.abs(coarse - fine))) / 15.0)
-        assert estimates[-1] <= tol * (t1 - t0) / (times[-1] - times[0])
+        assert estimates[-1] <= tol * (t2 - t0) / (times[-1] - times[0])
     assert res.error_estimate == pytest.approx(sum(estimates) + res.krylov_error, rel=1e-12)
+
+
+def _windows_of(calls):
+    """The windows of a run's passes, in order, each with its passes."""
+    windows = []
+    for grid, substeps in calls:
+        if not windows or windows[-1][0] != _window(grid):
+            windows.append((_window(grid), []))
+        windows[-1][1].append((grid, substeps))
+    return windows
+
+
+def test_two_intervals_at_the_floor_take_one_pair_of_passes(monkeypatch):
+    calls = _record_passes(monkeypatch)
+    params, drive = _driven()
+    times = np.array([0.0, 0.05, 0.1])
+    res = exact_evolve(GEOM, params, drive, PSI0, times, tol=1e-9)
+    assert calls == [((0.0, 0.1), 1), ((0.0, 0.05, 0.1), 1)]
+    assert res.rk4_steps == 3
+    assert res.substeps == (1, 1)
+    assert res.error_estimate <= 1e-9
+
+
+def test_the_last_of_an_odd_count_of_intervals_is_its_own_window(monkeypatch):
+    calls = _record_passes(monkeypatch)
+    params, drive = _driven()
+    times = np.linspace(0.0, 1.5, 4)
+    res = exact_evolve(GEOM, params, drive, PSI0, times, tol=1e-10)
+    windows = _windows_of(calls)
+    assert [w for w, _ in windows] == [(0.0, 1.0), (1.0, 1.5)]
+    passes = windows[1][1]
+    for (coarse, s), (fine, two_s) in zip(passes[::2], passes[1::2]):
+        assert coarse == fine == (1.0, 1.5) and two_s == 2 * s
+    assert res.substeps[2] == passes[-1][1]
+    assert res.rk4_steps == sum(s * (len(t) - 1) for t, s in calls)
+
+
+@pytest.mark.parametrize(
+    "samples, windows",
+    [
+        ([0.0, 1.0, 2.0], [(0.0, 1.0), (1.0, 2.0)]),  # a sample at t1
+        ([0.0, 0.4, 2.0], [(0.0, 1.0), (1.0, 2.0)]),  # one inside interval 0
+        ([-1.0, 0.0, 2.0, 3.0], [(0.0, 2.0)]),  # none inside (t0, t2)
+    ],
+)
+def test_a_custom_drive_pairs_no_intervals_across_a_sample(monkeypatch, samples, windows):
+    calls = _record_passes(monkeypatch)
+    values = 0.05 * np.exp(0.7j * np.arange(len(samples)))
+    drive = DriveSpec.custom(np.array(samples), values)
+    params = CouplingParams(jx=1.0, jy=0.8, jz=1.2, d=1.0, omega=0.0)
+    times = np.array([0.0, 1.0, 2.0])
+    exact_evolve(GEOM, params, drive, PSI0, times, tol=1e-10)
+    assert [w for w, _ in _windows_of(calls)] == windows
+
+
+def test_unequal_intervals_never_pair(monkeypatch):
+    calls = _record_passes(monkeypatch)
+    params, drive = _driven()
+    times = np.array([0.0, 0.5, 1.5, 2.0, 2.5])
+    res = exact_evolve(GEOM, params, drive, PSI0, times, tol=1e-10)
+    assert [w for w, _ in _windows_of(calls)] == [(0.0, 0.5), (0.5, 1.5), (1.5, 2.5)]
+    assert res.error_estimate <= 1e-10
+
+
+def test_a_pairs_middle_ket_is_within_tol_of_a_fine_fixed_run():
+    # the estimate only compares the kets at the window's end
+    tol = 1e-10
+    params = CouplingParams(jx=1.0, jy=1.0, jz=1.0, d=0.3, omega=0.7)
+    drive = DriveSpec.exponential(0.3, 0.7)
+    times = np.linspace(0.0, 2.0, 3)
+    res = exact_evolve(GEOM, params, drive, PSI0, times, tol=tol)
+    ref = evolve_fixed_substeps(GEOM, params, drive, PSI0, times, 1024)
+    assert res.substeps[0] == res.substeps[1]
+    for got, want in zip(res.kets, ref):
+        assert float(np.max(np.abs(got - want))) <= tol
