@@ -352,15 +352,11 @@ def cmd_phase(cfg: RunConfig, args) -> int:
 
     ref_phase = decompose_values(times, np.ones(len(times), dtype=complex))
     t_eff, e_eff = effective_level(series.e_target, phase)
-    t_res, shifted = shifted_transition_frequency(
+    _, shifted = shifted_transition_frequency(
         series.e_target, phase, series.e_initial, ref_phase
     )
-    res_by_t = dict(zip(t_res, shifted))
-    rows = [
-        (float(t), float(e), float(res_by_t[t]))
-        for t, e in zip(t_eff, e_eff)
-        if t in res_by_t
-    ]
+    # the all-ones reference is never singular, so both select the same samples
+    rows = [(float(t), float(e), float(r)) for t, e, r in zip(t_eff, e_eff, shifted)]
     write_csv(
         outdir / "levels.csv", cfg.as_dict(), cfg.engine,
         ["t", "e_eff_target", "shifted_resonance"], rows,
@@ -647,7 +643,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RuntimeError, ValueError, ArithmeticError) as exc:
+    except (RuntimeError, ValueError, ArithmeticError, MemoryError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

@@ -22,7 +22,7 @@ import numpy as np
 from .hamiltonian import CouplingParams
 from .lattice import LatticeGeometry
 from .manifold import FlipConfig, build_product_ket
-from .oracle import _rhs, exact_evolve, propagate
+from .oracle import _Generator, exact_evolve, propagate
 from .pauli import apply_pauli_string, require_hilbert
 from .perturbation import CoefficientSeries, DriveSpec
 from .phase import SubGeometricPhase
@@ -107,13 +107,13 @@ def correlation_exact_scan(
 
     else:
         times = np.linspace(0.0, float(t), max(2, samples))
-        f = _rhs(geom, params, drive)
+        f = _Generator(geom, params, drive)
         res = exact_evolve(geom, params, drive, psi0, times, tol=tol, rhs=f)
         psi_t = res.kets[-1]
 
         def u_of_t(vec: np.ndarray) -> np.ndarray:
             # the same steps the accepted passes took, interval by interval
-            return propagate(geom, params, drive, vec, times, res.substeps, rhs=f)
+            return propagate(drive, vec, times, res.substeps, rhs=f)
 
         chi = u_of_t(psi_t)
 

@@ -300,7 +300,6 @@ class _Generator:
     sets once per exponential.  The rows are stacked into groups of at
     most ``_GROUP_BYTES`` of gathered values, and a matvec is one gather,
     multiply and sum per group.
-    Calling it gives the right-hand side f(t, psi) = -i H(t) psi;
     :meth:`step` takes one CF4 step.  ``krylov_tol`` is the Krylov error
     each step may spend per unit time, and ``krylov_error`` sums the
     estimates of every exponential taken.
@@ -372,12 +371,6 @@ class _Generator:
         self.set_drive(b)
         return self.matvec(psi)
 
-    def __call__(self, t: float, psi: np.ndarray) -> np.ndarray:
-        b = complex(self.drive.b_of(t)) if self.driven else 0.0
-        out = self.apply(psi, b)
-        out *= -1j
-        return out
-
     def step(self, psi: np.ndarray, t: float, h: float) -> np.ndarray:
         """One CF4 step of size h from t."""
         m0, m1 = _magnus_moments(self.drive, t, h) if self.driven else (0.0, 0.0)
@@ -387,11 +380,6 @@ class _Generator:
             psi, err = expv(self.matvec, psi, -0.5j * h, tol, basis=self.basis)
             self.krylov_error += err
         return psi
-
-
-def _rhs(geom: LatticeGeometry, params: CouplingParams, drive: DriveSpec) -> _Generator:
-    """Compile f(t, psi) = -i (H0 + B(t) S) psi once for this lattice."""
-    return _Generator(geom, params, drive)
 
 
 def evolve_fixed_substeps(
@@ -406,13 +394,13 @@ def evolve_fixed_substeps(
 ) -> list[np.ndarray]:
     """CF4 with a fixed number of substeps per output interval.
 
-    ``rhs`` is a generator that :func:`_rhs` compiled for the same
-    lattice, couplings and drive; it is compiled here when omitted.  A
-    kept ``rhs`` keeps its Krylov tolerance, which :func:`exact_evolve`
-    sets from its own.
+    ``rhs`` is a :class:`_Generator` compiled for the same lattice,
+    couplings and drive; it is compiled here when omitted, and only then
+    are ``geom`` and ``params`` read.  A kept ``rhs`` keeps its Krylov
+    tolerance, which :func:`exact_evolve` sets from its own.
     """
     times = np.asarray(times, dtype=float)
-    f = _rhs(geom, params, drive) if rhs is None else rhs
+    f = _Generator(geom, params, drive) if rhs is None else rhs
     psi = psi0.astype(complex, copy=True)
     kets = [psi.copy()]
     for k in range(len(times) - 1):
@@ -431,23 +419,10 @@ def _interval_grid(drive: DriveSpec, t0: float, t1: float) -> np.ndarray:
     Richardson estimate.  Every step ends on the samples instead, where
     the two Gauss points give the drive's moments exactly.
     """
-    if drive.kind != "custom":
-        return np.array([t0, t1])
-    samples = drive.t_samples
-    inside = samples[(samples > t0) & (samples < t1)]
-    return np.concatenate(([t0], inside, [t1]))
+    return np.concatenate(([t0], drive.breakpoints(t0, t1), [t1]))
 
 
-def propagate(
-    geom: LatticeGeometry,
-    params: CouplingParams,
-    drive: DriveSpec,
-    psi0: np.ndarray,
-    times,
-    substeps,
-    *,
-    rhs,
-) -> np.ndarray:
+def propagate(drive: DriveSpec, psi0: np.ndarray, times, substeps, *, rhs: _Generator) -> np.ndarray:
     """Final ket over ``times`` with the step choice of :func:`exact_evolve`:
     ``substeps[k]`` CF4 substeps on each piece of output interval k, as in
     the accepted :attr:`EvolutionResult.substeps`, and its compiled ``rhs``."""
@@ -455,7 +430,7 @@ def propagate(
     psi = psi0
     for k, steps in enumerate(substeps):
         grid = _interval_grid(drive, times[k], times[k + 1])
-        psi = evolve_fixed_substeps(geom, params, drive, psi, grid, steps, rhs=rhs)[-1]
+        psi = evolve_fixed_substeps(None, None, drive, psi, grid, steps, rhs=rhs)[-1]
     if not np.all(np.isfinite(psi)):
         raise RuntimeError("a Krylov exponential did not converge on the replayed steps")
     return psi
@@ -483,9 +458,7 @@ def _pairs(drive: DriveSpec, times: np.ndarray, k: int) -> bool:
     t0, t1, t2 = times[k : k + 3]
     if abs((t2 - t1) - (t1 - t0)) > 16.0 * np.finfo(float).eps * max(abs(t0), abs(t2)):
         return False
-    if drive.kind != "custom":
-        return True
-    return not np.any((drive.t_samples > t0) & (drive.t_samples < t2))
+    return len(drive.breakpoints(t0, t2)) == 0
 
 
 def exact_evolve(
@@ -533,7 +506,7 @@ def exact_evolve(
     if len(times) < 2 or np.any(np.diff(times) <= 0):
         raise ValueError("time grid must be strictly increasing")
 
-    f = _rhs(geom, params, drive) if rhs is None else rhs
+    f = _Generator(geom, params, drive) if rhs is None else rhs
     span = times[-1] - times[0]
     f.krylov_tol = _KRYLOV_SHARE * tol / span
     kets = [psi0.astype(complex, copy=True)]
@@ -655,19 +628,23 @@ def convergence_ratio(
     coarse_substeps: int = 32,
     samples: int = 9,
 ) -> tuple[float, float, float]:
-    """Step-halving error ratio against a tol=3e-13 reference run.
+    """Self-convergence of the fixed-step integrator, with no reference run.
 
-    Returns (err_coarse, err_fine, ratio); ratio ~ 16 for an order-4
-    integrator in the asymptotic regime.  The reference's own error
-    biases the ratio: on criterion 10's scenario (fine error ~1e-11) a
-    reference at tol=1e-12 is off by 4.3e-13 and reads order 4.15, one
-    at 3e-13 reads 4.04, against 4.001 from 1024 substeps per interval.
+    Runs of s, 2s and 4s substeps per output interval (s =
+    ``coarse_substeps``) give the differences d1 = max|y_s - y_2s| and
+    d2 = max|y_2s - y_4s| over the sampled kets.  For an order-p
+    integrator in its asymptotic regime d1 / d2 ~ 2^p (Hairer, Norsett &
+    Wanner, Solving ODEs I, sec. II.4).  Returns (d1, d2, d1 / d2); the
+    ratio is ~ 16 for CF4.
     """
     times = np.linspace(0.0, t_end, samples)
-    f = _rhs(geom, params, drive)
-    ref = exact_evolve(geom, params, drive, psi0, times, tol=3e-13, rhs=f).kets
-    coarse = evolve_fixed_substeps(geom, params, drive, psi0, times, coarse_substeps, rhs=f)
-    fine = evolve_fixed_substeps(geom, params, drive, psi0, times, 2 * coarse_substeps, rhs=f)
-    err_c = max(float(np.max(np.abs(a - b))) for a, b in zip(coarse, ref))
-    err_f = max(float(np.max(np.abs(a - b))) for a, b in zip(fine, ref))
-    return err_c, err_f, err_c / err_f
+    f = _Generator(geom, params, drive)
+    runs = [
+        evolve_fixed_substeps(geom, params, drive, psi0, times, n * coarse_substeps, rhs=f)
+        for n in (1, 2, 4)
+    ]
+    d_coarse, d_fine = (
+        max(float(np.max(np.abs(a - b))) for a, b in zip(run, finer))
+        for run, finer in zip(runs, runs[1:])
+    )
+    return d_coarse, d_fine, d_coarse / d_fine

@@ -50,6 +50,8 @@ class DriveSpec:
             raise ValueError(f"unknown drive kind {self.kind!r}")
         if self.amplitude < 0 or not math.isfinite(self.amplitude):
             raise ValueError("drive amplitude must be finite and >= 0")
+        if not math.isfinite(self.omega):
+            raise ValueError(f"drive omega must be finite, got {self.omega}")
         if self.kind == "custom":
             if self.t_samples is None or self.b_samples is None:
                 raise ValueError("custom drive needs t_samples and b_samples")
@@ -84,6 +86,14 @@ class DriveSpec:
             t_samples=np.asarray(t_samples, dtype=float),
             b_samples=np.asarray(b_samples, dtype=complex),
         )
+
+    def breakpoints(self, t0: float, t1: float) -> np.ndarray:
+        """The custom drive's sample times strictly inside (t0, t1), where
+        its linear interpolation's slope jumps; none for the exponential
+        drive."""
+        if self.kind != "custom":
+            return np.empty(0)
+        return self.t_samples[(self.t_samples > t0) & (self.t_samples < t1)]
 
     def b_of(self, t):
         """Complex drive value B(t); custom drives interpolate linearly."""
@@ -182,13 +192,8 @@ def _quadrature_edges(drive: DriveSpec, delta_e: float, t: float) -> np.ndarray:
     an edge, and no panel is wider than a quarter period of the
     integrand's carrier frequency, so each panel holds exp(i nu t) times
     a linear function."""
-    if drive.kind == "custom":
-        inner = drive.t_samples[(drive.t_samples > 0.0) & (drive.t_samples < t)]
-        edges = np.concatenate(([0.0], inner, [t]))
-        freq = delta_e
-    else:
-        edges = np.array([0.0, t])
-        freq = delta_e - drive.omega
+    edges = np.concatenate(([0.0], drive.breakpoints(0.0, t), [t]))
+    freq = delta_e if drive.kind == "custom" else delta_e - drive.omega
     if freq == 0.0:
         return edges
     quarter = 0.5 * math.pi / abs(freq)
@@ -249,9 +254,7 @@ def coefficient_interpolated(m: complex, drive: DriveSpec, delta_e: float, times
     d_ref = drive.amplitude
     if m == 0 or d_ref == 0:
         return np.zeros(len(times), dtype=complex)
-    t_max = times[-1]
-    inner = drive.t_samples[(drive.t_samples > 0.0) & (drive.t_samples < t_max)]
-    x = np.union1d(times, inner)
+    x = np.union1d(times, drive.breakpoints(0.0, times[-1]))
     b = drive.b_of(x)
     h = np.diff(x)
     theta = delta_e * h

@@ -437,7 +437,7 @@ def check_correlation() -> CheckResult:
 
 @functools.lru_cache(maxsize=None)
 def _convergence_2x2() -> tuple[float, float, float]:
-    """Step-halving errors and ratio of the driven 2x2 oracle scenario."""
+    """Step-halving differences and ratio of the driven 2x2 oracle scenario."""
     geom = build_lattice(2, 2)
     psi0 = build_product_ket(geom, FlipConfig(0, 4))
     params = CouplingParams(jx=1.0, jy=0.8, jz=1.2, d=0.05, omega=0.7)
@@ -451,7 +451,7 @@ def check_oracle_quality() -> CheckResult:
     """Order-4 convergence and unitary norm drift of the integrator."""
     geom = build_lattice(2, 2)
     psi0 = build_product_ket(geom, FlipConfig(0, 4))
-    err_c, err_f, ratio = _convergence_2x2()
+    diff_c, diff_f, ratio = _convergence_2x2()
 
     params0 = CouplingParams(jx=1.0, jy=0.8, jz=1.2, d=0.0, omega=0.7)
     drive0 = DriveSpec.exponential(0.0, 0.7, plaquette=0)
@@ -465,7 +465,7 @@ def check_oracle_quality() -> CheckResult:
         10,
         "oracle quality",
         ok,
-        f"step-halving ratio {ratio:.2f} (errors {err_c:.2e} -> {err_f:.2e}), "
+        f"step-halving ratio {ratio:.2f} (differences {diff_c:.2e} -> {diff_f:.2e}), "
         f"norm drift {res.norm_drift:.2e} over one period (undriven)",
     )
 

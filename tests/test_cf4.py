@@ -4,9 +4,10 @@ The fixed-step CF4 propagator is checked against classical RK4 at fine
 steps, and ``expv`` against the dense exponential of H0 + b S, built
 from the Kronecker products of ``tests/reference.py``, from
 ``np.linalg.eig``.  ``rk4_fixed_substeps`` is the RK4 core the oracle
-ran before CF4 replaced it, on the same compiled right-hand side.  One
-undriven ``exact_evolve`` run whose exponentials all split into Krylov
-sub-steps is checked against the eigendecomposition of dense H0.
+ran before CF4 replaced it, on -i (H0 + B(t) S) psi from the oracle's
+compiled generator.  One undriven ``exact_evolve`` run whose
+exponentials all split into Krylov sub-steps is checked against the
+eigendecomposition of dense H0.
 """
 
 import math
@@ -19,7 +20,7 @@ from kitaevsim import oracle
 from kitaevsim.hamiltonian import CouplingParams, drive_string
 from kitaevsim.lattice import build_lattice
 from kitaevsim.manifold import FlipConfig, build_product_ket
-from kitaevsim.oracle import _rhs, evolve_fixed_substeps, expv
+from kitaevsim.oracle import _Generator, evolve_fixed_substeps, expv
 from kitaevsim.perturbation import DriveSpec
 
 from reference import dense_h0_kron, kron_string
@@ -35,7 +36,11 @@ nonzero = st.builds(lambda sign, size: sign * size, st.sampled_from([-1.0, 1.0])
 
 def rk4_fixed_substeps(geom, params, drive, psi0, times, substeps):
     """Classical RK4 with a fixed number of substeps per output interval."""
-    f = _rhs(geom, params, drive)
+    gen = _Generator(geom, params, drive)
+
+    def f(t, psi):
+        return -1j * gen.apply(psi, complex(drive.b_of(t)))
+
     psi = psi0.astype(complex, copy=True)
     kets = [psi.copy()]
     for k in range(len(times) - 1):
@@ -122,7 +127,7 @@ def test_expv_matches_dense_exponential(jx, jy, jz, b_re, b_im, tau, data):
     evals, vecs = np.linalg.eig(-1j * tau * dense)
     ref = vecs @ (np.exp(evals) * np.linalg.solve(vecs, v))
 
-    f = _rhs(geom, params, drive)
+    f = _Generator(geom, params, drive)
     got, err = expv(lambda x: f.apply(x, b), v, -1j * tau, 1e-14)
     assert err <= 1e-14
     assert float(np.max(np.abs(got - ref))) <= 1e-12
@@ -133,7 +138,7 @@ def test_cgs2_keeps_a_full_basis_orthonormal():
     # the tolerance, so the first sub-step fills every one of them
     geom = GEOMS[(2, 3)]
     params = CouplingParams(jx=1.0, jy=1.0, jz=1.0, d=1.0)
-    f = _rhs(geom, params, DriveSpec.exponential(1.0, 0.0, plaquette=0))
+    f = _Generator(geom, params, DriveSpec.exponential(1.0, 0.0, plaquette=0))
     v = _random_ket(np.random.default_rng(7), 2**geom.n_sites)
     seen = []
 

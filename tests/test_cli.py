@@ -50,6 +50,15 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "computation failed" in proc.stderr
 
+    def test_memory_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        def out_of_memory(cfg, args):
+            raise MemoryError("cannot allocate the density matrix")
+
+        monkeypatch.setattr(cli, "cmd_thermal", out_of_memory)
+        code = cli.main(["thermal", "--samples", "3", "--outdir", str(tmp_path)])
+        assert code == 3
+        assert "computation failed: cannot allocate" in capsys.readouterr().err
+
     def test_entropy_without_connected_targets_exits_3(self, tmp_path, capsys):
         # on 2x2 the drive on plaquette 1 connects no target to the default initial state
         code = cli.main(["entropy", "--plaquette", "1", "--samples", "3", "--outdir", str(tmp_path)])

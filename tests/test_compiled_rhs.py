@@ -1,7 +1,7 @@
 """The compiled Pauli kernel against the independent references.
 
 Every Pauli string in ``src/`` acts as ``phase[k] * psi[k ^ mask]``
-(``string_term``): the oracle's right-hand side, ``apply_h0`` and
+(``string_term``): the oracle's generator, ``apply_h0`` and
 ``apply_pauli_string``.  The per-site reshape kernels of
 ``tests/reference.py`` are the reference on every torus; on 2x2 its
 Kronecker-product matrices are checked as well.
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from kitaevsim import oracle
 from kitaevsim.hamiltonian import CouplingParams, apply_h0, drive_string, h0_terms
 from kitaevsim.lattice import build_lattice
-from kitaevsim.oracle import _rhs
+from kitaevsim.oracle import _Generator
 from kitaevsim.pauli import apply_pauli_string, string_term
 from kitaevsim.perturbation import DriveSpec
 
@@ -60,7 +60,7 @@ def test_compiled_rhs_matches_streaming_and_dense(
     string = drive_string(geom, plaquette)
     b = complex(drive.b_of(t))
 
-    got = _rhs(geom, params, drive)(t, psi)
+    got = -1j * _Generator(geom, params, drive).apply(psi, b)
     ref = -1j * (reference.apply_h0(geom, params, psi) + b * reference.apply_pauli_string(psi, string))
     scale = np.linalg.norm(ref)
     assert np.linalg.norm(got - ref) <= 1e-12 * scale
@@ -117,7 +117,7 @@ def test_h0_terms_match_the_bond_streamed_reference(shape, jx, jy, jz, seed):
     for mask, coeff in terms:
         if np.max(np.abs(coeff)) >= np.finfo(float).tiny:
             grouped.setdefault(mask, []).append(coeff)
-    gen = _rhs(geom, params, DriveSpec.exponential(0.0, 0.0, plaquette=0))
+    gen = _Generator(geom, params, DriveSpec.exponential(0.0, 0.0, plaquette=0))
     assert np.array_equal(gen.diag, sum(grouped.pop(0, []), np.zeros(dim)))
     idx_rows = [row for idx, _ in gen.groups for row in idx]
     coeff_rows = [row for _, coeff in gen.groups for row in coeff]
@@ -152,7 +152,7 @@ def test_grouped_kernel_matches_the_reference(shape, jx, jy, jz, b_re, b_im, gro
     rows = GROUPINGS[grouping]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_GROUP_BYTES", rows * 16 * dim)
-        gen = _rhs(geom, params, DriveSpec.exponential(1.0, 0.0, plaquette=plaquette))
+        gen = _Generator(geom, params, DriveSpec.exponential(1.0, 0.0, plaquette=plaquette))
 
     sizes = [len(idx) for idx, _ in gen.groups]
     # one row per distinct flip mask, and the drive row last

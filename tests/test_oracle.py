@@ -114,6 +114,18 @@ class TestConvergence:
         assert err_c > err_f > 0
         assert ratio >= 15.0
 
+    def test_ratio_needs_no_reference_run(self, monkeypatch):
+        def no_reference(*args, **kwargs):
+            raise AssertionError("convergence_ratio ran exact_evolve")
+
+        monkeypatch.setattr(oracle_mod, "exact_evolve", no_reference)
+        params = CouplingParams(jx=1.0, jy=0.8, jz=1.2, d=0.05, omega=0.7)
+        drive = DriveSpec.exponential(0.05, 0.7, plaquette=0)
+        _, _, ratio = convergence_ratio(
+            GEOM, params, drive, PSI0, t_end=2.0, coarse_substeps=16, samples=5
+        )
+        assert ratio >= 15.0
+
 
 def _loop_report(result, basis_kets, tdpt):
     """project_and_compare's errors from one np.vdot per (ket, time)."""

@@ -139,14 +139,14 @@ def test_rk4_steps_counts_every_pass(monkeypatch):
 
 def _count_compiles(monkeypatch):
     compiled = []
-    real = oracle_mod._rhs
+    real = oracle_mod._Generator
 
     def counting(*args):
         compiled.append(args)
         return real(*args)
 
     for module in (oracle_mod, correlation_mod):
-        monkeypatch.setattr(module, "_rhs", counting)
+        monkeypatch.setattr(module, "_Generator", counting)
     return compiled
 
 

@@ -332,6 +332,18 @@ class TestDriveSpec:
         with pytest.raises(ValueError, match=message):
             DriveSpec.custom([0, 1, 2], b)
 
+    @pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf])
+    def test_non_finite_omega_rejected(self, omega):
+        with pytest.raises(ValueError, match="omega must be finite"):
+            DriveSpec.exponential(0.01, omega)
+
+    def test_breakpoints_are_the_samples_strictly_inside(self):
+        drive = DriveSpec.custom([0.0, 0.3, 0.5, 1.1, 2.0], [1.0, 2.0, 3.0, 4.0, 5.0])
+        assert drive.breakpoints(0.0, 1.1).tolist() == [0.3, 0.5]
+        assert drive.breakpoints(0.3, 0.5).size == 0
+        assert drive.breakpoints(0.0, 2.0).tolist() == [0.3, 0.5, 1.1]
+        assert DriveSpec.exponential(1.0, 0.5).breakpoints(0.0, 2.0).size == 0
+
     def test_exponential_values(self):
         drive = DriveSpec.exponential(2.0, 0.5)
         assert drive.b_of(0.0) == pytest.approx(2.0)
