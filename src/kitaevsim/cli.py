@@ -36,7 +36,7 @@ from .density import (
 from .hamiltonian import (
     ENGINES,
     CouplingParams,
-    build_energy_table,
+    EnergyTable,
     energy_expectation,
     perturbation_element,
 )
@@ -221,6 +221,11 @@ def _outdir(cfg: RunConfig) -> Path:
     return path
 
 
+def _columns(rows: list[tuple], width: int) -> list:
+    """The columns of ``rows``, ``width`` empty ones when there are none."""
+    return [list(column) for column in zip(*rows)] or [[]] * width
+
+
 def _maybe_plot(args, csv_path: Path) -> None:
     if getattr(args, "emit_plot_script", False):
         write_plot_script(csv_path)
@@ -256,16 +261,16 @@ def cmd_manifold(cfg: RunConfig, args) -> int:
             f"{1 << MANIFOLD_MAX_PLAQUETTES} rows (n <= {MANIFOLD_MAX_PLAQUETTES})"
         )
     sizes = []
-    rows = []
+    blocks = []
     for k in range(n + 1):
         configs = enumerate_weight_class(n, k)
         sizes.append(len(configs))
-        rows.extend((c.hex, c.weight) for c in configs)
+        blocks.append(([c.hex for c in configs], k))
     total = sum(sizes)
     print(f"weight-class sizes: {', '.join(str(s) for s in sizes)}")
     print(f"total states: {total}")
     out = _outdir(cfg) / "configs.csv"
-    write_csv(out, {**cfg.as_dict(), "n": n}, cfg.engine, ["bitmask", "weight"], rows)
+    write_csv(out, {**cfg.as_dict(), "n": n}, cfg.engine, ["bitmask", "weight"], blocks)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -289,29 +294,29 @@ def _evolved(cfg: RunConfig, connected_only: bool, scene=None, dense_basis: bool
 
 def cmd_evolve(cfg: RunConfig, args) -> int:
     # density.json holds the dense active-basis matrix over initial + targets
-    geom, params, _, initial, times, targets, coeffs = _evolved(
+    geom, params, _, initial, times, _, coeffs = _evolved(
         cfg, args.connected_only, dense_basis=True
     )
-    rows = []
-    for series in coeffs:
-        for t, c in zip(series.times, series.values):
-            rows.append((series.label, float(t), float(c.real), float(c.imag)))
     meta = dict(cfg.as_dict())
     for series in coeffs:
         meta[f"omega0[{series.label}]"] = series.omega0
     outdir = _outdir(cfg)
     out = outdir / "coefficients.csv"
-    write_csv(out, meta, cfg.engine, ["target", "t", "re_c", "im_c"], rows)
+    write_csv(
+        out, meta, cfg.engine, ["target", "t", "re_c", "im_c"],
+        ((s.label, s.times, s.values.real, s.values.imag) for s in coeffs),
+    )
     _maybe_plot(args, out)
 
-    table = build_energy_table(
-        geom, params,
-        [(initial, None)] + [(tg.base, tg) for tg in targets],
-        engine=cfg.engine,
-    )
+    # the series carry the energies of the initial state and of every target
+    e_initial = (coeffs[0].e_initial if coeffs
+                 else energy_expectation(geom, params, initial, engine=cfg.engine))
+    table = EnergyTable(cfg.engine, {(initial.bits, -1): e_initial} | {
+        (s.target.base.bits, s.target.flipped_plaquette): s.e_target for s in coeffs
+    })
     write_csv(
         outdir / "energies.csv", cfg.as_dict(), cfg.engine,
-        ["bitmask", "excited", "plaquette", "energy"], table.rows(),
+        ["bitmask", "excited", "plaquette", "energy"], [_columns(table.rows(), 4)],
     )
 
     # active-basis density matrix of the evolved state at t_max
@@ -333,21 +338,17 @@ def cmd_phase(cfg: RunConfig, args) -> int:
     phase = decompose(series)
     outdir = _outdir(cfg)
 
-    rows = [
-        (float(t), float(a_), float(lm), float(ang), bool(sg))
-        for t, a_, lm, ang, sg in zip(
-            phase.times, phase.modulus, phase.log_modulus, phase.angle, phase.singular
-        )
-    ]
     phase_csv = outdir / "phase.csv"
-    write_csv(phase_csv, cfg.as_dict(), cfg.engine, ["t", "A", "a", "phi", "singular"], rows)
+    write_csv(
+        phase_csv, cfg.as_dict(), cfg.engine, ["t", "A", "a", "phi", "singular"],
+        [(phase.times, phase.modulus, phase.log_modulus, phase.angle, phase.singular)],
+    )
     _maybe_plot(args, phase_csv)
 
     intervals = stability_intervals(phase)
     write_csv(
         outdir / "intervals.csv", cfg.as_dict(), cfg.engine,
-        ["t_start", "t_end", "label"],
-        [(s, e, name) for s, e, name in intervals],
+        ["t_start", "t_end", "label"], [_columns(intervals, 3)],
     )
 
     ref_phase = decompose_values(times, np.ones(len(times), dtype=complex))
@@ -356,10 +357,9 @@ def cmd_phase(cfg: RunConfig, args) -> int:
         series.e_target, phase, series.e_initial, ref_phase
     )
     # the all-ones reference is never singular, so both select the same samples
-    rows = [(float(t), float(e), float(r)) for t, e, r in zip(t_eff, e_eff, shifted)]
     write_csv(
         outdir / "levels.csv", cfg.as_dict(), cfg.engine,
-        ["t", "e_eff_target", "shifted_resonance"], rows,
+        ["t", "e_eff_target", "shifted_resonance"], [(t_eff, e_eff, shifted)],
     )
     print(f"wrote {phase_csv}, intervals.csv, levels.csv "
           f"({len(intervals)} stability intervals)")
@@ -407,7 +407,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     write_csv(
         out, {**cfg.as_dict(), "omega_min": args.omega_min,
               "omega_max": args.omega_max, "omega_steps": args.omega_steps},
-        cfg.engine, ["omega", "weight_at_t_max", "predicted_resonance"], rows,
+        cfg.engine, ["omega", "weight_at_t_max", "predicted_resonance"], [_columns(rows, 3)],
     )
     _maybe_plot(args, out)
 
@@ -431,14 +431,14 @@ def cmd_entropy(cfg: RunConfig, args) -> int:
     geom, _, _, initial, times, _, coeffs = _evolved(cfg, True, scene)
     if not coeffs:
         raise RuntimeError("no connected targets; nothing to evolve")
-    rows = []
+    entropies = []
     for t in times:
         state = assemble_state(coeffs, float(t), initial)
         psi = embed_active_state(geom, initial, [c.target for c in coeffs], state)
         _, s = reduced_entropy(geom, psi, "A")
-        rows.append((float(t), float(s)))
+        entropies.append(float(s))
     out = _outdir(cfg) / "entropy.csv"
-    write_csv(out, cfg.as_dict(), cfg.engine, ["t", "s_a"], rows)
+    write_csv(out, cfg.as_dict(), cfg.engine, ["t", "s_a"], [(times, entropies)])
     _maybe_plot(args, out)
     print(f"wrote {out}")
     return EXIT_OK
@@ -486,7 +486,7 @@ def cmd_correlate(cfg: RunConfig, args) -> int:
     out = outdir / "correlations.csv"
     write_csv(
         out, {**cfg.as_dict(), "t": t, "t0": t0}, cfg.engine,
-        ["i", "j", "alpha", "beta", "t", "t0", "re", "im", "source"], rows,
+        ["i", "j", "alpha", "beta", "t", "t0", "re", "im", "source"], [_columns(rows, 9)],
     )
     print(f"wrote {out}")
     return EXIT_OK
@@ -550,7 +550,7 @@ def cmd_thermal(cfg: RunConfig, args) -> int:
     write_csv(
         outdir / "thermal_weights.csv", cfg.as_dict(), cfg.engine,
         ["member", "energy", "weight"],
-        list(zip(labels, summary["energies"], summary["weights"])),
+        [(labels, summary["energies"], summary["weights"])],
     )
     print(f"wrote thermal.json ({len(labels)} members, purity {summary['purity']:.6f})")
     return EXIT_OK

@@ -5,6 +5,14 @@ the hbar = 1 convention, the engine, a hash of the fully-serialized run
 configuration, and the configuration itself.  CSV floats are written with
 17 significant digits and JSON floats in ``repr`` form, the shortest that
 round-trips, so both files round-trip bit-exactly and diff cleanly.
+
+Both writers stream: no more text is held than one block of rows.
+``write_csv`` takes column blocks, formats each column in one pass, and
+formats a column again only when its bits differ from the previous
+block's, so a time grid shared by many series is formatted once.
+``write_json`` writes each numpy array in blocks of JSON_BLOCK_ROWS rows;
+a block made of few runs of bit-identical rows, such as the mostly-zero
+rows of a density matrix, has each run's row encoded once.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from itertools import repeat
 from pathlib import Path
 from typing import TextIO
 
@@ -23,12 +32,13 @@ from . import __version__
 # an (N, 2) block of floats is about 400 KB of text
 JSON_BLOCK_ROWS = 4096
 
+# a block with at most one run of bit-identical consecutive rows per RUN_ROWS
+# rows is written run by run; on (N, 2) floats the two ways to write a block
+# cost the same at about 3.5 rows per run
+RUN_ROWS = 4
+
 # JSON text of the string write_json puts in place of the k-th array
 _ARRAY_PLACEHOLDER = re.compile(r'"\\u0000ndarray:(\d+)"')
-
-
-def format_float(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def canonical_config(config: dict) -> str:
@@ -51,23 +61,71 @@ def header_block(config: dict, engine: str) -> list[str]:
     return lines
 
 
-def write_csv(
-    path: Path, config: dict, engine: str, columns: list[str], rows
-) -> None:
-    """CSV with a '#' header block; floats at full round-trip precision."""
-    out = header_block(config, engine)
-    out.append(",".join(columns))
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, bool):
-                cells.append("1" if cell else "0")
-            elif isinstance(cell, float):
-                cells.append(format_float(cell))
-            else:
-                cells.append(str(cell))
-        out.append(",".join(cells))
-    path.write_text("\n".join(out) + "\n")
+def _format_cell(cell) -> str:
+    if isinstance(cell, bool):
+        return "1" if cell else "0"
+    if isinstance(cell, float):
+        return f"{float(cell):.17g}"
+    return str(cell)
+
+
+def _format_column(column) -> list[str]:
+    """Cell texts of one column; an array is written as its ``tolist()``.
+
+    ``tolist()`` gives Python floats, bools and ints, which float64, bool
+    and integer arrays format in one pass each.
+    """
+    if isinstance(column, np.ndarray):
+        cells = column.tolist()
+        if column.dtype == np.float64:
+            return list(map(format, cells, repeat(".17g")))
+        if column.dtype == np.bool_:
+            return ["1" if cell else "0" for cell in cells]
+        if column.dtype.kind in "iu":
+            return list(map(str, cells))
+        column = cells
+    return [_format_cell(cell) for cell in column]
+
+
+def _is_scalar(column) -> bool:
+    return isinstance(column, (str, int, float, np.generic))
+
+
+def write_csv(path: Path, config: dict, engine: str, columns: list[str], blocks) -> None:
+    """CSV with a '#' header block, streamed one block of rows at a time.
+
+    ``blocks`` yields column blocks: one column per name in ``columns``,
+    all of one length.  A column is a 1-D array, a sequence, or a scalar
+    that fills every row of its block.  A cell is written as 1/0 for a
+    bool, with 17 significant digits for a float (numpy float64
+    included), and as ``str()`` otherwise; an array as its ``tolist()``.
+    Each block's rows are written before the next block is drawn.
+    """
+    with path.open("w") as fh:
+        fh.write("\n".join([*header_block(config, engine), ",".join(columns)]) + "\n")
+        previous: list[tuple[tuple, list[str]] | None] = [None] * len(columns)
+        for block in blocks:
+            if len(block) != len(columns):
+                raise ValueError(f"a block has {len(block)} columns, the header {len(columns)}")
+            lengths = {len(column) for column in block if not _is_scalar(column)}
+            if len(lengths) != 1:
+                raise ValueError(f"a block's columns must share one length, got {sorted(lengths)}")
+            (n_rows,) = lengths
+            texts = []
+            for k, column in enumerate(block):
+                if _is_scalar(column):
+                    texts.append(repeat(_format_cell(column), n_rows))
+                    continue
+                if not isinstance(column, np.ndarray):
+                    texts.append(_format_column(column))
+                    continue
+                key = (column.tobytes(), column.dtype, column.shape)
+                if previous[k] is None or previous[k][0] != key:
+                    previous[k] = None  # free the old text before formatting
+                    previous[k] = (key, _format_column(column))
+                texts.append(previous[k][1])
+            if n_rows:
+                fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def _lift_arrays(node, arrays: list[np.ndarray]):
@@ -92,31 +150,57 @@ def _lift_arrays(node, arrays: list[np.ndarray]):
     return node
 
 
+def _encode(rows: np.ndarray, inner: str) -> str:
+    """JSON text of ``rows`` in the indented layout, brackets dropped.
+
+    ``rows`` goes through the C encoder in compact form, whose ", " and
+    "], [" separators are then rewritten into the layout of
+    ``json.dumps(..., indent=2)``; a float's JSON text holds no bracket,
+    comma or space.
+    """
+    text = json.dumps(rows.tolist())[1:-1]
+    if rows.ndim == 1:
+        return text.replace(", ", ",\n" + inner)
+    leaf = inner + "  "
+    return (
+        text.replace("], [", "],\n" + inner + "[")
+        .replace(", ", ",\n" + leaf)
+        .replace("[", "[\n" + leaf)
+        .replace("]", "\n" + inner + "]")
+    )
+
+
+def _run_starts(block: np.ndarray) -> np.ndarray:
+    """Indices where a run of bit-identical consecutive rows starts."""
+    raw = np.ascontiguousarray(block).view(np.uint8).reshape(len(block), -1)
+    changed = np.any(raw[1:] != raw[:-1], axis=1)
+    return np.concatenate(([0], np.flatnonzero(changed) + 1))
+
+
 def _write_array(fh: TextIO, arr: np.ndarray, indent: str) -> None:
     """Write ``arr`` as ``json.dumps(arr.tolist(), indent=2)`` lays it out.
 
-    ``indent`` is the indentation of the line the array starts on.  Each
-    block of JSON_BLOCK_ROWS rows goes through the C encoder in compact
-    form, whose ", " and "], [" separators are then rewritten into the
-    indented layout; a float's JSON text holds no bracket, comma or space.
+    ``indent`` is the indentation of the line the array starts on.  The
+    array goes out in blocks of JSON_BLOCK_ROWS rows.  A block with at
+    most one run of bit-identical rows per RUN_ROWS rows is written run
+    by run, each run's row encoded once and its text repeated; any other
+    block is encoded whole.
     """
     inner = indent + "  "
+    sep = ",\n" + inner
     fh.write("[\n" + inner)
     for start in range(0, len(arr), JSON_BLOCK_ROWS):
+        block = arr[start:start + JSON_BLOCK_ROWS]
         if start:
-            fh.write(",\n" + inner)
-        text = json.dumps(arr[start:start + JSON_BLOCK_ROWS].tolist())[1:-1]
-        if arr.ndim == 1:
-            text = text.replace(", ", ",\n" + inner)
-        else:
-            leaf = inner + "  "
-            text = (
-                text.replace("], [", "],\n" + inner + "[")
-                .replace(", ", ",\n" + leaf)
-                .replace("[", "[\n" + leaf)
-                .replace("]", "\n" + inner + "]")
-            )
-        fh.write(text)
+            fh.write(sep)
+        starts = _run_starts(block)
+        if len(starts) * RUN_ROWS > len(block):
+            fh.write(_encode(block, inner))
+            continue
+        for first, end in zip(starts, [*starts[1:], len(block)]):
+            if first:
+                fh.write(sep)
+            fh.write(sep.join([_encode(block[first:first + 1], inner)] * int(end - first)))
     fh.write("\n" + indent + "]")
 
 

@@ -1,4 +1,4 @@
-"""Independent Pauli kernels, the reference for the compiled one.
+"""Independent reference implementations the tests compare against.
 
 Each single-site Pauli acts on a reshaped view of the state vector, and
 the dense builders take explicit Kronecker products, so neither path
@@ -6,11 +6,35 @@ shares code with :func:`kitaevsim.pauli.string_term`, the
 ``phase[k] * psi[k ^ mask]`` kernel that ``src/`` runs.  Convention as in
 :mod:`kitaevsim.pauli`: basis index bit k holds site k, bit value 0 =
 spin up.
+
+:func:`write_csv_rows` formats a CSV cell by cell from row tuples, the
+bytes the streamed column-wise :func:`kitaevsim.output.write_csv` must
+reproduce.
 """
+
+from pathlib import Path
 
 import numpy as np
 
+from kitaevsim.output import header_block
 from kitaevsim.pauli import PAULI, n_sites_of
+
+
+def write_csv_rows(path: Path, config: dict, engine: str, columns: list[str], rows) -> None:
+    """CSV with a '#' header block; floats at full round-trip precision."""
+    out = header_block(config, engine)
+    out.append(",".join(columns))
+    for row in rows:
+        cells = []
+        for cell in row:
+            if isinstance(cell, bool):
+                cells.append("1" if cell else "0")
+            elif isinstance(cell, float):
+                cells.append(f"{float(cell):.17g}")
+            else:
+                cells.append(str(cell))
+        out.append(",".join(cells))
+    path.write_text("\n".join(out) + "\n")
 
 
 def apply_pauli(psi: np.ndarray, site: int, component: str) -> np.ndarray:

@@ -6,7 +6,9 @@ loops).  Any rewrite of those kernels must reproduce every output byte:
 the coefficient series, the energy table, the active-basis density
 matrix, the frequency sweep and the exponential-drive phase analysis.
 The thermal pins, taken from the per-entry list encoding of the dense
-mixture matrix, hold ``thermal --emit-density`` to the same bytes.
+mixture matrix, hold ``thermal --emit-density`` to the same bytes.  The
+12x12 pins were taken from the per-cell CSV writer and the block-encoded
+JSON arrays, before either wrote repeated rows and columns once.
 
 The runs write to the relative directory ``out`` under a fresh working
 directory, so the configuration recorded in each header, and with it the
@@ -28,6 +30,9 @@ SCENES = {
     "3x3": ["--nx", "3", "--ny", "3", "--initial", "0x1b5", "--samples", "33"],
     # twelve labelled bonds: the energy sum's order shows in its last bits
     "12x4": ["--nx", "12", "--ny", "4", "--initial", "0x1", "--samples", "17"],
+    # 145^2 density rows: the JSON array spans six blocks of JSON_BLOCK_ROWS
+    "12x12": ["--nx", "12", "--ny", "12", "--initial", "0x9e3779b97f4a7c15f39cc0605cedc834",
+              "--samples", "33"],
     "2x3-hilbert": ["--nx", "2", "--ny", "3", "--initial", "0x2d", "--samples", "17",
                     "--engine", "hilbert"],
     # dense 256 x 256 mixture matrices from sixteen members and from two
@@ -46,6 +51,7 @@ COMMANDS = {
 
 CASES = [
     *((s, c) for s in ("4x4", "3x3", "12x4") for c in ("evolve", "sweep", "phase")),
+    ("12x12", "evolve"),
     ("2x3-hilbert", "evolve"),
     ("2x2-all", "thermal"),
     ("2x2-pair", "thermal"),
@@ -101,6 +107,12 @@ DIGESTS = {
         "24c51a2073970bd163eb9fa9c9addc4ff3b65279307e8c2eaac353dfd17c8263",
     ("12x4", "phase", "levels.csv"):
         "5f61263d92d31c8c73ae2ab6c99742cc62d900fc9555e4235e8b0b3ad30c643f",
+    ("12x12", "evolve", "coefficients.csv"):
+        "24045a3128f3701979d11cfc79c1ee11458e17a9359cd37d39c2b6b0ee046b2f",
+    ("12x12", "evolve", "energies.csv"):
+        "f111d93a81eb05737f779a595fff828c7d49cffee855b096d0eb81c02292bcd7",
+    ("12x12", "evolve", "density.json"):
+        "b9f42ff3f5112d68b1f332711e4afaf71ee389cc3521388b59bb2555531346cc",
     ("2x3-hilbert", "evolve", "coefficients.csv"):
         "069d2ff18461377b963d3daf66ae32c156dd7523995eb50593a1f737cdef897f",
     ("2x3-hilbert", "evolve", "energies.csv"):

@@ -1,8 +1,10 @@
-"""write_json streams numpy arrays with the stdlib encoder's exact bytes.
+"""The writers stream their data with the exact bytes of a reference.
 
-The reference is ``json.dumps(doc, indent=2, sort_keys=True)`` of the
-document with every array given as its ``tolist()``: the layout every
-JSON output of the tool has always had.
+For write_json the reference is ``json.dumps(doc, indent=2,
+sort_keys=True)`` of the document with every array given as its
+``tolist()``: the layout every JSON output of the tool has always had.
+For write_csv it is the per-cell writer in ``reference.py``, fed the rows
+of the same column blocks.
 """
 
 import json
@@ -15,8 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kitaevsim import output
 from kitaevsim.density import DensityMatrix
-from kitaevsim.output import JSON_BLOCK_ROWS, write_json
+from kitaevsim.output import JSON_BLOCK_ROWS, write_csv, write_json
+from reference import write_csv_rows
 
 CONFIG = {"nx": 2, "omega": 0.8, "outdir": "out"}
 
@@ -35,13 +39,29 @@ scalars = st.one_of(
 keys = st.text(alphabet="abmz", min_size=1, max_size=3)
 
 
+# lengths of runs of one repeated row; the long ones straddle a block boundary
+RUN_LENGTHS = [1, 2, 3, JSON_BLOCK_ROWS - 1, JSON_BLOCK_ROWS + 1]
+
+floats = st.sampled_from(SPECIAL) | st.floats()
+
+
 @st.composite
 def float_arrays(draw):
-    """1-D or (N, 2) float array tiled from a few drawn values."""
-    values = draw(st.lists(st.sampled_from(SPECIAL) | st.floats(), min_size=1, max_size=8))
-    n = draw(st.sampled_from(ROW_COUNTS))
-    shape = draw(st.sampled_from([(n,), (n, 2)]))
-    return np.resize(np.array(values), shape)
+    """1-D or (N, 2) float array: a few drawn values tiled, or a few drawn
+    rows repeated in runs of drawn lengths."""
+    width = draw(st.sampled_from([(), (2,)]))
+    if draw(st.booleans()):
+        values = draw(st.lists(floats, min_size=1, max_size=8))
+        return np.resize(np.array(values), (draw(st.sampled_from(ROW_COUNTS)), *width))
+    rows = np.array(draw(st.lists(st.tuples(floats, floats), min_size=1, max_size=3)))
+    if not width:
+        rows = rows[:, 0]
+    runs = draw(st.lists(
+        st.tuples(st.integers(0, len(rows) - 1), st.sampled_from(RUN_LENGTHS)),
+        min_size=1, max_size=4,
+    ))
+    picks, lengths = zip(*runs)
+    return np.repeat(rows[list(picks)], lengths, axis=0)
 
 
 @st.composite
@@ -112,3 +132,139 @@ def test_density_payload_streams_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < m.nbytes // 2, f"peak {peak} bytes for a {m.nbytes}-byte matrix"
+
+
+def test_a_block_of_runs_encodes_each_run_once(tmp_path, monkeypatch):
+    """Runs are split where the bits change: -0.0 against 0.0 starts a new
+    run, though the two compare equal."""
+    rows = np.array([[0.5, -0.0], [0.5, 0.0], [float("nan"), -0.0], [float("nan"), -0.0]])
+    arr = np.repeat(rows, [10, 4000, 40, 46], axis=0)
+    encoded = []
+
+    def spy(rows, inner):
+        encoded.append(len(rows))
+        return encode(rows, inner)
+
+    encode = output._encode
+    monkeypatch.setattr(output, "_encode", spy)
+    write_json(tmp_path / "runs.json", CONFIG, "label", {"arr": arr})
+    assert encoded == [1, 1, 1]
+    assert (tmp_path / "runs.json").read_bytes() == reference_bytes(tmp_path, {"arr": arr})
+
+
+# ---------------------------------------------------------------- write_csv
+
+CELLS = {
+    "float": floats,
+    "int": st.integers(-(2**63), 2**63 - 1),
+    "bool": st.booleans(),
+    "str": st.text(st.characters(blacklist_categories=("Cs",)), max_size=5),
+}
+# how a column of each kind may be given: an array, a list, a list of numpy
+# scalars, or one scalar that fills the block
+FORMS = {
+    "float": ["array", "list", "numpy scalars", "scalar", "numpy scalar"],
+    "int": ["array", "list", "numpy scalars", "scalar"],
+    "bool": ["array", "list", "scalar"],
+    "str": ["list", "scalar"],
+}
+DTYPES = {"float": np.float64, "int": np.int64, "bool": np.bool_}
+
+
+@st.composite
+def column_blocks(draw):
+    """Column kinds and blocks of 0, 1 or many rows, some repeating the
+    previous block; the first column is never a scalar."""
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=4))
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        if blocks and draw(st.booleans()):
+            blocks.append(blocks[-1])
+            continue
+        n = draw(st.sampled_from([0, 1, 2, 37]))
+        block = []
+        for k, kind in enumerate(kinds):
+            forms = [f for f in FORMS[kind] if k or not f.endswith("scalar")]
+            form = draw(st.sampled_from(forms))
+            if form in ("scalar", "numpy scalar"):
+                cell = draw(CELLS[kind])
+                block.append(np.float64(cell) if form == "numpy scalar" else cell)
+                continue
+            cells = draw(st.lists(CELLS[kind], min_size=n, max_size=n))
+            if form == "array":
+                block.append(np.array(cells, dtype=DTYPES[kind]))
+            elif form == "numpy scalars":
+                block.append([DTYPES[kind](cell) for cell in cells])
+            else:
+                block.append(cells)
+        blocks.append(tuple(block))
+    return kinds, blocks
+
+
+def block_rows(block):
+    """The row tuples of a column block, arrays given as their tolist()."""
+    (n,) = {len(c) for c in block if isinstance(c, (list, np.ndarray))}
+    cells = [
+        c.tolist() if isinstance(c, np.ndarray) else c if isinstance(c, list) else [c] * n
+        for c in block
+    ]
+    return list(zip(*cells))
+
+
+@settings(database=None, max_examples=200, deadline=None)
+@given(data=column_blocks())
+def test_write_csv_matches_the_per_cell_writer(data, tmp_path_factory):
+    kinds, blocks = data
+    tmp_path = tmp_path_factory.mktemp("csv")
+    columns = [f"{kind}{k}" for k, kind in enumerate(kinds)]
+    write_csv(tmp_path / "cols.csv", CONFIG, "label", columns, iter(blocks))
+    write_csv_rows(tmp_path / "rows.csv", CONFIG, "label", columns,
+                   [row for block in blocks for row in block_rows(block)])
+    assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_write_csv_formats_a_refilled_buffer_again(tmp_path):
+    """Text is reused for a column equal to the previous block's, not for
+    the same array object written to in place."""
+    buffer = np.zeros(3)
+
+    def blocks():
+        for value in (1.5, 1.5, -0.0, 2.5):
+            buffer[:] = value
+            yield ("x", buffer)
+
+    write_csv(tmp_path / "cols.csv", CONFIG, "label", ["k", "v"], blocks())
+    write_csv_rows(tmp_path / "rows.csv", CONFIG, "label", ["k", "v"],
+                   [("x", v) for v in (1.5, 1.5, -0.0, 2.5) for _ in range(3)])
+    assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("block,match", [
+    (([1.0, 2.0],), "1 columns, the header 2"),
+    (([1.0, 2.0], [1.0]), r"one length, got \[1, 2\]"),
+    (("a", 1.0), r"one length, got \[\]"),
+])
+def test_write_csv_rejects_malformed_blocks(block, match, tmp_path):
+    with pytest.raises(ValueError, match=match):
+        write_csv(tmp_path / "bad.csv", CONFIG, "label", ["a", "b"], [block])
+
+
+def test_write_csv_streams_in_bounded_memory(tmp_path):
+    n_rows, rows_per_block = 200_000, 4096
+
+    def blocks():
+        rng = np.random.default_rng(4)
+        for start in range(0, n_rows, rows_per_block):
+            n = min(rows_per_block, n_rows - start)
+            yield np.arange(start, start + n), rng.standard_normal(n), rng.random(n) < 0.5
+
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        write_csv(path, CONFIG, "label", ["k", "x", "flag"], blocks())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert len(path.read_text().splitlines()) == n_rows + len(output.header_block(CONFIG, "label")) + 1
+    assert peak < size // 2, f"peak {peak} bytes for a {size}-byte file"
