@@ -10,14 +10,21 @@ spin up.
 :func:`write_csv_rows` formats a CSV cell by cell from row tuples, the
 bytes the streamed column-wise :func:`kitaevsim.output.write_csv` must
 reproduce.
+
+The label engine's references are per-site loops: signatures, bond
+energies summed left to right, drive elements as products along the
+string, and :func:`scan_connected_targets`, which finds the targets of a
+drive by computing the element of every candidate excitation.
 """
 
 from pathlib import Path
 
 import numpy as np
 
+from kitaevsim.hamiltonian import drive_string
+from kitaevsim.manifold import build_product_ket, excite, flip_signature
 from kitaevsim.output import header_block
-from kitaevsim.pauli import PAULI, n_sites_of
+from kitaevsim.pauli import PAULI, n_sites_of, pauli_eigenvector
 
 
 def write_csv_rows(path: Path, config: dict, engine: str, columns: list[str], rows) -> None:
@@ -104,3 +111,65 @@ def dense_h0_kron(geom, params):
     for i, j, comp in geom.bonds:
         h += params.j(comp) * kron_string(geom.n_sites, ((i, comp), (j, comp)))
     return h
+
+
+def loop_signature(geom, config, excitation=None):
+    """Per-site parity of flipped incident plaquettes, one site at a time."""
+    signs = np.ones(geom.n_sites, dtype=np.int8)
+    for s in range(geom.n_sites):
+        if sum((config.bits >> p) & 1 for p, _ in geom.site_plaquettes[s]) % 2:
+            signs[s] = -1
+    if excitation is not None:
+        s3 = geom.position3_site(excitation.flipped_plaquette)
+        signs[s3] = -signs[s3]
+    return signs
+
+
+def loop_energy(geom, params, signs):
+    """Left-to-right sum over the bonds whose endpoints carry its label."""
+    comps = geom.site_components
+    e = 0.0
+    for i, j, bond_comp in geom.bonds:
+        if comps[i] == comps[j] == bond_comp:
+            e += params.j(bond_comp) * float(signs[i]) * float(signs[j])
+    return e
+
+
+def loop_element(geom, signs_g, signs_t, driven, d):
+    """Site-by-site off-string check, then the product along the string."""
+    string = drive_string(geom, driven)
+    string_sites = {s for s, _ in string}
+    for s in range(geom.n_sites):
+        if s not in string_sites and signs_g[s] != signs_t[s]:
+            return 0.0 + 0.0j
+    val = complex(d)
+    for s, op in string:
+        bra = pauli_eigenvector(geom.site_components[s], int(signs_t[s]))
+        ket = pauli_eigenvector(geom.site_components[s], int(signs_g[s]))
+        val *= complex(np.vdot(bra, PAULI[op] @ ket))
+        if val == 0.0:
+            return 0.0 + 0.0j
+    return val
+
+
+def scan_connected_targets(geom, initial, drive_plaquette, engine="label"):
+    """Every ``excite(initial, j)`` with a nonzero drive element from
+    ``initial``, found by computing the element of each of the N
+    candidates (O(N) work each, so O(N^2) in all).
+
+    The label engine compares flip signatures and multiplies single-site
+    elements; the hilbert engine takes the overlap of explicit kets.
+    """
+    candidates = [excite(initial, j) for j in range(geom.n_plaquettes)]
+    string = drive_string(geom, drive_plaquette)
+    if engine == "hilbert":
+        driven = apply_pauli_string(build_product_ket(geom, initial), string)
+        return [
+            tg for tg in candidates
+            if np.vdot(build_product_ket(geom, initial, tg), driven) != 0
+        ]
+    signs_g = flip_signature(geom, initial)
+    return [
+        tg for tg in candidates
+        if loop_element(geom, signs_g, flip_signature(geom, initial, tg), drive_plaquette, 1.0) != 0
+    ]

@@ -12,15 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kitaevsim.hamiltonian import (
-    CouplingParams,
-    drive_string,
-    energy_expectation,
-    perturbation_element,
-)
+from kitaevsim.hamiltonian import CouplingParams, energy_expectation, perturbation_element
 from kitaevsim.lattice import build_lattice
 from kitaevsim.manifold import FlipConfig, excite, flip_signature
-from kitaevsim.pauli import HILBERT_CAP_SITES, PAULI, pauli_eigenvector
+from kitaevsim.pauli import HILBERT_CAP_SITES
+from reference import loop_element, loop_energy, loop_signature
 
 GEOMS = {shape: build_lattice(*shape) for shape in ((2, 3), (3, 2))}
 
@@ -77,45 +73,6 @@ def test_label_engine_matches_hilbert_engine(shape, jx, jy, jz, d, same_base, da
 LOOP_GEOMS = {
     shape: build_lattice(*shape) for shape in ((2, 2), (2, 3), (3, 2), (3, 3), (12, 4))
 }
-
-
-def loop_signature(geom, config, excitation=None):
-    """Per-site parity of flipped incident plaquettes, one site at a time."""
-    signs = np.ones(geom.n_sites, dtype=np.int8)
-    for s in range(geom.n_sites):
-        if sum(1 for p, _ in geom.site_plaquettes[s] if config.contains(p)) % 2:
-            signs[s] = -1
-    if excitation is not None:
-        s3 = geom.position3_site(excitation.flipped_plaquette)
-        signs[s3] = -signs[s3]
-    return signs
-
-
-def loop_energy(geom, params, signs):
-    """Left-to-right sum over the bonds whose endpoints carry its label."""
-    comps = geom.site_components
-    e = 0.0
-    for i, j, bond_comp in geom.bonds:
-        if comps[i] == comps[j] == bond_comp:
-            e += params.j(bond_comp) * float(signs[i]) * float(signs[j])
-    return e
-
-
-def loop_element(geom, signs_g, signs_t, driven, d):
-    """Site-by-site off-string check, then the product along the string."""
-    string = drive_string(geom, driven)
-    string_sites = {s for s, _ in string}
-    for s in range(geom.n_sites):
-        if s not in string_sites and signs_g[s] != signs_t[s]:
-            return 0.0 + 0.0j
-    val = complex(d)
-    for s, op in string:
-        bra = pauli_eigenvector(geom.site_components[s], int(signs_t[s]))
-        ket = pauli_eigenvector(geom.site_components[s], int(signs_g[s]))
-        val *= complex(np.vdot(bra, PAULI[op] @ ket))
-        if val == 0.0:
-            return 0.0 + 0.0j
-    return val
 
 
 @settings(max_examples=80, deadline=None, database=None)
