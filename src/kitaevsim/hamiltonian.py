@@ -23,7 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import COMPONENTS, PLAQUETTE_PATTERN, LatticeGeometry
-from .manifold import ExcitedLabel, FlipConfig, build_product_ket, flip_signature
+from .manifold import (
+    ExcitedLabel,
+    FlipConfig,
+    build_product_ket,
+    flip_signature,
+    signature_difference,
+)
 from .pauli import PAULI, apply_pauli_string, pauli_eigenvector, string_term
 
 # the drive string: the plaquette pattern with the third position's
@@ -111,6 +117,19 @@ def drive_string(geom: LatticeGeometry, i: int) -> tuple[tuple[int, str], ...]:
     return tuple((sites[k], DRIVE_PATTERN[k]) for k in range(6))
 
 
+def drive_image_sites(geom: LatticeGeometry, i: int) -> frozenset[int]:
+    """Sites whose sign the drive string on plaquette i flips.
+
+    A Pauli of a site's own component keeps that component's eigenket up
+    to a sign; either other Pauli maps it to the opposite eigenket.  So
+    the string maps every product ket of the manifold to exactly one
+    product ket, its image, which differs from it on these sites, whatever
+    the configuration.
+    """
+    comps = geom.site_components
+    return frozenset(s for s, op in drive_string(geom, i) if op != comps[s])
+
+
 def apply_plaquette(geom: LatticeGeometry, p: int, psi: np.ndarray) -> np.ndarray:
     return apply_pauli_string(psi, plaquette_string(geom, p))
 
@@ -160,16 +179,22 @@ def perturbation_elements(
 ) -> list[complex]:
     """:func:`perturbation_element` from one ground state to each target.
 
-    The ground state's ket (hilbert engine) or flip signature (label
-    engine) is built once for all targets.
+    The hilbert engine builds the ground state's ket once for all targets.
+    The label engine builds no ket and no per-target signature: only the
+    drive's image of the ground state (:func:`drive_image_sites`) has a
+    nonzero element, and a target is that image when its signature differs
+    from the ground state's on exactly the image sites, which is found
+    from the plaquettes where the two labels differ.  The image's element
+    is D times the single-site elements taken in string order.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     targets = list(targets)
-    strings = [
-        drive_string(geom, tg.flipped_plaquette if drive_plaquette is None else drive_plaquette)
+    driven = [
+        tg.flipped_plaquette if drive_plaquette is None else drive_plaquette
         for tg in targets
     ]
+    strings = [drive_string(geom, q) for q in driven]
 
     if params.d == 0.0:
         return [0.0 + 0.0j] * len(targets)
@@ -184,26 +209,28 @@ def perturbation_elements(
         ]
 
     signs_g = flip_signature(geom, ground)
-    return [
-        _label_element(geom, signs_g, flip_signature(geom, tg.base, tg), string, params.d)
-        for tg, string in zip(targets, strings)
-    ]
+    out = []
+    for tg, q, string in zip(targets, driven, strings):
+        moved = signature_difference(geom, ground, tg.base) ^ {
+            geom.position3_site(tg.flipped_plaquette)
+        }
+        image = drive_image_sites(geom, q)
+        out.append(
+            _image_element(geom, signs_g, string, image, params.d)
+            if moved == image else 0.0 + 0.0j
+        )
+    return out
 
 
-def _label_element(geom, signs_g, signs_t, string, d: float) -> complex:
-    """Product of single-site 2x2 matrix elements along the drive string;
-    zero if the two signatures differ on a site off the string."""
-    differing = np.flatnonzero(signs_g != signs_t).tolist()
-    on_string = {s for s, _ in string}
-    if any(s not in on_string for s in differing):
-        return 0.0 + 0.0j
+def _image_element(geom, signs_g, string, image, d: float) -> complex:
+    """D times the product of single-site elements along the drive string,
+    from the ground signs to the image's, which are negated on ``image``."""
     val = complex(d)
     for s, op in string:
+        sign = int(signs_g[s])
         val *= _single_site_element(
-            geom.site_components[s], int(signs_g[s]), int(signs_t[s]), op
+            geom.site_components[s], sign, -sign if s in image else sign, op
         )
-        if val == 0.0:
-            return 0.0 + 0.0j
     return val
 
 
@@ -225,6 +252,70 @@ def perturbation_element(
     )[0]
 
 
+# a block of energy_expectations holds about this many bytes per array
+ENERGY_BLOCK_BYTES = 1 << 20
+
+
+def energy_block_rows(geom: LatticeGeometry) -> int:
+    """States per block of :func:`energy_expectations` on ``geom``."""
+    return max(1, ENERGY_BLOCK_BYTES // (8 * (len(geom.labelled_bonds[0]) + 1)))
+
+
+def energy_expectations(
+    geom: LatticeGeometry,
+    params: CouplingParams,
+    states,
+    engine: str = "label",
+) -> np.ndarray:
+    """<state| H0 |state> for each (config, excitation or None) pair.
+
+    The label engine builds one flip signature per distinct config.  A
+    state's row holds that signature's signs at the labelled bonds'
+    endpoints, negated where an endpoint is the excitation's
+    third-position site; its energy is the sum of the row's bond terms.
+    Rows are summed in blocks of :func:`energy_block_rows`, so the memory
+    held does not grow with the number of states.
+    """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
+    states = list(states)
+    for config, excitation in states:
+        if excitation is not None and excitation.base != config:
+            raise ValueError("excitation.base does not match the given config")
+    out = np.empty(len(states))
+    if engine == "hilbert":
+        for k, (config, excitation) in enumerate(states):
+            ket = build_product_ket(geom, config, excitation)
+            out[k] = np.vdot(ket, apply_h0(geom, params, ket)).real
+        return out
+
+    i, j, comp = geom.labelled_bonds
+    bond_j = np.array([params.j(c) for c in COMPONENTS])[comp]
+    by_config: dict[FlipConfig, list[int]] = {}
+    for k, (config, _) in enumerate(states):
+        by_config.setdefault(config, []).append(k)
+    step = energy_block_rows(geom)
+    for config, where in by_config.items():
+        signs = flip_signature(geom, config).astype(float)
+        # the site each state negates; -1 for an unexcited state matches none
+        flips = np.array([
+            -1 if states[k][1] is None
+            else geom.position3_site(states[k][1].flipped_plaquette)
+            for k in where
+        ], dtype=np.intp)
+        for start in range(0, len(where), step):
+            flipped = flips[start:start + step, None]
+            s_i = np.where(flipped == i, -signs[i], signs[i])
+            s_j = np.where(flipped == j, -signs[j], signs[j])
+            terms = np.zeros((len(flipped), len(i) + 1))
+            terms[:, 1:] = bond_j * s_i * s_j
+            # cumsum adds left to right from 0.0 along each row, as a loop
+            # over the bonds would; np.sum's pairwise order would change
+            # the last bits
+            out[where[start:start + step]] = np.cumsum(terms, axis=1)[:, -1]
+    return out
+
+
 def energy_expectation(
     geom: LatticeGeometry,
     params: CouplingParams,
@@ -232,20 +323,9 @@ def energy_expectation(
     excitation: ExcitedLabel | None = None,
     engine: str = "label",
 ) -> float:
-    """<state| H0 |state> for a labeled manifold state."""
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "hilbert":
-        ket = build_product_ket(geom, config, excitation)
-        return float(np.vdot(ket, apply_h0(geom, params, ket)).real)
-
-    signs = flip_signature(geom, config, excitation).astype(float)
-    i, j, comp = geom.labelled_bonds
-    couplings = np.array([params.j(c) for c in COMPONENTS])
-    terms = couplings[comp] * signs[i] * signs[j]
-    # cumsum adds left to right from 0.0, as a loop over the bonds would;
-    # np.sum's pairwise order would change the last bits
-    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
+    """<state| H0 |state> for a labeled manifold state: the one-state call
+    of :func:`energy_expectations`."""
+    return float(energy_expectations(geom, params, [(config, excitation)], engine)[0])
 
 
 @dataclass

@@ -90,9 +90,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return all(passed for _, passed, _ in self.checks)
 
-    def failures(self) -> list[str]:
-        return [name for name, passed, _ in self.checks if not passed]
-
 
 def build_lattice(nx: int, ny: int) -> LatticeGeometry:
     """Build the nx-by-ny honeycomb torus.

@@ -38,9 +38,6 @@ class FlipConfig:
     def weight(self) -> int:
         return self.bits.bit_count()
 
-    def contains(self, p: int) -> bool:
-        return bool((self.bits >> p) & 1)
-
     @property
     def hex(self) -> str:
         return f"0x{self.bits:x}"
@@ -120,6 +117,27 @@ def flip_signature(
             )
         signs[s3] = -signs[s3]
     return signs
+
+
+def signature_difference(geom: LatticeGeometry, a: FlipConfig, b: FlipConfig) -> set[int]:
+    """Sites where the flip signatures of ``a`` and ``b`` differ.
+
+    These are the sites with an odd number of incident plaquettes among
+    those where the two configurations differ, so the cost grows with the
+    number of such plaquettes, not with the lattice.
+    """
+    for config in (a, b):
+        if config.n != geom.n_plaquettes:
+            raise ValueError(
+                f"config has {config.n} plaquettes, geometry has {geom.n_plaquettes}"
+            )
+    sites: set[int] = set()
+    bits = a.bits ^ b.bits
+    while bits:
+        low = bits & -bits
+        sites.symmetric_difference_update(geom.plaquettes[low.bit_length() - 1])
+        bits ^= low
+    return sites
 
 
 def signature_kernel(geom: LatticeGeometry) -> list[FlipConfig]:

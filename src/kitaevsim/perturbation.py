@@ -22,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import CouplingParams, energy_expectation, perturbation_elements
+from .hamiltonian import (
+    ENGINES,
+    CouplingParams,
+    drive_image_sites,
+    energy_expectations,
+    perturbation_elements,
+)
 from .lattice import LatticeGeometry
 from .manifold import ExcitedLabel, FlipConfig, excite
 
@@ -280,15 +286,27 @@ def connected_targets(
     drive_plaquette: int,
     engine: str = "label",
 ) -> list[ExcitedLabel]:
-    """Excited labels with a nonzero drive matrix element from ``initial``."""
-    ref = params if params.d > 0 else CouplingParams(
-        params.jx, params.jy, params.jz, d=1.0, omega=params.omega
-    )
-    candidates = [excite(initial, j) for j in range(geom.n_plaquettes)]
-    elements = perturbation_elements(
-        geom, initial, candidates, ref, drive_plaquette=drive_plaquette, engine=engine
-    )
-    return [target for target, m in zip(candidates, elements) if m != 0]
+    """Excited labels with a nonzero drive matrix element from ``initial``.
+
+    The drive string maps ``initial`` to one product ket, its image, which
+    differs from it on the sites :func:`drive_image_sites` names whatever
+    the configuration, amplitude or engine.  ``excite(initial, j)`` differs
+    from ``initial`` only on plaquette j's third-position site, so it is
+    connected exactly when that site is the whole image; at most one j
+    qualifies.  The cost is O(1) in the lattice size.
+    """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
+    if initial.n != geom.n_plaquettes:
+        raise ValueError(
+            f"config has {initial.n} plaquettes, geometry has {geom.n_plaquettes}"
+        )
+    image = drive_image_sites(geom, drive_plaquette)
+    if len(image) != 1:
+        return []
+    (site,) = image
+    # the plaquette, if any, whose third position is that site
+    return [excite(initial, p) for p, pos in geom.site_plaquettes[site] if pos == 2]
 
 
 def evolve_coefficients(
@@ -315,14 +333,15 @@ def evolve_coefficients(
             "exponential drive amplitude must match CouplingParams.d"
         )
 
-    e_init = energy_expectation(geom, params, initial, engine=engine)
     ordered = sorted(targets, key=lambda tg: (tg.flipped_plaquette, tg.base.bits))
+    e_init, *e_targets = energy_expectations(
+        geom, params, [(initial, None)] + [(tg.base, tg) for tg in ordered], engine
+    ).tolist()
     elements = perturbation_elements(
         geom, initial, ordered, params, drive_plaquette=drive.plaquette, engine=engine
     )
     out = []
-    for target, m in zip(ordered, elements):
-        e_t = energy_expectation(geom, params, target.base, target, engine=engine)
+    for target, m, e_t in zip(ordered, elements, e_targets):
         if m == 0:
             values = np.zeros(len(times), dtype=complex)
         elif drive.kind == "exponential":

@@ -38,9 +38,6 @@ class SubGeometricPhase:
     singular: np.ndarray      # bool flags where A <= eps_zero
     eps_zero: float
 
-    def reconstruct(self) -> np.ndarray:
-        return self.modulus * np.exp(1j * self.angle)
-
 
 def decompose_values(times, values, eps_zero: float | None = None) -> SubGeometricPhase:
     """Decompose raw complex samples; see :func:`decompose`."""

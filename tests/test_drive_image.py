@@ -7,14 +7,18 @@ finds it from the drive string alone; the per-candidate scan it replaced
 lives on in ``reference.scan_connected_targets`` and must agree.
 """
 
+from unittest import mock
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kitaevsim.hamiltonian import CouplingParams
+from kitaevsim import hamiltonian, manifold
+from kitaevsim.hamiltonian import CouplingParams, energy_block_rows, energy_expectations
 from kitaevsim.lattice import build_lattice
-from kitaevsim.manifold import FlipConfig
-from kitaevsim.perturbation import connected_targets
-from reference import scan_connected_targets
+from kitaevsim.manifold import FlipConfig, excite, flip_signature
+from kitaevsim.perturbation import DriveSpec, connected_targets, evolve_coefficients
+from reference import loop_energy, scan_connected_targets
 
 LABEL_GEOMS = {(nx, ny): build_lattice(nx, ny) for nx in range(2, 7) for ny in range(2, 7)}
 HILBERT_SHAPES = ((2, 2), (2, 3), (3, 2))
@@ -50,3 +54,88 @@ def test_image_targets_match_the_scan_label_engine(shape, jx, jy, jz, d, data):
 def test_image_targets_match_the_scan_hilbert_engine(shape, jx, jy, jz, d, data):
     params = CouplingParams(jx=jx, jy=jy, jz=jz, d=d)
     _check_every_driven_plaquette(LABEL_GEOMS[shape], params, data, "hilbert")
+
+
+# --- target energies in blocked array passes --------------------------------
+
+ENERGY_GEOMS = {(nx, ny): build_lattice(nx, ny) for nx in range(2, 9, 2) for ny in (2, 3, 5)}
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    shape=st.sampled_from(sorted(ENERGY_GEOMS)),
+    jx=couplings, jy=couplings, jz=couplings,
+    rows_per_block=st.integers(2, 9),
+    full_blocks=st.integers(1, 3),
+    data=st.data(),
+)
+def test_batched_energies_match_the_loop_bit_for_bit(
+    shape, jx, jy, jz, rows_per_block, full_blocks, data
+):
+    geom = ENERGY_GEOMS[shape]
+    n = geom.n_plaquettes
+    params = CouplingParams(jx=jx, jy=jy, jz=jz)
+    # at least two blocks, the last one partly filled
+    count = rows_per_block * full_blocks + data.draw(st.integers(1, rows_per_block - 1))
+    configs = [
+        FlipConfig(data.draw(st.integers(0, 2**n - 1), label="config"), n) for _ in range(2)
+    ]
+    states = []
+    for _ in range(count):
+        config = data.draw(st.sampled_from(configs))
+        excited = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
+        states.append((config, None if excited is None else excite(config, excited)))
+
+    row_bytes = 8 * (len(geom.labelled_bonds[0]) + 1)
+    with mock.patch.object(hamiltonian, "ENERGY_BLOCK_BYTES", row_bytes * rows_per_block):
+        assert energy_block_rows(geom) == rows_per_block
+        batched = energy_expectations(geom, params, states)
+    reference = [loop_energy(geom, params, flip_signature(geom, c, e)) for c, e in states]
+    assert [float(e).hex() for e in batched] == [e.hex() for e in reference]
+
+
+def test_energy_blocks_stay_within_their_byte_budget():
+    for shape in ((2, 2), (24, 24), (256, 256)):
+        geom = build_lattice(*shape)
+        rows = energy_block_rows(geom)
+        row_bytes = 8 * (len(geom.labelled_bonds[0]) + 1)
+        assert rows * row_bytes <= hamiltonian.ENERGY_BLOCK_BYTES < (rows + 1) * row_bytes
+
+
+# --- no per-plaquette work ---------------------------------------------------
+
+
+def _signature_calls(shape, monkeypatch):
+    """flip_signature calls made by connected_targets plus evolve_coefficients
+    over the connected target, and by evolve_coefficients over an
+    excitation of every plaquette."""
+    calls = []
+    original = manifold.flip_signature
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (manifold, hamiltonian):
+        monkeypatch.setattr(module, "flip_signature", counted)
+    geom = build_lattice(*shape)
+    n = geom.n_plaquettes
+    params = CouplingParams(1.0, 0.8, 1.2, d=0.01, omega=0.8)
+    drive = DriveSpec.exponential(0.01, 0.8, plaquette=0)
+    initial = FlipConfig((1 << n) // 3, n)
+    times = np.linspace(0.0, 1.0, 5)
+
+    connected = connected_targets(geom, params, initial, 0)
+    evolve_coefficients(geom, params, drive, initial, connected, times)
+    counts = [len(calls)]
+    calls.clear()
+    everywhere = [excite(initial, j) for j in range(n)]
+    series = evolve_coefficients(geom, params, drive, initial, everywhere, times)
+    assert sum(np.any(s.values != 0) for s in series) == 1
+    return counts + [len(calls)]
+
+
+def test_signature_count_does_not_grow_with_the_torus(monkeypatch):
+    small = _signature_calls((4, 4), monkeypatch)
+    large = _signature_calls((24, 24), monkeypatch)
+    assert small == large

@@ -20,7 +20,7 @@ def brute_force_signs(geom, config, excitation=None):
     """Independent oracle: toggle each flipped plaquette's six sites."""
     signs = [1] * geom.n_sites
     for p, sites in enumerate(geom.plaquettes):
-        if config.contains(p):
+        if (config.bits >> p) & 1:
             for s in sites:
                 signs[s] *= -1
     if excitation is not None:
