@@ -14,9 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kitaevsim import hamiltonian, manifold
-from kitaevsim.hamiltonian import CouplingParams, energy_block_rows, energy_expectations
+from kitaevsim.hamiltonian import (
+    CouplingParams,
+    energy_block_rows,
+    energy_expectations,
+    perturbation_element,
+)
 from kitaevsim.lattice import build_lattice
-from kitaevsim.manifold import FlipConfig, excite, flip_signature
+from kitaevsim.manifold import (
+    FlipConfig,
+    excite,
+    flip_signature,
+    signature_difference,
+    signature_kernel,
+)
 from kitaevsim.perturbation import DriveSpec, connected_targets, evolve_coefficients
 from reference import loop_energy, scan_connected_targets
 
@@ -54,6 +65,31 @@ def test_image_targets_match_the_scan_label_engine(shape, jx, jy, jz, d, data):
 def test_image_targets_match_the_scan_hilbert_engine(shape, jx, jy, jz, d, data):
     params = CouplingParams(jx=jx, jy=jy, jz=jz, d=d)
     _check_every_driven_plaquette(LABEL_GEOMS[shape], params, data, "hilbert")
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(shape=st.sampled_from(sorted(LABEL_GEOMS)), data=st.data())
+def test_signature_difference_matches_the_signatures(shape, data):
+    geom = LABEL_GEOMS[shape]
+    n = geom.n_plaquettes
+    a, b = (FlipConfig(data.draw(st.integers(0, 2**n - 1)), n) for _ in range(2))
+    differ = np.flatnonzero(flip_signature(geom, a) != flip_signature(geom, b))
+    assert signature_difference(geom, a, b) == set(differ.tolist())
+
+
+def test_image_on_a_base_with_the_same_signature():
+    # on 3x3 a kernel configuration flips every site twice, so a target
+    # built on it is the same ket as one built on the empty configuration
+    geom = build_lattice(3, 3)
+    n = geom.n_plaquettes
+    ground = FlipConfig(0, n)
+    twin = signature_kernel(geom)[0]
+    assert twin.bits != 0 and not signature_difference(geom, ground, twin)
+    params = CouplingParams(1.0, 0.8, 1.2, d=0.3)
+    on_ground = perturbation_element(geom, ground, excite(ground, 0), params, 0, "label")
+    on_twin = perturbation_element(geom, ground, excite(twin, 0), params, 0, "label")
+    assert on_ground != 0
+    assert on_twin == on_ground
 
 
 # --- target energies in blocked array passes --------------------------------
