@@ -33,13 +33,7 @@ from .density import (
     require_dense_budget,
     thermal_ensemble,
 )
-from .hamiltonian import (
-    ENGINES,
-    CouplingParams,
-    EnergyTable,
-    energy_expectation,
-    perturbation_element,
-)
+from .hamiltonian import CouplingParams, EnergyTable, energy_expectation, perturbation_element
 from .lattice import build_lattice, geometry_to_json, validate_geometry
 from .manifold import (
     FlipConfig,
@@ -82,9 +76,6 @@ class RunConfig:
     plaquette: int = 0
     t_max: float = 6.283185307179586
     samples: int = 65
-    engine: str = "label"
-    quad_tol: float = 1e-10  # no command reads it; kept in headers
-    evolve_tol: float = 1e-9  # no command reads it; kept in headers
     scan_tol: float = 1e-8
     outdir: str = "out"
     seed: int = 12345
@@ -99,8 +90,6 @@ class RunConfig:
             raise ConfigError(f"initial bitmask 0x{self.initial:x} out of range")
         if not 0 <= self.plaquette < n_plaq:
             raise ConfigError(f"plaquette {self.plaquette} out of range")
-        if self.engine not in ENGINES:
-            raise ConfigError(f"engine must be {' or '.join(ENGINES)}, got {self.engine!r}")
         try:
             CouplingParams(self.jx, self.jy, self.jz, self.d, self.omega)
         except ValueError as exc:
@@ -109,9 +98,8 @@ class RunConfig:
             raise ConfigError(f"t_max must be positive and finite, got {self.t_max}")
         if self.samples < 2:
             raise ConfigError("need at least 2 time samples")
-        for name in ("quad_tol", "evolve_tol", "scan_tol"):
-            if not getattr(self, name) > 0:  # a NaN tolerance is never met
-                raise ConfigError(f"{name} must be positive")
+        if not self.scan_tol > 0:  # a NaN tolerance is never met
+            raise ConfigError("scan_tol must be positive")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         if not self.kt >= 0:  # also rejects NaN; inf means uniform weights
@@ -142,9 +130,6 @@ _FIELD_HELP = {
     "drive_file": "CSV of t,ReB,ImB samples for a custom drive",
     "initial": "initial flip configuration (hex bitmask)",
     "plaquette": "driven plaquette index",
-    "engine": f"first-order engine: {' or '.join(ENGINES)}",
-    "quad_tol": "no effect; recorded in output headers",
-    "evolve_tol": "no effect; recorded in output headers",
     "jobs": "no effect; recorded in output headers",
 }
 
@@ -270,7 +255,7 @@ def cmd_manifold(cfg: RunConfig, args) -> int:
     print(f"weight-class sizes: {', '.join(str(s) for s in sizes)}")
     print(f"total states: {total}")
     out = _outdir(cfg) / "configs.csv"
-    write_csv(out, {**cfg.as_dict(), "n": n}, cfg.engine, ["bitmask", "weight"], blocks)
+    write_csv(out, {**cfg.as_dict(), "n": n}, ["bitmask", "weight"], blocks)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -281,14 +266,12 @@ def _evolved(cfg: RunConfig, connected_only: bool, scene=None, dense_basis: bool
     budget before any series is evolved."""
     geom, params, drive, initial, times = scene or _build_scene(cfg)
     if connected_only:
-        targets = connected_targets(geom, params, initial, drive.plaquette, cfg.engine)
+        targets = connected_targets(geom, params, initial, drive.plaquette)
     else:
         targets = [excite(initial, j) for j in range(geom.n_plaquettes)]
     if dense_basis:
         require_dense_budget(len(targets) + 1, "active-basis density matrix")
-    coeffs = evolve_coefficients(
-        geom, params, drive, initial, targets, times, engine=cfg.engine
-    )
+    coeffs = evolve_coefficients(geom, params, drive, initial, targets, times)
     return geom, params, drive, initial, times, targets, coeffs
 
 
@@ -303,19 +286,19 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
     outdir = _outdir(cfg)
     out = outdir / "coefficients.csv"
     write_csv(
-        out, meta, cfg.engine, ["target", "t", "re_c", "im_c"],
+        out, meta, ["target", "t", "re_c", "im_c"],
         ((s.label, s.times, s.values.real, s.values.imag) for s in coeffs),
     )
     _maybe_plot(args, out)
 
     # the series carry the energies of the initial state and of every target
     e_initial = (coeffs[0].e_initial if coeffs
-                 else energy_expectation(geom, params, initial, engine=cfg.engine))
-    table = EnergyTable(cfg.engine, {(initial.bits, -1): e_initial} | {
+                 else energy_expectation(geom, params, initial))
+    table = EnergyTable({(initial.bits, -1): e_initial} | {
         (s.target.base.bits, s.target.flipped_plaquette): s.e_target for s in coeffs
     })
     write_csv(
-        outdir / "energies.csv", cfg.as_dict(), cfg.engine,
+        outdir / "energies.csv", cfg.as_dict(),
         ["bitmask", "excited", "plaquette", "energy"], [_columns(table.rows(), 4)],
     )
 
@@ -323,8 +306,7 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
     state = assemble_state(coeffs, float(times[-1]), initial)
     rho = density_matrix(state)
     write_json(
-        outdir / "density.json", cfg.as_dict(), cfg.engine,
-        {"t": float(times[-1]), "density": rho.to_payload()},
+        outdir / "density.json", cfg.as_dict(), {"t": float(times[-1]), "density": rho.to_payload()}
     )
     print(f"wrote {out} ({len(coeffs)} series), energies.csv, density.json")
     return EXIT_OK
@@ -340,14 +322,14 @@ def cmd_phase(cfg: RunConfig, args) -> int:
 
     phase_csv = outdir / "phase.csv"
     write_csv(
-        phase_csv, cfg.as_dict(), cfg.engine, ["t", "A", "a", "phi", "singular"],
+        phase_csv, cfg.as_dict(), ["t", "A", "a", "phi", "singular"],
         [(phase.times, phase.modulus, phase.log_modulus, phase.angle, phase.singular)],
     )
     _maybe_plot(args, phase_csv)
 
     intervals = stability_intervals(phase)
     write_csv(
-        outdir / "intervals.csv", cfg.as_dict(), cfg.engine,
+        outdir / "intervals.csv", cfg.as_dict(),
         ["t_start", "t_end", "label"], [_columns(intervals, 3)],
     )
 
@@ -358,7 +340,7 @@ def cmd_phase(cfg: RunConfig, args) -> int:
     )
     # the all-ones reference is never singular, so both select the same samples
     write_csv(
-        outdir / "levels.csv", cfg.as_dict(), cfg.engine,
+        outdir / "levels.csv", cfg.as_dict(),
         ["t", "e_eff_target", "shifted_resonance"], [(t_eff, e_eff, shifted)],
     )
     print(f"wrote {phase_csv}, intervals.csv, levels.csv "
@@ -385,8 +367,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     omega0 = series.omega0
     # only the detuning omega0 - omega changes along the sweep
     m = perturbation_element(
-        geom, initial, series.target, params,
-        drive_plaquette=cfg.plaquette, engine=cfg.engine,
+        geom, initial, series.target, params, drive_plaquette=cfg.plaquette
     )
     k = len(times) - 1
     rows = []
@@ -407,7 +388,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     write_csv(
         out, {**cfg.as_dict(), "omega_min": args.omega_min,
               "omega_max": args.omega_max, "omega_steps": args.omega_steps},
-        cfg.engine, ["omega", "weight_at_t_max", "predicted_resonance"], [_columns(rows, 3)],
+        ["omega", "weight_at_t_max", "predicted_resonance"], [_columns(rows, 3)],
     )
     _maybe_plot(args, out)
 
@@ -419,7 +400,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         "predicted_shifted_peak": peak[2],
         "t_evaluated": float(times[-1]),
     }
-    write_json(outdir / "sweep_summary.json", cfg.as_dict(), cfg.engine, summary)
+    write_json(outdir / "sweep_summary.json", cfg.as_dict(), summary)
     print(f"wrote {out}; peak at omega={peak[0]:.6g} "
           f"(omega0={omega0:.6g}, predicted shifted {peak[2]:.6g})")
     return EXIT_OK
@@ -438,7 +419,7 @@ def cmd_entropy(cfg: RunConfig, args) -> int:
         _, s = reduced_entropy(geom, psi, "A")
         entropies.append(float(s))
     out = _outdir(cfg) / "entropy.csv"
-    write_csv(out, cfg.as_dict(), cfg.engine, ["t", "s_a"], [(times, entropies)])
+    write_csv(out, cfg.as_dict(), ["t", "s_a"], [(times, entropies)])
     _maybe_plot(args, out)
     print(f"wrote {out}")
     return EXIT_OK
@@ -471,7 +452,7 @@ def cmd_correlate(cfg: RunConfig, args) -> int:
         for r in records:
             rows.append(
                 (r.site_i, r.site_j, r.alpha, r.beta, r.t, r.t0,
-                 float(r.value.real), float(r.value.imag), r.engine)
+                 float(r.value.real), float(r.value.imag), r.source)
             )
         report = selection_rule_report(records, tol=cfg.scan_tol)
         verdict = "consistent" if report["consistent"] else "deviations observed"
@@ -485,7 +466,7 @@ def cmd_correlate(cfg: RunConfig, args) -> int:
 
     out = outdir / "correlations.csv"
     write_csv(
-        out, {**cfg.as_dict(), "t": t, "t0": t0}, cfg.engine,
+        out, {**cfg.as_dict(), "t": t, "t0": t0},
         ["i", "j", "alpha", "beta", "t", "t0", "re", "im", "source"], [_columns(rows, 9)],
     )
     print(f"wrote {out}")
@@ -517,14 +498,14 @@ def cmd_thermal(cfg: RunConfig, args) -> int:
     members = []
     labels = []
     for config in members_cfg:
-        tg = connected_targets(geom, params, config, drive.plaquette, cfg.engine)
-        cs = evolve_coefficients(geom, params, drive, config, tg, times, engine=cfg.engine)
+        tg = connected_targets(geom, params, config, drive.plaquette)
+        cs = evolve_coefficients(geom, params, drive, config, tg, times)
         if cs:
             state = assemble_state(cs, t, config)
             psi = embed_active_state(geom, config, [c.target for c in cs], state)
         else:
             psi = build_product_ket(geom, config)
-        e = energy_expectation(geom, params, config, engine=cfg.engine)
+        e = energy_expectation(geom, params, config)
         members.append((e, psi))
         labels.append(f"cfg:{config.hex}")
 
@@ -546,10 +527,9 @@ def cmd_thermal(cfg: RunConfig, args) -> int:
     if args.emit_density:
         summary["density"] = ensemble.density().to_payload()
     outdir = _outdir(cfg)
-    write_json(outdir / "thermal.json", cfg.as_dict(), cfg.engine, summary)
+    write_json(outdir / "thermal.json", cfg.as_dict(), summary)
     write_csv(
-        outdir / "thermal_weights.csv", cfg.as_dict(), cfg.engine,
-        ["member", "energy", "weight"],
+        outdir / "thermal_weights.csv", cfg.as_dict(), ["member", "energy", "weight"],
         [(labels, summary["energies"], summary["weights"])],
     )
     print(f"wrote thermal.json ({len(labels)} members, purity {summary['purity']:.6f})")
@@ -570,11 +550,8 @@ def cmd_validate(cfg: RunConfig, args) -> int:
         ],
     }
     outdir = _outdir(cfg)
-    write_json(outdir / "validate.json", cfg.as_dict(), cfg.engine, payload)
-    write_json(
-        outdir / "oracle_report.json", cfg.as_dict(), cfg.engine,
-        oracle_error_report(),
-    )
+    write_json(outdir / "validate.json", cfg.as_dict(), payload)
+    write_json(outdir / "oracle_report.json", cfg.as_dict(), oracle_error_report())
     if failures:
         print(json.dumps({"failures": payload["failures"]}))
         return EXIT_CHECK_FAILED

@@ -37,7 +37,7 @@ class CorrelationRecord:
     t: float
     t0: float
     value: complex
-    engine: str  # "formula" | "exact"
+    source: str  # "formula" | "exact"
 
 
 def correlation_formula(
@@ -130,7 +130,7 @@ def correlation_exact_scan(
                 records.append(
                     CorrelationRecord(
                         site_i=i, site_j=j, alpha=alpha, beta=beta,
-                        t=float(t), t0=0.0, value=val, engine="exact",
+                        t=float(t), t0=0.0, value=val, source="exact",
                     )
                 )
     return records

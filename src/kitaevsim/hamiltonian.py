@@ -3,14 +3,13 @@
 Units: hbar = 1 throughout; couplings, energies and frequencies share the
 same model units.
 
-Two interchangeable energy engines are provided.  The "hilbert" engine
-evaluates expectation values in the explicit 2**n Hilbert space and is
-authoritative at desk scale.  The "label" engine exploits the product
-structure of the manifold kets: a bond of component alpha has a nonzero
-expectation only when both endpoint sites carry the owner-assigned label
-alpha, in which case it contributes J_alpha * s_i * s_j.  The engines
-agree exactly on product kets; tests calibrate the label engine against
-the hilbert engine before it is trusted on lattices beyond the cap.
+Energies and drive elements come from the labels alone: product kets of
+the manifold carry one owner-assigned component label per site, a bond of
+component alpha has a nonzero expectation only when both endpoint sites
+carry the label alpha, in which case it contributes J_alpha * s_i * s_j,
+and the drive string maps each product ket to exactly one other.  No
+2**n ket is built.  The tests hold both results to expectations taken on
+explicit 2**n kets up to the Hilbert cap (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .lattice import COMPONENTS, PLAQUETTE_PATTERN, LatticeGeometry
 from .manifold import (
     ExcitedLabel,
     FlipConfig,
-    build_product_ket,
     flip_signature,
     signature_difference,
 )
@@ -35,8 +33,6 @@ from .pauli import PAULI, apply_pauli_string, pauli_eigenvector, string_term
 # the drive string: the plaquette pattern with the third position's
 # component replaced by x, so it flips the z-labeled third spin
 DRIVE_PATTERN = ("x", "y", "x", "x", "y", "z")
-
-ENGINES = ("hilbert", "label")
 
 
 @dataclass(frozen=True)
@@ -175,20 +171,16 @@ def perturbation_elements(
     targets,
     params: CouplingParams,
     drive_plaquette: int | None = None,
-    engine: str = "hilbert",
 ) -> list[complex]:
     """:func:`perturbation_element` from one ground state to each target.
 
-    The hilbert engine builds the ground state's ket once for all targets.
-    The label engine builds no ket and no per-target signature: only the
-    drive's image of the ground state (:func:`drive_image_sites`) has a
-    nonzero element, and a target is that image when its signature differs
-    from the ground state's on exactly the image sites, which is found
-    from the plaquettes where the two labels differ.  The image's element
-    is D times the single-site elements taken in string order.
+    No ket and no per-target signature is built: only the drive's image of
+    the ground state (:func:`drive_image_sites`) has a nonzero element, and
+    a target is that image when its signature differs from the ground
+    state's on exactly the image sites, which is found from the plaquettes
+    where the two labels differ.  The image's element is D times the
+    single-site elements taken in string order.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
     targets = list(targets)
     driven = [
         tg.flipped_plaquette if drive_plaquette is None else drive_plaquette
@@ -198,15 +190,6 @@ def perturbation_elements(
 
     if params.d == 0.0:
         return [0.0 + 0.0j] * len(targets)
-
-    if engine == "hilbert":
-        ket_g = build_product_ket(geom, ground)
-        return [
-            params.d * complex(
-                np.vdot(build_product_ket(geom, tg.base, tg), apply_pauli_string(ket_g, string))
-            )
-            for tg, string in zip(targets, strings)
-        ]
 
     signs_g = flip_signature(geom, ground)
     out = []
@@ -240,16 +223,13 @@ def perturbation_element(
     target: ExcitedLabel,
     params: CouplingParams,
     drive_plaquette: int | None = None,
-    engine: str = "hilbert",
 ) -> complex:
     """Time-independent drive matrix element M = D <target| string |ground>.
 
     The string acts on ``drive_plaquette`` (defaults to the target's own
     flipped plaquette).  The full time-dependent element is B(t) * M / D.
     """
-    return perturbation_elements(
-        geom, ground, [target], params, drive_plaquette, engine
-    )[0]
+    return perturbation_elements(geom, ground, [target], params, drive_plaquette)[0]
 
 
 # a block of energy_expectations holds about this many bytes per array
@@ -261,34 +241,21 @@ def energy_block_rows(geom: LatticeGeometry) -> int:
     return max(1, ENERGY_BLOCK_BYTES // (8 * (len(geom.labelled_bonds[0]) + 1)))
 
 
-def energy_expectations(
-    geom: LatticeGeometry,
-    params: CouplingParams,
-    states,
-    engine: str = "label",
-) -> np.ndarray:
+def energy_expectations(geom: LatticeGeometry, params: CouplingParams, states) -> np.ndarray:
     """<state| H0 |state> for each (config, excitation or None) pair.
 
-    The label engine builds one flip signature per distinct config.  A
-    state's row holds that signature's signs at the labelled bonds'
-    endpoints, negated where an endpoint is the excitation's
-    third-position site; its energy is the sum of the row's bond terms.
-    Rows are summed in blocks of :func:`energy_block_rows`, so the memory
-    held does not grow with the number of states.
+    One flip signature is built per distinct config.  A state's row holds
+    that signature's signs at the labelled bonds' endpoints, negated where
+    an endpoint is the excitation's third-position site; its energy is the
+    sum of the row's bond terms.  Rows are summed in blocks of
+    :func:`energy_block_rows`, so the memory held does not grow with the
+    number of states.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
     states = list(states)
     for config, excitation in states:
         if excitation is not None and excitation.base != config:
             raise ValueError("excitation.base does not match the given config")
     out = np.empty(len(states))
-    if engine == "hilbert":
-        for k, (config, excitation) in enumerate(states):
-            ket = build_product_ket(geom, config, excitation)
-            out[k] = np.vdot(ket, apply_h0(geom, params, ket)).real
-        return out
-
     i, j, comp = geom.labelled_bonds
     bond_j = np.array([params.j(c) for c in COMPONENTS])[comp]
     by_config: dict[FlipConfig, list[int]] = {}
@@ -321,18 +288,16 @@ def energy_expectation(
     params: CouplingParams,
     config: FlipConfig,
     excitation: ExcitedLabel | None = None,
-    engine: str = "label",
 ) -> float:
     """<state| H0 |state> for a labeled manifold state: the one-state call
     of :func:`energy_expectations`."""
-    return float(energy_expectations(geom, params, [(config, excitation)], engine)[0])
+    return float(energy_expectations(geom, params, [(config, excitation)])[0])
 
 
 @dataclass
 class EnergyTable:
     """Deterministic map (config bits, excited plaquette or -1) -> energy."""
 
-    engine: str
     entries: dict[tuple[int, int], float]
 
     def get(self, config: FlipConfig, excitation: ExcitedLabel | None = None) -> float:
@@ -347,12 +312,7 @@ class EnergyTable:
         return out
 
 
-def build_energy_table(
-    geom: LatticeGeometry,
-    params: CouplingParams,
-    states,
-    engine: str = "label",
-) -> EnergyTable:
+def build_energy_table(geom: LatticeGeometry, params: CouplingParams, states) -> EnergyTable:
     """Tabulate H0 expectations for (config, optional excitation) pairs."""
     entries: dict[tuple[int, int], float] = {}
     for config, excitation in states:
@@ -360,7 +320,5 @@ def build_energy_table(
             config.bits,
             -1 if excitation is None else excitation.flipped_plaquette,
         )
-        entries[key] = energy_expectation(
-            geom, params, config, excitation, engine=engine
-        )
-    return EnergyTable(engine=engine, entries=entries)
+        entries[key] = energy_expectation(geom, params, config, excitation)
+    return EnergyTable(entries)

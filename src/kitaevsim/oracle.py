@@ -50,8 +50,8 @@ class EvolutionResult:
     substeps: tuple[int, ...]
     # sum of the accepted windows' Richardson and Krylov estimates
     error_estimate: float
-    # CF4 steps over every pass, rejected ones included (the name predates CF4)
-    rk4_steps: int
+    # CF4 steps over every pass, rejected ones included
+    cf4_steps: int
     krylov_error: float  # the Krylov part of error_estimate
 
 
@@ -513,7 +513,7 @@ def exact_evolve(
     accepted: list[int] = []
     estimate = 0.0
     krylov_total = 0.0
-    rk4_steps = 0
+    cf4_steps = 0
     q = 1  # fine substeps per interval
     k = 0
     while k < len(times) - 1:
@@ -527,7 +527,7 @@ def exact_evolve(
             coarse_n = q if width == 2 else -(-q // 2)
             fine_n = q if width == 2 else 2 * coarse_n
             steps = coarse_n * (len(coarse_grid) - 1) + fine_n * (len(fine_grid) - 1)
-            if rk4_steps + steps > _MAX_TOTAL_STEPS:
+            if cf4_steps + steps > _MAX_TOTAL_STEPS:
                 raise RuntimeError(
                     f"step refinement exhausted at {fine_n} substeps on interval "
                     f"{k} without reaching tol={tol}"
@@ -536,7 +536,7 @@ def exact_evolve(
             f.krylov_error = 0.0
             fine = evolve_fixed_substeps(geom, params, drive, kets[-1], fine_grid, fine_n, rhs=f)
             krylov = f.krylov_error
-            rk4_steps += steps
+            cf4_steps += steps
             # order 4: the fine pass's error is ~ diff / 15
             est = float(np.max(np.abs(coarse - fine[-1]))) / 15.0
             q_next = _next_substeps(fine_n, est, 0.5 * budget)
@@ -569,7 +569,7 @@ def exact_evolve(
         energy_drift=energy_drift,
         substeps=tuple(accepted),
         error_estimate=estimate,
-        rk4_steps=rk4_steps,
+        cf4_steps=cf4_steps,
         krylov_error=krylov_total,
     )
 

@@ -1,7 +1,7 @@
 """Deterministic CSV/JSON emission with reproducibility headers.
 
 Every output file starts with a header block recording the tool version,
-the hbar = 1 convention, the engine, a hash of the fully-serialized run
+the hbar = 1 convention, a hash of the fully-serialized run
 configuration, and the configuration itself.  CSV floats are written with
 17 significant digits and JSON floats in ``repr`` form, the shortest that
 round-trips, so both files round-trip bit-exactly and diff cleanly.
@@ -49,11 +49,10 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_config(config).encode()).hexdigest()[:16]
 
 
-def header_block(config: dict, engine: str) -> list[str]:
+def header_block(config: dict) -> list[str]:
     lines = [
         f"# kitaevsim v{__version__}",
         "# convention: hbar=1",
-        f"# engine: {engine}",
         f"# config_hash: {config_hash(config)}",
     ]
     for k in sorted(config):
@@ -91,7 +90,7 @@ def _is_scalar(column) -> bool:
     return isinstance(column, (str, int, float, np.generic))
 
 
-def write_csv(path: Path, config: dict, engine: str, columns: list[str], blocks) -> None:
+def write_csv(path: Path, config: dict, columns: list[str], blocks) -> None:
     """CSV with a '#' header block, streamed one block of rows at a time.
 
     ``blocks`` yields column blocks: one column per name in ``columns``,
@@ -102,7 +101,7 @@ def write_csv(path: Path, config: dict, engine: str, columns: list[str], blocks)
     Each block's rows are written before the next block is drawn.
     """
     with path.open("w") as fh:
-        fh.write("\n".join([*header_block(config, engine), ",".join(columns)]) + "\n")
+        fh.write("\n".join([*header_block(config), ",".join(columns)]) + "\n")
         previous: list[tuple[tuple, list[str]] | None] = [None] * len(columns)
         for block in blocks:
             if len(block) != len(columns):
@@ -204,7 +203,7 @@ def _write_array(fh: TextIO, arr: np.ndarray, indent: str) -> None:
     fh.write("\n" + indent + "]")
 
 
-def write_json(path: Path, config: dict, engine: str, payload: dict) -> None:
+def write_json(path: Path, config: dict, payload: dict) -> None:
     """JSON document whose first key is the reproducibility header.
 
     The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True)``
@@ -216,7 +215,6 @@ def write_json(path: Path, config: dict, engine: str, payload: dict) -> None:
         "meta": {
             "tool": f"kitaevsim v{__version__}",
             "convention": "hbar=1",
-            "engine": engine,
             "config_hash": config_hash(config),
             "config": {k: config[k] for k in sorted(config)},
         }

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import (
-    ENGINES,
     CouplingParams,
     drive_image_sites,
     energy_expectations,
@@ -284,19 +283,20 @@ def connected_targets(
     params: CouplingParams,
     initial: FlipConfig,
     drive_plaquette: int,
-    engine: str = "label",
 ) -> list[ExcitedLabel]:
     """Excited labels with a nonzero drive matrix element from ``initial``.
 
     The drive string maps ``initial`` to one product ket, its image, which
     differs from it on the sites :func:`drive_image_sites` names whatever
-    the configuration, amplitude or engine.  ``excite(initial, j)`` differs
-    from ``initial`` only on plaquette j's third-position site, so it is
-    connected exactly when that site is the whole image; at most one j
-    qualifies.  The cost is O(1) in the lattice size.
+    the configuration.  ``excite(initial, j)`` differs from ``initial``
+    only on plaquette j's third-position site, so it is connected exactly
+    when that site is the whole image; at most one j qualifies.  The cost
+    is O(1) in the lattice size.  The couplings and the amplitude do not
+    change which targets connect, so ``params`` is not read; it keeps its
+    place for callers that pass the arguments by position.  The tests hold
+    the result to a scan of every candidate's element, on flip signatures
+    and on explicit 2**n kets (``tests/reference.py``).
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
     if initial.n != geom.n_plaquettes:
         raise ValueError(
             f"config has {initial.n} plaquettes, geometry has {geom.n_plaquettes}"
@@ -316,7 +316,6 @@ def evolve_coefficients(
     initial: FlipConfig,
     targets,
     times,
-    engine: str = "label",
 ) -> list[CoefficientSeries]:
     """One first-order CoefficientSeries per target state.
 
@@ -335,11 +334,9 @@ def evolve_coefficients(
 
     ordered = sorted(targets, key=lambda tg: (tg.flipped_plaquette, tg.base.bits))
     e_init, *e_targets = energy_expectations(
-        geom, params, [(initial, None)] + [(tg.base, tg) for tg in ordered], engine
+        geom, params, [(initial, None)] + [(tg.base, tg) for tg in ordered]
     ).tolist()
-    elements = perturbation_elements(
-        geom, initial, ordered, params, drive_plaquette=drive.plaquette, engine=engine
-    )
+    elements = perturbation_elements(geom, initial, ordered, params, drive.plaquette)
     out = []
     for target, m, e_t in zip(ordered, elements, e_targets):
         if m == 0:

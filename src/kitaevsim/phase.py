@@ -57,25 +57,28 @@ def decompose_values(times, values, eps_zero: float | None = None) -> SubGeometr
     log_modulus = np.full(len(values), -math.inf)
     np.log(modulus, out=log_modulus, where=~singular)
 
-    angle = np.zeros(len(values))
-    prev = -1  # index of previous non-singular sample
-    for k in range(len(values)):
-        if singular[k]:
+    # one np.angle pass; the loop then runs on Python floats
+    angle = np.angle(values).tolist()
+    # index and angle of the previous non-singular sample; a non-singular
+    # first sample continues from 0.0, which keeps its raw argument in
+    # [-pi, pi] but turns a -0.0 into 0.0
+    prev, last = -1, 0.0
+    for k, skip in enumerate(singular.tolist()):
+        if skip:
+            angle[k] = 0.0
             continue
-        raw = float(np.angle(values[k]))
         if prev == k - 1:
             # minimal-jump continuation
-            angle[k] = raw + TWO_PI * round((angle[prev] - raw) / TWO_PI)
-        else:
-            # first sample of an arc: branch restarts at the raw argument
-            angle[k] = raw
-        prev = k
+            raw = angle[k]
+            angle[k] = raw + TWO_PI * round((last - raw) / TWO_PI)
+        # else the first sample of an arc: the branch restarts at the raw argument
+        prev, last = k, angle[k]
 
     return SubGeometricPhase(
         times=times,
         modulus=modulus,
         log_modulus=log_modulus,
-        angle=angle,
+        angle=np.array(angle, dtype=float),
         singular=singular,
         eps_zero=float(eps_zero),
     )

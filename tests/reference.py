@@ -14,9 +14,15 @@ reproduce.
 The label engine's references are per-site loops: signatures, bond
 energies summed left to right, drive elements as products along the
 string, and :func:`scan_connected_targets`, which finds the targets of a
-drive by computing the element of every candidate excitation.
+drive by computing the element of every candidate excitation.  Up to the
+Hilbert cap, :func:`hilbert_energy` and :func:`hilbert_element` take the
+same energies and drive elements as expectations on explicit 2^n kets.
+
+:func:`loop_unwrap` is the per-sample argument unwrapping that
+:func:`kitaevsim.phase.decompose_values` must reproduce bit for bit.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +33,9 @@ from kitaevsim.output import header_block
 from kitaevsim.pauli import PAULI, n_sites_of, pauli_eigenvector
 
 
-def write_csv_rows(path: Path, config: dict, engine: str, columns: list[str], rows) -> None:
+def write_csv_rows(path: Path, config: dict, columns: list[str], rows) -> None:
     """CSV with a '#' header block; floats at full round-trip precision."""
-    out = header_block(config, engine)
+    out = header_block(config)
     out.append(",".join(columns))
     for row in rows:
         cells = []
@@ -113,6 +119,22 @@ def dense_h0_kron(geom, params):
     return h
 
 
+def hilbert_energy(geom, params, config, excitation=None) -> float:
+    """<state| H0 |state> on the explicit 2^n product ket of the state."""
+    ket = build_product_ket(geom, config, excitation)
+    return float(np.vdot(ket, apply_h0(geom, params, ket)).real)
+
+
+def hilbert_element(geom, ground, target, params, drive_plaquette=None) -> complex:
+    """D <target| string |ground> on explicit 2^n product kets; the string
+    acts on ``drive_plaquette``, by default the target's flipped plaquette."""
+    if params.d == 0.0:
+        return 0.0 + 0.0j
+    q = target.flipped_plaquette if drive_plaquette is None else drive_plaquette
+    driven = apply_pauli_string(build_product_ket(geom, ground), drive_string(geom, q))
+    return params.d * complex(np.vdot(build_product_ket(geom, target.base, target), driven))
+
+
 def loop_signature(geom, config, excitation=None):
     """Per-site parity of flipped incident plaquettes, one site at a time."""
     signs = np.ones(geom.n_sites, dtype=np.int8)
@@ -173,3 +195,21 @@ def scan_connected_targets(geom, initial, drive_plaquette, engine="label"):
         tg for tg in candidates
         if loop_element(geom, signs_g, flip_signature(geom, initial, tg), drive_plaquette, 1.0) != 0
     ]
+
+
+def loop_unwrap(values, singular) -> np.ndarray:
+    """Minimal-jump continuation of arg c, one ``np.angle`` call per
+    sample; singular samples hold 0.0 and the branch restarts after each."""
+    two_pi = 2.0 * math.pi
+    angle = np.zeros(len(values))
+    prev = -1  # index of previous non-singular sample
+    for k in range(len(values)):
+        if singular[k]:
+            continue
+        raw = float(np.angle(values[k]))
+        if prev == k - 1:
+            angle[k] = raw + two_pi * round((angle[prev] - raw) / two_pi)
+        else:
+            angle[k] = raw
+        prev = k
+    return angle

@@ -8,7 +8,12 @@ matrix, the frequency sweep and the exponential-drive phase analysis.
 The thermal pins, taken from the per-entry list encoding of the dense
 mixture matrix, hold ``thermal --emit-density`` to the same bytes.  The
 12x12 pins were taken from the per-cell CSV writer and the block-encoded
-JSON arrays, before either wrote repeated rows and columns once.
+JSON arrays, before either wrote repeated rows and columns once.  Every
+pin was re-taken once when the ``engine``, ``quad_tol`` and
+``evolve_tol`` settings left the headers, after each file's bytes below
+the header (the document without ``meta`` for JSON) were checked equal
+to those of the code before the removal; the 2x3 scene, until then run
+on the hilbert engine, was checked against that code's label engine.
 
 The runs write to the relative directory ``out`` under a fresh working
 directory, so the configuration recorded in each header, and with it the
@@ -33,8 +38,7 @@ SCENES = {
     # 145^2 density rows: the JSON array spans six blocks of JSON_BLOCK_ROWS
     "12x12": ["--nx", "12", "--ny", "12", "--initial", "0x9e3779b97f4a7c15f39cc0605cedc834",
               "--samples", "33"],
-    "2x3-hilbert": ["--nx", "2", "--ny", "3", "--initial", "0x2d", "--samples", "17",
-                    "--engine", "hilbert"],
+    "2x3": ["--nx", "2", "--ny", "3", "--initial", "0x2d", "--samples", "17"],
     # dense 256 x 256 mixture matrices from sixteen members and from two
     "2x2-all": ["--nx", "2", "--ny", "2", "--samples", "17", "--members", "all"],
     "2x2-pair": ["--nx", "2", "--ny", "2", "--samples", "17", "--members", "0x0,0x1"],
@@ -52,7 +56,7 @@ COMMANDS = {
 CASES = [
     *((s, c) for s in ("4x4", "3x3", "12x4") for c in ("evolve", "sweep", "phase")),
     ("12x12", "evolve"),
-    ("2x3-hilbert", "evolve"),
+    ("2x3", "evolve"),
     ("2x2-all", "thermal"),
     ("2x2-pair", "thermal"),
 ]
@@ -60,73 +64,73 @@ CASES = [
 # (scene, command, file) -> sha256 of the file's bytes
 DIGESTS = {
     ("4x4", "evolve", "coefficients.csv"):
-        "910d1da8d1f24e66ee9a3af4c8971e10c9851a53631677c5ba634d51158e3a46",
+        "4a77c7aee09c29d593dce25fba6791ad7ceaf371de1de4dd191122bdf711beb4",
     ("4x4", "evolve", "energies.csv"):
-        "ebb5d70ed305252915cfb213a7a62aaa2a6b399afadb7e8631c0a60553861764",
+        "d29a6a0d17054f04506dbf9f01430a18ad4f60478e7c52dabdd2be6c7553597b",
     ("4x4", "evolve", "density.json"):
-        "24b6a159545019cf5bae46f9e5fafb41fffd30e8b4136d826c486adf4f006c44",
+        "e12c44293230cbcbc3e6be08fbe17355f6af36f3851a0bf901cc760e895498a9",
     ("4x4", "sweep", "sweep.csv"):
-        "5533a3cda708bf4d731f30e9d023704ca0b5aca055a25c48386e95c497e52a35",
+        "6e534bf44ae38ca351c92e6e296f0fee049ae12837dadfab72dc03de7e0d1089",
     ("4x4", "sweep", "sweep_summary.json"):
-        "b898a44a9c46cc916167587cd9432a68162b0af1472fe4e8f5b2baf717dad21c",
+        "3aec6f0565602aefff68a22ba6176815f3977930ed0b402a8e6eb7f45757f9d3",
     ("4x4", "phase", "phase.csv"):
-        "daba4c80fd717cfe70e0cfebe062412c6c14b386fb03d1b0ecf0c9203b5cac85",
+        "45c51133e0b91e33ef735e3885dac9482e7edd2c6ac3853bbf9986b2e18dc7d2",
     ("4x4", "phase", "intervals.csv"):
-        "78ebc4388b88b52d6132505d48e40dbdcde20e81f6c51e1fc434562a7aa54400",
+        "eadcf82750a569fa0f5c4a551b35cfb469f9e687433ab3138a501404e6db8ba6",
     ("4x4", "phase", "levels.csv"):
-        "3fba8f2708b2bd990bb5032b1fcddccd55f5f4b107669febc078e2f0657776bb",
+        "6fae044d8004af73f6ff802187449d03779dd2c3ef69c2e332818b737cf47ab4",
     ("3x3", "evolve", "coefficients.csv"):
-        "2940a1476135a6e97da0d697a28bfea86194ac111524822e62a2bd69d038a26c",
+        "11fbc22add763f134103e824063bc64903e022147475ef1feaf69837cbbe0c15",
     ("3x3", "evolve", "energies.csv"):
-        "ad6d85733e063345d98c5948c1cdfcac8eb481369712bc0d98455bde84920d71",
+        "5d205c49adb9ca54d1b4b33847ec297622143057cf28f7ba1d307e627ba8a25b",
     ("3x3", "evolve", "density.json"):
-        "65bf951198d2436c79d0662ad3f7276a9e6d12c2005c60226c1d49d3d5dace7c",
+        "8957f0934ecdaee13f011e9f084224c5d42036da9110dad60764ea47b7cc88de",
     ("3x3", "sweep", "sweep.csv"):
-        "c881e98e630e00b9f14931ed0699315436aaaa958d5eb858360a0e5710c2b0d7",
+        "5896cec623d03df7cb5ff8d66b38ff55b9580a96a4c51c982b6efe27afda6837",
     ("3x3", "sweep", "sweep_summary.json"):
-        "c9a090fdcbc4fa3d930494a893262d1bae3bc8ee73c170de6f6755dea40b57ce",
+        "57d77a628017ea01fd9d7cad6b5e41a3b980fbec7d448f99daac02ca4fb96302",
     ("3x3", "phase", "phase.csv"):
-        "991f45529ab0d75bd9dfc364ca20124a94680585e18d4119d426026eb74057a9",
+        "c6bd2e5c8f78259de249179cc746a465ed461347ad5ae6e5fdac5a470026be88",
     ("3x3", "phase", "intervals.csv"):
-        "f6876cbe7b83d04c3a16338ec61498f2fd86d92a719ff89017d7d2326d4f45a3",
+        "60a661fd2235b4c2e2c5e1109a194b7e4a1b0342d8f665d055c01cb7d3a160aa",
     ("3x3", "phase", "levels.csv"):
-        "8d4cafe62200097836b622f32333d275bdfc354905b232a613a45f5ea0341ea2",
+        "f3c3f0bb2e43ed2728679548306b635f86c61a35e66e252826ef40478b7f3c03",
     ("12x4", "evolve", "coefficients.csv"):
-        "e6f8a018d0c3f830bd4dcfd46905f9ca1c981ed33b928e2c87a3c694f6ff938c",
+        "9b12de2f450dea02183945d2cc1cf8c148fe0ea56a8ae927cf42d8b58706dd36",
     ("12x4", "evolve", "energies.csv"):
-        "5251f52ee6d4c4f068a1f0b99d86763284dfacfedb5c4904bb78a65038a56e60",
+        "ee301e9153299010c062db51fd9b6bac056911ab80d94c44673084a2b03decf6",
     ("12x4", "evolve", "density.json"):
-        "08d091364017abd56ca09a4c19825ebf6022b69d07babb5003150357d8426b83",
+        "399fe6916f8a8eebb0446493175460b3deb57c8343f035d01bb8c21cd228e9e9",
     ("12x4", "sweep", "sweep.csv"):
-        "758fb775a0a579708803ab6cc5d4f97e6d32e26f34b05136f95debb9a09705fd",
+        "a03431b5b7feb37d1b954cdfd3cc59b265e0e26ad067eedb93b22600b1a3da98",
     ("12x4", "sweep", "sweep_summary.json"):
-        "84c37f62a94ac60884a6a9588a95df94c4718ff4e84e9890d2629e546317b3b4",
+        "931fe7721cf31ece4840101a88e35c9dfb365949ac767f94b55118ebbac8e827",
     ("12x4", "phase", "phase.csv"):
-        "997333b8b986c97f896ac8a24458a4d62184b0d7b5053e0fa1fe65bb9586fd4d",
+        "c34fe60b17ace38c01931e51423aebca987e62cd196982d06541a27197007022",
     ("12x4", "phase", "intervals.csv"):
-        "24c51a2073970bd163eb9fa9c9addc4ff3b65279307e8c2eaac353dfd17c8263",
+        "368f1bb061b2b00e0d1267ee560268399e351bbd91fb545d5493e05ee6e5a42d",
     ("12x4", "phase", "levels.csv"):
-        "5f61263d92d31c8c73ae2ab6c99742cc62d900fc9555e4235e8b0b3ad30c643f",
+        "d77b526bb38fcf17cffe43501dee281e5ed8fc9efcf7c76405fcedc48aa11a20",
     ("12x12", "evolve", "coefficients.csv"):
-        "24045a3128f3701979d11cfc79c1ee11458e17a9359cd37d39c2b6b0ee046b2f",
+        "e60c58d168e3f7c2735ad6ef98f4b661237c0337cb6c4aa75aecbddece89b5ce",
     ("12x12", "evolve", "energies.csv"):
-        "f111d93a81eb05737f779a595fff828c7d49cffee855b096d0eb81c02292bcd7",
+        "0d0a062a07037363ec93d273f2506161757f65fd952ce4d960447af3a9eab346",
     ("12x12", "evolve", "density.json"):
-        "b9f42ff3f5112d68b1f332711e4afaf71ee389cc3521388b59bb2555531346cc",
-    ("2x3-hilbert", "evolve", "coefficients.csv"):
-        "069d2ff18461377b963d3daf66ae32c156dd7523995eb50593a1f737cdef897f",
-    ("2x3-hilbert", "evolve", "energies.csv"):
-        "33bce2c0569f776b5183ea36893c973388692ec6c207a4ca11ec7a8c0778870a",
-    ("2x3-hilbert", "evolve", "density.json"):
-        "7cec697e3f1b6eb75bb509ea7c80f2a8fe80fa725c336cd331c6656d3f640ce2",
+        "3e70ef1477702ef070674657e70900dbbae32c4c616e53674f31a800a9cc0985",
+    ("2x3", "evolve", "coefficients.csv"):
+        "1f808541dd17aa06c6f0ef000bf2e140ace692c3c9d3eaa4d4d1afb4148f2521",
+    ("2x3", "evolve", "energies.csv"):
+        "4fffd1e98c904cf086c93e967272d4126c1b789976f301e952cb724b65c7c8e2",
+    ("2x3", "evolve", "density.json"):
+        "b843b33c658c2a0f04659cf5d5c55967600a312f8bd4e51000b1094fc1860cda",
     ("2x2-all", "thermal", "thermal.json"):
-        "dc86cd6026015d09c6408a87848921b29f6edc8e45c2af148adb7edd882e03e8",
+        "f03972adc43a7ee1554fa19929cf60ed9d41c015db7ab9b632dda3550d2c222f",
     ("2x2-all", "thermal", "thermal_weights.csv"):
-        "0a4e3da42774af218b8966b7e21d494f2f519a6878568039b3f80f74e735570b",
+        "107ff5da3297f552b6980e0fde1d98b055f2bd7ab921626760be448e8aa1b89b",
     ("2x2-pair", "thermal", "thermal.json"):
-        "1957946aacb461c5d9a167882ab2c3946b90c537381c2566af6884033ac2242c",
+        "3fd0f629ba6fcc45f8e1dea7711db642badd2c31ff8f4c40a1c1e18c6e622948",
     ("2x2-pair", "thermal", "thermal_weights.csv"):
-        "e67274897821f9a492a63006b3b5c4f03cba8cf29a93f0d5907697a279924508",
+        "ddde63bda682dcf28b686d81b18cf6a0aef60e701a2a80592861b97b98bcbc8d",
 }
 
 

@@ -219,29 +219,29 @@ class TestDriveFileCoverage:
         assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
-# (nx, ny, engine, jx, jy, jz, d, initial, t_max, samples, omega_min, omega_max, omega_steps)
+# (nx, ny, jx, jy, jz, d, initial, t_max, samples, omega_min, omega_max, omega_steps)
 SWEEP_CASES = {
-    "label_2x2": (2, 2, "label", 0.1, 0.1, 0.1, 0.05, 0x0, 20.0, 11, -0.6, 0.2, 17),
-    "hilbert_2x3": (2, 3, "hilbert", 0.7, 1.1, 0.9, 0.03, 0x2D, 6.0, 21, -4.0, 4.0, 33),
-    "d_zero": (2, 2, "label", 1.0, 1.0, 1.0, 0.0, 0x0, 6.0, 7, -1.0, 1.0, 9),
-    "descending": (2, 2, "label", 0.2, 0.3, 0.4, 0.05, 0x0, 15.0, 31, 0.5, -0.7, 25),
+    "label_2x2": (2, 2, 0.1, 0.1, 0.1, 0.05, 0x0, 20.0, 11, -0.6, 0.2, 17),
+    "label_2x3": (2, 3, 0.7, 1.1, 0.9, 0.03, 0x2D, 6.0, 21, -4.0, 4.0, 33),
+    "d_zero": (2, 2, 1.0, 1.0, 1.0, 0.0, 0x0, 6.0, 7, -1.0, 1.0, 9),
+    "descending": (2, 2, 0.2, 0.3, 0.4, 0.05, 0x0, 15.0, 31, 0.5, -0.7, 25),
 }
 
 
 def _reference_sweep_lines(
-    nx, ny, engine, jx, jy, jz, d, initial, t_max, samples, omega_min, omega_max, omega_steps
+    nx, ny, jx, jy, jz, d, initial, t_max, samples, omega_min, omega_max, omega_steps
 ):
     """sweep.csv data lines from one evolve_coefficients run per omega."""
     geom = build_lattice(nx, ny)
     config = FlipConfig(initial, geom.n_plaquettes)
     times = np.linspace(0.0, t_max, samples)
-    targets = connected_targets(geom, CouplingParams(jx, jy, jz, d=d), config, 0, engine)
+    targets = connected_targets(geom, CouplingParams(jx, jy, jz, d=d), config, 0)
     k = samples - 1
     rows = []
     for omega in np.linspace(omega_min, omega_max, omega_steps):
         series = evolve_coefficients(
             geom, CouplingParams(jx, jy, jz, d=d, omega=omega),
-            DriveSpec.exponential(d, omega), config, targets, times, engine=engine,
+            DriveSpec.exponential(d, omega), config, targets, times,
         )[0]
         phase = decompose(series)
         weight = float(np.abs(series.values[k]) ** 2)
@@ -255,10 +255,10 @@ def _reference_sweep_lines(
 class TestSweepCommand:
     @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
     def test_rows_match_per_omega_evolution(self, case, tmp_path):
-        (nx, ny, engine, jx, jy, jz, d, initial, t_max, samples,
+        (nx, ny, jx, jy, jz, d, initial, t_max, samples,
          omega_min, omega_max, omega_steps) = SWEEP_CASES[case]
         proc = run_cli(
-            "sweep", "--nx", str(nx), "--ny", str(ny), "--engine", engine,
+            "sweep", "--nx", str(nx), "--ny", str(ny),
             "--jx", repr(jx), "--jy", repr(jy), "--jz", repr(jz), "--d", repr(d),
             "--initial", hex(initial), "--t-max", repr(t_max), "--samples", str(samples),
             "--omega-min", repr(omega_min), "--omega-max", repr(omega_max),

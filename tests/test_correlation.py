@@ -124,7 +124,7 @@ class TestExactScan:
             GEOM, params, drive, EMPTY, pairs, comps, t=0.5, tol=1e-7
         )
         assert len(records) == len(pairs) * len(comps)
-        assert all(r.engine == "exact" and r.t0 == 0.0 for r in records)
+        assert all(r.source == "exact" and r.t0 == 0.0 for r in records)
         assert all(np.isfinite(r.value.real) and np.isfinite(r.value.imag) for r in records)
 
     def test_selection_rule_report_measures_deviations(self):

@@ -43,7 +43,7 @@ def _check_every_driven_plaquette(geom, params, data, engine):
     n = geom.n_plaquettes
     initial = FlipConfig(data.draw(st.integers(0, 2**n - 1), label="initial"), n)
     for q in range(n):
-        found = connected_targets(geom, params, initial, q, engine)
+        found = connected_targets(geom, params, initial, q)
         assert found == scan_connected_targets(geom, initial, q, engine), (initial, q)
 
 
@@ -86,8 +86,8 @@ def test_image_on_a_base_with_the_same_signature():
     twin = signature_kernel(geom)[0]
     assert twin.bits != 0 and not signature_difference(geom, ground, twin)
     params = CouplingParams(1.0, 0.8, 1.2, d=0.3)
-    on_ground = perturbation_element(geom, ground, excite(ground, 0), params, 0, "label")
-    on_twin = perturbation_element(geom, ground, excite(twin, 0), params, 0, "label")
+    on_ground = perturbation_element(geom, ground, excite(ground, 0), params, 0)
+    on_twin = perturbation_element(geom, ground, excite(twin, 0), params, 0)
     assert on_ground != 0
     assert on_twin == on_ground
 

@@ -1,10 +1,10 @@
-"""The label engine against the hilbert engine beyond the 2x2 torus.
+"""The label engine against expectations on explicit kets beyond the 2x2 torus.
 
-The hilbert engine evaluates energies and drive matrix elements on
-explicit 2^n kets and is the reference; the label engine must give the
-same numbers from the flip signatures alone.  The label engine's array
+``reference.hilbert_energy`` and ``reference.hilbert_element`` evaluate
+energies and drive matrix elements on explicit 2^n kets; the label engine
+must give the same numbers from the flip signatures alone.  Its array
 kernels are also held to the per-site loops they replaced, bit for bit,
-including on 3x3, which is beyond the hilbert engine's cap.
+including on 3x3, which is beyond the Hilbert cap.
 """
 
 import numpy as np
@@ -16,7 +16,13 @@ from kitaevsim.hamiltonian import CouplingParams, energy_expectation, perturbati
 from kitaevsim.lattice import build_lattice
 from kitaevsim.manifold import FlipConfig, excite, flip_signature
 from kitaevsim.pauli import HILBERT_CAP_SITES
-from reference import loop_element, loop_energy, loop_signature
+from reference import (
+    hilbert_element,
+    hilbert_energy,
+    loop_element,
+    loop_energy,
+    loop_signature,
+)
 
 GEOMS = {shape: build_lattice(*shape) for shape in ((2, 3), (3, 2))}
 
@@ -53,16 +59,12 @@ def test_label_engine_matches_hilbert_engine(shape, jx, jy, jz, d, same_base, da
     params = CouplingParams(jx=jx, jy=jy, jz=jz, d=d)
 
     for config, excitation in ((ground, None), (base, target)):
-        e_label = energy_expectation(geom, params, config, excitation, engine="label")
-        e_hilbert = energy_expectation(geom, params, config, excitation, engine="hilbert")
+        e_label = energy_expectation(geom, params, config, excitation)
+        e_hilbert = hilbert_energy(geom, params, config, excitation)
         assert abs(e_label - e_hilbert) <= 1e-12
 
-    m_label = perturbation_element(
-        geom, ground, target, params, drive_plaquette=driven, engine="label"
-    )
-    m_hilbert = perturbation_element(
-        geom, ground, target, params, drive_plaquette=driven, engine="hilbert"
-    )
+    m_label = perturbation_element(geom, ground, target, params, drive_plaquette=driven)
+    m_hilbert = hilbert_element(geom, ground, target, params, drive_plaquette=driven)
     assert abs(m_label - m_hilbert) <= 1e-12
 
 
@@ -105,18 +107,16 @@ def test_array_kernels_match_loops_and_hilbert_engine(shape, jx, jy, jz, d, data
     assert signs_g.dtype == np.int8
 
     for config, excitation, signs in ((ground, None, signs_g), (base, target, signs_t)):
-        e = energy_expectation(geom, params, config, excitation, engine="label")
+        e = energy_expectation(geom, params, config, excitation)
         # bit-identical: the loop's summation order is kept
         assert e == loop_energy(geom, params, signs)
         if on_cap:
-            assert abs(e - energy_expectation(geom, params, config, excitation, engine="hilbert")) <= 1e-12
+            assert abs(e - hilbert_energy(geom, params, config, excitation)) <= 1e-12
 
-    m = perturbation_element(geom, ground, target, params, drive_plaquette=driven, engine="label")
+    m = perturbation_element(geom, ground, target, params, drive_plaquette=driven)
     assert m == loop_element(geom, signs_g, signs_t, driven, d)
     if on_cap:
-        m_hilbert = perturbation_element(
-            geom, ground, target, params, drive_plaquette=driven, engine="hilbert"
-        )
+        m_hilbert = hilbert_element(geom, ground, target, params, drive_plaquette=driven)
         assert abs(m - m_hilbert) <= 1e-12
 
 
@@ -139,10 +139,10 @@ def test_difference_off_the_drive_string_gives_zero():
     far = next(p for p in range(n) if not set(geom.plaquettes[p]) & set(geom.plaquettes[0]))
     params = CouplingParams(jx=1.0, jy=1.0, jz=1.0, d=1.0)
     image = excite(ground, 0)
-    assert perturbation_element(geom, ground, image, params, drive_plaquette=0, engine="label") != 0
+    assert perturbation_element(geom, ground, image, params, drive_plaquette=0) != 0
 
     target = excite(FlipConfig(1 << far, n), 0)
     signs_g = flip_signature(geom, ground)
     signs_t = flip_signature(geom, target.base, target)
     assert loop_element(geom, signs_g, signs_t, 0, 1.0) == 0
-    assert perturbation_element(geom, ground, target, params, drive_plaquette=0, engine="label") == 0
+    assert perturbation_element(geom, ground, target, params, drive_plaquette=0) == 0

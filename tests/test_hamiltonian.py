@@ -18,7 +18,7 @@ from kitaevsim.lattice import build_lattice
 from kitaevsim.manifold import FlipConfig, build_product_ket, excite
 from kitaevsim.pauli import dense_from_apply, product_ket
 
-from reference import apply_bond_hamiltonian, dense_h0_kron
+from reference import apply_bond_hamiltonian, dense_h0_kron, hilbert_element, hilbert_energy
 
 
 PARAMS = CouplingParams(jx=1.0, jy=0.8, jz=1.2, d=1.0, omega=0.5)
@@ -141,18 +141,16 @@ class TestPerturbationElement:
 
     def test_connected_element_fixture(self):
         # frozen value: |M| = D for the excitation of the driven plaquette 0
-        m = perturbation_element(
-            self.geom, self.empty, excite(self.empty, 0), PARAMS, engine="hilbert"
-        )
+        m = perturbation_element(self.geom, self.empty, excite(self.empty, 0), PARAMS)
         assert abs(m - 1.0) < 1e-12
+        assert abs(hilbert_element(self.geom, self.empty, excite(self.empty, 0), PARAMS) - 1.0) < 1e-12
 
     def test_orthogonal_targets_give_zero(self):
         for j in (1, 2, 3):
-            m = perturbation_element(
-                self.geom, self.empty, excite(self.empty, j), PARAMS,
-                drive_plaquette=0, engine="hilbert",
-            )
+            target = excite(self.empty, j)
+            m = perturbation_element(self.geom, self.empty, target, PARAMS, drive_plaquette=0)
             assert m == 0.0
+            assert hilbert_element(self.geom, self.empty, target, PARAMS, drive_plaquette=0) == 0.0
 
     def test_zero_drive_amplitude(self):
         params = CouplingParams(jx=1.0, jy=1.0, jz=1.0, d=0.0)
@@ -167,14 +165,8 @@ class TestPerturbationElement:
             for i in range(4):
                 for j in range(4):
                     target = excite(config, j)
-                    mh = perturbation_element(
-                        self.geom, config, target, PARAMS,
-                        drive_plaquette=i, engine="hilbert",
-                    )
-                    ml = perturbation_element(
-                        self.geom, config, target, PARAMS,
-                        drive_plaquette=i, engine="label",
-                    )
+                    mh = hilbert_element(self.geom, config, target, PARAMS, drive_plaquette=i)
+                    ml = perturbation_element(self.geom, config, target, PARAMS, drive_plaquette=i)
                     assert abs(mh - ml) < 1e-12
 
 
@@ -186,12 +178,12 @@ class TestEnergies:
         params = CouplingParams(jx=0.7, jy=1.1, jz=1.3)
         for bits in range(16):
             config = FlipConfig(bits, 4)
-            el = energy_expectation(self.geom, params, config, engine="label")
-            eh = energy_expectation(self.geom, params, config, engine="hilbert")
+            el = energy_expectation(self.geom, params, config)
+            eh = hilbert_energy(self.geom, params, config)
             assert abs(el - eh) < 1e-11
             target = excite(config, 0)
-            el = energy_expectation(self.geom, params, config, target, engine="label")
-            eh = energy_expectation(self.geom, params, config, target, engine="hilbert")
+            el = energy_expectation(self.geom, params, config, target)
+            eh = hilbert_energy(self.geom, params, config, target)
             assert abs(el - eh) < 1e-11
 
     def test_known_values_on_2x2(self):

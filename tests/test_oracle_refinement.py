@@ -126,7 +126,7 @@ def test_rk4_steps_counts_every_pass(monkeypatch):
     params, drive = _driven()
     times = np.linspace(0.0, 2.0, 5)
     res = exact_evolve(GEOM, params, drive, PSI0, times, tol=1e-10)
-    assert res.rk4_steps == sum(s * (len(t) - 1) for t, s in calls)
+    assert res.cf4_steps == sum(s * (len(t) - 1) for t, s in calls)
     windows = [_window(t) for t, _ in calls]
     assert sorted(set(windows)) == [(0.0, 1.0), (1.0, 2.0)]
     for window in set(windows):  # a coarse and a fine pass each
@@ -154,7 +154,7 @@ def test_right_hand_side_is_compiled_once_per_run(monkeypatch):
     compiled = _count_compiles(monkeypatch)
     params, drive = _driven()
     res = exact_evolve(GEOM, params, drive, PSI0, np.linspace(0.0, 2.0, 5), tol=1e-10)
-    assert len(compiled) == 1 and res.rk4_steps > 8
+    assert len(compiled) == 1 and res.cf4_steps > 8
 
 
 def test_steps_end_on_custom_drive_samples(monkeypatch):
@@ -167,7 +167,7 @@ def test_steps_end_on_custom_drive_samples(monkeypatch):
     pieces = {(0.0, 1.0): (0.0, 0.3, 0.5, 1.0), (1.0, 2.0): (1.0, 1.1, 2.0)}
     for t, _ in calls:
         assert t == pieces[(t[0], t[-1])]
-    assert res.rk4_steps == sum(s * (len(t) - 1) for t, s in calls)
+    assert res.cf4_steps == sum(s * (len(t) - 1) for t, s in calls)
 
 
 def test_correlation_scan_replays_the_accepted_substeps(monkeypatch):
@@ -253,7 +253,7 @@ def test_two_intervals_at_the_floor_take_one_pair_of_passes(monkeypatch):
     times = np.array([0.0, 0.05, 0.1])
     res = exact_evolve(GEOM, params, drive, PSI0, times, tol=1e-9)
     assert calls == [((0.0, 0.1), 1), ((0.0, 0.05, 0.1), 1)]
-    assert res.rk4_steps == 3
+    assert res.cf4_steps == 3
     assert res.substeps == (1, 1)
     assert res.error_estimate <= 1e-9
 
@@ -269,7 +269,7 @@ def test_the_last_of_an_odd_count_of_intervals_is_its_own_window(monkeypatch):
     for (coarse, s), (fine, two_s) in zip(passes[::2], passes[1::2]):
         assert coarse == fine == (1.0, 1.5) and two_s == 2 * s
     assert res.substeps[2] == passes[-1][1]
-    assert res.rk4_steps == sum(s * (len(t) - 1) for t, s in calls)
+    assert res.cf4_steps == sum(s * (len(t) - 1) for t, s in calls)
 
 
 @pytest.mark.parametrize(

@@ -98,7 +98,7 @@ def as_lists(node):
 
 def reference_bytes(tmp_path: Path, payload: dict) -> bytes:
     """The stdlib encoding of the header plus the list form of ``payload``."""
-    write_json(tmp_path / "meta.json", CONFIG, "label", {})
+    write_json(tmp_path / "meta.json", CONFIG, {})
     meta = json.loads((tmp_path / "meta.json").read_text())["meta"]
     doc = {"meta": meta, **as_lists(payload)}
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
@@ -110,14 +110,14 @@ def reference_bytes(tmp_path: Path, payload: dict) -> bytes:
 def test_write_json_matches_the_stdlib_encoding(form, payload, tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("json")
     written = payload if form == "arrays" else as_lists(payload)
-    write_json(tmp_path / "doc.json", CONFIG, "label", written)
+    write_json(tmp_path / "doc.json", CONFIG, written)
     assert (tmp_path / "doc.json").read_bytes() == reference_bytes(tmp_path, payload)
 
 
 @pytest.mark.parametrize("arr", [np.zeros((2, 2, 2)), np.array([1 + 1j])])
 def test_write_json_rejects_arrays_it_cannot_stream(arr, tmp_path):
     with pytest.raises(TypeError, match="1-D or 2-D real"):
-        write_json(tmp_path / "bad.json", CONFIG, "label", {"arr": arr})
+        write_json(tmp_path / "bad.json", CONFIG, {"arr": arr})
     assert not (tmp_path / "bad.json").exists()
 
 
@@ -127,7 +127,7 @@ def test_density_payload_streams_in_bounded_memory():
     tracemalloc.start()
     try:
         payload = {"density": DensityMatrix(matrix=m).to_payload()}
-        write_json(Path(os.devnull), CONFIG, "label", payload)
+        write_json(Path(os.devnull), CONFIG, payload)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -147,7 +147,7 @@ def test_a_block_of_runs_encodes_each_run_once(tmp_path, monkeypatch):
 
     encode = output._encode
     monkeypatch.setattr(output, "_encode", spy)
-    write_json(tmp_path / "runs.json", CONFIG, "label", {"arr": arr})
+    write_json(tmp_path / "runs.json", CONFIG, {"arr": arr})
     assert encoded == [1, 1, 1]
     assert (tmp_path / "runs.json").read_bytes() == reference_bytes(tmp_path, {"arr": arr})
 
@@ -217,8 +217,8 @@ def test_write_csv_matches_the_per_cell_writer(data, tmp_path_factory):
     kinds, blocks = data
     tmp_path = tmp_path_factory.mktemp("csv")
     columns = [f"{kind}{k}" for k, kind in enumerate(kinds)]
-    write_csv(tmp_path / "cols.csv", CONFIG, "label", columns, iter(blocks))
-    write_csv_rows(tmp_path / "rows.csv", CONFIG, "label", columns,
+    write_csv(tmp_path / "cols.csv", CONFIG, columns, iter(blocks))
+    write_csv_rows(tmp_path / "rows.csv", CONFIG, columns,
                    [row for block in blocks for row in block_rows(block)])
     assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
@@ -233,8 +233,8 @@ def test_write_csv_formats_a_refilled_buffer_again(tmp_path):
             buffer[:] = value
             yield ("x", buffer)
 
-    write_csv(tmp_path / "cols.csv", CONFIG, "label", ["k", "v"], blocks())
-    write_csv_rows(tmp_path / "rows.csv", CONFIG, "label", ["k", "v"],
+    write_csv(tmp_path / "cols.csv", CONFIG, ["k", "v"], blocks())
+    write_csv_rows(tmp_path / "rows.csv", CONFIG, ["k", "v"],
                    [("x", v) for v in (1.5, 1.5, -0.0, 2.5) for _ in range(3)])
     assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
@@ -246,7 +246,7 @@ def test_write_csv_formats_a_refilled_buffer_again(tmp_path):
 ])
 def test_write_csv_rejects_malformed_blocks(block, match, tmp_path):
     with pytest.raises(ValueError, match=match):
-        write_csv(tmp_path / "bad.csv", CONFIG, "label", ["a", "b"], [block])
+        write_csv(tmp_path / "bad.csv", CONFIG, ["a", "b"], [block])
 
 
 def test_write_csv_streams_in_bounded_memory(tmp_path):
@@ -261,10 +261,10 @@ def test_write_csv_streams_in_bounded_memory(tmp_path):
     path = tmp_path / "big.csv"
     tracemalloc.start()
     try:
-        write_csv(path, CONFIG, "label", ["k", "x", "flag"], blocks())
+        write_csv(path, CONFIG, ["k", "x", "flag"], blocks())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     size = path.stat().st_size
-    assert len(path.read_text().splitlines()) == n_rows + len(output.header_block(CONFIG, "label")) + 1
+    assert len(path.read_text().splitlines()) == n_rows + len(output.header_block(CONFIG)) + 1
     assert peak < size // 2, f"peak {peak} bytes for a {size}-byte file"

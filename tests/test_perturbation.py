@@ -291,7 +291,7 @@ class TestInterpolatedDrive:
         series = evolve_coefficients(
             geom, params, drive, empty, [excite(empty, 0)], self.TIMES
         )[0]
-        m = perturbation_element(geom, empty, excite(empty, 0), params, engine="label")
+        m = perturbation_element(geom, empty, excite(empty, 0), params)
         expected = coefficient_interpolated(
             m, drive, series.e_target - series.e_initial, self.TIMES
         )

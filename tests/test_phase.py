@@ -12,6 +12,7 @@ from kitaevsim.phase import (
     shifted_transition_frequency,
     stability_intervals,
 )
+from reference import loop_unwrap
 
 
 class TestDecompose:
@@ -72,6 +73,29 @@ class TestDecompose:
         db = np.diff(b.angle[ok])
         assert np.max(np.abs(da - db)) < 1e-9
         assert stability_intervals(a) == stability_intervals(b)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_unwrap_matches_the_per_sample_loop_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 400
+        # a phase walk that winds many times, with steps up to 1.2 pi
+        phi = np.cumsum(rng.uniform(-1.2, 1.2, n) * math.pi)
+        values = rng.uniform(0.1, 2.0, n) * np.exp(1j * phi)
+        # exact zeros, sub-threshold samples and runs of either: singular gaps
+        for start in rng.choice(n - 5, 12, replace=False):
+            values[start:start + rng.integers(1, 5)] = rng.choice([0.0, 1e-17j, -1e-16])
+        values[-1] = 0.0
+        # the branch cut and signed zeros, the first sample among them
+        values[rng.choice(n, 6, replace=False)] = [
+            -1.0, complex(-1.0, -0.0), complex(1.0, -0.0), -0.0, -1j, 1e-300
+        ]
+        values[0] = [0.0, complex(1.0, -0.0), -1.0, 2j][seed % 4]
+        for eps in (None, 1e-3):
+            ph = decompose_values(np.arange(n, dtype=float), values, eps)
+            assert ph.singular.sum() > 12
+            expected = loop_unwrap(values, ph.singular)
+            assert [float(a).hex() for a in ph.angle] == [float(a).hex() for a in expected]
+            assert ph.angle.dtype == np.float64
 
     def test_bad_eps(self):
         with pytest.raises(ValueError):

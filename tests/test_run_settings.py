@@ -23,9 +23,6 @@ RAW = {
     "plaquette": "0x1",
     "t_max": "3.5",
     "samples": "0x11",
-    "engine": "hilbert",
-    "quad_tol": "1e-9",
-    "evolve_tol": "1e-8",
     "scan_tol": "1e-7",
     "outdir": "elsewhere",
     "seed": "0x7",
@@ -35,8 +32,8 @@ RAW = {
 
 FIELD_FLAGS = {
     "--nx", "--ny", "--jx", "--jy", "--jz", "--d", "--omega", "--drive-file",
-    "--initial", "--plaquette", "--t-max", "--samples", "--engine", "--quad-tol",
-    "--evolve-tol", "--scan-tol", "--outdir", "--seed", "--jobs", "--kt",
+    "--initial", "--plaquette", "--t-max", "--samples", "--scan-tol", "--outdir",
+    "--seed", "--jobs", "--kt",
 }
 COMMAND_FLAGS = {
     "lattice": set(),
@@ -78,7 +75,7 @@ def test_flag_wins_over_config_file(tmp_path):
     assert (cfg.nx, cfg.seed) == (4, 16)
 
 
-@pytest.mark.parametrize("argv", [["--nx", "0x"], ["--engine", "exact"], ["--kt", "warm"]])
+@pytest.mark.parametrize("argv", [["--nx", "0x"], ["--scan-tol", "nan"], ["--kt", "warm"]])
 def test_bad_flag_value_exits_2(argv, tmp_path, capsys):
     code = cli.main(["evolve", *argv, "--outdir", str(tmp_path / "out")])
     assert code == 2
@@ -93,3 +90,27 @@ def test_each_command_has_the_config_flags_and_its_own(command):
     flags = {s for a in sub.choices[command]._actions for s in a.option_strings}
     common = {"-h", "--help", "--config", "--emit-plot-script"}
     assert flags == common | FIELD_FLAGS | COMMAND_FLAGS[command]
+
+
+# run settings that were removed, each with a value the code once accepted
+REMOVED = {"engine": "label", "quad_tol": "1e-10", "evolve_tol": "1e-9"}
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED))
+def test_removed_config_key_exits_2(name, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{name} = {REMOVED[name]}\n")
+    code = cli.main(["evolve", "--config", str(path), "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    assert "unknown config key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED))
+def test_removed_flag_exits_2(name, tmp_path, capsys):
+    flag = f"--{name.replace('_', '-')}"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["evolve", flag, REMOVED[name], "--outdir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
