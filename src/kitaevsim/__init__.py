@@ -12,7 +12,6 @@ from .density import (
     assemble_state,
     density_matrix,
     reduced_entropy,
-    thermal_mix,
     thermal_weights,
 )
 from .hamiltonian import (
@@ -22,7 +21,7 @@ from .hamiltonian import (
     perturbation_element,
     plaquette_expectation,
 )
-from .lattice import LatticeGeometry, build_lattice, site_component, validate_geometry
+from .lattice import LatticeGeometry, build_lattice, validate_geometry
 from .manifold import (
     ExcitedLabel,
     FlipConfig,
@@ -73,9 +72,7 @@ __all__ = [
     "plaquette_expectation",
     "project_and_compare",
     "reduced_entropy",
-    "site_component",
     "stability_intervals",
-    "thermal_mix",
     "thermal_weights",
     "validate_geometry",
 ]

@@ -24,11 +24,13 @@ import numpy as np
 from . import __version__
 from .correlation import correlation_exact_scan, correlation_formula, selection_rule_report
 from .density import (
+    DensityMatrix,
     _sublattice_sites,
     assemble_state,
     density_matrix,
     embed_active_state,
     entropy_of_density,
+    initial_label,
     reduced_entropy,
     require_dense_budget,
     thermal_ensemble,
@@ -212,7 +214,7 @@ def _columns(rows: list[tuple], width: int) -> list:
 
 
 def _maybe_plot(args, csv_path: Path) -> None:
-    if getattr(args, "emit_plot_script", False):
+    if args.emit_plot_script:
         write_plot_script(csv_path)
 
 
@@ -302,9 +304,12 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
         ["bitmask", "excited", "plaquette", "energy"], [_columns(table.rows(), 4)],
     )
 
-    # active-basis density matrix of the evolved state at t_max
-    state = assemble_state(coeffs, float(times[-1]), initial)
-    rho = density_matrix(state)
+    # active-basis density matrix of the evolved state at t_max; with no
+    # series the first-order state is the initial ket
+    if coeffs:
+        rho = density_matrix(assemble_state(coeffs, float(times[-1]), initial))
+    else:
+        rho = DensityMatrix(np.ones((1, 1), dtype=complex), (initial_label(initial),))
     write_json(
         outdir / "density.json", cfg.as_dict(), {"t": float(times[-1]), "density": rho.to_payload()}
     )
@@ -318,6 +323,12 @@ def cmd_phase(cfg: RunConfig, args) -> int:
         raise RuntimeError("no target is connected to the initial configuration")
     series = coeffs[0]
     phase = decompose(series)
+    intervals = stability_intervals(phase)
+    ref_phase = decompose_values(times, np.ones(len(times), dtype=complex))
+    t_eff, e_eff = effective_level(series.e_target, phase)
+    _, shifted = shifted_transition_frequency(
+        series.e_target, phase, series.e_initial, ref_phase
+    )
     outdir = _outdir(cfg)
 
     phase_csv = outdir / "phase.csv"
@@ -326,17 +337,9 @@ def cmd_phase(cfg: RunConfig, args) -> int:
         [(phase.times, phase.modulus, phase.log_modulus, phase.angle, phase.singular)],
     )
     _maybe_plot(args, phase_csv)
-
-    intervals = stability_intervals(phase)
     write_csv(
         outdir / "intervals.csv", cfg.as_dict(),
         ["t_start", "t_end", "label"], [_columns(intervals, 3)],
-    )
-
-    ref_phase = decompose_values(times, np.ones(len(times), dtype=complex))
-    t_eff, e_eff = effective_level(series.e_target, phase)
-    _, shifted = shifted_transition_frequency(
-        series.e_target, phase, series.e_initial, ref_phase
     )
     # the all-ones reference is never singular, so both select the same samples
     write_csv(
@@ -507,7 +510,7 @@ def cmd_thermal(cfg: RunConfig, args) -> int:
             psi = build_product_ket(geom, config)
         e = energy_expectation(geom, params, config)
         members.append((e, psi))
-        labels.append(f"cfg:{config.hex}")
+        labels.append(initial_label(config))
 
     ensemble = thermal_ensemble(members, cfg.kt)
     # the K x K Gram matrix carries the mixture's trace, purity and spectrum
@@ -590,8 +593,10 @@ def build_parser() -> argparse.ArgumentParser:
         # one flag per config key, its raw text parsed by _coerce in load_config
         for f in fields(RunConfig):
             p[name].add_argument(f"--{f.name.replace('_', '-')}", help=_FIELD_HELP.get(f.name))
-        p[name].add_argument("--emit-plot-script", action="store_true")
         p[name].set_defaults(fn=fn)
+    for name in ("evolve", "phase", "sweep", "entropy"):
+        p[name].add_argument("--emit-plot-script", action="store_true",
+                             help="write a matplotlib script next to the main CSV")
     p["manifold"].add_argument("--n", type=integer, help="plaquette count (default nx*ny)")
     p["evolve"].add_argument("--connected-only", action="store_true",
                              help="emit only targets with nonzero drive elements")

@@ -1,4 +1,4 @@
-"""Density matrices, sublattice entropy, observables, thermal mixtures.
+"""Density matrices, sublattice entropy, thermal mixtures.
 
 The evolved state lives in the active basis: the initial configuration
 plus every excited label the drive connects to it at first order.  Its
@@ -32,6 +32,9 @@ DENSE_DENSITY_BUDGET_BYTES = 1 << 30
 
 # ket entries per slice that ThermalEnsemble.gram stacks and conjugates at once
 GRAM_BLOCK_ENTRIES = 4096
+
+# bytes of one row block of the projector ThermalEnsemble.density adds to rho
+DENSITY_BLOCK_BYTES = 1 << 22
 
 
 def require_dense_budget(dim: int, what: str) -> None:
@@ -109,16 +112,27 @@ class ThermalEnsemble:
     kt: float
     weights: np.ndarray
 
-    def density(self, labels: tuple[str, ...] | None = None) -> DensityMatrix:
+    def density(self) -> DensityMatrix:
+        """Dense mixture rho = sum_k p_k |psi_k><psi_k| over the full basis.
+
+        Each row block of rho takes every member's weighted projector rows
+        in member order, through one buffer of DENSITY_BLOCK_BYTES, so the
+        memory held is rho plus that buffer.
+        """
         dim = len(self.states[0])
         require_dense_budget(dim, "mixture density matrix")
         rho = np.zeros((dim, dim), dtype=complex)
-        buf = np.empty_like(rho)  # one member's weighted projector at a time
-        for p, psi in zip(self.weights, self.states):
-            np.multiply.outer(psi, psi.conj(), out=buf)
-            buf *= p
-            rho += buf
-        return DensityMatrix(matrix=rho, labels=labels)
+        rows = max(1, DENSITY_BLOCK_BYTES // (16 * dim))
+        buf = np.empty((min(rows, dim), dim), dtype=complex)
+        conj = [psi.conj() for psi in self.states]
+        for start in range(0, dim, rows):
+            block = rho[start:start + rows]
+            part = buf[:len(block)]
+            for p, psi, psi_conj in zip(self.weights, self.states, conj):
+                np.multiply.outer(psi[start:start + rows], psi_conj, out=part)
+                part *= p
+                block += part
+        return DensityMatrix(matrix=rho)
 
     def gram(self) -> DensityMatrix:
         """K x K member Gram matrix G_kl = sqrt(p_k p_l) <psi_k|psi_l>.
@@ -239,20 +253,16 @@ def partial_trace_matrix(rho: np.ndarray, n_sites: int, keep_sites) -> np.ndarra
     return np.einsum("arbr->ab", t)
 
 
-def entropy_of_density(
-    rho: np.ndarray, floor: float = ENTROPY_EIGENVALUE_FLOOR
-) -> float:
-    """Von Neumann entropy -sum(lambda ln lambda) over eigenvalues > floor."""
+def entropy_of_density(rho: np.ndarray) -> float:
+    """Von Neumann entropy -sum(lambda ln lambda) over the eigenvalues above
+    ENTROPY_EIGENVALUE_FLOOR."""
     evals = np.linalg.eigvalsh(rho)
-    evals = evals[evals > floor]
+    evals = evals[evals > ENTROPY_EIGENVALUE_FLOOR]
     return float(-np.sum(evals * np.log(evals)))
 
 
 def reduced_entropy(
-    geom: LatticeGeometry,
-    full_ket: np.ndarray,
-    part: str = "A",
-    floor: float = ENTROPY_EIGENVALUE_FLOOR,
+    geom: LatticeGeometry, full_ket: np.ndarray, part: str = "A"
 ) -> tuple[DensityMatrix, float]:
     """Partial trace onto one sublattice and its entanglement entropy."""
     require_hilbert(geom.n_sites)
@@ -262,7 +272,7 @@ def reduced_entropy(
         raise ValueError("ket must be normalized")
     keep = _sublattice_sites(geom, part)
     rho = reduced_density_matrix(full_ket, keep)
-    s = entropy_of_density(rho, floor)
+    s = entropy_of_density(rho)
     labels = tuple(f"{part}{k}" for k in range(2 ** len(keep)))
     return DensityMatrix(matrix=rho, labels=labels), s
 
@@ -285,15 +295,6 @@ def embed_active_state(
     for amp, target in zip(state.amplitudes[1:], targets):
         psi = psi + amp * build_product_ket(geom, target.base, target)
     return psi
-
-
-def observable_expectation(rho: DensityMatrix, op: np.ndarray) -> complex:
-    """Tr(rho op); real up to numerical noise for Hermitian op."""
-    if op.shape != rho.matrix.shape:
-        raise ValueError(
-            f"operator shape {op.shape} does not match basis dim {rho.dim}"
-        )
-    return complex(np.trace(rho.matrix @ op))
 
 
 def thermal_weights(
@@ -347,13 +348,3 @@ def thermal_ensemble(
     weights = thermal_weights(energies, kt, distribution, mu)
     return ThermalEnsemble(energies=energies, states=states, kt=kt, weights=weights)
 
-
-def thermal_mix(
-    members,
-    kt: float,
-    distribution: str = "boltzmann",
-    mu: float = 0.0,
-    labels: tuple[str, ...] | None = None,
-) -> DensityMatrix:
-    """Weighted density matrix sum over pure members (no relative phases)."""
-    return thermal_ensemble(members, kt, distribution, mu).density(labels)

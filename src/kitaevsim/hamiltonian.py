@@ -300,10 +300,6 @@ class EnergyTable:
 
     entries: dict[tuple[int, int], float]
 
-    def get(self, config: FlipConfig, excitation: ExcitedLabel | None = None) -> float:
-        key = (config.bits, -1 if excitation is None else excitation.flipped_plaquette)
-        return self.entries[key]
-
     def rows(self) -> list[tuple[str, int, int, float]]:
         """CSV rows (bitmask hex, excited flag, plaquette or -1, energy)."""
         out = []

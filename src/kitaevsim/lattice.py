@@ -158,13 +158,6 @@ def build_lattice(nx: int, ny: int) -> LatticeGeometry:
     )
 
 
-def site_component(geom: LatticeGeometry, site: int) -> str:
-    """Canonical Pauli component of a site (label from its owner plaquette)."""
-    if not 0 <= site < geom.n_sites:
-        raise ValueError(f"site {site} out of range for {geom.n_sites} sites")
-    return geom.site_components[site]
-
-
 def validate_geometry(geom: LatticeGeometry) -> ValidationReport:
     """Check every structural invariant; returns a report, never raises."""
     rep = ValidationReport()

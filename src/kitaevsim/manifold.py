@@ -35,10 +35,6 @@ class FlipConfig:
             raise ValueError(f"bits 0x{self.bits:x} out of range for n={self.n}")
 
     @property
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    @property
     def hex(self) -> str:
         return f"0x{self.bits:x}"
 

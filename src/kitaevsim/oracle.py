@@ -585,6 +585,9 @@ def project_and_compare(
     ``tdpt`` order.  The dynamical phase exp(+i E t) is stripped so the
     comparison happens between interaction-picture coefficients.
     """
+    if not tdpt:
+        # the series carry the initial energy that strips its dynamical phase
+        raise ValueError("need at least one coefficient series")
     if len(basis_kets) != len(tdpt) + 1:
         raise ValueError("need one basis ket per series plus the initial ket")
     basis = np.array(basis_kets).conj()
@@ -598,7 +601,7 @@ def project_and_compare(
     times = result.times
     # overlaps[m, k] = <basis_m | psi(t_k)>
     overlaps = basis @ np.array(result.kets).T
-    e_init = tdpt[0].e_initial if tdpt else 0.0
+    e_init = tdpt[0].e_initial
     c_init = overlaps[0] * np.exp(1j * e_init * times)
     initial_deviation = float(np.max(np.abs(c_init - 1.0)))
 

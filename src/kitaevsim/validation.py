@@ -23,6 +23,7 @@ from .density import (
     assemble_state,
     density_matrix,
     entropy_of_density,
+    initial_label,
     reduced_density_matrix,
     reduced_entropy,
     thermal_weights,
@@ -481,7 +482,7 @@ def oracle_error_report() -> dict:
     ref = reports[0.02]
     targets = [
         {
-            "id": "cfg:0x0",
+            "id": initial_label(FlipConfig(0, 4)),
             "max_error": reports[0.01].initial_deviation,
             "error_vs_D": [[d, reports[d].initial_deviation] for d in (0.02, 0.01)],
         }

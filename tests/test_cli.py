@@ -66,6 +66,30 @@ class TestExitCodes:
         assert "no connected targets" in capsys.readouterr().err
         assert not (tmp_path / "entropy.csv").exists()
 
+    @pytest.mark.parametrize("samples", ["2", "3"])
+    def test_phase_with_too_few_samples_exits_3_before_output(self, samples, tmp_path, capsys):
+        # the t = 0 sample is always singular
+        out = tmp_path / "out"
+        code = cli.main(["phase", "--samples", samples, "--outdir", str(out)])
+        assert code == 3
+        assert "non-singular samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_phase_with_four_samples_writes_all_files(self, tmp_path):
+        assert cli.main(["phase", "--samples", "4", "--outdir", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "intervals.csv", "levels.csv", "phase.csv"
+        ]
+
+    @pytest.mark.parametrize("command", ["lattice", "manifold", "correlate", "thermal", "validate"])
+    def test_plot_script_flag_exits_2_where_nothing_is_plotted(self, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--emit-plot-script", "--outdir", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --emit-plot-script" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_thermal_at_the_hilbert_cap_runs(self, tmp_path):
         # 2x4 is the 16-site cap; the summary needs only the K x K member forms
         proc = run_cli(
@@ -414,6 +438,22 @@ class TestPipelineCommands:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads((out / "thermal.json").read_text())["weights"] == [0.5, 0.5]
+
+    def test_evolve_connected_only_without_a_target_writes_the_initial_ket(self, tmp_path):
+        # on 2x2 the drive on plaquette 1 connects no target to the default initial state
+        lone, full = tmp_path / "lone", tmp_path / "full"
+        argv = ["evolve", "--plaquette", "1", "--samples", "5"]
+        assert cli.main([*argv, "--connected-only", "--outdir", str(lone)]) == 0
+        assert cli.main([*argv, "--outdir", str(full)]) == 0
+
+        def rows(path):
+            return [l for l in path.read_text().splitlines() if not l.startswith("#")][1:]
+
+        assert rows(lone / "coefficients.csv") == []
+        assert len(rows(full / "coefficients.csv")) == 4 * 5
+        assert rows(lone / "energies.csv") == rows(full / "energies.csv")[:1]
+        density = json.loads((lone / "density.json").read_text())["density"]
+        assert density == {"basis": ["cfg:0x0"], "dim": 1, "entries": [[1.0, 0.0]]}
 
     def test_emit_plot_script(self, tmp_path):
         out = tmp_path / "plot"

@@ -6,26 +6,24 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kitaevsim import density
 from kitaevsim.density import (
+    DENSITY_BLOCK_BYTES,
     GRAM_BLOCK_ENTRIES,
-    DensityMatrix,
     ThermalEnsemble,
     assemble_state,
     density_matrix,
     embed_active_state,
     entropy_of_density,
-    observable_expectation,
     partial_trace_matrix,
     reduced_density_matrix,
     reduced_entropy,
     thermal_ensemble,
-    thermal_mix,
     thermal_weights,
 )
 from kitaevsim.hamiltonian import CouplingParams, energy_expectation
 from kitaevsim.lattice import build_lattice
 from kitaevsim.manifold import FlipConfig, build_product_ket, excite
-from kitaevsim.pauli import PAULI
 from kitaevsim.perturbation import (
     CoefficientSeries,
     DriveSpec,
@@ -164,33 +162,6 @@ class TestEntropy:
         assert np.allclose(direct, traced, atol=1e-12)
 
 
-class TestObservables:
-    def test_identity(self):
-        rho = density_matrix(np.array([0.6, 0.8], dtype=complex))
-        assert observable_expectation(rho, np.eye(2, dtype=complex)) == pytest.approx(
-            1.0, abs=1e-12
-        )
-
-    def test_sigma_z_pure_and_mixed(self):
-        up = density_matrix(np.array([1.0, 0.0], dtype=complex))
-        assert observable_expectation(up, PAULI["z"]).real == pytest.approx(1.0)
-        mixed = DensityMatrix(matrix=np.eye(2, dtype=complex) / 2.0)
-        assert observable_expectation(mixed, PAULI["z"]) == pytest.approx(0.0)
-
-    def test_hermitian_operator_gives_real_value(self):
-        *_, coeffs = scene()
-        state = assemble_state(coeffs, 3.0, EMPTY)
-        rho = density_matrix(state)
-        op = np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.7]], dtype=complex)
-        val = observable_expectation(rho, op)
-        assert abs(val.imag) < 1e-10
-
-    def test_basis_mismatch(self):
-        rho = density_matrix(np.array([1.0, 0.0], dtype=complex))
-        with pytest.raises(ValueError):
-            observable_expectation(rho, np.eye(3, dtype=complex))
-
-
 class TestThermal:
     def test_boltzmann_point(self):
         w = thermal_weights([0.0, 1.0], 1.0)
@@ -224,13 +195,13 @@ class TestThermal:
     def test_mixture_density(self):
         up = np.array([1.0, 0.0], dtype=complex)
         down = np.array([0.0, 1.0], dtype=complex)
-        rho = thermal_mix([(0.0, up), (1.0, down)], 1.0)
+        rho = thermal_ensemble([(0.0, up), (1.0, down)], 1.0).density()
         assert not rho.diagnostics(tol=1e-12)
         assert rho.purity() < 1.0
         assert rho.matrix[0, 0].real == pytest.approx(0.731059, abs=1e-6)
 
     def test_pure_density_matrices_have_unit_purity(self):
-        rho = thermal_mix([(0.0, np.array([1.0, 0.0], dtype=complex))], 1.0)
+        rho = thermal_ensemble([(0.0, np.array([1.0, 0.0], dtype=complex))], 1.0).density()
         assert rho.purity() == pytest.approx(1.0, abs=1e-12)
 
     def test_kt_zero_with_degenerate_minimum(self):
@@ -246,7 +217,7 @@ class TestThermal:
 
     def test_empty_members_rejected(self):
         with pytest.raises(ValueError):
-            thermal_mix([], 1.0)
+            thermal_ensemble([], 1.0)
         with pytest.raises(ValueError):
             thermal_weights([0.0], -1.0)
 
@@ -267,6 +238,36 @@ class TestThermal:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def test_density_blocks_sum_the_same_products_as_whole_projectors(monkeypatch):
+    # five rows per block over 16 rows: three full blocks and a partial one
+    rng = np.random.default_rng(3)
+    kets = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
+    kets /= np.linalg.norm(kets, axis=1)[:, None]
+    ens = thermal_ensemble([(float(k), psi) for k, psi in enumerate(kets)], 0.7)
+    monkeypatch.setattr(density, "DENSITY_BLOCK_BYTES", 5 * 16 * 16)
+    expected = np.zeros((16, 16), dtype=complex)
+    for p, psi in zip(ens.weights, ens.states):
+        expected += np.multiply.outer(psi, psi.conj()) * p
+    assert np.array_equal(ens.density().matrix, expected)
+
+
+def test_density_holds_rho_and_one_block():
+    dim = 1024  # a 16 MiB rho, four times the block
+    rng = np.random.default_rng(4)
+    kets = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+    kets /= np.linalg.norm(kets, axis=1)[:, None]
+    ens = thermal_ensemble([(float(k), psi) for k, psi in enumerate(kets)], 1.0)
+    tracemalloc.start()
+    try:
+        rho = ens.density()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(rho.trace - 1.0) < 1e-12
+    # a second dim x dim projector buffer would add 16 MiB
+    assert peak < 16 * dim * dim + DENSITY_BLOCK_BYTES + (1 << 20)
 
 
 @settings(max_examples=50, deadline=None, database=None)

@@ -213,5 +213,4 @@ class TestEnergies:
         )
         rows = table.rows()
         assert rows == [("0x0", 0, -1, 2.0), ("0x0", 1, 0, 0.0)]
-        assert table.get(empty) == 2.0
-        assert table.get(empty, excite(empty, 0)) == 0.0
+        assert table.entries == {(0, -1): 2.0, (0, 0): 0.0}

@@ -7,7 +7,6 @@ import pytest
 from kitaevsim.lattice import (
     build_lattice,
     geometry_to_json,
-    site_component,
     validate_geometry,
 )
 
@@ -75,12 +74,12 @@ def test_site_component_is_owner_position_label():
         owner, pos = geom.site_plaquettes[site][0]
         assert geom.owner[site] == owner
         expected = ("x", "y", "z", "x", "y", "z")[pos]
-        assert site_component(geom, site) == expected
+        assert geom.site_components[site] == expected
     # position 3 (1-based) carries the z label
     for p, sites in enumerate(geom.plaquettes):
         s3 = sites[2]
         if geom.owner[s3] == p:
-            assert site_component(geom, s3) == "z"
+            assert geom.site_components[s3] == "z"
 
 
 def test_site_component_golden_histogram_3x3():
@@ -94,14 +93,6 @@ def test_site_component_golden_2x2():
     geom = build_lattice(2, 2)
     assert geom.owner == (0, 0, 0, 0, 0, 1, 1, 0)
     assert geom.site_components == ("x", "y", "y", "x", "z", "z", "z", "z")
-
-
-def test_site_component_out_of_range():
-    geom = build_lattice(2, 2)
-    with pytest.raises(ValueError):
-        site_component(geom, 8)
-    with pytest.raises(ValueError):
-        site_component(geom, -1)
 
 
 def failures(report):

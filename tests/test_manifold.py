@@ -57,7 +57,6 @@ class TestEnumeration:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FlipConfig(16, 4)
-        assert FlipConfig(0b1011, 4).weight == 3
         assert FlipConfig(0b1011, 4).hex == "0xb"
 
 

@@ -199,6 +199,14 @@ class TestProjectAndCompare:
         assert got.initial_deviation == pytest.approx(ref.initial_deviation, rel=0, abs=1e-13)
         assert got.overall_max_error == pytest.approx(ref.overall_max_error, rel=0, abs=1e-13)
 
+    def test_rejects_an_empty_series_list(self):
+        # with no series there is no initial energy to strip its dynamical phase
+        params = CouplingParams(jx=1e-3, jy=1e-3, jz=1e-3, d=0.01, omega=0.0)
+        drive = DriveSpec.exponential(0.01, 0.0, plaquette=1)
+        res = exact_evolve(GEOM, params, drive, PSI0, np.linspace(0.0, 1.0, 3), tol=1e-9)
+        with pytest.raises(ValueError, match="at least one coefficient series"):
+            project_and_compare(res, [PSI0], [])
+
     def test_rejects_non_orthonormal_basis(self):
         params = CouplingParams(jx=1e-3, jy=1e-3, jz=1e-3, d=0.01, omega=0.5)
         drive = DriveSpec.exponential(0.01, 0.5, plaquette=0)

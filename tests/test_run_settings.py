@@ -38,10 +38,10 @@ FIELD_FLAGS = {
 COMMAND_FLAGS = {
     "lattice": set(),
     "manifold": {"--n"},
-    "evolve": {"--connected-only"},
-    "phase": set(),
-    "sweep": {"--omega-min", "--omega-max", "--omega-steps"},
-    "entropy": set(),
+    "evolve": {"--connected-only", "--emit-plot-script"},
+    "phase": {"--emit-plot-script"},
+    "sweep": {"--omega-min", "--omega-max", "--omega-steps", "--emit-plot-script"},
+    "entropy": {"--emit-plot-script"},
     "correlate": {"--literal-t0"},
     "thermal": {"--members", "--emit-density"},
     "validate": set(),
@@ -88,7 +88,7 @@ def test_each_command_has_the_config_flags_and_its_own(command):
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     flags = {s for a in sub.choices[command]._actions for s in a.option_strings}
-    common = {"-h", "--help", "--config", "--emit-plot-script"}
+    common = {"-h", "--help", "--config"}
     assert flags == common | FIELD_FLAGS | COMMAND_FLAGS[command]
 
 
