@@ -55,8 +55,9 @@ class LatticeGeometry:
     @cached_property
     def site_plaquette_index(self) -> np.ndarray:
         """(n_sites, 3) array of the plaquettes around each site."""
-        return np.array(
-            [[p for p, _ in inc] for inc in self.site_plaquettes], dtype=np.intp
+        return np.fromiter(
+            (p for inc in self.site_plaquettes for p, _ in inc),
+            dtype=np.intp, count=3 * self.n_sites,
         ).reshape(self.n_sites, 3)
 
     @cached_property
@@ -100,58 +101,49 @@ def build_lattice(nx: int, ny: int) -> LatticeGeometry:
     if nx < 2 or ny < 2:
         raise ValueError(f"honeycomb torus needs nx, ny >= 2, got {nx}x{ny}")
 
-    def site(ix: int, iy: int, s: int) -> int:
-        return 2 * ((ix % nx) + nx * (iy % ny)) + s
+    # cell c = ix + nx*iy, in the order the tables list cells
+    cell = np.arange(nx * ny)
+    ix, iy = cell % nx, cell // nx
 
-    n_sites = 2 * nx * ny
-    sublattice = tuple("A" if k % 2 == 0 else "B" for k in range(n_sites))
+    def site(dx: int, dy: int, s: int) -> np.ndarray:
+        """Sublattice-s site of every cell's (dx, dy) neighbour."""
+        return 2 * ((ix + dx) % nx + nx * ((iy + dy) % ny)) + s
 
+    sublattice = ("A", "B") * (nx * ny)
+
+    # every cell's A site bonds to a B site: z in its own cell, x below, y
+    # below and to the right; the table lists all x bonds, then y, then z
+    a = site(0, 0, 0).tolist()
     bonds: list[tuple[int, int, str]] = []
-    for comp in COMPONENTS:
-        for iy in range(ny):
-            for ix in range(nx):
-                a = site(ix, iy, 0)
-                if comp == "z":
-                    b = site(ix, iy, 1)
-                elif comp == "x":
-                    b = site(ix, iy - 1, 1)
-                else:  # y
-                    b = site(ix + 1, iy - 1, 1)
-                bonds.append((a, b, comp))
+    for comp, (dx, dy) in zip(COMPONENTS, ((0, -1), (1, -1), (0, 0))):
+        bonds.extend(zip(a, site(dx, dy, 1).tolist(), [comp] * len(a)))
 
     # Hexagon around cell (ix, iy); consecutive sites are bonded and the
     # position labels (x,y,z,x,y,z) match each site's outward bond.
-    plaquettes: list[tuple[int, ...]] = []
-    for iy in range(ny):
-        for ix in range(nx):
-            plaquettes.append(
-                (
-                    site(ix, iy, 0),
-                    site(ix, iy, 1),
-                    site(ix, iy + 1, 0),
-                    site(ix + 1, iy, 1),
-                    site(ix + 1, iy, 0),
-                    site(ix + 1, iy - 1, 1),
-                )
-            )
-
-    incidence: list[list[tuple[int, int]]] = [[] for _ in range(n_sites)]
-    for p, sites in enumerate(plaquettes):
-        for pos, s in enumerate(sites):
-            incidence[s].append((p, pos))
-    site_plaquettes = tuple(tuple(sorted(inc)) for inc in incidence)
-
-    owner = tuple(inc[0][0] for inc in site_plaquettes)
-    site_components = tuple(
-        PLAQUETTE_PATTERN[inc[0][1]] for inc in site_plaquettes
+    hexagons = np.stack(
+        [site(0, 0, 0), site(0, 0, 1), site(0, 1, 0),
+         site(1, 0, 1), site(1, 0, 0), site(1, -1, 1)],
+        axis=1,
     )
+    plaquettes = tuple(map(tuple, hexagons.tolist()))
+
+    # entry 6p + pos of the flat table is site hexagons[p, pos]; a stable
+    # sort by site lists each site's three (plaquette, position) pairs in
+    # plaquette order
+    order = np.argsort(hexagons.ravel(), kind="stable")
+    inc_p, inc_pos = np.divmod(order, 6)
+    pairs = list(zip(inc_p.tolist(), inc_pos.tolist()))
+    site_plaquettes = tuple(zip(pairs[0::3], pairs[1::3], pairs[2::3]))
+
+    owner = tuple(inc_p[0::3].tolist())
+    site_components = tuple(PLAQUETTE_PATTERN[pos] for pos in inc_pos[0::3].tolist())
 
     return LatticeGeometry(
         nx=nx,
         ny=ny,
         sublattice=sublattice,
         bonds=tuple(bonds),
-        plaquettes=tuple(plaquettes),
+        plaquettes=plaquettes,
         site_plaquettes=site_plaquettes,
         owner=owner,
         site_components=site_components,

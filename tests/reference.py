@@ -11,6 +11,9 @@ spin up.
 bytes the streamed column-wise :func:`kitaevsim.output.write_csv` must
 reproduce.
 
+:func:`loop_lattice` builds the torus tables cell by cell, the tuples
+that the array-built :func:`kitaevsim.lattice.build_lattice` must return.
+
 The label engine's references are per-site loops: signatures, bond
 energies summed left to right, drive elements as products along the
 string, and :func:`scan_connected_targets`, which finds the targets of a
@@ -28,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from kitaevsim.hamiltonian import drive_string
+from kitaevsim.lattice import COMPONENTS, PLAQUETTE_PATTERN
 from kitaevsim.manifold import build_product_ket, excite, flip_signature
 from kitaevsim.output import header_block
 from kitaevsim.pauli import PAULI, n_sites_of, pauli_eigenvector
@@ -133,6 +137,43 @@ def hilbert_element(geom, ground, target, params, drive_plaquette=None) -> compl
     q = target.flipped_plaquette if drive_plaquette is None else drive_plaquette
     driven = apply_pauli_string(build_product_ket(geom, ground), drive_string(geom, q))
     return params.d * complex(np.vdot(build_product_ket(geom, target.base, target), driven))
+
+
+def loop_lattice(nx, ny):
+    """(sublattice, bonds, plaquettes, site_plaquettes, owner,
+    site_components) of the nx-by-ny torus, one cell at a time."""
+
+    def site(ix, iy, s):
+        return 2 * ((ix % nx) + nx * (iy % ny)) + s
+
+    n_sites = 2 * nx * ny
+    sublattice = tuple("A" if k % 2 == 0 else "B" for k in range(n_sites))
+    bonds = []
+    for comp in COMPONENTS:
+        for iy in range(ny):
+            for ix in range(nx):
+                if comp == "z":
+                    b = site(ix, iy, 1)
+                elif comp == "x":
+                    b = site(ix, iy - 1, 1)
+                else:
+                    b = site(ix + 1, iy - 1, 1)
+                bonds.append((site(ix, iy, 0), b, comp))
+    plaquettes = []
+    for iy in range(ny):
+        for ix in range(nx):
+            plaquettes.append((
+                site(ix, iy, 0), site(ix, iy, 1), site(ix, iy + 1, 0),
+                site(ix + 1, iy, 1), site(ix + 1, iy, 0), site(ix + 1, iy - 1, 1),
+            ))
+    incidence = [[] for _ in range(n_sites)]
+    for p, sites in enumerate(plaquettes):
+        for pos, s in enumerate(sites):
+            incidence[s].append((p, pos))
+    site_plaquettes = tuple(tuple(sorted(inc)) for inc in incidence)
+    owner = tuple(inc[0][0] for inc in site_plaquettes)
+    site_components = tuple(PLAQUETTE_PATTERN[inc[0][1]] for inc in site_plaquettes)
+    return sublattice, tuple(bonds), tuple(plaquettes), site_plaquettes, owner, site_components
 
 
 def loop_signature(geom, config, excitation=None):

@@ -9,6 +9,7 @@ from kitaevsim.lattice import (
     geometry_to_json,
     validate_geometry,
 )
+from reference import loop_lattice
 
 
 @pytest.mark.parametrize(
@@ -22,6 +23,20 @@ def test_counts(nx, ny, sites, bonds, plaquettes):
     assert geom.n_plaquettes == plaquettes
     per_comp = Counter(c for _, _, c in geom.bonds)
     assert per_comp == {"x": nx * ny, "y": nx * ny, "z": nx * ny}
+
+
+@pytest.mark.parametrize("nx,ny", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (5, 7), (7, 5), (13, 2), (24, 24)])
+def test_tables_match_the_cell_by_cell_build(nx, ny):
+    geom = build_lattice(nx, ny)
+    tables = (geom.sublattice, geom.bonds, geom.plaquettes, geom.site_plaquettes,
+              geom.owner, geom.site_components)
+    assert tables == loop_lattice(nx, ny)
+    # Python ints and strings, as the loops make them, not numpy scalars
+    assert {type(v) for v in (*geom.bonds[0], *geom.plaquettes[0], geom.owner[0],
+                              *geom.site_plaquettes[0][0], geom.site_components[0])} == {int, str}
+    assert all(type(t) is tuple for t in (geom.bonds, geom.plaquettes, geom.site_plaquettes,
+                                           geom.site_plaquettes[0], geom.site_plaquettes[0][0]))
+    assert geom.site_plaquette_index.tolist() == [[p for p, _ in inc] for inc in geom.site_plaquettes]
 
 
 @pytest.mark.parametrize("nx,ny", [(1, 3), (3, 1), (0, 2), (2, 0)])
