@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import LatticeGeometry
-from .manifold import FlipConfig, build_product_ket
+from .manifold import FlipConfig, build_product_ket, signature_difference
 from .pauli import n_sites_of, require_hilbert
 from .perturbation import CoefficientSeries
 
@@ -275,6 +275,54 @@ def reduced_entropy(
     s = entropy_of_density(rho)
     labels = tuple(f"{part}{k}" for k in range(2 ** len(keep)))
     return DensityMatrix(matrix=rho, labels=labels), s
+
+
+def sublattice_entropy(
+    geom: LatticeGeometry, initial: FlipConfig, coeffs: list[CoefficientSeries]
+) -> np.ndarray:
+    """S_A of the first-order state at every sample time of ``coeffs``,
+    with no 2**n_sites ket.
+
+    Every label is a product over the same per-site Pauli eigenbases, so
+    the A parts of two labels are equal or orthogonal, and so are their B
+    parts.  Grouping the labels by the A and the B sites where they differ
+    from ``initial`` writes the state as sum M[a, b] |a>|b> with
+    orthonormal |a> and |b>; S_A is the entropy of M's squared singular
+    values over their sum, exactly 0.0 when M has one row or one column.
+    The amplitudes carry the dynamical phases of :func:`assemble_state`.
+    """
+    if not coeffs:
+        raise ValueError("need at least one coefficient series")
+    e_init = coeffs[0].e_initial
+    if any(s.e_initial != e_init for s in coeffs):
+        raise ValueError("series disagree on the initial energy")
+    times = coeffs[0].times
+
+    # row and column of M for the initial label, then for each target
+    rows, cols = {frozenset(): 0}, {frozenset(): 0}
+    row, col = [0], [0]
+    for s in coeffs:
+        target = s.target
+        sites = signature_difference(geom, initial, target.base)
+        sites ^= {geom.position3_site(target.flipped_plaquette)}
+        on_a = frozenset(k for k in sites if geom.sublattice[k] == "A")
+        row.append(rows.setdefault(on_a, len(rows)))
+        col.append(cols.setdefault(frozenset(sites) - on_a, len(cols)))
+    if len(rows) == 1 or len(cols) == 1:
+        return np.zeros(len(times))
+
+    amps = np.empty((len(times), len(coeffs) + 1), dtype=complex)
+    amps[:, 0] = np.exp(-1j * e_init * times)
+    for k, s in enumerate(coeffs, 1):
+        amps[:, k] = s.values * np.exp(-1j * s.e_target * times)
+    m = np.zeros((len(times), len(rows), len(cols)), dtype=complex)
+    np.add.at(m, (slice(None), row, col), amps)
+    weights = np.linalg.svd(m, compute_uv=False) ** 2
+    p = weights / weights.sum(axis=1, keepdims=True)
+    # weights at or below the floor contribute p * ln 1 = 0, as in
+    # entropy_of_density; + 0.0 turns a sum's -0.0 into 0.0
+    logs = np.log(np.where(p > ENTROPY_EIGENVALUE_FLOOR, p, 1.0))
+    return -np.sum(p * logs, axis=1) + 0.0
 
 
 def embed_active_state(

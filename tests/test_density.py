@@ -18,12 +18,13 @@ from kitaevsim.density import (
     partial_trace_matrix,
     reduced_density_matrix,
     reduced_entropy,
+    sublattice_entropy,
     thermal_ensemble,
     thermal_weights,
 )
 from kitaevsim.hamiltonian import CouplingParams, energy_expectation
 from kitaevsim.lattice import build_lattice
-from kitaevsim.manifold import FlipConfig, build_product_ket, excite
+from kitaevsim.manifold import ExcitedLabel, FlipConfig, build_product_ket, excite
 from kitaevsim.perturbation import (
     CoefficientSeries,
     DriveSpec,
@@ -160,6 +161,86 @@ class TestEntropy:
         direct = reduced_density_matrix(psi, [0, 2])
         traced = partial_trace_matrix(rho_full, 4, [0, 2])
         assert np.allclose(direct, traced, atol=1e-12)
+
+
+def random_series(rng, targets, times, e_initial):
+    """Series of random complex amplitudes (zero at t = 0) and random energies."""
+    out = []
+    for target in targets:
+        values = rng.normal(size=len(times)) + 1j * rng.normal(size=len(times))
+        values[0] = 0.0
+        out.append(CoefficientSeries(
+            target=target, e_target=float(rng.normal()), e_initial=e_initial,
+            times=times, values=values,
+        ))
+    return out
+
+
+def dense_entropies(geom, initial, coeffs):
+    """S_A at each sample time from the explicit 2**n ket."""
+    out = []
+    for t in coeffs[0].times:
+        state = assemble_state(coeffs, float(t), initial)
+        psi = embed_active_state(geom, initial, [c.target for c in coeffs], state)
+        # coinciding labels add their amplitudes, so the ket's norm is not one
+        _, s = reduced_entropy(geom, psi / np.linalg.norm(psi), "A")
+        out.append(s)
+    return np.array(out)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    shape=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_sublattice_entropy_matches_the_dense_ket(shape, seed, data):
+    geom = build_lattice(*shape)
+    n = geom.n_plaquettes
+    initial = FlipConfig(data.draw(st.integers(0, 2**n - 1)), n)
+    # random bases and plaquettes: labels differ from the initial on both
+    # sublattices, and repeated draws give coinciding kets
+    labels = data.draw(st.lists(
+        st.tuples(st.integers(0, 2**n - 1), st.integers(0, n - 1)), min_size=1, max_size=5,
+    ))
+    targets = [ExcitedLabel(FlipConfig(bits, n), p) for bits, p in labels]
+    rng = np.random.default_rng(seed)
+    coeffs = random_series(rng, targets, np.linspace(0.0, 3.0, 4), float(rng.normal()))
+
+    closed = sublattice_entropy(geom, initial, coeffs)
+    assert closed[0] == 0.0
+    assert np.max(np.abs(closed - dense_entropies(geom, initial, coeffs))) < 1e-12
+
+
+def test_sublattice_entropy_is_exactly_zero_when_only_a_sites_differ():
+    # every excite(initial, p) flips only plaquette p's third site, on A
+    geom = build_lattice(2, 3)
+    initial = FlipConfig(0b101101, 6)
+    targets = [excite(initial, p) for p in range(6)]
+    assert all(geom.sublattice[geom.position3_site(p)] == "A" for p in range(6))
+    rng = np.random.default_rng(4)
+    coeffs = random_series(rng, targets, np.linspace(0.0, 2.0, 5), 0.3)
+    closed = sublattice_entropy(geom, initial, coeffs)
+    assert closed.tolist() == [0.0] * 5
+    assert np.max(dense_entropies(geom, initial, coeffs)) < 1e-12
+
+
+def test_sublattice_entropy_of_a_two_label_schmidt_pair():
+    # a base flipped on one plaquette differs on three A and three B sites,
+    # so |0> + c|m> has Schmidt weights 1/(1 + |c|^2) and |c|^2/(1 + |c|^2)
+    geom = build_lattice(2, 2)
+    initial = FlipConfig(0, 4)
+    times = np.array([0.0, 1.0])
+    c = 0.3 - 0.4j
+    series = CoefficientSeries(
+        target=excite(FlipConfig(0b0010, 4), 1), e_target=0.7, e_initial=-0.2,
+        times=times, values=np.array([0.0, c]),
+    )
+    p = abs(c) ** 2 / (1.0 + abs(c) ** 2)
+    expected = -(p * math.log(p) + (1.0 - p) * math.log(1.0 - p))
+    s_a = sublattice_entropy(geom, initial, [series])
+    assert s_a[0] == 0.0
+    assert s_a[1] == pytest.approx(expected, abs=1e-14)
 
 
 class TestThermal:
