@@ -31,8 +31,8 @@ from .density import (
     embed_active_state,
     entropy_of_density,
     initial_label,
-    reduced_entropy,
     require_dense_budget,
+    sublattice_entropy,
     thermal_ensemble,
 )
 from .hamiltonian import CouplingParams, EnergyTable, energy_expectation, perturbation_element
@@ -262,11 +262,11 @@ def cmd_manifold(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _evolved(cfg: RunConfig, connected_only: bool, scene=None, dense_basis: bool = False):
+def _evolved(cfg: RunConfig, connected_only: bool, dense_basis: bool = False):
     """Scene, targets and first-order series; ``dense_basis`` checks the
     active-basis density matrix over initial + targets against the memory
     budget before any series is evolved."""
-    geom, params, drive, initial, times = scene or _build_scene(cfg)
+    geom, params, drive, initial, times = _build_scene(cfg)
     if connected_only:
         targets = connected_targets(geom, params, initial, drive.plaquette)
     else:
@@ -410,17 +410,11 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 
 def cmd_entropy(cfg: RunConfig, args) -> int:
-    scene = _build_scene(cfg)
-    require_hilbert(scene[0].n_sites)
-    geom, _, _, initial, times, _, coeffs = _evolved(cfg, True, scene)
+    # S_A from the label amplitudes' Schmidt values: no 2**n ket, no cap
+    geom, _, _, initial, times, _, coeffs = _evolved(cfg, True)
     if not coeffs:
         raise RuntimeError("no connected targets; nothing to evolve")
-    entropies = []
-    for t in times:
-        state = assemble_state(coeffs, float(t), initial)
-        psi = embed_active_state(geom, initial, [c.target for c in coeffs], state)
-        _, s = reduced_entropy(geom, psi, "A")
-        entropies.append(float(s))
+    entropies = sublattice_entropy(geom, initial, coeffs)
     out = _outdir(cfg) / "entropy.csv"
     write_csv(out, cfg.as_dict(), ["t", "s_a"], [(times, entropies)])
     _maybe_plot(args, out)

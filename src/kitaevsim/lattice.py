@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -116,7 +117,7 @@ def build_lattice(nx: int, ny: int) -> LatticeGeometry:
     a = site(0, 0, 0).tolist()
     bonds: list[tuple[int, int, str]] = []
     for comp, (dx, dy) in zip(COMPONENTS, ((0, -1), (1, -1), (0, 0))):
-        bonds.extend(zip(a, site(dx, dy, 1).tolist(), [comp] * len(a)))
+        bonds.extend(zip(a, site(dx, dy, 1).tolist(), repeat(comp)))
 
     # Hexagon around cell (ix, iy); consecutive sites are bonded and the
     # position labels (x,y,z,x,y,z) match each site's outward bond.
@@ -125,7 +126,7 @@ def build_lattice(nx: int, ny: int) -> LatticeGeometry:
          site(1, 0, 1), site(1, 0, 0), site(1, -1, 1)],
         axis=1,
     )
-    plaquettes = tuple(map(tuple, hexagons.tolist()))
+    plaquettes = tuple(zip(*hexagons.T.tolist()))
 
     # entry 6p + pos of the flat table is site hexagons[p, pos]; a stable
     # sort by site lists each site's three (plaquette, position) pairs in

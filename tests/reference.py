@@ -209,7 +209,10 @@ def loop_element(geom, signs_g, signs_t, driven, d):
     for s, op in string:
         bra = pauli_eigenvector(geom.site_components[s], int(signs_t[s]))
         ket = pauli_eigenvector(geom.site_components[s], int(signs_g[s]))
-        val *= complex(np.vdot(bra, PAULI[op] @ ket))
+        # elementwise products and one add: np.vdot may fuse s*s - s*s into
+        # an FMA and return the rounding error of s*s, about 2e-17, where
+        # an orthogonal pair of eigenvectors gives exactly 0
+        val *= complex(np.sum(bra.conj() * (PAULI[op] @ ket)))
         if val == 0.0:
             return 0.0 + 0.0j
     return val

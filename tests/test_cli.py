@@ -42,9 +42,9 @@ class TestExitCodes:
         assert proc.returncode == 2
 
     def test_computation_failure_exits_3(self, tmp_path):
-        # entropy needs the full Hilbert space; 3x3 exceeds the cap
+        # thermal needs the full Hilbert space; 3x3 exceeds the cap
         proc = run_cli(
-            "entropy", "--nx", "3", "--ny", "3", "--outdir", str(tmp_path),
+            "thermal", "--nx", "3", "--ny", "3", "--outdir", str(tmp_path),
             "--samples", "3",
         )
         assert proc.returncode == 3
@@ -58,6 +58,19 @@ class TestExitCodes:
         code = cli.main(["thermal", "--samples", "3", "--outdir", str(tmp_path)])
         assert code == 3
         assert "computation failed: cannot allocate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_entropy_beyond_the_hilbert_cap_writes_exact_zeros(self, n, tmp_path):
+        # the one target differs from the initial state on one A site only
+        code = cli.main(["entropy", "--nx", str(n), "--ny", str(n), "--samples", "9",
+                         "--outdir", str(tmp_path)])
+        assert code == 0
+        rows = [
+            l.split(",") for l in (tmp_path / "entropy.csv").read_text().splitlines()
+            if not l.startswith("#")
+        ][1:]
+        assert len(rows) == 9
+        assert [float(s_a) for _, s_a in rows] == [0.0] * 9
 
     def test_entropy_without_connected_targets_exits_3(self, tmp_path, capsys):
         # on 2x2 the drive on plaquette 1 connects no target to the default initial state
@@ -148,8 +161,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv",
-        [["entropy"], ["thermal"], ["thermal", "--members", "all"]],
-        ids=["entropy", "thermal", "thermal-members-all"],
+        [["thermal"], ["thermal", "--members", "all"], ["thermal", "--members", "0x0,0x1"]],
+        ids=["thermal", "thermal-members-all", "thermal-members-list"],
     )
     def test_hilbert_cap_exits_3_before_first_order_work(
         self, argv, tmp_path, monkeypatch, capsys
