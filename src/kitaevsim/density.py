@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import LatticeGeometry
-from .manifold import FlipConfig, build_product_ket, signature_difference
+from .manifold import FlipConfig, build_product_ket, label_key
 from .pauli import n_sites_of, require_hilbert
 from .perturbation import CoefficientSeries
 
@@ -302,12 +302,10 @@ def sublattice_entropy(
     rows, cols = {frozenset(): 0}, {frozenset(): 0}
     row, col = [0], [0]
     for s in coeffs:
-        target = s.target
-        sites = signature_difference(geom, initial, target.base)
-        sites ^= {geom.position3_site(target.flipped_plaquette)}
+        sites = label_key(geom, initial, s.target)
         on_a = frozenset(k for k in sites if geom.sublattice[k] == "A")
         row.append(rows.setdefault(on_a, len(rows)))
-        col.append(cols.setdefault(frozenset(sites) - on_a, len(cols)))
+        col.append(cols.setdefault(sites - on_a, len(cols)))
     if len(rows) == 1 or len(cols) == 1:
         return np.zeros(len(times))
 

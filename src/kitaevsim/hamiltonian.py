@@ -26,7 +26,7 @@ from .manifold import (
     ExcitedLabel,
     FlipConfig,
     flip_signature,
-    signature_difference,
+    label_key,
 )
 from .pauli import PAULI, apply_pauli_string, pauli_eigenvector, string_term
 
@@ -176,9 +176,9 @@ def perturbation_elements(
 
     No ket and no per-target signature is built: only the drive's image of
     the ground state (:func:`drive_image_sites`) has a nonzero element, and
-    a target is that image when its signature differs from the ground
-    state's on exactly the image sites, which is found from the plaquettes
-    where the two labels differ.  The image's element is D times the
+    a target is that image when its key against the ground state
+    (:func:`~kitaevsim.manifold.label_key`) is the set of image sites.
+    The image's element is D times the
     single-site elements taken in string order.
     """
     targets = list(targets)
@@ -194,9 +194,7 @@ def perturbation_elements(
     signs_g = flip_signature(geom, ground)
     out = []
     for tg, q, string in zip(targets, driven, strings):
-        moved = signature_difference(geom, ground, tg.base) ^ {
-            geom.position3_site(tg.flipped_plaquette)
-        }
+        moved = label_key(geom, ground, tg)
         image = drive_image_sites(geom, q)
         out.append(
             _image_element(geom, signs_g, string, image, params.d)

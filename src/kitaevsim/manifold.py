@@ -136,6 +136,24 @@ def signature_difference(geom: LatticeGeometry, a: FlipConfig, b: FlipConfig) ->
     return sites
 
 
+def label_key(
+    geom: LatticeGeometry, reference: FlipConfig, label: FlipConfig | ExcitedLabel
+) -> frozenset[int]:
+    """Key of a label's product ket: the sites where its signs differ from
+    those of ``reference``.
+
+    All product kets of the manifold share the per-site bases, so against
+    one reference two labels with equal keys name the same ket, flip-kernel
+    twins included, and two with unequal keys name orthogonal kets.
+    """
+    if isinstance(label, ExcitedLabel):
+        sites = signature_difference(geom, reference, label.base)
+        sites ^= {geom.position3_site(label.flipped_plaquette)}
+    else:
+        sites = signature_difference(geom, reference, label)
+    return frozenset(sites)
+
+
 def signature_kernel(geom: LatticeGeometry) -> list[FlipConfig]:
     """Basis of flip configurations whose site signature is the identity.
 

@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kitaevsim import pauli
 from kitaevsim.lattice import build_lattice
 from kitaevsim.manifold import (
     signature_kernel,
@@ -12,6 +16,7 @@ from kitaevsim.manifold import (
     enumerate_weight_class,
     excite,
     flip_signature,
+    label_key,
 )
 from kitaevsim.pauli import product_ket
 
@@ -209,3 +214,77 @@ class TestProductKet:
         geom = build_lattice(3, 3)  # 18 sites > 16-site cap
         with pytest.raises(ValueError, match="cap"):
             build_product_ket(geom, FlipConfig(0, 9))
+
+
+KEY_TORI = {shape: build_lattice(*shape) for shape in ((2, 2), (2, 3), (3, 2), (3, 3))}
+
+
+@st.composite
+def labels(draw, geom, config=None):
+    """A flip configuration, with an excitation on one plaquette or none."""
+    n = geom.n_plaquettes
+    if config is None:
+        config = FlipConfig(draw(st.integers(0, (1 << n) - 1)), n)
+    plaquette = draw(st.none() | st.integers(0, n - 1))
+    return config if plaquette is None else excite(config, plaquette)
+
+
+def _config(label):
+    return label.base if isinstance(label, ExcitedLabel) else label
+
+
+def _ket(geom, label):
+    if isinstance(label, ExcitedLabel):
+        return build_product_ket(geom, label.base, label)
+    return build_product_ket(geom, label)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    shape=st.sampled_from(sorted(KEY_TORI)),
+    relation=st.sampled_from(["independent", "same configuration", "kernel twin"]),
+    data=st.data(),
+)
+def test_equal_keys_name_equal_kets_and_unequal_keys_orthogonal_ones(shape, relation, data):
+    geom = KEY_TORI[shape]
+    reference = _config(data.draw(labels(geom)))
+    a = data.draw(labels(geom))
+    kernel = signature_kernel(geom)  # nonempty on 3x3 only
+    if relation == "independent":
+        b = data.draw(labels(geom))
+    elif relation == "kernel twin" and kernel:
+        picks = data.draw(
+            st.lists(st.booleans(), min_size=len(kernel), max_size=len(kernel)).filter(any)
+        )
+        bits = _config(a).bits
+        for c, pick in zip(kernel, picks):
+            bits ^= c.bits if pick else 0
+        b = data.draw(labels(geom, FlipConfig(bits, geom.n_plaquettes)))
+        assert _config(b) != _config(a)
+    else:
+        b = data.draw(labels(geom, _config(a)))
+    # 3x3 has 18 sites; its 2**18 kets are built here under a raised cap
+    with mock.patch.object(pauli, "HILBERT_CAP_SITES", geom.n_sites):
+        ket_a, ket_b = _ket(geom, a), _ket(geom, b)
+    if label_key(geom, reference, a) == label_key(geom, reference, b):
+        assert np.array_equal(ket_a, ket_b)
+    else:
+        assert abs(np.vdot(ket_a, ket_b)) < 1e-12
+
+
+def test_kernel_twins_share_a_key():
+    geom = KEY_TORI[(3, 3)]
+    reference, config = FlipConfig(0b101, 9), FlipConfig(0b110010011, 9)
+    for c in signature_kernel(geom):
+        twin = FlipConfig(config.bits ^ c.bits, 9)
+        assert label_key(geom, reference, twin) == label_key(geom, reference, config)
+        assert label_key(geom, reference, excite(twin, 7)) == label_key(
+            geom, reference, excite(config, 7)
+        )
+
+
+def test_key_against_the_label_itself_is_empty():
+    geom = KEY_TORI[(2, 3)]
+    config = FlipConfig(0b101101, 6)
+    assert label_key(geom, config, config) == frozenset()
+    assert label_key(geom, config, excite(config, 4)) == {geom.position3_site(4)}
