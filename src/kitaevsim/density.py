@@ -277,6 +277,61 @@ def reduced_entropy(
     return DensityMatrix(matrix=rho, labels=labels), s
 
 
+def _split_key(geom: LatticeGeometry, key: frozenset[int]) -> tuple[frozenset, frozenset]:
+    """A key's sites on sublattice A, then on B."""
+    on_a = frozenset(k for k in key if geom.sublattice[k] == "A")
+    return on_a, key - on_a
+
+
+def _blocks(rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
+    """Entry indices of each block of the pattern (rows, cols): the
+    connected components of the graph joining each entry's row and column."""
+    n_rows = int(rows.max()) + 1
+    parent = list(range(n_rows + int(cols.max()) + 1))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        parent[root(r)] = root(n_rows + c)
+    roots = np.array([root(r) for r in rows.tolist()])
+    order = np.argsort(roots, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(roots[order])) + 1)
+
+
+def schmidt_weights(rows, cols, values) -> np.ndarray:
+    """Squared singular values of the matrix M that sums ``values[..., e]``
+    at (rows[e], cols[e]); leading axes of ``values`` give one M each.
+
+    M is decomposed one block at a time, a block being rows and columns
+    that share no entry with the rest, so the cost follows the largest
+    block rather than M's shape.  The last axis holds every block's
+    weights, min(rows, columns) of them per block.
+    """
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    values = np.asarray(values, dtype=complex)
+    flat = values.reshape(-1, values.shape[-1])
+    out = []
+    for entries in _blocks(rows, cols):
+        row_ids, r = np.unique(rows[entries], return_inverse=True)
+        col_ids, c = np.unique(cols[entries], return_inverse=True)
+        m = np.zeros((len(flat), len(row_ids), len(col_ids)), dtype=complex)
+        np.add.at(m, (slice(None), r, c), flat[:, entries])
+        out.append(np.linalg.svd(m, compute_uv=False) ** 2)
+    return np.concatenate(out, axis=-1).reshape(values.shape[:-1] + (-1,))
+
+
+def _weights_entropy(p: np.ndarray) -> np.ndarray:
+    """-sum p ln p over the last axis.  Weights at or below the floor add
+    p * ln 1 = 0, as in entropy_of_density; + 0.0 turns a sum's -0.0 into
+    0.0."""
+    logs = np.log(np.where(p > ENTROPY_EIGENVALUE_FLOOR, p, 1.0))
+    return -np.sum(p * logs, axis=-1) + 0.0
+
+
 def sublattice_entropy(
     geom: LatticeGeometry, initial: FlipConfig, coeffs: list[CoefficientSeries]
 ) -> np.ndarray:
@@ -285,11 +340,12 @@ def sublattice_entropy(
 
     Every label is a product over the same per-site Pauli eigenbases, so
     the A parts of two labels are equal or orthogonal, and so are their B
-    parts.  Grouping the labels by the A and the B sites where they differ
-    from ``initial`` writes the state as sum M[a, b] |a>|b> with
-    orthonormal |a> and |b>; S_A is the entropy of M's squared singular
-    values over their sum, exactly 0.0 when M has one row or one column.
-    The amplitudes carry the dynamical phases of :func:`assemble_state`.
+    parts.  Splitting each label's key against ``initial``
+    (:func:`~kitaevsim.manifold.label_key`) into its A and B sites writes
+    the state as sum M[a, b] |a>|b> with orthonormal |a> and |b>; S_A is
+    the entropy of M's squared singular values over their sum, exactly 0.0
+    when M has one row or one column.  The amplitudes carry the dynamical
+    phases of :func:`assemble_state`.
     """
     if not coeffs:
         raise ValueError("need at least one coefficient series")
@@ -302,10 +358,9 @@ def sublattice_entropy(
     rows, cols = {frozenset(): 0}, {frozenset(): 0}
     row, col = [0], [0]
     for s in coeffs:
-        sites = label_key(geom, initial, s.target)
-        on_a = frozenset(k for k in sites if geom.sublattice[k] == "A")
+        on_a, on_b = _split_key(geom, label_key(geom, initial, s.target))
         row.append(rows.setdefault(on_a, len(rows)))
-        col.append(cols.setdefault(sites - on_a, len(cols)))
+        col.append(cols.setdefault(on_b, len(cols)))
     if len(rows) == 1 or len(cols) == 1:
         return np.zeros(len(times))
 
@@ -313,14 +368,44 @@ def sublattice_entropy(
     amps[:, 0] = np.exp(-1j * e_init * times)
     for k, s in enumerate(coeffs, 1):
         amps[:, k] = s.values * np.exp(-1j * s.e_target * times)
-    m = np.zeros((len(times), len(rows), len(cols)), dtype=complex)
-    np.add.at(m, (slice(None), row, col), amps)
-    weights = np.linalg.svd(m, compute_uv=False) ** 2
-    p = weights / weights.sum(axis=1, keepdims=True)
-    # weights at or below the floor contribute p * ln 1 = 0, as in
-    # entropy_of_density; + 0.0 turns a sum's -0.0 into 0.0
-    logs = np.log(np.where(p > ENTROPY_EIGENVALUE_FLOOR, p, 1.0))
-    return -np.sum(p * logs, axis=1) + 0.0
+    weights = schmidt_weights(row, col, amps)
+    return _weights_entropy(weights / weights.sum(axis=-1, keepdims=True))
+
+
+def label_mixture(geom: LatticeGeometry, members, weights) -> dict[str, float]:
+    """Trace, purity, entropy and S_A of the mixture sum_k p_k |psi_k><psi_k|,
+    with no 2**n_sites ket.
+
+    ``members`` pairs each member's labels (its FlipConfig, then its
+    ExcitedLabels) with their amplitudes, as :func:`assemble_state` orders
+    them.  Every label is keyed (:func:`~kitaevsim.manifold.label_key`)
+    against one reference shared by all members, so equal kets share a key
+    whichever members hold them.  With X[k, key] = sqrt(p_k) * amplitude
+    the mixture is X^T conj(X) in the orthonormal key basis, so its nonzero
+    spectrum is X's squared singular values; that of the reduced mixture
+    on A comes from V[a, (k, b)] = sqrt(p_k) M_k[a, b], member k's Schmidt
+    matrix M_k as in :func:`sublattice_entropy`, for every k side by side.
+    """
+    reference = FlipConfig(0, geom.n_plaquettes)
+    keys, a_parts, kb_pairs = {}, {}, {}
+    member, key_col, a_row, kb_col, values = [], [], [], [], []
+    for k, ((labels, amps), p) in enumerate(zip(members, weights)):
+        for label, amp in zip(labels, amps):
+            key = label_key(geom, reference, label)
+            on_a, on_b = _split_key(geom, key)
+            member.append(k)
+            key_col.append(keys.setdefault(key, len(keys)))
+            a_row.append(a_parts.setdefault(on_a, len(a_parts)))
+            kb_col.append(kb_pairs.setdefault((k, on_b), len(kb_pairs)))
+            values.append(math.sqrt(p) * amp)
+    w_mix = schmidt_weights(member, key_col, values)
+    w_a = schmidt_weights(a_row, kb_col, values)
+    return {
+        "trace": float(np.sum(w_mix)),
+        "purity": float(np.sum(w_mix**2)),
+        "mixture_entropy": float(_weights_entropy(w_mix)),
+        "sublattice_entropy": float(_weights_entropy(w_a)),
+    }
 
 
 def embed_active_state(

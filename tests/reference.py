@@ -23,6 +23,10 @@ same energies and drive elements as expectations on explicit 2^n kets.
 
 :func:`loop_unwrap` is the per-sample argument unwrapping that
 :func:`kitaevsim.phase.decompose_values` must reproduce bit for bit.
+
+:func:`gram` and :func:`reduced` take a thermal mixture's K x K member Gram
+matrix and its reduced matrix on kept sites from explicit 2^n member kets,
+the forms :func:`kitaevsim.density.label_mixture` must match from labels.
 """
 
 import math
@@ -30,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from kitaevsim.density import DensityMatrix, reduced_density_matrix
 from kitaevsim.hamiltonian import drive_string
 from kitaevsim.lattice import COMPONENTS, PLAQUETTE_PATTERN
 from kitaevsim.manifold import build_product_ket, excite, flip_signature
@@ -257,3 +262,23 @@ def loop_unwrap(values, singular) -> np.ndarray:
             angle[k] = raw
         prev = k
     return angle
+
+
+def gram(ensemble) -> DensityMatrix:
+    """K x K member Gram matrix G_kl = sqrt(p_k p_l) <psi_k|psi_l>.
+
+    G = A^H A for the matrix A whose columns are sqrt(p_k) psi_k, while the
+    mixture is rho = A A^H; so G has the trace, the purity and the nonzero
+    spectrum of ``ensemble.density()`` without its 2**n x 2**n matrix.
+    """
+    kets = np.array(ensemble.states)
+    amp = np.sqrt(ensemble.weights)
+    return DensityMatrix(matrix=amp[:, None] * (kets.conj() @ kets.T) * amp[None, :])
+
+
+def reduced(ensemble, keep_sites) -> np.ndarray:
+    """Reduced mixture sum_k p_k Tr_rest |psi_k><psi_k| on the kept sites."""
+    return sum(
+        p * reduced_density_matrix(psi, keep_sites)
+        for p, psi in zip(ensemble.weights, ensemble.states)
+    )

@@ -13,8 +13,10 @@ from kitaevsim.density import (
     ThermalEnsemble,
     assemble_state,
     density_matrix,
+    ActiveState,
     embed_active_state,
     entropy_of_density,
+    label_mixture,
     partial_trace_matrix,
     reduced_density_matrix,
     reduced_entropy,
@@ -32,6 +34,8 @@ from kitaevsim.perturbation import (
     evolve_coefficients,
 )
 from kitaevsim.phase import decompose
+
+import reference
 
 GEOM = build_lattice(2, 2)
 EMPTY = FlipConfig(0, 4)
@@ -406,3 +410,80 @@ def test_gram_sums_slices_without_stacking_the_kets():
     assert np.max(np.abs(gram.matrix - expected)) < 1e-12
     # two K x GRAM_BLOCK_ENTRIES slices, against 16 * 9 * dim bytes for one copy
     assert peak < 3 * 16 * 9 * GRAM_BLOCK_ENTRIES
+
+
+def reference_mixture(geom, members, weights):
+    """trace, purity, mixture_entropy and sublattice_entropy of the mixture
+    of the members' embed_active_state kets, from reference.gram and
+    reference.reduced."""
+    kets = []
+    for labels, amps in members:
+        state = ActiveState(tuple(map(str, labels)), np.zeros(len(labels)), amps, 0.0, 1.0)
+        kets.append(embed_active_state(geom, labels[0], labels[1:], state))
+    ens = ThermalEnsemble(energies=np.zeros(len(kets)), states=kets, kt=1.0, weights=weights)
+    rho = reference.gram(ens)
+    rho_a = reference.reduced(ens, [k for k in range(geom.n_sites) if geom.sublattice[k] == "A"])
+    return {
+        "trace": rho.trace,
+        "purity": rho.purity(),
+        "mixture_entropy": entropy_of_density(rho.matrix),
+        "sublattice_entropy": entropy_of_density(rho_a),
+    }
+
+
+def assert_mixtures_agree(keyed, dense):
+    assert list(keyed) == list(dense)
+    for name in dense:
+        assert abs(keyed[name] - dense[name]) < 1e-12, name
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    shape=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_label_mixture_matches_the_dense_member_kets(shape, seed, data):
+    geom = build_lattice(*shape)
+    n = geom.n_plaquettes
+    # configurations from a small pool, so members repeat; targets on random
+    # bases and plaquettes, so kets differ on both sublattices and coincide
+    # within and across members
+    pool = data.draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=3))
+    drawn = data.draw(st.lists(
+        st.tuples(
+            st.sampled_from(pool),
+            st.lists(st.tuples(st.sampled_from(pool), st.integers(0, n - 1)), max_size=3),
+        ),
+        min_size=1, max_size=6,
+    ))
+    rng = np.random.default_rng(seed)
+    members = []
+    for bits, targets in drawn:
+        labels = [FlipConfig(bits, n)] + [ExcitedLabel(FlipConfig(b, n), p) for b, p in targets]
+        amps = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
+        members.append((labels, amps / np.linalg.norm(amps)))
+    w = rng.uniform(size=len(members)) * (rng.uniform(size=len(members)) > 0.2)
+    assume(w.sum() > 0.0)
+    w /= w.sum()
+    assert_mixtures_agree(label_mixture(geom, members, w), reference_mixture(geom, members, w))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3)], ids=["2x2", "2x3"])
+def test_label_mixture_of_every_evolved_configuration(shape):
+    geom = build_lattice(*shape)
+    n = geom.n_plaquettes
+    params = CouplingParams(jx=1.0, jy=0.8, jz=1.2, d=0.05, omega=0.3)
+    drive = DriveSpec.exponential(0.05, 0.3, plaquette=0)
+    times = np.linspace(0.0, 2.0, 5)
+    members, energies = [], []
+    for bits in range(1 << n):
+        config = FlipConfig(bits, n)
+        coeffs = evolve_coefficients(
+            geom, params, drive, config, connected_targets(geom, params, config, 0), times
+        )
+        state = assemble_state(coeffs, 2.0, config)
+        members.append(([config] + [c.target for c in coeffs], state.amplitudes))
+        energies.append(energy_expectation(geom, params, config))
+    w = thermal_weights(energies, 0.7)
+    assert_mixtures_agree(label_mixture(geom, members, w), reference_mixture(geom, members, w))
