@@ -25,15 +25,15 @@ from . import __version__
 from .correlation import correlation_exact_scan, correlation_formula, selection_rule_report
 from .density import (
     DensityMatrix,
-    _sublattice_sites,
     assemble_state,
     density_matrix,
     embed_active_state,
-    entropy_of_density,
     initial_label,
+    label_mixture,
     require_dense_budget,
     sublattice_entropy,
     thermal_ensemble,
+    thermal_weights,
 )
 from .hamiltonian import CouplingParams, EnergyTable, energy_expectation, perturbation_element
 from .lattice import build_lattice, geometry_to_json, validate_geometry
@@ -272,7 +272,8 @@ def _evolved(cfg: RunConfig, connected_only: bool, dense_basis: bool = False):
     else:
         targets = [excite(initial, j) for j in range(geom.n_plaquettes)]
     if dense_basis:
-        require_dense_budget(len(targets) + 1, "active-basis density matrix")
+        dim = len(targets) + 1
+        require_dense_budget(dim, dim, "active-basis density matrix")
     coeffs = evolve_coefficients(geom, params, drive, initial, targets, times)
     return geom, params, drive, initial, times, targets, coeffs
 
@@ -472,57 +473,53 @@ def cmd_correlate(cfg: RunConfig, args) -> int:
 
 def cmd_thermal(cfg: RunConfig, args) -> int:
     geom, params, drive, _, times = _build_scene(cfg)
-    require_hilbert(geom.n_sites)
+    n = geom.n_plaquettes
+    if args.emit_density:
+        # the mixture density matrix is over the full 2**n_sites basis
+        require_hilbert(geom.n_sites)
+        require_dense_budget(2**geom.n_sites, 2**geom.n_sites, "mixture density matrix")
+    count = {"weight01": n + 1, "all": 1 << n}.get(args.members, args.members.count(",") + 1)
+    # each member is its configuration plus at most one target, so its
+    # labels fill at most two key columns
+    require_dense_budget(count, 2 * count, "member-by-key label matrix")
     if args.members == "weight01":
-        members_cfg = [FlipConfig(0, geom.n_plaquettes)] + [
-            FlipConfig(1 << q, geom.n_plaquettes) for q in range(geom.n_plaquettes)
-        ]
+        members_cfg = [FlipConfig(0, n)] + [FlipConfig(1 << q, n) for q in range(n)]
     elif args.members == "all":
-        members_cfg = [
-            FlipConfig(bits, geom.n_plaquettes)
-            for bits in range(1 << geom.n_plaquettes)
-        ]
+        members_cfg = [FlipConfig(bits, n) for bits in range(1 << n)]
     else:
         try:
-            members_cfg = [
-                FlipConfig(int(tok, 0), geom.n_plaquettes)
-                for tok in args.members.split(",")
-            ]
+            members_cfg = [FlipConfig(int(tok, 0), n) for tok in args.members.split(",")]
         except ValueError as exc:
             raise ConfigError(f"bad --members {args.members!r}: {exc}") from exc
 
     t = float(times[-1])
-    members = []
-    labels = []
+    members, kets, energies, labels = [], [], [], []
     for config in members_cfg:
         tg = connected_targets(geom, params, config, drive.plaquette)
         cs = evolve_coefficients(geom, params, drive, config, tg, times)
+        targets = [c.target for c in cs]
         if cs:
             state = assemble_state(cs, t, config)
-            psi = embed_active_state(geom, config, [c.target for c in cs], state)
+            members.append(([config, *targets], state.amplitudes))
         else:
-            psi = build_product_ket(geom, config)
-        e = energy_expectation(geom, params, config)
-        members.append((e, psi))
+            members.append(([config], np.ones(1)))
+        if args.emit_density:
+            kets.append(embed_active_state(geom, config, targets, state) if cs
+                        else build_product_ket(geom, config))
+        energies.append(energy_expectation(geom, params, config))
         labels.append(initial_label(config))
 
-    ensemble = thermal_ensemble(members, cfg.kt)
-    # the K x K Gram matrix carries the mixture's trace, purity and spectrum
-    rho = ensemble.gram()
-    rho_a = ensemble.reduced(_sublattice_sites(geom, "A"))
+    weights = thermal_weights(energies, cfg.kt)
     summary = {
         "kt": cfg.kt,
         "t_evaluated": t,
         "members": labels,
-        "energies": [float(e) for e in ensemble.energies],
-        "weights": [float(w) for w in ensemble.weights],
-        "trace": rho.trace,
-        "purity": rho.purity(),
-        "mixture_entropy": entropy_of_density(rho.matrix),
-        "sublattice_entropy": entropy_of_density(rho_a),
+        "energies": [float(e) for e in energies],
+        "weights": [float(w) for w in weights],
+        **label_mixture(geom, members, weights),
     }
     if args.emit_density:
-        summary["density"] = ensemble.density().to_payload()
+        summary["density"] = thermal_ensemble(zip(energies, kets), cfg.kt).density().to_payload()
     outdir = _outdir(cfg)
     write_json(outdir / "thermal.json", cfg.as_dict(), summary)
     write_csv(

@@ -7,6 +7,18 @@ off-diagonal entry carries the phase difference of the two states plus
 their dynamical-phase mismatch; that structure is what makes the
 coefficient phases observable.
 
+Every label names a product ket over the same per-site Pauli eigenbases,
+keyed by the sites where it differs from a reference configuration
+(:func:`~kitaevsim.manifold.label_key`): equal keys are equal kets and
+unequal keys orthogonal ones.  So the sublattice entropy of an evolved
+state (:func:`sublattice_entropy`) and the trace, purity and entropies of
+a thermal mixture of them (:func:`label_mixture`) are squared singular
+values of small label-amplitude matrices (:func:`schmidt_weights`), with
+no 2**n_sites ket.  The dense 2**n forms (:func:`embed_active_state`,
+:func:`reduced_entropy`, :meth:`ThermalEnsemble.density`) stay for
+``thermal --emit-density``, the acceptance checks and the tests, under the
+Hilbert cap.
+
 Entropy uses the natural logarithm, so a maximally mixed qubit pair
 carries ln 2 per qubit.
 """
@@ -30,19 +42,16 @@ ENTROPY_EIGENVALUE_FLOOR = 1e-14
 # evolve's (N+1)**2 active-basis matrix fits up to the 90x90 torus
 DENSE_DENSITY_BUDGET_BYTES = 1 << 30
 
-# ket entries per slice that ThermalEnsemble.gram stacks and conjugates at once
-GRAM_BLOCK_ENTRIES = 4096
-
 # bytes of one row block of the projector ThermalEnsemble.density adds to rho
 DENSITY_BLOCK_BYTES = 1 << 22
 
 
-def require_dense_budget(dim: int, what: str) -> None:
-    """Raise RuntimeError if a dense complex dim x dim matrix is over budget."""
-    nbytes = 16 * dim * dim
+def require_dense_budget(rows: int, cols: int, what: str) -> None:
+    """Raise RuntimeError if a dense complex rows x cols matrix is over budget."""
+    nbytes = 16 * rows * cols
     if nbytes > DENSE_DENSITY_BUDGET_BYTES:
         raise RuntimeError(
-            f"the dense {dim}x{dim} {what} needs {nbytes} bytes, over the "
+            f"the dense {rows}x{cols} {what} needs {nbytes} bytes, over the "
             f"budget of {DENSE_DENSITY_BUDGET_BYTES} bytes"
         )
 
@@ -120,7 +129,7 @@ class ThermalEnsemble:
         memory held is rho plus that buffer.
         """
         dim = len(self.states[0])
-        require_dense_budget(dim, "mixture density matrix")
+        require_dense_budget(dim, dim, "mixture density matrix")
         rho = np.zeros((dim, dim), dtype=complex)
         rows = max(1, DENSITY_BLOCK_BYTES // (16 * dim))
         buf = np.empty((min(rows, dim), dim), dtype=complex)
@@ -133,30 +142,6 @@ class ThermalEnsemble:
                 part *= p
                 block += part
         return DensityMatrix(matrix=rho)
-
-    def gram(self) -> DensityMatrix:
-        """K x K member Gram matrix G_kl = sqrt(p_k p_l) <psi_k|psi_l>.
-
-        G = A^H A for the matrix A whose columns are sqrt(p_k) psi_k, while
-        the mixture is rho = A A^H; so G has the trace, the purity and the
-        nonzero spectrum of ``density()`` without its 2**n x 2**n matrix.
-        The overlaps are summed over slices of GRAM_BLOCK_ENTRIES entries,
-        so no K x 2**n copy of the member kets is made.
-        """
-        dim = len(self.states[0])
-        overlaps = np.zeros((len(self.states), len(self.states)), dtype=complex)
-        for start in range(0, dim, GRAM_BLOCK_ENTRIES):
-            block = np.array([psi[start:start + GRAM_BLOCK_ENTRIES] for psi in self.states])
-            overlaps += block.conj() @ block.T
-        amp = np.sqrt(self.weights)
-        return DensityMatrix(matrix=amp[:, None] * overlaps * amp[None, :])
-
-    def reduced(self, keep_sites) -> np.ndarray:
-        """Reduced mixture sum_k p_k Tr_rest |psi_k><psi_k| on the kept sites."""
-        return sum(
-            p * reduced_density_matrix(psi, keep_sites)
-            for p, psi in zip(self.weights, self.states)
-        )
 
 
 def initial_label(config: FlipConfig) -> str:
@@ -207,7 +192,7 @@ def density_matrix(state: ActiveState | np.ndarray) -> DensityMatrix:
         labels = None
     if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
         raise ValueError("state must be normalized to 1e-10")
-    require_dense_budget(len(amps), "density matrix")
+    require_dense_budget(len(amps), len(amps), "density matrix")
     return DensityMatrix(matrix=np.outer(amps, amps.conj()), labels=labels)
 
 

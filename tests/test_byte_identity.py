@@ -7,6 +7,12 @@ the coefficient series, the energy table, the active-basis density
 matrix, the frequency sweep and the exponential-drive phase analysis.
 The thermal pins, taken from the per-entry list encoding of the dense
 mixture matrix, hold ``thermal --emit-density`` to the same bytes.  The
+two ``thermal.json`` pins were re-taken once when ``trace``, ``purity``,
+``mixture_entropy`` and ``sublattice_entropy`` moved from the member kets'
+Gram and reduced matrices to keyed label amplitudes, after every other
+byte of both files, the ``density`` payload included, was checked equal
+to that of the code before the switch and the four values within 1e-15
+of it.  The
 12x12 pins were taken from the per-cell CSV writer and the block-encoded
 JSON arrays, before either wrote repeated rows and columns once.  Every
 pin was re-taken once when the ``engine``, ``quad_tol`` and
@@ -124,11 +130,11 @@ DIGESTS = {
     ("2x3", "evolve", "density.json"):
         "b843b33c658c2a0f04659cf5d5c55967600a312f8bd4e51000b1094fc1860cda",
     ("2x2-all", "thermal", "thermal.json"):
-        "f03972adc43a7ee1554fa19929cf60ed9d41c015db7ab9b632dda3550d2c222f",
+        "47fb0a9b26dfed382f16d79a61318b488e98ce0e59ca2fc065107e4ab3887002",
     ("2x2-all", "thermal", "thermal_weights.csv"):
         "107ff5da3297f552b6980e0fde1d98b055f2bd7ab921626760be448e8aa1b89b",
     ("2x2-pair", "thermal", "thermal.json"):
-        "3fd0f629ba6fcc45f8e1dea7711db642badd2c31ff8f4c40a1c1e18c6e622948",
+        "d72eee179dda1fa147fc03ce09aa862722d5e7f5b9b77501de316a66a48b8956",
     ("2x2-pair", "thermal", "thermal_weights.csv"):
         "ddde63bda682dcf28b686d81b18cf6a0aef60e701a2a80592861b97b98bcbc8d",
 }

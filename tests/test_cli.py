@@ -42,9 +42,9 @@ class TestExitCodes:
         assert proc.returncode == 2
 
     def test_computation_failure_exits_3(self, tmp_path):
-        # thermal needs the full Hilbert space; 3x3 exceeds the cap
+        # the mixture density matrix needs the full Hilbert space; 3x3 exceeds the cap
         proc = run_cli(
-            "thermal", "--nx", "3", "--ny", "3", "--outdir", str(tmp_path),
+            "thermal", "--emit-density", "--nx", "3", "--ny", "3", "--outdir", str(tmp_path),
             "--samples", "3",
         )
         assert proc.returncode == 3
@@ -104,7 +104,7 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_thermal_at_the_hilbert_cap_runs(self, tmp_path):
-        # 2x4 is the 16-site cap; the summary needs only the K x K member forms
+        # 2x4 is the 16-site cap, which only --emit-density keeps
         proc = run_cli(
             "thermal", "--nx", "2", "--ny", "4", "--outdir", str(tmp_path),
             "--samples", "3",
@@ -113,6 +113,44 @@ class TestExitCodes:
         doc = json.loads((tmp_path / "thermal.json").read_text())
         assert doc["trace"] == pytest.approx(1.0, abs=1e-12)
         assert len(doc["members"]) == 9
+
+    @pytest.mark.parametrize("members,count", [("weight01", 10), ("all", 512)])
+    def test_thermal_beyond_the_hilbert_cap_runs(self, members, count, tmp_path):
+        code = cli.main(["thermal", "--nx", "3", "--ny", "3", "--members", members,
+                         "--samples", "3", "--outdir", str(tmp_path)])
+        assert code == 0
+        doc = json.loads((tmp_path / "thermal.json").read_text())
+        assert len(doc["members"]) == count
+        assert doc["trace"] == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 < doc["purity"] < 1.0
+        # each member's one target differs from its base on one A site
+        assert doc["sublattice_entropy"] == pytest.approx(doc["mixture_entropy"], abs=1e-12)
+
+    def test_thermal_members_all_at_2x4_stays_under_100_mb(self, tmp_path):
+        # the peak resident set of one child process, measured by its parent
+        script = (
+            "import resource, subprocess, sys\n"
+            "subprocess.run([sys.executable, '-m', 'kitaevsim.cli', 'thermal', '--nx', '2',"
+            f" '--ny', '4', '--members', 'all', '--outdir', {str(tmp_path)!r}], check=True)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.split()[-1]) < 100 * 1024  # KiB
+        assert len(json.loads((tmp_path / "thermal.json").read_text())["members"]) == 256
+
+    @pytest.mark.parametrize("extra", [[], ["--plaquette", "1", "--members", "all"]],
+                             ids=["targets", "no-targets"])
+    def test_thermal_builds_no_hilbert_space_vector(self, extra, tmp_path, monkeypatch):
+        def no_ket(*args, **kwargs):
+            raise AssertionError("thermal built a 2**n vector without --emit-density")
+
+        monkeypatch.setattr(cli, "build_product_ket", no_ket)
+        monkeypatch.setattr(cli, "embed_active_state", no_ket)
+        code = cli.main(["thermal", "--nx", "2", "--ny", "3", *extra, "--samples", "3",
+                         "--outdir", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "thermal.json").exists()
 
     def test_thermal_emit_density_over_memory_budget_exits_3(self, tmp_path):
         # the 2x4 mixture density matrix would take 64 GiB
@@ -161,31 +199,53 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv",
-        [["thermal"], ["thermal", "--members", "all"], ["thermal", "--members", "0x0,0x1"]],
+        [["thermal", "--emit-density"], ["thermal", "--emit-density", "--members", "all"],
+         ["thermal", "--emit-density", "--members", "0x0,0x1"]],
         ids=["thermal", "thermal-members-all", "thermal-members-list"],
     )
     def test_hilbert_cap_exits_3_before_first_order_work(
         self, argv, tmp_path, monkeypatch, capsys
     ):
-        def no_first_order_work(*args, **kwargs):
-            raise AssertionError("first-order work ran before the Hilbert cap check")
-
-        monkeypatch.setattr(cli, "connected_targets", no_first_order_work)
-        # the scene's initial configuration is the one FlipConfig allowed; the
-        # thermal member list (2**n_plaquettes of them for "all") must wait
-        made = []
-        real_flip_config = cli.FlipConfig
-
-        def one_flip_config(*args, **kwargs):
-            made.append(args)
-            if len(made) > 1:
-                no_first_order_work()
-            return real_flip_config(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "FlipConfig", one_flip_config)
+        forbid_member_work(monkeypatch)
         code = cli.main([*argv, "--nx", "3", "--ny", "3", "--outdir", str(tmp_path)])
         assert code == 3
         assert "lattice too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [4, 6], ids=["4x4", "6x6"])
+    def test_thermal_member_list_over_budget_exits_3_before_listing(
+        self, n, tmp_path, monkeypatch, capsys
+    ):
+        # 2**(n*n) members, each with at most two kets, of 16 bytes per amplitude
+        forbid_member_work(monkeypatch)
+        members = 1 << (n * n)
+        out = tmp_path / "out"
+        code = cli.main(["thermal", "--members", "all", "--nx", str(n), "--ny", str(n),
+                         "--outdir", str(out)])
+        assert code == 3
+        assert f"needs {16 * members * 2 * members} bytes" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def forbid_member_work(monkeypatch):
+    """Make any FlipConfig after the scene's initial one, and any
+    first-order work, fail the test."""
+
+    def no_first_order_work(*args, **kwargs):
+        raise AssertionError("first-order work ran before the size checks")
+
+    monkeypatch.setattr(cli, "connected_targets", no_first_order_work)
+    # the scene's initial configuration is the one FlipConfig allowed; the
+    # thermal member list (2**n_plaquettes of them for "all") must wait
+    made = []
+    real_flip_config = cli.FlipConfig
+
+    def one_flip_config(*args, **kwargs):
+        made.append(args)
+        if len(made) > 1:
+            no_first_order_work()
+        return real_flip_config(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "FlipConfig", one_flip_config)
 
 
 class TestDriveFileCoverage:

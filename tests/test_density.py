@@ -1,15 +1,15 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kitaevsim import density
+from kitaevsim import density, pauli
 from kitaevsim.density import (
     DENSITY_BLOCK_BYTES,
-    GRAM_BLOCK_ENTRIES,
     ThermalEnsemble,
     assemble_state,
     density_matrix,
@@ -26,7 +26,13 @@ from kitaevsim.density import (
 )
 from kitaevsim.hamiltonian import CouplingParams, energy_expectation
 from kitaevsim.lattice import build_lattice
-from kitaevsim.manifold import ExcitedLabel, FlipConfig, build_product_ket, excite
+from kitaevsim.manifold import (
+    ExcitedLabel,
+    FlipConfig,
+    build_product_ket,
+    excite,
+    signature_kernel,
+)
 from kitaevsim.perturbation import (
     CoefficientSeries,
     DriveSpec,
@@ -378,7 +384,7 @@ def test_gram_and_reduced_match_the_dense_mixture(n_sites, seed, picks, weights,
     )
     keep = data.draw(st.permutations(range(n_sites)))[: data.draw(st.integers(1, n_sites))]
 
-    gram, rho = ens.gram(), ens.density()
+    gram, rho = reference.gram(ens), ens.density()
     p = ens.weights
     overlaps = [[np.vdot(a, b) for b in ens.states] for a in ens.states]
     assert np.max(np.abs(gram.matrix - np.sqrt(np.outer(p, p)) * overlaps)) < 1e-12
@@ -386,30 +392,7 @@ def test_gram_and_reduced_match_the_dense_mixture(n_sites, seed, picks, weights,
     assert abs(gram.purity() - rho.purity()) < 1e-12
     assert abs(entropy_of_density(gram.matrix) - entropy_of_density(rho.matrix)) < 1e-12
     dense_a = partial_trace_matrix(rho.matrix, n_sites, keep)
-    assert np.max(np.abs(ens.reduced(keep) - dense_a)) < 1e-12
-
-
-def test_gram_sums_slices_without_stacking_the_kets():
-    # three full slices and a partial one; nine kets of 48 KiB each
-    rng = np.random.default_rng(11)
-    dim = 3 * GRAM_BLOCK_ENTRIES + 5
-    kets = rng.normal(size=(9, dim)) + 1j * rng.normal(size=(9, dim))
-    kets /= np.linalg.norm(kets, axis=1)[:, None]
-    w = rng.uniform(0.1, 1.0, size=9)
-    ens = ThermalEnsemble(
-        energies=np.zeros(9), states=list(kets), kt=1.0, weights=w / w.sum()
-    )
-    tracemalloc.start()
-    try:
-        gram = ens.gram()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    p = ens.weights
-    expected = np.sqrt(np.outer(p, p)) * (kets.conj() @ kets.T)
-    assert np.max(np.abs(gram.matrix - expected)) < 1e-12
-    # two K x GRAM_BLOCK_ENTRIES slices, against 16 * 9 * dim bytes for one copy
-    assert peak < 3 * 16 * 9 * GRAM_BLOCK_ENTRIES
+    assert np.max(np.abs(reference.reduced(ens, keep) - dense_a)) < 1e-12
 
 
 def reference_mixture(geom, members, weights):
@@ -469,21 +452,42 @@ def test_label_mixture_matches_the_dense_member_kets(shape, seed, data):
     assert_mixtures_agree(label_mixture(geom, members, w), reference_mixture(geom, members, w))
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (2, 3)], ids=["2x2", "2x3"])
-def test_label_mixture_of_every_evolved_configuration(shape):
-    geom = build_lattice(*shape)
-    n = geom.n_plaquettes
+def evolved_members(geom, configs):
+    """Each configuration's labels and first-order amplitudes at t = 2, and
+    the Boltzmann weights of the configurations' energies at kT = 0.7."""
     params = CouplingParams(jx=1.0, jy=0.8, jz=1.2, d=0.05, omega=0.3)
     drive = DriveSpec.exponential(0.05, 0.3, plaquette=0)
     times = np.linspace(0.0, 2.0, 5)
     members, energies = [], []
-    for bits in range(1 << n):
-        config = FlipConfig(bits, n)
+    for config in configs:
         coeffs = evolve_coefficients(
             geom, params, drive, config, connected_targets(geom, params, config, 0), times
         )
         state = assemble_state(coeffs, 2.0, config)
         members.append(([config] + [c.target for c in coeffs], state.amplitudes))
         energies.append(energy_expectation(geom, params, config))
-    w = thermal_weights(energies, 0.7)
+    return members, thermal_weights(energies, 0.7)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3)], ids=["2x2", "2x3"])
+def test_label_mixture_of_every_evolved_configuration(shape):
+    geom = build_lattice(*shape)
+    n = geom.n_plaquettes
+    members, w = evolved_members(geom, [FlipConfig(bits, n) for bits in range(1 << n)])
     assert_mixtures_agree(label_mixture(geom, members, w), reference_mixture(geom, members, w))
+
+
+def test_label_mixture_of_3x3_flip_kernel_twins():
+    # the twins of a configuration name its ket, so they evolve to one state
+    geom = build_lattice(3, 3)
+    base = 0b000010110
+    twins = [FlipConfig(base, 9)] + [FlipConfig(base ^ c.bits, 9) for c in signature_kernel(geom)]
+    members, w = evolved_members(geom, twins + [FlipConfig(0b1, 9)])
+    # 3x3 has 18 sites; its 2**18 member kets are built here under a raised cap
+    with mock.patch.object(pauli, "HILBERT_CAP_SITES", geom.n_sites):
+        dense = reference_mixture(geom, members, w)
+    assert_mixtures_agree(label_mixture(geom, members, w), dense)
+
+    pure = label_mixture(geom, members[:3], w[:3] / w[:3].sum())
+    assert pure["purity"] == pytest.approx(1.0, abs=1e-12)
+    assert pure["mixture_entropy"] == pytest.approx(0.0, abs=1e-12)

@@ -52,7 +52,9 @@ def test_library_entry_points_raise_the_cap_message(call):
 
 
 @pytest.mark.parametrize(
-    "argv", [["thermal"], ["thermal", "--members", "all"]], ids=["thermal", "thermal-members-all"]
+    "argv",
+    [["thermal", "--emit-density"], ["thermal", "--emit-density", "--members", "all"]],
+    ids=["thermal", "thermal-members-all"],
 )
 def test_cli_prints_the_cap_message(argv, tmp_path, capsys):
     code = cli.main([*argv, "--nx", "3", "--ny", "3", "--samples", "3",
