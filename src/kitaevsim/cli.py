@@ -498,15 +498,17 @@ def cmd_thermal(cfg: RunConfig, args) -> int:
         tg = connected_targets(geom, params, config, drive.plaquette)
         cs = evolve_coefficients(geom, params, drive, config, tg, times)
         targets = [c.target for c in cs]
+        # the series carry the member's energy
         if cs:
             state = assemble_state(cs, t, config)
             members.append(([config, *targets], state.amplitudes))
+            energies.append(cs[0].e_initial)
         else:
             members.append(([config], np.ones(1)))
+            energies.append(energy_expectation(geom, params, config))
         if args.emit_density:
             kets.append(embed_active_state(geom, config, targets, state) if cs
                         else build_product_ket(geom, config))
-        energies.append(energy_expectation(geom, params, config))
         labels.append(initial_label(config))
 
     weights = thermal_weights(energies, cfg.kt)
