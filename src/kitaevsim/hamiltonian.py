@@ -178,8 +178,8 @@ def perturbation_elements(
     the ground state (:func:`drive_image_sites`) has a nonzero element, and
     a target is that image when its key against the ground state
     (:func:`~kitaevsim.manifold.label_key`) is the set of image sites.
-    The image's element is D times the
-    single-site elements taken in string order.
+    The image's element is D times the single-site elements taken in
+    string order.
     """
     targets = list(targets)
     driven = [

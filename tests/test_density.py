@@ -20,6 +20,7 @@ from kitaevsim.density import (
     partial_trace_matrix,
     reduced_density_matrix,
     reduced_entropy,
+    schmidt_weights,
     sublattice_entropy,
     thermal_ensemble,
     thermal_weights,
@@ -393,6 +394,32 @@ def test_gram_and_reduced_match_the_dense_mixture(n_sites, seed, picks, weights,
     assert abs(entropy_of_density(gram.matrix) - entropy_of_density(rho.matrix)) < 1e-12
     dense_a = partial_trace_matrix(rho.matrix, n_sites, keep)
     assert np.max(np.abs(reference.reduced(ens, keep) - dense_a)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 6),
+    n_cols=st.integers(1, 6),
+    n_entries=st.integers(1, 12),
+)
+def test_schmidt_weights_match_one_dense_svd(seed, n_rows, n_cols, n_entries):
+    # a sparse pattern with repeated entries and, mostly, several blocks;
+    # the leading axis gives three matrices over the one pattern
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, n_rows, n_entries)
+    cols = rng.integers(0, n_cols, n_entries)
+    values = rng.normal(size=(3, n_entries)) + 1j * rng.normal(size=(3, n_entries))
+    dense = np.zeros((3, n_rows, n_cols), dtype=complex)
+    np.add.at(dense, (slice(None), rows, cols), values)
+
+    blocked = -np.sort(-schmidt_weights(rows, cols, values), axis=-1)
+    whole = -np.sort(-np.linalg.svd(dense, compute_uv=False) ** 2, axis=-1)
+    # either side may add zero weights for rows or columns it does not share
+    k = min(blocked.shape[-1], whole.shape[-1])
+    assert np.max(np.abs(blocked[:, :k] - whole[:, :k])) < 1e-12
+    assert np.max(np.abs(blocked[:, k:]), initial=0.0) < 1e-12
+    assert np.max(np.abs(whole[:, k:]), initial=0.0) < 1e-12
 
 
 def reference_mixture(geom, members, weights):
