@@ -179,6 +179,12 @@ def _build_scene(cfg: RunConfig):
                 f"drive file has {len(bad)} sample(s) with a non-finite t, ReB or "
                 f"ImB, the first in data row {bad[0] + 1}"
             )
+        back = np.flatnonzero(np.diff(data[:, 0]) <= 0)
+        if len(back):
+            raise ConfigError(
+                f"drive file times must increase strictly; data row {back[0] + 2} "
+                f"has t = {data[back[0] + 1, 0]:.17g} after {data[back[0], 0]:.17g}"
+            )
         drive = DriveSpec.custom(
             data[:, 0], data[:, 1] + 1j * data[:, 2], plaquette=cfg.plaquette
         )

@@ -11,10 +11,12 @@ Every label names a product ket over the same per-site Pauli eigenbases,
 keyed by the sites where it differs from a reference configuration
 (:func:`~kitaevsim.manifold.label_key`): equal keys are equal kets and
 unequal keys orthogonal ones.  So the sublattice entropy of an evolved
-state (:func:`sublattice_entropy`) and the trace, purity and entropies of
-a thermal mixture of them (:func:`label_mixture`) are squared singular
-values of small label-amplitude matrices (:func:`schmidt_weights`), with
-no 2**n_sites ket.  The dense 2**n forms (:func:`embed_active_state`,
+state (:func:`sublattice_entropy`, keyed against its initial
+configuration) and the trace, purity and entropies of a thermal mixture
+of them (:func:`label_mixture`, keyed against the all-plus configuration)
+are squared singular values of small label-amplitude matrices
+(:func:`schmidt_weights`), indexed by one pass that keys every label and
+splits its key into A and B sites, with no 2**n_sites ket.  The dense 2**n forms (:func:`embed_active_state`,
 :func:`reduced_entropy`, :meth:`ThermalEnsemble.density`) stay for
 ``thermal --emit-density``, the acceptance checks and the tests, under the
 Hilbert cap.
@@ -114,7 +116,7 @@ class ActiveState:
 
 @dataclass
 class ThermalEnsemble:
-    """Weighted mixture of pure states; weights follow the chosen statistics."""
+    """Weighted mixture of pure states with Boltzmann weights."""
 
     energies: np.ndarray
     states: list[np.ndarray]
@@ -262,12 +264,6 @@ def reduced_entropy(
     return DensityMatrix(matrix=rho, labels=labels), s
 
 
-def _split_key(geom: LatticeGeometry, key: frozenset[int]) -> tuple[frozenset, frozenset]:
-    """A key's sites on sublattice A, then on B."""
-    on_a = frozenset(k for k in key if geom.sublattice[k] == "A")
-    return on_a, key - on_a
-
-
 def _blocks(rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
     """Entry indices of each block of the pattern (rows, cols): the
     connected components of the graph joining each entry's row and column."""
@@ -317,6 +313,27 @@ def _weights_entropy(p: np.ndarray) -> np.ndarray:
     return -np.sum(p * logs, axis=-1) + 0.0
 
 
+def _keyed_indices(geom: LatticeGeometry, reference: FlipConfig, members) -> np.ndarray:
+    """Four index rows with one column per label of ``members`` (a label
+    list per member, in order): the label's member, its key against
+    ``reference`` (:func:`~kitaevsim.manifold.label_key`), the key's A
+    sites, and the pair of its member and the key's B sites, each numbered
+    in order of first appearance."""
+    keys, a_parts, kb_pairs = {}, {}, {}
+    index = []
+    for k, labels in enumerate(members):
+        for label in labels:
+            key = label_key(geom, reference, label)
+            on_a = frozenset(s for s in key if geom.sublattice[s] == "A")
+            index.append((
+                k,
+                keys.setdefault(key, len(keys)),
+                a_parts.setdefault(on_a, len(a_parts)),
+                kb_pairs.setdefault((k, key - on_a), len(kb_pairs)),
+            ))
+    return np.array(index, dtype=np.intp).T
+
+
 def sublattice_entropy(
     geom: LatticeGeometry, initial: FlipConfig, coeffs: list[CoefficientSeries]
 ) -> np.ndarray:
@@ -340,13 +357,8 @@ def sublattice_entropy(
     times = coeffs[0].times
 
     # row and column of M for the initial label, then for each target
-    rows, cols = {frozenset(): 0}, {frozenset(): 0}
-    row, col = [0], [0]
-    for s in coeffs:
-        on_a, on_b = _split_key(geom, label_key(geom, initial, s.target))
-        row.append(rows.setdefault(on_a, len(rows)))
-        col.append(cols.setdefault(on_b, len(cols)))
-    if len(rows) == 1 or len(cols) == 1:
+    _, _, row, col = _keyed_indices(geom, initial, [[initial] + [s.target for s in coeffs]])
+    if not (row.any() and col.any()):
         return np.zeros(len(times))
 
     amps = np.empty((len(times), len(coeffs) + 1), dtype=complex)
@@ -371,18 +383,10 @@ def label_mixture(geom: LatticeGeometry, members, weights) -> dict[str, float]:
     on A comes from V[a, (k, b)] = sqrt(p_k) M_k[a, b], member k's Schmidt
     matrix M_k as in :func:`sublattice_entropy`, for every k side by side.
     """
+    labels, amps = zip(*members)
     reference = FlipConfig(0, geom.n_plaquettes)
-    keys, a_parts, kb_pairs = {}, {}, {}
-    member, key_col, a_row, kb_col, values = [], [], [], [], []
-    for k, ((labels, amps), p) in enumerate(zip(members, weights)):
-        for label, amp in zip(labels, amps):
-            key = label_key(geom, reference, label)
-            on_a, on_b = _split_key(geom, key)
-            member.append(k)
-            key_col.append(keys.setdefault(key, len(keys)))
-            a_row.append(a_parts.setdefault(on_a, len(a_parts)))
-            kb_col.append(kb_pairs.setdefault((k, on_b), len(kb_pairs)))
-            values.append(math.sqrt(p) * amp)
+    member, key_col, a_row, kb_col = _keyed_indices(geom, reference, labels)
+    values = np.concatenate([math.sqrt(p) * np.asarray(a) for a, p in zip(amps, weights)])
     w_mix = schmidt_weights(member, key_col, values)
     w_a = schmidt_weights(a_row, kb_col, values)
     return {
@@ -413,46 +417,30 @@ def embed_active_state(
     return psi
 
 
-def thermal_weights(
-    energies,
-    kt: float,
-    distribution: str = "boltzmann",
-    mu: float = 0.0,
-) -> np.ndarray:
-    """Normalized occupation weights at temperature kt (hbar = k_B = 1).
+def thermal_weights(energies, kt: float) -> np.ndarray:
+    """Normalized Boltzmann weights at temperature kt (hbar = k_B = 1).
 
     kt = 0 resolves to uniform weights over the minimal-energy subset;
-    kt = inf gives uniform weights.  "fermi" applies 1/(exp((E-mu)/kt)+1)
-    before normalization.
+    kt = inf gives uniform weights.
     """
     e = np.asarray(energies, dtype=float)
     if len(e) == 0:
         raise ValueError("empty member list")
     if kt < 0 or math.isnan(kt):
         raise ValueError(f"temperature must be >= 0, got {kt}")
-    if distribution not in ("boltzmann", "fermi"):
-        raise ValueError(f"unknown distribution {distribution!r}")
 
     if math.isinf(kt):
         w = np.ones(len(e))
     elif kt == 0.0:
         scale = 1.0 + abs(float(e.min()))
         w = (e <= e.min() + 1e-12 * scale).astype(float)
-    elif distribution == "boltzmann":
-        w = np.exp(-(e - e.min()) / kt)  # max-shift keeps exponents <= 0
     else:
-        x = np.clip((e - mu) / kt, -700.0, 700.0)
-        w = 1.0 / (np.exp(x) + 1.0)
+        w = np.exp(-(e - e.min()) / kt)  # max-shift keeps exponents <= 0
     return w / w.sum()
 
 
-def thermal_ensemble(
-    members,
-    kt: float,
-    distribution: str = "boltzmann",
-    mu: float = 0.0,
-) -> ThermalEnsemble:
-    """Mixture of (energy, pure state) members with statistical weights."""
+def thermal_ensemble(members, kt: float) -> ThermalEnsemble:
+    """Mixture of (energy, pure state) members with Boltzmann weights."""
     members = list(members)
     if not members:
         raise ValueError("empty member list")
@@ -461,6 +449,5 @@ def thermal_ensemble(
     dim = len(states[0])
     if any(len(psi) != dim for psi in states):
         raise ValueError("member states must share one basis")
-    weights = thermal_weights(energies, kt, distribution, mu)
+    weights = thermal_weights(energies, kt)
     return ThermalEnsemble(energies=energies, states=states, kt=kt, weights=weights)
-

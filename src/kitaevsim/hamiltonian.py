@@ -7,8 +7,12 @@ Energies and drive elements come from the labels alone: product kets of
 the manifold carry one owner-assigned component label per site, a bond of
 component alpha has a nonzero expectation only when both endpoint sites
 carry the label alpha, in which case it contributes J_alpha * s_i * s_j,
-and the drive string maps each product ket to exactly one other.  No
-2**n ket is built.  The tests hold both results to expectations taken on
+and the drive string maps each product ket to exactly one other.  A
+state is named by its key, the sites where its ket differs from a
+reference configuration's (:func:`~kitaevsim.manifold.label_key`), so an
+energy is the reference's labelled-bond terms with those at the key's
+sites negated, and no per-state work touches the other sites.  No 2**n
+ket is built.  The tests hold both results to expectations taken on
 explicit 2**n kets up to the Hilbert cap (``tests/reference.py``).
 """
 
@@ -239,45 +243,41 @@ def energy_block_rows(geom: LatticeGeometry) -> int:
     return max(1, ENERGY_BLOCK_BYTES // (8 * (len(geom.labelled_bonds[0]) + 1)))
 
 
-def energy_expectations(geom: LatticeGeometry, params: CouplingParams, states) -> np.ndarray:
-    """<state| H0 |state> for each (config, excitation or None) pair.
+def energy_expectations(
+    geom: LatticeGeometry, params: CouplingParams, reference: FlipConfig, keys
+) -> np.ndarray:
+    """<ket| H0 |ket> for the product ket of each key against ``reference``.
 
-    One flip signature is built per distinct config.  A state's row holds
-    that signature's signs at the labelled bonds' endpoints, negated where
-    an endpoint is the excitation's third-position site; its energy is the
-    sum of the row's bond terms.  Rows are summed in blocks of
-    :func:`energy_block_rows`, so the memory held does not grow with the
-    number of states.
+    A key's ket has the signs of ``reference``'s flip signature negated on
+    the key's sites (:func:`~kitaevsim.manifold.label_key`).  So a state's
+    row holds the reference's labelled-bond terms, each negated once for
+    every endpoint it has in the key, and its energy is the sum of the row.
+    Rows are summed in blocks of :func:`energy_block_rows`, so the memory
+    held does not grow with the number of keys.
     """
-    states = list(states)
-    for config, excitation in states:
-        if excitation is not None and excitation.base != config:
-            raise ValueError("excitation.base does not match the given config")
-    out = np.empty(len(states))
+    keys = list(keys)
+    out = np.empty(len(keys))
     i, j, comp = geom.labelled_bonds
+    signs = flip_signature(geom, reference).astype(float)
     bond_j = np.array([params.j(c) for c in COMPONENTS])[comp]
-    by_config: dict[FlipConfig, list[int]] = {}
-    for k, (config, _) in enumerate(states):
-        by_config.setdefault(config, []).append(k)
+    reference_terms = bond_j * signs[i] * signs[j]
+    # a site's label names one of its three bonds, so each site ends at
+    # most one labelled bond: its column in a row of terms, or -1
+    column = np.full(geom.n_sites, -1, dtype=np.intp)
+    column[i] = column[j] = np.arange(1, len(i) + 1)
     step = energy_block_rows(geom)
-    for config, where in by_config.items():
-        signs = flip_signature(geom, config).astype(float)
-        # the site each state negates; -1 for an unexcited state matches none
-        flips = np.array([
-            -1 if states[k][1] is None
-            else geom.position3_site(states[k][1].flipped_plaquette)
-            for k in where
-        ], dtype=np.intp)
-        for start in range(0, len(where), step):
-            flipped = flips[start:start + step, None]
-            s_i = np.where(flipped == i, -signs[i], signs[i])
-            s_j = np.where(flipped == j, -signs[j], signs[j])
-            terms = np.zeros((len(flipped), len(i) + 1))
-            terms[:, 1:] = bond_j * s_i * s_j
-            # cumsum adds left to right from 0.0 along each row, as a loop
-            # over the bonds would; np.sum's pairwise order would change
-            # the last bits
-            out[where[start:start + step]] = np.cumsum(terms, axis=1)[:, -1]
+    for start in range(0, len(keys), step):
+        block = keys[start:start + step]
+        row = np.array([r for r, key in enumerate(block) for _ in key], dtype=np.intp)
+        col = column[np.array([s for key in block for s in key], dtype=np.intp)]
+        terms = np.zeros((len(block), len(i) + 1))
+        terms[:, 1:] = reference_terms
+        # a bond with both endpoints in the key is negated twice
+        np.negative.at(terms, (row[col > 0], col[col > 0]))
+        # cumsum adds left to right from 0.0 along each row, as a loop
+        # over the bonds would; np.sum's pairwise order would change
+        # the last bits
+        out[start:start + step] = np.cumsum(terms, axis=1)[:, -1]
     return out
 
 
@@ -287,9 +287,12 @@ def energy_expectation(
     config: FlipConfig,
     excitation: ExcitedLabel | None = None,
 ) -> float:
-    """<state| H0 |state> for a labeled manifold state: the one-state call
-    of :func:`energy_expectations`."""
-    return float(energy_expectations(geom, params, [(config, excitation)])[0])
+    """<state| H0 |state> for a labeled manifold state: the one-key call
+    of :func:`energy_expectations`, keyed against ``config``."""
+    if excitation is not None and excitation.base != config:
+        raise ValueError("excitation.base does not match the given config")
+    key = label_key(geom, config, config if excitation is None else excitation)
+    return float(energy_expectations(geom, params, config, [key])[0])
 
 
 @dataclass

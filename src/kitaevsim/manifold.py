@@ -9,7 +9,6 @@ of the site at plaquette i's third position.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -17,8 +16,6 @@ import numpy as np
 
 from .lattice import LatticeGeometry
 from .pauli import product_ket, require_hilbert
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -87,8 +84,9 @@ def flip_signature(
     """Per-site signs (+-1) of the labeled product state.
 
     The sign of each site is the parity of its flipped incident
-    plaquettes; an excitation negates one more site, the third-position
-    site of the excited plaquette.
+    plaquettes; an excitation also negates the sites of its key against
+    ``config`` (:func:`label_key`), the third-position site of the
+    excited plaquette.
     """
     if config.n != geom.n_plaquettes:
         raise ValueError(
@@ -101,17 +99,7 @@ def flip_signature(
     signs = 1 - 2 * parity
 
     if excitation is not None:
-        i = excitation.flipped_plaquette
-        s3 = geom.position3_site(i)
-        if geom.owner[s3] != i:
-            # the flip lands on the owner-assigned component, which may not
-            # be the z label plaquette i would use for this site
-            log.debug(
-                "excited plaquette %d does not own its third site %d "
-                "(owner %d, component %s)",
-                i, s3, geom.owner[s3], geom.site_components[s3],
-            )
-        signs[s3] = -signs[s3]
+        signs[list(label_key(geom, config, excitation))] *= -1
     return signs
 
 

@@ -29,7 +29,7 @@ from .hamiltonian import (
     perturbation_elements,
 )
 from .lattice import LatticeGeometry
-from .manifold import ExcitedLabel, FlipConfig, excite
+from .manifold import ExcitedLabel, FlipConfig, excite, label_key
 
 # below this |delta * t| the closed form switches to its Taylor branch;
 # cancellation in (1 - cos)/delta is the concern, not the sin term
@@ -334,7 +334,8 @@ def evolve_coefficients(
 
     ordered = sorted(targets, key=lambda tg: (tg.flipped_plaquette, tg.base.bits))
     e_init, *e_targets = energy_expectations(
-        geom, params, [(initial, None)] + [(tg.base, tg) for tg in ordered]
+        geom, params, initial,
+        [frozenset()] + [label_key(geom, initial, tg) for tg in ordered],
     ).tolist()
     elements = perturbation_elements(geom, initial, ordered, params, drive.plaquette)
     out = []

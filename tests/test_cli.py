@@ -290,6 +290,22 @@ class TestDriveFileCoverage:
         assert "non-finite" in proc.stderr and "data row 4" in proc.stderr
         assert not (tmp_path / "out" / "phase.csv").exists()
 
+    @pytest.mark.parametrize(
+        "times,row", [((0.0, 1.0, 1.0, 7.0), 3), ((0.0, 2.0, 1.5, 7.0), 3)],
+        ids=["repeated", "decreasing"],
+    )
+    def test_times_not_increasing_exit_2_before_output(self, tmp_path, times, row):
+        path = tmp_path / "drive.csv"
+        np.savetxt(path, np.c_[times, np.full(4, 0.01), np.zeros(4)], delimiter=",")
+        proc = run_cli(
+            "phase", "--drive-file", str(path), "--d", "1", "--nx", "2", "--ny", "2",
+            "--t-max", repr(self.T_MAX), "--samples", "9", "--outdir", str(tmp_path / "out"),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "configuration error" in proc.stderr
+        assert f"increase strictly; data row {row} " in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["evolve", "phase"])
     def test_drive_file_without_unit_d_exits_2_before_output(self, tmp_path, command):
         # the samples carry the amplitude, and the default d = 0.01 would

@@ -279,11 +279,6 @@ class TestThermal:
         assert np.allclose(w, [1.0, 0.0], atol=1e-300)
         assert abs(w.sum() - 1.0) < 1e-12
 
-    def test_fermi_option(self):
-        w = thermal_weights([0.0, 1.0], 1.0, distribution="fermi")
-        raw = np.array([0.5, 1.0 / (math.e + 1.0)])
-        assert np.allclose(w, raw / raw.sum(), atol=1e-12)
-
     def test_mixture_density(self):
         up = np.array([1.0, 0.0], dtype=complex)
         down = np.array([0.0, 1.0], dtype=complex)

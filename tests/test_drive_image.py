@@ -7,6 +7,7 @@ finds it from the drive string alone; the per-candidate scan it replaced
 lives on in ``reference.scan_connected_targets`` and must agree.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from kitaevsim import hamiltonian, manifold
 from kitaevsim.hamiltonian import (
     CouplingParams,
+    drive_image_sites,
     energy_block_rows,
     energy_expectations,
     perturbation_element,
@@ -25,6 +27,7 @@ from kitaevsim.manifold import (
     FlipConfig,
     excite,
     flip_signature,
+    label_key,
     signature_difference,
     signature_kernel,
 )
@@ -92,9 +95,16 @@ def test_image_on_a_base_with_the_same_signature():
     assert on_twin == on_ground
 
 
-# --- target energies in blocked array passes --------------------------------
+# --- keyed energies in blocked array passes ---------------------------------
 
 ENERGY_GEOMS = {(nx, ny): build_lattice(nx, ny) for nx in range(2, 9, 2) for ny in (2, 3, 5)}
+ENERGY_GEOMS[(3, 2)] = build_lattice(3, 2)
+
+
+def _negated_signature_energy(geom, params, reference, key):
+    signs = flip_signature(geom, reference)
+    signs[list(key)] *= -1
+    return loop_energy(geom, params, signs)
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -111,23 +121,56 @@ def test_batched_energies_match_the_loop_bit_for_bit(
     geom = ENERGY_GEOMS[shape]
     n = geom.n_plaquettes
     params = CouplingParams(jx=jx, jy=jy, jz=jz)
-    # at least two blocks, the last one partly filled
-    count = rows_per_block * full_blocks + data.draw(st.integers(1, rows_per_block - 1))
+    reference = FlipConfig(data.draw(st.integers(0, 2**n - 1), label="reference"), n)
     configs = [
         FlipConfig(data.draw(st.integers(0, 2**n - 1), label="config"), n) for _ in range(2)
     ]
-    states = []
-    for _ in range(count):
-        config = data.draw(st.sampled_from(configs))
-        excited = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
-        states.append((config, None if excited is None else excite(config, excited)))
+    # each config's key moved by the drive on every plaquette: the images
+    # that flip three to six sites
+    keys = [
+        label_key(geom, reference, config) ^ drive_image_sites(geom, q)
+        for config in configs for q in range(n)
+    ]
+    # then random labels and site sets up to at least two blocks, the last
+    # one partly filled
+    count = rows_per_block * (full_blocks + len(keys) // rows_per_block) + data.draw(
+        st.integers(1, rows_per_block - 1)
+    )
+    labels = st.one_of(
+        st.sampled_from(configs),
+        st.builds(excite, st.sampled_from(configs), st.integers(0, n - 1)),
+    )
+    sites = st.frozensets(st.integers(0, geom.n_sites - 1), max_size=8)
+    keys += [
+        data.draw(st.one_of(labels.map(lambda label: label_key(geom, reference, label)), sites))
+        for _ in range(count - len(keys))
+    ]
 
     row_bytes = 8 * (len(geom.labelled_bonds[0]) + 1)
     with mock.patch.object(hamiltonian, "ENERGY_BLOCK_BYTES", row_bytes * rows_per_block):
         assert energy_block_rows(geom) == rows_per_block
-        batched = energy_expectations(geom, params, states)
-    reference = [loop_energy(geom, params, flip_signature(geom, c, e)) for c, e in states]
-    assert [float(e).hex() for e in batched] == [e.hex() for e in reference]
+        batched = energy_expectations(geom, params, reference, keys)
+    expected = [_negated_signature_energy(geom, params, reference, key) for key in keys]
+    assert [float(e).hex() for e in batched] == [e.hex() for e in expected]
+
+
+def test_keyed_energies_of_every_excitation_stay_small_on_90x90():
+    # one row of terms per key, but no row of n_sites signs
+    geom = build_lattice(90, 90)
+    n = geom.n_plaquettes
+    config = FlipConfig((1 << n) // 3, n)
+    keys = [frozenset()] + [label_key(geom, config, excite(config, p)) for p in range(n)]
+    params = CouplingParams(1.0, 0.8, 1.2)
+    tracemalloc.start()
+    try:
+        energies = energy_expectations(geom, params, config, keys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(energies) == 8101
+    assert peak < 8 * 2**20
+    for k in (0, 1, 4050, 8100):
+        assert energies[k] == _negated_signature_energy(geom, params, config, keys[k])
 
 
 def test_energy_blocks_stay_within_their_byte_budget():
