@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .correlation import correlation_exact_scan, correlation_formula, selection_rule_report
 from .density import (
+    DENSE_DENSITY_BUDGET_BYTES,
     DensityMatrix,
     assemble_state,
     density_matrix,
@@ -58,6 +59,11 @@ EXIT_COMPUTE = 3
 # manifold lists every configuration of n plaquettes: 2**20 rows take about
 # 5 s and 264 MB, and each further plaquette doubles both
 MANIFOLD_MAX_PLAQUETTES = 20
+
+# thermal's member loop and label mixture peak at 3.6-4.2 KB a member by
+# tracemalloc (20x20 to 60x60 weight01, 2x6 and 3x4 --members all); twice
+# that leaves room for the allocator and the longer labels of larger tori
+THERMAL_MEMBER_BYTES = 8192
 
 
 class ConfigError(ValueError):
@@ -268,6 +274,15 @@ def cmd_manifold(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _require_finite(coeffs, t_max: float) -> None:
+    """Raise RuntimeError if a series value, or the phase E * t_max of the
+    initial state or a target, is not finite."""
+    for s in coeffs:
+        if not (np.isfinite(s.values).all() and math.isfinite(s.e_initial * t_max)
+                and math.isfinite(s.e_target * t_max)):
+            raise RuntimeError(f"t_max = {t_max:.17g} overflows the series of {s.label} or its phases")
+
+
 def _evolved(cfg: RunConfig, connected_only: bool, dense_basis: bool = False):
     """Scene, targets and first-order series; ``dense_basis`` checks the
     active-basis density matrix over initial + targets against the memory
@@ -281,6 +296,7 @@ def _evolved(cfg: RunConfig, connected_only: bool, dense_basis: bool = False):
         dim = len(targets) + 1
         require_dense_budget(dim, dim, "active-basis density matrix")
     coeffs = evolve_coefficients(geom, params, drive, initial, targets, times)
+    _require_finite(coeffs, cfg.t_max)
     return geom, params, drive, initial, times, targets, coeffs
 
 
@@ -485,9 +501,10 @@ def cmd_thermal(cfg: RunConfig, args) -> int:
         require_hilbert(geom.n_sites)
         require_dense_budget(2**geom.n_sites, 2**geom.n_sites, "mixture density matrix")
     count = {"weight01": n + 1, "all": 1 << n}.get(args.members, args.members.count(",") + 1)
-    # each member is its configuration plus at most one target, so its
-    # labels fill at most two key columns
-    require_dense_budget(count, 2 * count, "member-by-key label matrix")
+    nbytes = count * THERMAL_MEMBER_BYTES
+    if nbytes > DENSE_DENSITY_BUDGET_BYTES:
+        raise RuntimeError(f"{count} thermal members need about {nbytes} bytes, "
+                           f"over the budget of {DENSE_DENSITY_BUDGET_BYTES} bytes")
     if args.members == "weight01":
         members_cfg = [FlipConfig(0, n)] + [FlipConfig(1 << q, n) for q in range(n)]
     elif args.members == "all":
@@ -503,6 +520,7 @@ def cmd_thermal(cfg: RunConfig, args) -> int:
     for config in members_cfg:
         tg = connected_targets(geom, params, config, drive.plaquette)
         cs = evolve_coefficients(geom, params, drive, config, tg, times)
+        _require_finite(cs, cfg.t_max)
         targets = [c.target for c in cs]
         # the series carry the member's energy
         if cs:

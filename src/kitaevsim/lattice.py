@@ -12,14 +12,15 @@ site's bond that points out of the hexagon.  Every site belongs to three
 plaquettes and receives a different label from each one, so product kets
 need a single canonical choice: the component assigned by the
 lowest-indexed plaquette containing the site (the site's "owner").
+Each table is built once: as tuples of Python ints and strings, or as a
+read-only numpy array where the array kernels index with it.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -36,10 +37,15 @@ class LatticeGeometry:
     sublattice: tuple[str, ...]
     bonds: tuple[tuple[int, int, str], ...]
     plaquettes: tuple[tuple[int, ...], ...]
-    # site -> ((plaquette, position), ...) sorted by plaquette index
-    site_plaquettes: tuple[tuple[tuple[int, int], ...], ...]
-    owner: tuple[int, ...]
     site_components: tuple[str, ...]
+    # (n_sites, 3): each site's plaquettes in increasing order, so column 0
+    # is the site's owner
+    site_plaquette_index: np.ndarray = field(compare=False, repr=False)
+    # (i, j, component index) arrays of the bonds, in bond order, whose two
+    # endpoints both carry the bond's component as their label: only these
+    # have a nonzero expectation on a product ket of the manifold.  The
+    # component index points into COMPONENTS.
+    labelled_bonds: tuple[np.ndarray, np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
     @property
     def n_sites(self) -> int:
@@ -52,33 +58,6 @@ class LatticeGeometry:
     def position3_site(self, p: int) -> int:
         """Site sitting at the third position (z label) of plaquette p."""
         return self.plaquettes[p][2]
-
-    @cached_property
-    def site_plaquette_index(self) -> np.ndarray:
-        """(n_sites, 3) array of the plaquettes around each site."""
-        return np.fromiter(
-            (p for inc in self.site_plaquettes for p, _ in inc),
-            dtype=np.intp, count=3 * self.n_sites,
-        ).reshape(self.n_sites, 3)
-
-    @cached_property
-    def labelled_bonds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(i, j, component index) arrays of the bonds, in bond order, whose
-        two endpoints both carry the bond's component as their label.
-
-        Only these bonds have a nonzero expectation on a product ket of the
-        manifold.  The component index points into ``COMPONENTS``.
-        """
-        comps = self.site_components
-        picked = np.array(
-            [
-                (i, j, COMPONENTS.index(c))
-                for i, j, c in self.bonds
-                if comps[i] == comps[j] == c
-            ],
-            dtype=np.intp,
-        ).reshape(-1, 3)
-        return picked[:, 0], picked[:, 1], picked[:, 2]
 
 
 @dataclass
@@ -112,13 +91,6 @@ def build_lattice(nx: int, ny: int) -> LatticeGeometry:
 
     sublattice = ("A", "B") * (nx * ny)
 
-    # every cell's A site bonds to a B site: z in its own cell, x below, y
-    # below and to the right; the table lists all x bonds, then y, then z
-    a = site(0, 0, 0).tolist()
-    bonds: list[tuple[int, int, str]] = []
-    for comp, (dx, dy) in zip(COMPONENTS, ((0, -1), (1, -1), (0, 0))):
-        bonds.extend(zip(a, site(dx, dy, 1).tolist(), repeat(comp)))
-
     # Hexagon around cell (ix, iy); consecutive sites are bonded and the
     # position labels (x,y,z,x,y,z) match each site's outward bond.
     hexagons = np.stack(
@@ -129,25 +101,34 @@ def build_lattice(nx: int, ny: int) -> LatticeGeometry:
     plaquettes = tuple(zip(*hexagons.T.tolist()))
 
     # entry 6p + pos of the flat table is site hexagons[p, pos]; a stable
-    # sort by site lists each site's three (plaquette, position) pairs in
-    # plaquette order
+    # sort by site lists each site's three plaquettes in increasing order
     order = np.argsort(hexagons.ravel(), kind="stable")
     inc_p, inc_pos = np.divmod(order, 6)
-    pairs = list(zip(inc_p.tolist(), inc_pos.tolist()))
-    site_plaquettes = tuple(zip(pairs[0::3], pairs[1::3], pairs[2::3]))
+    site_plaquette_index = inc_p.reshape(-1, 3)
+    # PLAQUETTE_PATTERN repeats COMPONENTS, so the owner position's label
+    # is COMPONENTS[pos % 3]
+    comp = inc_pos[0::3] % 3
+    site_components = tuple(COMPONENTS[c] for c in comp.tolist())
 
-    owner = tuple(inc_p[0::3].tolist())
-    site_components = tuple(PLAQUETTE_PATTERN[pos] for pos in inc_pos[0::3].tolist())
+    # every cell's A site bonds to a B site: z in its own cell, x below, y
+    # below and to the right; the table lists all x bonds, then y, then z
+    a = np.tile(site(0, 0, 0), 3)
+    b = np.concatenate([site(0, -1, 1), site(1, -1, 1), site(0, 0, 1)])
+    c = np.arange(3).repeat(nx * ny)
+    bonds = tuple(zip(a.tolist(), b.tolist(), (COMPONENTS[k] for k in c.tolist())))
+    labelled_bonds = np.stack([a, b, c], dtype=np.intp)[:, (comp[a] == c) & (comp[b] == c)]
 
+    for table in (site_plaquette_index, labelled_bonds):
+        table.flags.writeable = False
     return LatticeGeometry(
         nx=nx,
         ny=ny,
         sublattice=sublattice,
-        bonds=tuple(bonds),
+        bonds=bonds,
         plaquettes=plaquettes,
-        site_plaquettes=site_plaquettes,
-        owner=owner,
         site_components=site_components,
+        site_plaquette_index=site_plaquette_index,
+        labelled_bonds=tuple(labelled_bonds),
     )
 
 
@@ -155,7 +136,6 @@ def validate_geometry(geom: LatticeGeometry) -> ValidationReport:
     """Check every structural invariant; returns a report, never raises."""
     rep = ValidationReport()
     n = geom.n_sites
-    n_plaq = geom.n_plaquettes
 
     rep.add("site_count", len(geom.sublattice) == n == 2 * geom.nx * geom.ny,
             f"{len(geom.sublattice)} sites")
@@ -181,15 +161,13 @@ def validate_geometry(geom: LatticeGeometry) -> ValidationReport:
     rep.add("site_in_three_plaquettes", all(c == 3 for c in counts),
             f"min {min(counts)} max {max(counts)}" if counts else "empty")
 
-    # every bond appears as a consecutive (cyclic) pair in exactly 2 plaquettes
-    edge_use: dict[frozenset, int] = {}
-    for sites in geom.plaquettes:
-        for k in range(6):
-            edge_use[frozenset((sites[k], sites[(k + 1) % 6]))] = (
-                edge_use.get(frozenset((sites[k], sites[(k + 1) % 6])), 0) + 1
-            )
+    # each hexagon's consecutive (cyclic) site pairs; every bond must be an
+    # edge of exactly 2 hexagons
+    edges = [[frozenset((sites[k], sites[(k + 1) % 6])) for k in range(6)]
+             for sites in geom.plaquettes]
+    edge_use = Counter(e for hexagon in edges for e in hexagon)
     bond_pairs = {frozenset((i, j)) for i, j, _ in geom.bonds}
-    two_each = all(edge_use.get(b, 0) == 2 for b in bond_pairs)
+    two_each = all(edge_use[b] == 2 for b in bond_pairs)
     no_stray = all(e in bond_pairs for e in edge_use)
     rep.add("bond_in_two_plaquettes", two_each and no_stray,
             "hexagon edges consistent with bond list" if two_each and no_stray
@@ -203,19 +181,20 @@ def validate_geometry(geom: LatticeGeometry) -> ValidationReport:
     rep.add("sublattice_alternation", alternating)
 
     bond_comp = {frozenset((i, j)): c for i, j, c in geom.bonds}
-    pattern_ok = True
-    for sites in geom.plaquettes:
-        comps = sorted(
-            bond_comp.get(frozenset((sites[k], sites[(k + 1) % 6])), "?")
-            for k in range(6)
-        )
-        if comps != ["x", "x", "y", "y", "z", "z"]:
-            pattern_ok = False
+    pattern_ok = all(
+        sorted(bond_comp.get(e, "?") for e in hexagon) == ["x", "x", "y", "y", "z", "z"]
+        for hexagon in edges
+    )
     rep.add("plaquette_edge_components", pattern_ok, "{x,x,y,y,z,z} per hexagon")
 
-    incidence_total = sum(len(inc) for inc in geom.site_plaquettes)
-    rep.add("incidence_sum", incidence_total == 6 * n_plaq,
-            f"{incidence_total} vs {6 * n_plaq}")
+    # each site's row: three increasing plaquettes that all hold the site
+    inc = geom.site_plaquette_index
+    bad = n if inc.shape != (n, 3) else sum(
+        not 0 <= p0 < p1 < p2 < len(geom.plaquettes)
+        or any(s not in geom.plaquettes[p] for p in (p0, p1, p2))
+        for s, (p0, p1, p2) in enumerate(inc.tolist())
+    )
+    rep.add("incidence_sum", bad == 0, f"{bad} of {n} site rows wrong")
 
     return rep
 

@@ -306,7 +306,8 @@ def connected_targets(
         return []
     (site,) = image
     # the plaquette, if any, whose third position is that site
-    return [excite(initial, p) for p, pos in geom.site_plaquettes[site] if pos == 2]
+    return [excite(initial, p) for p in geom.site_plaquette_index[site].tolist()
+            if geom.position3_site(p) == site]
 
 
 def evolve_coefficients(

@@ -185,7 +185,7 @@ def loop_signature(geom, config, excitation=None):
     """Per-site parity of flipped incident plaquettes, one site at a time."""
     signs = np.ones(geom.n_sites, dtype=np.int8)
     for s in range(geom.n_sites):
-        if sum((config.bits >> p) & 1 for p, _ in geom.site_plaquettes[s]) % 2:
+        if sum((config.bits >> p) & 1 for p in geom.site_plaquette_index[s].tolist()) % 2:
             signs[s] = -1
     if excitation is not None:
         s3 = geom.position3_site(excitation.flipped_plaquette)

@@ -211,18 +211,28 @@ class TestExitCodes:
         assert code == 3
         assert "lattice too large" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n", [4, 6], ids=["4x4", "6x6"])
+    @pytest.mark.parametrize("n", [5, 6], ids=["5x5", "6x6"])
     def test_thermal_member_list_over_budget_exits_3_before_listing(
         self, n, tmp_path, monkeypatch, capsys
     ):
-        # 2**(n*n) members, each with at most two kets, of 16 bytes per amplitude
+        # 2**(n*n) members of THERMAL_MEMBER_BYTES each
         forbid_member_work(monkeypatch)
         members = 1 << (n * n)
         out = tmp_path / "out"
         code = cli.main(["thermal", "--members", "all", "--nx", str(n), "--ny", str(n),
                          "--outdir", str(out)])
         assert code == 3
-        assert f"needs {16 * members * 2 * members} bytes" in capsys.readouterr().err
+        assert f"need about {members * cli.THERMAL_MEMBER_BYTES} bytes" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evolve", "phase", "entropy", "thermal"])
+    def test_overflowing_t_max_exits_3_before_output(self, command, tmp_path, capsys):
+        # detuning * t and E * t_max overflow to inf, and sin(inf) is NaN
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code = cli.main([command, "--t-max", "1e308", "--outdir", str(out)])
+        assert code == 3
+        assert "t_max = 1e+308" in capsys.readouterr().err
         assert not out.exists()
 
 
