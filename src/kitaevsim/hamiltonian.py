@@ -32,7 +32,7 @@ from .manifold import (
     flip_signature,
     label_key,
 )
-from .pauli import PAULI, apply_pauli_string, pauli_eigenvector, string_term
+from .pauli import PAULI, apply_pauli_string, pauli_eigenvector
 
 # the drive string: the plaquette pattern with the third position's
 # component replaced by x, so it flips the z-labeled third spin
@@ -65,16 +65,27 @@ def h0_terms(geom: LatticeGeometry, params: CouplingParams) -> Iterator[tuple[in
     """H0 as one (mask, coefficient) term per bond of nonzero coupling.
 
     The terms come in bond order; a bond acts as
-    ``coeff[k] * psi[k ^ mask]`` (:func:`string_term`), and two-site x, y
-    and z strings all have real phases.  They are yielded one at a time,
-    so a caller that groups them never holds every bond's vector.
+    ``coeff[k] * psi[k ^ mask]``, as its string would through
+    :func:`string_term`, and every coefficient is +-J.  The sign is the
+    parity of the bond's two bits of the output index k: an x bond has
+    none, a y bond (sigma^y sigma^y = -s_i s_j with s = 1 - 2 bit) is
+    negative where the parity is even, and a z bond, mask 0, where it is
+    odd.  No complex phase is built.  The terms are yielded one at a
+    time, so a caller that groups them never holds every bond's vector.
     """
+    k = np.arange(2**geom.n_sites)
     for i, j, comp in geom.bonds:
         coupling = params.j(comp)
         if coupling == 0.0:
             continue
-        mask, phase = string_term(((i, comp), (j, comp)), geom.n_sites)
-        yield mask, coupling * phase.real
+        if comp == "x":
+            yield (1 << i) | (1 << j), np.full(len(k), coupling)
+            continue
+        odd = ((k >> i) ^ (k >> j)) & 1
+        if comp == "y":
+            yield (1 << i) | (1 << j), coupling * (2 * odd - 1)
+        else:
+            yield 0, coupling * (1 - 2 * odd)
 
 
 def apply_h0(geom: LatticeGeometry, params: CouplingParams, psi: np.ndarray) -> np.ndarray:

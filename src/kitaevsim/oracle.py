@@ -291,15 +291,22 @@ class _Generator:
     """H(t) = H0 + B(t) S compiled once for one lattice, couplings and drive.
 
     Every Pauli string acts as ``phase[k] * psi[k ^ mask]``
-    (:func:`string_term`).  Of the bond terms of :func:`h0_terms`, the z
-    bonds sum into one diagonal and the x and y bonds into one row per
-    distinct mask: an index row k ^ mask and a real coefficient row.  The
-    drive string S is one more row, the last.  Its phase is a constant
-    (-i)^(number of y) times a real sign, so its coefficient row is the
-    sign, and b times the constant is one scalar that :meth:`set_drive`
-    sets once per exponential.  The rows are stacked into groups of at
-    most ``_GROUP_BYTES`` of gathered values, and a matvec is one gather,
-    multiply and sum per group.
+    (:func:`string_term`), and every phase of H0 and S is a real sign
+    times one constant.  Of the bond terms of :func:`h0_terms`, the z
+    bonds sum into one diagonal, stored complex so that ``diag * psi``
+    needs no cast.  Each x and y bond becomes one index row into the pair
+    [psi, -psi], which a matvec writes into one reused buffer:
+    ``(k ^ mask) + dim * (coeff[k] < 0)``, with the scale |J|.  The drive
+    string S is one more row, the last; its phase is a constant
+    (-i)^(number of y) times a real sign, the sign goes into its index
+    row, and b times the constant is its scale, which :meth:`set_drive`
+    sets once per exponential.  No coefficient row is stored.  The rows
+    are stacked in bond order into groups of at most ``_GROUP_BYTES`` of
+    gathered values, and a matvec is one gather, one multiply by the
+    group's scale column and one sum per group: the same products in the
+    same order as coefficient rows +-J, so the result is equal to theirs
+    bit for bit, up to the sign of zero.  A torus of nx, ny >= 2 has no
+    two bonds on one site pair, so no two rows share a mask.
     :meth:`step` takes one CF4 step.  ``krylov_tol`` is the Krylov error
     each step may spend per unit time, and ``krylov_error`` sums the
     estimates of every exponential taken.
@@ -312,31 +319,34 @@ class _Generator:
         # would slow every matvec with subnormal arithmetic
         tiny = np.finfo(float).tiny
         params = replace(params, **{f"j{c}": 0.0 for c in COMPONENTS if abs(params.j(c)) < tiny})
-        self.diag = np.zeros(dim)
-        rows: dict[int, np.ndarray] = {}
+        k = np.arange(dim)
+        diag = np.zeros(dim)
+        # (signed index row, scale), in bond order
+        rows: list[tuple[np.ndarray, float]] = []
         for mask, term in h0_terms(geom, params):
             if mask == 0:
-                self.diag += term
+                diag += term
             else:
-                rows[mask] = rows.get(mask, 0.0) + term
-        # popped from the end as they are stacked, so no row is held twice
-        pending = list(rows.items())[::-1]
-        del rows
+                # every entry of a bond's term is +-J
+                rows.append(((k ^ mask) + dim * (term < 0.0), abs(float(term[0]))))
+        self.diag = diag.astype(complex)
         self.drive = drive
         self.driven = drive.kind == "custom" or drive.amplitude != 0.0
         if self.driven:
             mask, phase = string_term(drive_string(geom, drive.plaquette), n)
             # phase[0] has every sign +1: it is the constant
             self.drive_unit = complex(phase[0])
-            pending.insert(0, (mask, (phase * self.drive_unit.conjugate()).real))
-            self.drive_scale = 0.0
-        k = np.arange(dim)
-        per_group = min(max(1, _GROUP_BYTES // (16 * dim)), len(pending))
+            rows.append(((k ^ mask) + dim * ((phase * self.drive_unit.conjugate()).real < 0.0), 0.0))
+        per_group = min(max(1, _GROUP_BYTES // (16 * dim)), len(rows))
+        # popped from the end as they are stacked, so no row is held twice
+        rows.reverse()
         self.groups = []
-        while pending:
-            chunk = [pending.pop() for _ in range(min(per_group, len(pending)))]
-            masks = np.array([mask for mask, _ in chunk])
-            self.groups.append((k ^ masks[:, None], np.array([row for _, row in chunk])))
+        while rows:
+            chunk = [rows.pop() for _ in range(min(per_group, len(rows)))]
+            scales = np.array([[scale] for _, scale in chunk], dtype=complex)
+            self.groups.append((np.array([idx for idx, _ in chunk]), scales))
+        # [psi, -psi] for the signed gathers, written once per matvec
+        self.pair = np.empty(2 * dim, dtype=complex)
         # every group gathers into this one buffer: a fresh gather above
         # malloc's mmap threshold (128 KiB) is mapped and faulted in on
         # every matvec, which made 2x3 matvecs in four-row groups twice as
@@ -350,19 +360,19 @@ class _Generator:
     def set_drive(self, b: complex) -> None:
         """Set the drive value b of the matvecs that follow."""
         if self.driven:
-            self.drive_scale = b * self.drive_unit
+            self.groups[-1][1][-1] = b * self.drive_unit
 
     def matvec(self, psi: np.ndarray) -> np.ndarray:
         """(H0 + b S) psi, with b from the last :meth:`set_drive`."""
+        dim = len(psi)
+        self.pair[:dim] = psi
+        np.negative(psi, out=self.pair[dim:])
         out = self.diag * psi
-        last = len(self.groups) - 1
-        for g, (idx, coeff) in enumerate(self.groups):
+        for idx, scales in self.groups:
             # every index is in range; the default mode="raise" would
             # gather into a temporary and copy it to out
-            gathered = psi.take(idx, out=self.gathered[: len(idx)], mode="wrap")
-            gathered *= coeff
-            if self.driven and g == last:
-                gathered[-1] *= self.drive_scale
+            gathered = self.pair.take(idx, out=self.gathered[: len(idx)], mode="wrap")
+            gathered *= scales
             out += gathered[0] if len(gathered) == 1 else np.add.reduce(gathered, axis=0)
         return out
 

@@ -156,24 +156,26 @@ def coefficient_closed_form(m_sign: int, d: float, delta: float, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("time must be >= 0")
-    x = delta * t_arr
-    series = np.abs(x) < RESONANCE_SERIES_THRESHOLD
+    # an overflowing t gives inf or NaN values, which the callers reject
+    # (exit 3) with a message of their own instead of numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = delta * t_arr
+        series = np.abs(x) < RESONANCE_SERIES_THRESHOLD
 
-    if delta != 0.0:
-        # stable main branch: 1 - cos(x) = 2 sin(x/2)^2
-        a = np.where(series, 0.0, d * (2.0 * np.sin(x / 2.0) ** 2) / delta)
-        b = np.where(series, 0.0, -d * np.sin(x) / delta)
-    else:
-        a = np.zeros_like(t_arr)
-        b = np.zeros_like(t_arr)
+        if delta != 0.0:
+            # stable main branch: 1 - cos(x) = 2 sin(x/2)^2
+            a = np.where(series, 0.0, d * (2.0 * np.sin(x / 2.0) ** 2) / delta)
+            b = np.where(series, 0.0, -d * np.sin(x) / delta)
+        else:
+            a = np.zeros_like(t_arr)
+            b = np.zeros_like(t_arr)
 
-    if np.any(series):
-        ts = np.where(series, t_arr, 0.0)
-        xs = delta * ts
-        a = np.where(series, d * (delta * ts * ts / 2.0) * (1.0 - xs * xs / 12.0), a)
-        b = np.where(series, -d * ts * (1.0 - xs * xs / 6.0), b)
-
-    out = np.asarray((a + 1j * b) * m_sign)
+        if np.any(series):
+            ts = np.where(series, t_arr, 0.0)
+            xs = delta * ts
+            a = np.where(series, d * (delta * ts * ts / 2.0) * (1.0 - xs * xs / 12.0), a)
+            b = np.where(series, -d * ts * (1.0 - xs * xs / 6.0), b)
+        out = np.asarray((a + 1j * b) * m_sign)
     return complex(out) if t_arr.ndim == 0 else out
 
 

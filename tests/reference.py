@@ -24,6 +24,11 @@ same energies and drive elements as expectations on explicit 2^n kets.
 :func:`loop_unwrap` is the per-sample argument unwrapping that
 :func:`kitaevsim.phase.decompose_values` must reproduce bit for bit.
 
+:func:`grouped_apply` is the oracle generator's former kernel, one real
+coefficient row per distinct flip mask built from :func:`string_term`'s
+phases: the signed index rows of ``oracle._Generator`` must reproduce it
+bit for bit.
+
 :func:`gram` and :func:`reduced` take a thermal mixture's K x K member Gram
 matrix and its reduced matrix on kept sites from explicit 2^n member kets,
 the forms :func:`kitaevsim.density.label_mixture` must match from labels.
@@ -39,7 +44,7 @@ from kitaevsim.hamiltonian import drive_string
 from kitaevsim.lattice import COMPONENTS, PLAQUETTE_PATTERN
 from kitaevsim.manifold import build_product_ket, excite, flip_signature
 from kitaevsim.output import header_block
-from kitaevsim.pauli import PAULI, n_sites_of, pauli_eigenvector
+from kitaevsim.pauli import PAULI, n_sites_of, pauli_eigenvector, string_term
 
 
 def write_csv_rows(path: Path, config: dict, columns: list[str], rows) -> None:
@@ -107,6 +112,51 @@ def apply_bond_hamiltonian(bonds, j_of, psi: np.ndarray) -> np.ndarray:
 def apply_h0(geom, params, psi: np.ndarray) -> np.ndarray:
     """H0 on a full Hilbert-space vector, streamed bond by bond."""
     return apply_bond_hamiltonian(geom.bonds, params.j, psi)
+
+
+def grouped_apply(geom, params, drive, psi, b, group_bytes=1 << 16):
+    """(H0 + b S) psi by the grouped kernel with coefficient rows.
+
+    Couplings below the smallest normal float are dropped.  The z bonds
+    sum into a real diagonal; the x and y bonds sum into one real row
+    ``coupling * phase.real`` per distinct mask, in order of first
+    appearance; the drive row is last, its real sign times the scalar b
+    (-i)^(number of y).  The rows go into groups of at most
+    ``group_bytes`` of complex gathered values, and each group is one
+    gather, one multiply by its coefficient rows and one sum.
+    """
+    n = geom.n_sites
+    dim = 2**n
+    k = np.arange(dim)
+    diag = np.zeros(dim)
+    rows = {}
+    for i, j, comp in geom.bonds:
+        coupling = params.j(comp)
+        if abs(coupling) < np.finfo(float).tiny:
+            continue
+        mask, phase = string_term(((i, comp), (j, comp)), n)
+        if mask == 0:
+            diag += coupling * phase.real
+        else:
+            rows[mask] = rows.get(mask, 0.0) + coupling * phase.real
+    rows = list(rows.items())
+    drive_scale = None
+    if drive.kind == "custom" or drive.amplitude != 0.0:
+        mask, phase = string_term(drive_string(geom, drive.plaquette), n)
+        unit = complex(phase[0])
+        rows.append((mask, (phase * unit.conjugate()).real))
+        drive_scale = b * unit
+    per_group = max(1, min(group_bytes // (16 * dim), len(rows)))
+    out = diag * psi
+    for start in range(0, len(rows), per_group):
+        chunk = rows[start : start + per_group]
+        idx = k ^ np.array([mask for mask, _ in chunk])[:, None]
+        gathered = psi[idx]
+        gathered *= np.array([row for _, row in chunk])
+        if drive_scale is not None and start + per_group >= len(rows):
+            gathered[-1] *= drive_scale
+        out += gathered[0] if len(gathered) == 1 else np.add.reduce(gathered, axis=0)
+    return out
 
 
 def kron_string(n_sites, ops):

@@ -235,6 +235,16 @@ class TestExitCodes:
         assert "t_max = 1e+308" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["evolve", "phase", "entropy", "thermal"])
+    def test_overflowing_t_max_prints_only_the_exit_message(self, command, tmp_path, capfd):
+        # a fresh interpreter prints numpy's RuntimeWarnings to its stderr,
+        # which the child inherits from this process's captured descriptor
+        proc = subprocess.run([sys.executable, "-m", "kitaevsim.cli", command, "--nx", "2", "--ny", "2",
+                               "--t-max", "1e308", "--outdir", str(tmp_path / "out")])
+        assert proc.returncode == 3
+        lines = capfd.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("computation failed: t_max = 1e+308 overflows")
+
 
 def forbid_member_work(monkeypatch):
     """Make any FlipConfig after the scene's initial one, and any

@@ -4,7 +4,9 @@ Every Pauli string in ``src/`` acts as ``phase[k] * psi[k ^ mask]``
 (``string_term``): the oracle's generator, ``apply_h0`` and
 ``apply_pauli_string``.  The per-site reshape kernels of
 ``tests/reference.py`` are the reference on every torus; on 2x2 its
-Kronecker-product matrices are checked as well.
+Kronecker-product matrices are checked as well.  The generator's signed
+index rows are held bit for bit to the coefficient-row kernel they
+replaced (``reference.grouped_apply``).
 """
 
 import numpy as np
@@ -107,25 +109,28 @@ def test_h0_terms_match_the_bond_streamed_reference(shape, jx, jy, jz, seed):
     assert np.array_equal(apply_h0(geom, params, psi), reference.apply_h0(geom, params, psi))
 
     terms = list(h0_terms(geom, params))
-    flips = [(1 << i) | (1 << j) if comp in "xy" else 0
-             for i, j, comp in geom.bonds if params.j(comp) != 0.0]
+    bonds = [(i, j, comp) for i, j, comp in geom.bonds if params.j(comp) != 0.0]
+    flips = [(1 << i) | (1 << j) if comp in "xy" else 0 for i, j, comp in bonds]
     assert [mask for mask, _ in terms] == flips
+    # the parity signs are the real phases of string_term, bit for bit
+    for (i, j, comp), (_, coeff) in zip(bonds, terms):
+        phase = string_term(((i, comp), (j, comp)), geom.n_sites)[1]
+        assert np.array_equal(coeff, params.j(comp) * phase.real)
 
-    # the oracle stacks the same terms into one row per mask, in bond
-    # order, less the subnormal couplings it drops
-    grouped: dict[int, list[np.ndarray]] = {}
-    for mask, coeff in terms:
-        if np.max(np.abs(coeff)) >= np.finfo(float).tiny:
-            grouped.setdefault(mask, []).append(coeff)
+    # the oracle keeps one signed index row and one scale |J| per x or y
+    # bond, in bond order, less the subnormal couplings it drops
+    k = np.arange(dim)
+    kept = [(mask, coeff) for mask, coeff in terms if np.max(np.abs(coeff)) >= np.finfo(float).tiny]
     gen = _Generator(geom, params, DriveSpec.exponential(0.0, 0.0, plaquette=0))
-    assert np.array_equal(gen.diag, sum(grouped.pop(0, []), np.zeros(dim)))
+    assert gen.diag.dtype == complex
+    assert np.array_equal(gen.diag, sum((c for m, c in kept if m == 0), np.zeros(dim)))
     idx_rows = [row for idx, _ in gen.groups for row in idx]
-    coeff_rows = [row for _, coeff in gen.groups for row in coeff]
-    assert [int(row[0]) for row in idx_rows] == list(grouped)
-    assert len(coeff_rows) == len(idx_rows)
-    for idx, coeff, group in zip(idx_rows, coeff_rows, grouped.values()):
-        assert np.array_equal(idx, np.arange(dim) ^ int(idx[0]))
-        assert np.array_equal(coeff, sum(group, np.zeros(dim)))
+    scales = [complex(s) for _, col in gen.groups for s in col[:, 0]]
+    off = [(mask, coeff) for mask, coeff in kept if mask != 0]
+    assert len(idx_rows) == len(scales) == len(off)
+    for idx, scale, (mask, coeff) in zip(idx_rows, scales, off):
+        assert np.array_equal(idx, (k ^ mask) + dim * (coeff < 0.0))
+        assert scale == abs(coeff[0])
 
 
 # rows per group: one, a few, all of them
@@ -155,19 +160,90 @@ def test_grouped_kernel_matches_the_reference(shape, jx, jy, jz, b_re, b_im, gro
         gen = _Generator(geom, params, DriveSpec.exponential(1.0, 0.0, plaquette=plaquette))
 
     sizes = [len(idx) for idx, _ in gen.groups]
-    # one row per distinct flip mask, and the drive row last
+    # one row per x or y bond, and the drive row last: its index at k = 0,
+    # where every sign is +1, is the string's mask
     string = drive_string(geom, plaquette)
     tiny = np.finfo(float).tiny
-    masks = {(1 << i) | (1 << j) for i, j, c in geom.bonds if c in "xy" and abs(params.j(c)) >= tiny}
-    assert sum(sizes) == len(masks) + 1
+    bonds = [(i, j) for i, j, c in geom.bonds if c in "xy" and abs(params.j(c)) >= tiny]
+    assert sum(sizes) == len(bonds) + 1
     assert int(gen.groups[-1][0][-1][0]) == string_term(string, geom.n_sites)[0]
     assert all(size == min(rows, sum(sizes) - rows * g) for g, size in enumerate(sizes))
+    assert all(idx.shape == (len(col), dim) and col.shape == (len(idx), 1) for idx, col in gen.groups)
 
     psi = _random_psi(rng, dim)
     b = complex(b_re, b_im)
     got = gen.apply(psi, b)
     ref = reference.apply_h0(geom, params, psi) + b * reference.apply_pauli_string(psi, string)
     assert np.linalg.norm(got - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
+
+
+tiny_couplings = st.sampled_from([5e-324, -1e-310, np.finfo(float).tiny, -np.finfo(float).tiny])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    shape=st.sampled_from(sorted(GEOMS)),
+    jx=st.one_of(couplings, tiny_couplings),
+    jy=st.one_of(couplings, tiny_couplings),
+    jz=st.one_of(couplings, tiny_couplings),
+    d=amplitudes,
+    drive_kind=st.sampled_from(["exponential", "custom"]),
+    zero_b=st.booleans(),
+    grouping=st.sampled_from(sorted(GROUPINGS)),
+    data=st.data(),
+)
+def test_signed_kernel_matches_the_coefficient_row_kernel_bit_for_bit(
+    shape, jx, jy, jz, d, drive_kind, zero_b, grouping, data
+):
+    geom = GEOMS[shape]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    params = CouplingParams(jx=jx, jy=jy, jz=jz)
+    dim = 2**geom.n_sites
+    omega = data.draw(st.floats(-3.0, 3.0), label="omega")
+    t = data.draw(st.floats(0.0, 3.0), label="t")
+    samples = d * _random_psi(rng, 7)
+    group_bytes = GROUPINGS[grouping] * 16 * dim
+    psi = _random_psi(rng, dim)
+    psi[rng.integers(0, dim, 4)] = 0.0
+    for plaquette in range(geom.n_plaquettes):
+        if drive_kind == "custom":
+            drive = DriveSpec.custom(np.linspace(0.0, 3.0, 7), samples, plaquette=plaquette)
+        else:
+            drive = DriveSpec.exponential(d, omega, plaquette=plaquette)
+        b = 0j if zero_b else complex(drive.b_of(t))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_GROUP_BYTES", group_bytes)
+            gen = _Generator(geom, params, drive)
+        # equal as numbers: a product with a zero may differ in its sign of zero
+        ref = reference.grouped_apply(geom, params, drive, psi, b, group_bytes)
+        assert np.array_equal(gen.apply(psi, b), ref)
+
+
+@pytest.mark.parametrize("nx", range(2, 7))
+@pytest.mark.parametrize("ny", range(2, 7))
+def test_no_two_bonds_share_a_site_pair(nx, ny):
+    # so no two of the generator's rows share a flip mask, and its rows
+    # need no merging to equal one coefficient row per mask
+    pairs = {frozenset((i, j)) for i, j, _ in build_lattice(nx, ny).bonds}
+    assert len(pairs) == 3 * nx * ny
+
+
+def test_2x4_generator_holds_index_rows_and_ket_buffers():
+    geom = build_lattice(2, 4)
+    dim = 2**geom.n_sites
+    gen = _Generator(geom, CouplingParams(1.0, 0.8, 1.2), DriveSpec.exponential(0.02, 0.5, plaquette=0))
+    arrays = [v for v in vars(gen).values() if isinstance(v, np.ndarray) and v is not gen.basis]
+    arrays += [a for group in gen.groups for a in group]
+    rows = sum(len(idx) for idx, _ in gen.groups)
+    assert rows == 16 + 1  # the x and y bonds, then the drive
+    for a in arrays:
+        # no coefficient row: every float or complex table is ket-sized
+        assert a.dtype.kind == "i" or a.size <= 2 * dim
+    index_bytes = sum(a.nbytes for a in arrays if a.dtype.kind == "i")
+    assert index_bytes == rows * dim * np.dtype(np.intp).itemsize
+    # the complex diagonal, the pair [psi, -psi], one gathered row, and
+    # the one-entry scale column of each group
+    assert sum(a.nbytes for a in arrays) - index_bytes == (1 + 2 + 1) * 16 * dim + rows * 16
 
 
 def test_string_term_rejects_repeated_site():
