@@ -2,12 +2,13 @@
 
 Integrates i d/dt psi = (H0 + B(t) S) psi with the fourth-order
 commutator-free Magnus integrator CF4 (two exponentials per step, each
-applied by Arnoldi) under windowed Richardson step control: the output
-intervals are taken in windows of two equal intervals where they can be
-(one interval where they cannot), and each window is refined on its
-own, from the ket accepted at its start, until the step-doubling
-estimate of its error fits its share of the tolerance (Hairer, Norsett
-& Wanner, Solving ODEs I, sec. II.4).  One Richardson pair per two
+a Taylor series truncated under a bound on its remainder) under
+windowed Richardson step control: the output intervals are taken in
+windows of two equal intervals where they can be (one interval where
+they cannot), and each window is refined on its own, from the ket
+accepted at its start, until the step-doubling estimate of its error
+fits its share of the tolerance (Hairer, Norsett & Wanner, Solving
+ODEs I, sec. II.4).  One Richardson pair per two
 intervals costs 1.5 CF4 steps per interval at the least, against 3 for
 a pair per interval.  The generator is compiled once per run.  The
 fixed-step core is exposed so convergence order can be measured
@@ -48,11 +49,13 @@ class EvolutionResult:
     # drive), >= 1; both intervals of a window share one count, which
     # may be odd, and a one-interval window's count is even
     substeps: tuple[int, ...]
-    # sum of the accepted windows' Richardson and Krylov estimates
+    # sum of the accepted windows' Richardson and truncation bounds
     error_estimate: float
     # CF4 steps over every pass, rejected ones included
     cf4_steps: int
-    krylov_error: float  # the Krylov part of error_estimate
+    krylov_error: float  # the truncation-bound part of error_estimate
+    # generator matvecs over every pass, rejected ones included
+    matvecs: int
 
 
 @dataclass
@@ -77,23 +80,26 @@ class TdptErrorReport:
 # with b1,2 = m0 -/+ 4 m1 from the moments m0 = <B>, m1 = <(t - t_mid) B> / h
 # of the drive over the step (Gauss points give the original scheme)
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
-# largest Arnoldi basis of one exponential
-_KRYLOV_DIM = 30
-# Krylov sub-steps one exponential may take before it gives up
-_MAX_KRYLOV_STEPS = 128
+# largest norm bound theta = |scale| ||M|| tau of one Taylor sub-step.  A
+# 2x3 correlation scan took 1.56x the matvecs at 1 and 2 % fewer at 3 or
+# 4, while the series' rounding may grow by e^theta ulps
+_THETA = 2.0
+# Taylor sub-steps one exponential may take before it gives up
+_MAX_SUB_STEPS = 128
+# terms one sub-step may sum before it gives up: at theta <= 2 the 64th
+# is below 2^64 / 64! ~ 1e-70 of the vector
+_MAX_TAYLOR_TERMS = 64
 # Krylov error allowed per unit time when no run has set it
 _KRYLOV_TOL = 1e-14
 # exact_evolve's share of its tolerance for the Krylov error
 _KRYLOV_SHARE = 1.0 / 64.0
 
-# OpenBLAS hands a dot of more than 10000 elements, and a gemv of 4096
-# matrix elements or more, to its worker threads.  Waking them has cost
-# some processes milliseconds per call (with two threads, a 30 x 256
-# gemv took 0.4-2.4 ms instead of 5 us, a 65536-element dot 0.43 ms
-# instead of 0.06 ms in 8192-element pieces), so every inner product of
-# kets is cut into calls below both limits.
+# OpenBLAS hands a dot of more than 10000 elements to its worker threads.
+# Waking them has cost some processes milliseconds per call (with two
+# threads, a 65536-element dot took 0.43 ms instead of 0.06 ms in
+# 8192-element pieces), so every inner product of kets is cut into calls
+# below that limit.
 _DOT_ELEMENTS = 8192
-_GEMV_ELEMENTS = 4096
 
 
 def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
@@ -108,151 +114,49 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(_vdot(a, a).real)
 
 
-def _slabs(block: np.ndarray) -> np.ndarray:
-    """``block`` (rows x n) as a stack of column slabs (slabs x rows x
-    width), each below ``_GEMV_ELEMENTS``: the width is the largest such
-    power of two that divides n."""
-    rows, n = block.shape
-    width = min(n & -n, 1 << (((_GEMV_ELEMENTS - 1) // rows).bit_length() - 1))
-    return block.reshape(rows, n // width, width).transpose(1, 0, 2)
+def expv(apply, v: np.ndarray, scale: complex, tol: float, bound: float) -> tuple[np.ndarray, float]:
+    """exp(scale * M) v by a truncated Taylor series, where ``apply(x)``
+    returns M x as a new vector and ``bound`` >= ||M||.
 
+    The unit interval is cut into s = ceil(|scale| bound / 2) equal
+    sub-steps tau, so that theta = |scale| bound tau <= 2 on each.  A
+    sub-step sums the terms t_k = (tau scale M)^k w / k!, one matvec
+    each, and stops at the first k with k + 1 > theta and
+    ||t_k|| theta / (k + 1 - theta) <= tol * tau: since ||t_(j+1)|| <=
+    ||t_j|| theta / (j + 1), that is a bound on the norm of every term
+    left out (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
 
-def _project(block: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The inner products <block_i|b> of the rows of ``block`` with b.
-
-    A block too large for one gemv is cut into slabs, and one batched
-    matmul makes one gemv per slab; a single row takes :func:`_vdot`.
-    """
-    if block.size < _GEMV_ELEMENTS:
-        return (block @ b.conj()).conj()
-    if len(block) == 1:
-        return np.array([_vdot(block[0], b)])
-    slabs = _slabs(block)
-    return np.add.reduce(slabs @ b.conj().reshape(len(slabs), -1, 1), axis=0)[:, 0].conj()
-
-
-def _combine(coeffs: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """sum_i coeffs[i] block_i, cut into gemvs as in :func:`_project`."""
-    if block.size < _GEMV_ELEMENTS:
-        return coeffs @ block
-    if len(block) == 1:  # matmul's own loop for 1 x 1 by 1 x w is slower
-        return coeffs[0] * block[0]
-    return (coeffs.reshape(1, 1, -1) @ _slabs(block)).reshape(block.shape[1])
-
-
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) of a small matrix: Taylor series after scaling to norm <= 1/2,
-    then squaring back."""
-    norm = float(np.max(np.sum(np.abs(a), axis=0)))
-    if not math.isfinite(norm):
-        return np.full_like(a, np.nan)
-    squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.0 else 0
-    a = a / 2.0**squarings
-    # the degree whose first dropped term, norm^k / k!, is below 1e-17
-    norm /= 2.0**squarings
-    degree, bound = 0, 1.0
-    while bound > 1e-17:
-        degree += 1
-        bound *= norm / degree
-    term = np.eye(len(a), dtype=a.dtype)
-    out = term.copy()
-    for k in range(1, degree):
-        term = term @ a
-        term /= k
-        out += term
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
-
-def expv(
-    apply, v: np.ndarray, scale: complex, tol: float, basis: np.ndarray | None = None
-) -> tuple[np.ndarray, float]:
-    """exp(scale * M) v by Arnoldi, where ``apply(x)`` returns M x.
-
-    The unit interval is covered by sub-steps tau; each builds an Arnoldi
-    basis of at most ``_KRYLOV_DIM`` vectors from the current vector and
-    is accepted when the a-posteriori estimate
-    beta |[exp(scale tau H_aug)]_{m+1,1}| of its error (Saad, SIAM J.
-    Numer. Anal. 29, 209 (1992); Hochbruck & Lubich, SIAM J. Numer.
-    Anal. 34, 1911 (1997)) is within tol * tau.  A full basis that misses
-    shrinks tau, without new matvecs.  Each new vector is orthogonalised
-    by classical Gram-Schmidt against the whole basis, twice (CGS2,
-    Giraud, Langou, Rozloznik & van den Eshof, Numer. Math. 101, 87
-    (2005)), which keeps the basis orthonormal to working precision.
-    ``basis`` is a complex (``_KRYLOV_DIM``, len(v)) work array for the
-    Arnoldi vectors; a caller that takes many exponentials passes one,
-    since a fresh 30 MiB block per call at dim 65536 fragments the heap
-    and raised a run's peak RSS by 9 MB.
-
-    Returns the vector and the summed estimates (<= tol); when the
-    exponential does not converge within ``_MAX_KRYLOV_STEPS`` sub-steps,
-    or turns non-finite, the vector is NaN and the estimate inf.
+    Returns the vector and the summed bounds (<= tol); when the
+    exponential needs more than ``_MAX_SUB_STEPS`` sub-steps or a
+    sub-step more than ``_MAX_TAYLOR_TERMS`` terms, or a term turns
+    non-finite, the vector is NaN and the estimate inf.
     """
     w = np.asarray(v, dtype=complex)
-    if basis is None:
-        basis = np.empty((_KRYLOV_DIM, len(w)), dtype=complex)
-    done, tau, err = 0.0, 1.0, 0.0
-    for step in range(_MAX_KRYLOV_STEPS):
-        if done >= 1.0:
-            return w, err
-        beta = _norm(w)
-        if beta == 0.0:
-            return w, err
-        if not math.isfinite(beta):
-            break
-        tau = min(tau, 1.0 - done)
-        np.divide(w, beta, out=basis[0])
-        hess = np.zeros((_KRYLOV_DIM + 1, _KRYLOV_DIM + 1), dtype=complex)
-        # beta |scale|^m prod h_{i+1,i} / m!: the leading term of the estimate
-        lead = beta
-        slack = 1.0  # how far the last full estimate exceeded the leading term
-        for j in range(_KRYLOV_DIM):
-            p = apply(basis[j])
-            block = basis[: j + 1]
-            h = _project(block, p)
-            p -= _combine(h, block)
-            h_again = _project(block, p)
-            p -= _combine(h_again, block)
-            hess[: j + 1, j] = h + h_again
-            h_next = _norm(p)
-            hess[j + 1, j] = h_next
-            m = j + 1
-            lead *= abs(scale) * h_next / m
-            last = m == _KRYLOV_DIM or h_next == 0.0
-            if not (last or slack * lead * tau**m <= tol * tau):
-                np.divide(p, h_next, out=basis[m])
-                continue
-            # H_m bordered by the row h_{m+1,m} e_m and a zero column:
-            # its exponential's last row holds the estimate
-            aug = hess[: m + 1, : m + 1]
-            small = _expm(scale * tau * aug)
-            est = beta * abs(small[m, 0])
-            if not last and est > tol * tau:
-                slack = est / (lead * tau**m) if lead * tau**m > 0.0 else math.inf
-                np.divide(p, h_next, out=basis[m])
-                continue
-            break
-        # a full basis that misses: shrink tau on the same basis
-        for _ in range(_MAX_KRYLOV_STEPS):
-            if est <= tol * tau:
-                break
-            shrink = 0.9 * (tol * tau / est) ** (1.0 / m) if math.isfinite(est) else 0.5
-            tau *= min(0.5, shrink)
-            if (1.0 - done) / tau > _MAX_KRYLOV_STEPS - step:
+    theta = abs(scale) * bound
+    subs = max(1, math.ceil(theta / _THETA)) if math.isfinite(theta) else math.inf
+    if subs > _MAX_SUB_STEPS:
+        return np.full_like(w, np.nan), math.inf
+    theta /= subs
+    factor = scale / subs
+    err = 0.0
+    for _ in range(subs):
+        term, total = w, w.copy()
+        for k in range(_MAX_TAYLOR_TERMS + 1):
+            if k:
+                term = apply(term)
+                term *= factor / k
+                total += term
+            size = _norm(term)
+            if not math.isfinite(size):
                 return np.full_like(w, np.nan), math.inf
-            small = _expm(scale * tau * aug)
-            est = beta * abs(small[m, 0])
+            rest = size * theta / (k + 1 - theta) if k + 1 > theta else math.inf
+            if rest <= tol / subs:
+                break
         else:
-            break
-        w = _combine(beta * small[:m, 0], basis[:m])
-        done = 1.0 if tau == 1.0 - done else done + tau
-        err += est
-        # the next sub-step tries what this one would have allowed
-        tau *= min(2.0, 0.9 * (tol * tau / est) ** (1.0 / m)) if est > 0.0 else 2.0
-    if done >= 1.0:
-        return w, err
-    return np.full_like(w, np.nan), math.inf
+            return np.full_like(w, np.nan), math.inf
+        w = total
+        err += rest
+    return w, err
 
 
 def _magnus_moments(drive: DriveSpec, t: float, h: float) -> tuple[complex, complex]:
@@ -307,9 +211,14 @@ class _Generator:
     same order as coefficient rows +-J, so the result is equal to theirs
     bit for bit, up to the sign of zero.  A torus of nx, ny >= 2 has no
     two bonds on one site pair, so no two rows share a mask.
-    :meth:`step` takes one CF4 step.  ``krylov_tol`` is the Krylov error
-    each step may spend per unit time, and ``krylov_error`` sums the
-    estimates of every exponential taken.
+    ``bound`` = max|diag| + sum |J| over the x and y rows, plus |b| once
+    :meth:`set_drive` has set b, is the largest absolute row sum of
+    H0 + b S.  H0 is Hermitian and S a permutation with unit phases, so
+    it is the largest column sum too, and so bounds the 2-norm that
+    :func:`expv` needs.  :meth:`step` takes one CF4 step.  ``krylov_tol`` is the
+    truncation bound each step may spend per unit time,
+    ``krylov_error`` sums the truncation bounds of every exponential
+    taken, and ``matvecs`` counts the matvecs.
     """
 
     def __init__(self, geom: LatticeGeometry, params: CouplingParams, drive: DriveSpec):
@@ -329,6 +238,8 @@ class _Generator:
             else:
                 # every entry of a bond's term is +-J
                 rows.append(((k ^ mask) + dim * (term < 0.0), abs(float(term[0]))))
+        self.h0_bound = float(np.max(np.abs(diag))) + sum(scale for _, scale in rows)
+        self.bound = self.h0_bound
         self.diag = diag.astype(complex)
         self.drive = drive
         self.driven = drive.kind == "custom" or drive.amplitude != 0.0
@@ -352,18 +263,19 @@ class _Generator:
         # every matvec, which made 2x3 matvecs in four-row groups twice as
         # slow
         self.gathered = np.empty((per_group, dim), dtype=complex)
-        # the Arnoldi basis of every exponential (see :func:`expv`)
-        self.basis = np.empty((_KRYLOV_DIM, dim), dtype=complex)
         self.krylov_tol = _KRYLOV_TOL
         self.krylov_error = 0.0
+        self.matvecs = 0
 
     def set_drive(self, b: complex) -> None:
         """Set the drive value b of the matvecs that follow."""
         if self.driven:
             self.groups[-1][1][-1] = b * self.drive_unit
+            self.bound = self.h0_bound + abs(b)
 
     def matvec(self, psi: np.ndarray) -> np.ndarray:
         """(H0 + b S) psi, with b from the last :meth:`set_drive`."""
+        self.matvecs += 1
         dim = len(psi)
         self.pair[:dim] = psi
         np.negative(psi, out=self.pair[dim:])
@@ -387,7 +299,7 @@ class _Generator:
         tol = self.krylov_tol * 0.5 * h
         for b in (m0 - 4.0 * m1, m0 + 4.0 * m1):
             self.set_drive(b)
-            psi, err = expv(self.matvec, psi, -0.5j * h, tol, basis=self.basis)
+            psi, err = expv(self.matvec, psi, -0.5j * h, tol, self.bound)
             self.krylov_error += err
         return psi
 
@@ -406,9 +318,11 @@ def evolve_fixed_substeps(
 
     ``rhs`` is a :class:`_Generator` compiled for the same lattice,
     couplings and drive; it is compiled here when omitted, and only then
-    are ``geom`` and ``params`` read.  A kept ``rhs`` keeps its Krylov
-    tolerance, which :func:`exact_evolve` sets from its own.
+    are ``geom`` and ``params`` read.  A kept ``rhs`` keeps its
+    truncation tolerance, which :func:`exact_evolve` sets from its own.
     """
+    if substeps < 1:
+        raise ValueError("need at least one substep per interval")
     times = np.asarray(times, dtype=float)
     f = _Generator(geom, params, drive) if rhs is None else rhs
     psi = psi0.astype(complex, copy=True)
@@ -442,7 +356,7 @@ def propagate(drive: DriveSpec, psi0: np.ndarray, times, substeps, *, rhs: _Gene
         grid = _interval_grid(drive, times[k], times[k + 1])
         psi = evolve_fixed_substeps(None, None, drive, psi, grid, steps, rhs=rhs)[-1]
     if not np.all(np.isfinite(psi)):
-        raise RuntimeError("a Krylov exponential did not converge on the replayed steps")
+        raise RuntimeError("an exponential did not converge on the replayed steps")
     return psi
 
 
@@ -493,17 +407,18 @@ def exact_evolve(
     substeps and a fine pass of 2s.  Either way the estimate
     max|coarse - fine| / 15 at the window's end is the fine pass's error;
     the ket at a pair's middle time is the fine pass's, unestimated.
-    The fine pass's Krylov exponentials are held to ``_KRYLOV_SHARE`` of
-    the tolerance per unit time, and their summed estimates are added to
-    the Richardson one; the fine pass is accepted once that sum is within
-    the window's share tol * (t_end_w - t_start_w) / (t_end - t_0) of the
-    tolerance, so the accepted estimates sum to at most ``tol``.  The
+    The fine pass's exponentials are held to ``_KRYLOV_SHARE`` of the
+    tolerance per unit time, and their summed truncation bounds are added
+    to the Richardson estimate; the fine pass is accepted once that sum
+    is within the window's share tol * (t_end_w - t_start_w) /
+    (t_end - t_0) of the tolerance, so the accepted estimates sum to at
+    most ``tol``.  The
     next q, and a rejected window's retry, follow the h^4 law toward half
     the share, counted in fine substeps per interval; the first window
     starts at q = 1.  A custom drive's sample times split a one-interval
     window into pieces of s (and 2s) substeps each.  ``rhs`` is as in
     :func:`evolve_fixed_substeps` and is compiled once here when
-    omitted; its Krylov tolerance is set from ``tol``.
+    omitted; its truncation tolerance is set from ``tol``.
     """
     times = np.asarray(times, dtype=float)
     require_hilbert(geom.n_sites)
@@ -513,12 +428,14 @@ def exact_evolve(
         raise ValueError("psi0 must be normalized")
     if not tol > 0:  # a NaN tolerance is never met
         raise ValueError("tolerance must be positive")
-    if len(times) < 2 or np.any(np.diff(times) <= 0):
-        raise ValueError("time grid must be strictly increasing")
+    # NaN fails every comparison, so the grid is checked finite first
+    if len(times) < 2 or not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0):
+        raise ValueError("time grid must be finite and strictly increasing")
 
     f = _Generator(geom, params, drive) if rhs is None else rhs
     span = times[-1] - times[0]
     f.krylov_tol = _KRYLOV_SHARE * tol / span
+    matvecs_before = f.matvecs
     kets = [psi0.astype(complex, copy=True)]
     accepted: list[int] = []
     estimate = 0.0
@@ -559,6 +476,7 @@ def exact_evolve(
         krylov_total += krylov
         q = q_next
         k += width
+    matvecs = f.matvecs - matvecs_before
 
     norms = np.array([_norm(k) for k in kets])
     norm_drift = float(np.max(np.abs(norms - 1.0)))
@@ -581,6 +499,7 @@ def exact_evolve(
         error_estimate=estimate,
         cf4_steps=cf4_steps,
         krylov_error=krylov_total,
+        matvecs=matvecs,
     )
 
 
@@ -650,6 +569,12 @@ def convergence_ratio(
     Wanner, Solving ODEs I, sec. II.4).  Returns (d1, d2, d1 / d2); the
     ratio is ~ 16 for CF4.
     """
+    if samples < 2:
+        raise ValueError("need at least two samples")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
+    if coarse_substeps < 1:
+        raise ValueError("need at least one substep per interval")
     times = np.linspace(0.0, t_end, samples)
     f = _Generator(geom, params, drive)
     runs = [

@@ -1,12 +1,13 @@
-"""The CF4 Magnus propagator and its Krylov exponential against references.
+"""The CF4 Magnus propagator and its Taylor exponential against references.
 
 The fixed-step CF4 propagator is checked against classical RK4 at fine
 steps, and ``expv`` against the dense exponential of H0 + b S, built
 from the Kronecker products of ``tests/reference.py``, from
-``np.linalg.eig``.  ``rk4_fixed_substeps`` is the RK4 core the oracle
-ran before CF4 replaced it, on -i (H0 + B(t) S) psi from the oracle's
+``np.linalg.eig``: its value, and its returned truncation bound against
+its true error.  ``rk4_fixed_substeps`` is the RK4 core the oracle ran
+before CF4 replaced it, on -i (H0 + B(t) S) psi from the oracle's
 compiled generator.  One undriven ``exact_evolve`` run whose
-exponentials all split into Krylov sub-steps is checked against the
+exponentials all split into Taylor sub-steps is checked against the
 eigendecomposition of dense H0.
 """
 
@@ -128,65 +129,95 @@ def test_expv_matches_dense_exponential(jx, jy, jz, b_re, b_im, tau, data):
     ref = vecs @ (np.exp(evals) * np.linalg.solve(vecs, v))
 
     f = _Generator(geom, params, drive)
-    got, err = expv(lambda x: f.apply(x, b), v, -1j * tau, 1e-14)
+    f.set_drive(b)
+    got, err = expv(lambda x: f.apply(x, b), v, -1j * tau, 1e-14, f.bound)
     assert err <= 1e-14
     assert float(np.max(np.abs(got - ref))) <= 1e-12
 
 
-def test_cgs2_keeps_a_full_basis_orthonormal():
-    # at tau = 4 on 2x3 with unit couplings no basis of 30 vectors meets
-    # the tolerance, so the first sub-step fills every one of them
-    geom = GEOMS[(2, 3)]
-    params = CouplingParams(jx=1.0, jy=1.0, jz=1.0, d=1.0)
-    f = _Generator(geom, params, DriveSpec.exponential(1.0, 0.0, plaquette=0))
-    v = _random_ket(np.random.default_rng(7), 2**geom.n_sites)
-    seen = []
+@settings(max_examples=20, deadline=None, database=None)
+@given(
+    jx=nonzero,
+    jy=nonzero,
+    jz=nonzero,
+    b_re=st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
+    b_im=st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
+    tau=st.floats(0.01, 3.0),
+    tol=st.sampled_from([1e-6, 1e-9]),
+    data=st.data(),
+)
+def test_expv_bound_covers_its_true_error(jx, jy, jz, b_re, b_im, tau, tol, data):
+    # a loose tolerance stops the series early, so the bound is tested
+    # where the truncation error is far above rounding
+    geom = GEOMS[(2, 2)]
+    plaquette = data.draw(st.integers(0, geom.n_plaquettes - 1), label="plaquette")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    params = CouplingParams(jx=jx, jy=jy, jz=jz, d=1.0)
+    f = _Generator(geom, params, DriveSpec.exponential(1.0, 0.0, plaquette=plaquette))
+    b = complex(b_re, b_im)
+    f.set_drive(b)
+    string = drive_string(geom, plaquette)
+    dense = dense_h0_kron(geom, params) + b * kron_string(geom.n_sites, string)
+    v = _random_ket(rng, 2**geom.n_sites)
+    evals, vecs = np.linalg.eig(-1j * tau * dense)
+    ref = vecs @ (np.exp(evals) * np.linalg.solve(vecs, v))
 
-    def recording(x):
-        seen.append(x.copy())
-        return f.apply(x, 0.2 - 0.1j)
+    # the generator's bound is the largest absolute row sum of H0 + b S
+    assert math.isclose(f.bound, float(np.max(np.sum(np.abs(dense), axis=1))), rel_tol=1e-12)
+    got, err = expv(f.matvec, v, -1j * tau, tol, f.bound)
+    assert err <= tol
+    assert float(np.linalg.norm(got - ref)) <= err + 1e-13
 
-    expv(recording, v, -4.0j, 1e-14)
-    basis = np.array(seen[: oracle._KRYLOV_DIM])
-    assert len(seen) >= oracle._KRYLOV_DIM
-    assert np.allclose(basis[0], v)
-    gram = basis.conj() @ basis.T
-    assert np.linalg.norm(gram - np.eye(oracle._KRYLOV_DIM), 2) <= 1e-12
+
+def test_expv_past_the_sub_step_cap_gives_nan():
+    geom = GEOMS[(2, 2)]
+    f = _Generator(geom, CouplingParams(jx=1.0, jy=1.0, jz=1.0), DriveSpec.exponential(0.0, 0.0))
+    v = _random_ket(np.random.default_rng(3), 2**geom.n_sites)
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return f.matvec(x)
+
+    # theta = |scale| bound: past the cap no matvec is taken, just below it
+    # the series converges
+    cap = oracle._THETA * oracle._MAX_SUB_STEPS
+    got, err = expv(counted, v, -1j * (cap + 1.0) / f.bound, 1e-9, f.bound)
+    assert np.all(np.isnan(got)) and err == math.inf
+    assert not calls
+    got, err = expv(counted, v, -1j * (cap - 1.0) / f.bound, 1e-9, f.bound)
+    assert np.all(np.isfinite(got)) and err <= 1e-9
+    assert abs(np.linalg.norm(got) - 1.0) <= 1e-9
 
 
 @settings(max_examples=40, deadline=None, database=None)
-@given(rows=st.integers(1, 31), log_n=st.integers(0, 15), seed=st.integers(0, 2**32 - 1))
-def test_chunked_inner_products_match_numpy(rows, log_n, seed):
+@given(log_n=st.integers(0, 15), seed=st.integers(0, 2**32 - 1))
+def test_chunked_inner_products_match_numpy(log_n, seed):
     rng = np.random.default_rng(seed)
     n = 2**log_n
-    block = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
+    a = rng.normal(size=n) + 1j * rng.normal(size=n)
     b = rng.normal(size=n) + 1j * rng.normal(size=n)
-    c = rng.normal(size=rows) + 1j * rng.normal(size=rows)
-    slabs = oracle._slabs(block)
-    assert slabs[0].size < oracle._GEMV_ELEMENTS or slabs.shape[-1] == 1
-    scale = math.sqrt(n) * rows
-    assert np.max(np.abs(oracle._project(block, b) - block.conj() @ b)) <= 1e-13 * scale
-    assert np.max(np.abs(oracle._combine(c, block) - c @ block)) <= 1e-13 * scale
-    assert abs(oracle._vdot(block[0], b) - np.vdot(block[0], b)) <= 1e-13 * scale
+    scale = math.sqrt(n)
+    assert abs(oracle._vdot(a, b) - np.vdot(a, b)) <= 1e-13 * scale
 
 
 def test_exact_evolve_through_krylov_sub_steps(monkeypatch):
-    # one output interval of length 10: each exponential exp(-5i H0) needs
-    # more than one Arnoldi basis, so expv covers it in sub-steps
+    # one output interval of length 10: each exponential exp(-5i H0) has
+    # theta = 5 ||H0|| far above 2, so expv covers it in sub-steps
     geom = GEOMS[(2, 2)]
     params = CouplingParams(jx=1.0, jy=0.8, jz=1.2)
     psi0 = build_product_ket(geom, FlipConfig(0, geom.n_plaquettes))
     tol = 1e-9
     matvecs = []
 
-    def counting_expv(apply, v, scale, tol, **work):
+    def counting_expv(apply, v, scale, tol, bound):
         calls = [0]
 
         def counted(x):
             calls[0] += 1
             return apply(x)
 
-        out = expv(counted, v, scale, tol, **work)
+        out = expv(counted, v, scale, tol, bound)
         matvecs.append(calls[0])
         return out
 
@@ -194,9 +225,36 @@ def test_exact_evolve_through_krylov_sub_steps(monkeypatch):
     result = oracle.exact_evolve(
         geom, params, DriveSpec.exponential(0.0, 0.0), psi0, np.array([0.0, 10.0]), tol=tol
     )
-    # a sub-step after the first needs a full basis of _KRYLOV_DIM first
-    assert matvecs and min(matvecs) > oracle._KRYLOV_DIM
+    # one sub-step sums at most _MAX_TAYLOR_TERMS terms of one matvec each
+    assert matvecs and min(matvecs) > oracle._MAX_TAYLOR_TERMS
+    assert result.matvecs == sum(matvecs)
     evals, vecs = np.linalg.eigh(dense_h0_kron(geom, params))
     ref = vecs @ (np.exp(-10.0j * evals) * (vecs.conj().T @ psi0))
     assert float(np.max(np.abs(result.kets[-1] - ref))) <= 10.0 * tol
     assert result.norm_drift <= 1e-8
+
+
+def test_result_counts_every_matvec_of_every_pass(monkeypatch):
+    geom = GEOMS[(2, 2)]
+    params = CouplingParams(jx=1.0, jy=0.8, jz=1.2, d=0.05, omega=0.7)
+    drive = DriveSpec.exponential(0.05, 0.7, plaquette=0)
+    psi0 = build_product_ket(geom, FlipConfig(0, geom.n_plaquettes))
+    matvecs = []
+
+    def counting_expv(apply, v, scale, tol, bound):
+        def counted(x):
+            matvecs.append(1)
+            return apply(x)
+
+        return expv(counted, v, scale, tol, bound)
+
+    monkeypatch.setattr(oracle, "expv", counting_expv)
+    result = oracle.exact_evolve(geom, params, drive, psi0, np.linspace(0.0, 2.0, 4), tol=1e-10)
+    assert result.matvecs == len(matvecs) > 0
+    # the energy drift's matvecs are not a pass's: a driven run has none,
+    # and an undriven one counts only its passes
+    undriven = oracle.exact_evolve(
+        geom, params, DriveSpec.exponential(0.0, 0.0), psi0, np.linspace(0.0, 2.0, 4), tol=1e-10
+    )
+    assert undriven.energy_drift is not None
+    assert undriven.matvecs == len(matvecs) - result.matvecs

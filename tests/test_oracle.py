@@ -92,9 +92,28 @@ class TestExactEvolve:
         with pytest.raises(ValueError):
             exact_evolve(GEOM, params, drive, PSI0[:128], times)
 
+    # NaN passes the increasing check, and [0, nan] once refined to 2^25
+    # substeps; [0, inf] failed with "math domain error"
+    @pytest.mark.parametrize("end", [float("nan"), float("inf")])
+    def test_non_finite_grid_rejected_before_any_step(self, monkeypatch, end):
+        def no_steps(*args, **kwargs):
+            raise AssertionError("propagation ran on a non-finite grid")
+
+        monkeypatch.setattr(oracle_mod, "evolve_fixed_substeps", no_steps)
+        params, drive = undriven()
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            exact_evolve(GEOM, params, drive, PSI0, np.array([0.0, end]))
+
+    @pytest.mark.parametrize("substeps", [0, -1])
+    def test_fixed_steps_need_one_substep(self, substeps):
+        # zero substeps returned the initial ket at every later time
+        params, drive = undriven()
+        with pytest.raises(ValueError, match="substep"):
+            evolve_fixed_substeps(GEOM, params, drive, PSI0, np.linspace(0.0, 1.0, 3), substeps)
+
     def test_step_budget_exhaustion(self, monkeypatch):
         # driven: on an undriven run each CF4 step is exact up to its
-        # Krylov error, so even tol=1e-14 is met within a few steps
+        # truncation error, so even tol=1e-14 is met within a few steps
         params = CouplingParams(jx=1.0, jy=0.8, jz=1.2, d=0.05, omega=0.7)
         drive = DriveSpec.exponential(0.05, 0.7, plaquette=0)
         monkeypatch.setattr(oracle_mod, "_MAX_TOTAL_STEPS", 64)
@@ -125,6 +144,23 @@ class TestConvergence:
             GEOM, params, drive, PSI0, t_end=2.0, coarse_substeps=16, samples=5
         )
         assert ratio >= 15.0
+
+    # each of these divided by zero
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(samples=1), "two samples"),
+            (dict(t_end=0.0), "t_end"),
+            (dict(t_end=-1.0), "t_end"),
+            (dict(coarse_substeps=0), "substep"),
+        ],
+    )
+    def test_bad_grids_and_step_counts_raise(self, kwargs, match):
+        params = CouplingParams(jx=1.0, jy=0.8, jz=1.2, d=0.05, omega=0.7)
+        drive = DriveSpec.exponential(0.05, 0.7, plaquette=0)
+        args = dict(t_end=2.0, coarse_substeps=16, samples=5) | kwargs
+        with pytest.raises(ValueError, match=match):
+            convergence_ratio(GEOM, params, drive, PSI0, **args)
 
 
 def _loop_report(result, basis_kets, tdpt):
