@@ -89,9 +89,9 @@ _MAX_SUB_STEPS = 128
 # terms one sub-step may sum before it gives up: at theta <= 2 the 64th
 # is below 2^64 / 64! ~ 1e-70 of the vector
 _MAX_TAYLOR_TERMS = 64
-# Krylov error allowed per unit time when no run has set it
+# truncation bound allowed per unit time when no run has set it
 _KRYLOV_TOL = 1e-14
-# exact_evolve's share of its tolerance for the Krylov error
+# exact_evolve's share of its tolerance for the truncation bounds
 _KRYLOV_SHARE = 1.0 / 64.0
 
 # OpenBLAS hands a dot of more than 10000 elements to its worker threads.
@@ -114,7 +114,9 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(_vdot(a, a).real)
 
 
-def expv(apply, v: np.ndarray, scale: complex, tol: float, bound: float) -> tuple[np.ndarray, float]:
+def expv(
+    apply, v: np.ndarray, scale: complex, tol: float, bound: float
+) -> tuple[np.ndarray, float]:
     """exp(scale * M) v by a truncated Taylor series, where ``apply(x)``
     returns M x as a new vector and ``bound`` >= ||M||.
 
@@ -215,10 +217,10 @@ class _Generator:
     :meth:`set_drive` has set b, is the largest absolute row sum of
     H0 + b S.  H0 is Hermitian and S a permutation with unit phases, so
     it is the largest column sum too, and so bounds the 2-norm that
-    :func:`expv` needs.  :meth:`step` takes one CF4 step.  ``krylov_tol`` is the
-    truncation bound each step may spend per unit time,
-    ``krylov_error`` sums the truncation bounds of every exponential
-    taken, and ``matvecs`` counts the matvecs.
+    :func:`expv` needs.  :meth:`step` takes one CF4 step.
+    ``krylov_tol`` is the truncation bound each step may spend per unit
+    time, ``krylov_error`` sums the truncation bounds of every
+    exponential taken, and ``matvecs`` counts the matvecs.
     """
 
     def __init__(self, geom: LatticeGeometry, params: CouplingParams, drive: DriveSpec):
