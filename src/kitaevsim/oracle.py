@@ -185,12 +185,24 @@ def _magnus_moments(drive: DriveSpec, t: float, h: float) -> tuple[complex, comp
     return 0.5 * (b1 + b2), 0.5 * _GAUSS_OFFSET * (b2 - b1)
 
 
-# bytes of the (rows x dim) complex gather one row group of the kernel
-# may take.  Timed per matvec on 2x2, 2x3 and 2x4 (2-core Xeon): at dim
-# 256 all nine rows fit one group, 14-19 us against 34-37 us row by row;
-# at dim 4096 four-row groups were no faster than one row a group, so a
-# row there (64 KiB) is a group, as at dim 65536.
-_GROUP_BYTES = 1 << 16
+# bytes of the (rows + 1) x C complex buffer that one output chunk of a
+# matvec gathers into and sums: C = 256 (one chunk) at 2x2, 2048 at 2x3
+# and 1024 at 2x4.  Timed per matvec at 256 KiB, 512 KiB and 1 MiB on
+# 2x2, 2x3 and 2x4 (2-core Xeon, 2 MiB L2 a core, best of seven, runs
+# interleaved): 2x2 is one chunk at each; at 2x3 one chunk of 4096 (1 MiB)
+# took 103-112 us against 87-104 us in two or four chunks; at 2x4 all
+# three took 2.4-3.2 ms, level within the noise, and 2 MiB 3.0 ms, its
+# chunk no longer in L2.  512 KiB makes half the calls of 256 KiB.
+_CHUNK_BYTES = 1 << 19
+
+
+def _chunk_size(rows: int, dim: int) -> int:
+    """Indices C per output chunk of a matvec that gathers ``rows`` rows:
+    the largest power of two, at most ``dim``, whose (rows + 1) x C
+    buffer fits ``_CHUNK_BYTES``.  C is at least 2: numpy sums a single
+    column (C = 1) pairwise, out of bond order."""
+    fit = _CHUNK_BYTES // (16 * (rows + 1))
+    return min(dim, 1 << max(1, fit.bit_length() - 1))
 
 
 class _Generator:
@@ -200,19 +212,24 @@ class _Generator:
     (:func:`string_term`), and every phase of H0 and S is a real sign
     times one constant.  Of the bond terms of :func:`h0_terms`, the z
     bonds sum into one diagonal, stored complex so that ``diag * psi``
-    needs no cast.  Each x and y bond becomes one index row into the pair
-    [psi, -psi], which a matvec writes into one reused buffer:
-    ``(k ^ mask) + dim * (coeff[k] < 0)``, with the scale |J|.  The drive
-    string S is one more row, the last; its phase is a constant
-    (-i)^(number of y) times a real sign, the sign goes into its index
-    row, and b times the constant is its scale, which :meth:`set_drive`
-    sets once per exponential.  No coefficient row is stored.  The rows
-    are stacked in bond order into groups of at most ``_GROUP_BYTES`` of
-    gathered values, and a matvec is one gather, one multiply by the
-    group's scale column and one sum per group: the same products in the
-    same order as coefficient rows +-J, so the result is equal to theirs
-    bit for bit, up to the sign of zero.  A torus of nx, ny >= 2 has no
-    two bonds on one site pair, so no two rows share a mask.
+    needs no cast.  An x or y bond's entries are +-|J|, and the drive
+    string's are +-b times the constant (-i)^(number of y).  A matvec
+    first writes the source table ``src[s] = psi * scales[s]`` in one
+    broadcast multiply, one block per signed scale that occurs: the
+    bonds' +-|J| and the drive's +-b times its constant, which
+    :meth:`set_drive` writes once per exponential.  Each x and y bond,
+    in bond order, and then S is one index row, ``(k ^ mask) + dim * s``
+    into the block s of its sign at k, so no coefficient row is stored.
+    The rows are held chunk-major, ``table[c]`` being every row's
+    indices for output chunk c of ``chunk`` indices (:func:`_chunk_size`).
+    For each chunk a matvec writes diag * psi into row 0 of one reused
+    (rows + 1) x chunk buffer, gathers every row into the rest with one
+    ``take``, and sums the buffer down its rows into the output: the
+    diagonal first, then the rows in order.  Those are the products and
+    the sums of coefficient rows +-J added one at a time, so the result
+    equals theirs bit for bit, up to the sign of zero.  A torus of
+    nx, ny >= 2 has no two bonds on one site pair, so no two rows share a
+    mask.
     ``bound`` = max|diag| + sum |J| over the x and y rows, plus |b| once
     :meth:`set_drive` has set b, is the largest absolute row sum of
     H0 + b S.  H0 is Hermitian and S a permutation with unit phases, so
@@ -224,70 +241,101 @@ class _Generator:
     """
 
     def __init__(self, geom: LatticeGeometry, params: CouplingParams, drive: DriveSpec):
-        n = geom.n_sites
-        dim = 2**n
         # a subnormal coupling adds nothing next to a normal one, yet
         # would slow every matvec with subnormal arithmetic
         tiny = np.finfo(float).tiny
         params = replace(params, **{f"j{c}": 0.0 for c in COMPONENTS if abs(params.j(c)) < tiny})
-        k = np.arange(dim)
-        diag = np.zeros(dim)
-        # (signed index row, scale), in bond order
-        rows: list[tuple[np.ndarray, float]] = []
-        for mask, term in h0_terms(geom, params):
-            if mask == 0:
-                diag += term
-            else:
-                # every entry of a bond's term is +-J
-                rows.append(((k ^ mask) + dim * (term < 0.0), abs(float(term[0]))))
-        self.h0_bound = float(np.max(np.abs(diag))) + sum(scale for _, scale in rows)
-        self.bound = self.h0_bound
-        self.diag = diag.astype(complex)
         self.drive = drive
         self.driven = drive.kind == "custom" or drive.amplitude != 0.0
-        if self.driven:
-            mask, phase = string_term(drive_string(geom, drive.plaquette), n)
-            # phase[0] has every sign +1: it is the constant
-            self.drive_unit = complex(phase[0])
-            rows.append(((k ^ mask) + dim * ((phase * self.drive_unit.conjugate()).real < 0.0), 0.0))
-        per_group = min(max(1, _GROUP_BYTES // (16 * dim)), len(rows))
-        # popped from the end as they are stacked, so no row is held twice
-        rows.reverse()
-        self.groups = []
-        while rows:
-            chunk = [rows.pop() for _ in range(min(per_group, len(rows)))]
-            scales = np.array([[scale] for _, scale in chunk], dtype=complex)
-            self.groups.append((np.array([idx for idx, _ in chunk]), scales))
-        # [psi, -psi] for the signed gathers, written once per matvec
-        self.pair = np.empty(2 * dim, dtype=complex)
-        # every group gathers into this one buffer: a fresh gather above
-        # malloc's mmap threshold (128 KiB) is mapped and faulted in on
-        # every matvec, which made 2x3 matvecs in four-row groups twice as
-        # slow
-        self.gathered = np.empty((per_group, dim), dtype=complex)
+        blocks = self._compile_rows(geom, params)
+        self.bound = self.h0_bound
+        # one column of scales; set_drive writes the drive's
+        self.scales = np.array([0.0 if key in ("+b", "-b") else key for key in blocks], dtype=complex)[:, None]
+        self.drive_blocks = [(blocks[key], key == "-b") for key in ("+b", "-b") if key in blocks]
+        # allocated once the row temporaries are gone: psi times every
+        # signed scale, written once per matvec
+        self.src = np.empty((len(blocks), len(self.diag)), dtype=complex)
+        # row 0 takes diag * psi, the rest the chunk's gathered rows
+        self.buf = np.empty((self.table.shape[1] + 1, self.chunk), dtype=complex)
+        c = self.chunk
+        self.chunks = [(slice(i * c, (i + 1) * c), self.diag[i * c : (i + 1) * c], idx)
+                       for i, idx in enumerate(self.table)]
         self.krylov_tol = _KRYLOV_TOL
         self.krylov_error = 0.0
         self.matvecs = 0
 
+    def _compile_rows(self, geom: LatticeGeometry, params: CouplingParams) -> dict:
+        """Set ``diag``, ``h0_bound``, ``drive_unit``, ``chunk`` and the
+        index ``table``; return the source blocks, each signed scale (a
+        bond's +-|J|, or the drive's "+b" or "-b") -> its block, in order
+        of first use."""
+        n = geom.n_sites
+        dim = 2**n
+        # one index row per x and y bond of nonzero coupling, then the drive
+        rows = sum(1 for _, _, c in geom.bonds if c != "z" and params.j(c) != 0.0) + self.driven
+        self.chunk = _chunk_size(rows, dim)
+        k = np.arange(dim).reshape(-1, self.chunk)
+        # chunk-major, filled in place: table[c] holds every row's
+        # indices for output chunk c, so no row is held twice
+        self.table = np.empty((len(k), rows, self.chunk), dtype=np.intp)
+        blocks: dict = {}
+
+        def fill(r: int, mask: int, negative: np.ndarray, keys) -> None:
+            # row r: (k ^ mask) into the block of keys[1] where
+            # ``negative`` holds, of keys[0] where it does not
+            row = self.table[:, r]
+            np.bitwise_xor(k, mask, out=row)
+            offsets = [dim * blocks.setdefault(key, len(blocks))
+                       for key, used in zip(keys, (not negative.all(), negative.any())) if used]
+            row += offsets[0]
+            if len(offsets) == 2:
+                np.add(row, offsets[1] - offsets[0], out=row, where=negative)
+
+        self.diag = np.zeros(dim, dtype=complex)
+        # the z bonds sum into the real part, a view
+        diag = self.diag.real
+        r = 0
+        row_sum = 0.0
+        for mask, term in h0_terms(geom, params):
+            if mask == 0:
+                diag += term
+                continue
+            # every entry of a bond's term is +-J
+            j = abs(float(term[0]))
+            fill(r, mask, (term < 0.0).reshape(k.shape), (j, -j))
+            row_sum += j
+            r += 1
+        self.h0_bound = float(np.max(np.abs(diag))) + row_sum
+        if self.driven:
+            mask, phase = string_term(drive_string(geom, self.drive.plaquette), n)
+            # phase[0] has every sign +1: it is the constant
+            self.drive_unit = complex(phase[0])
+            fill(r, mask, ((phase * self.drive_unit.conjugate()).real < 0.0).reshape(k.shape), ("+b", "-b"))
+        return blocks
+
     def set_drive(self, b: complex) -> None:
         """Set the drive value b of the matvecs that follow."""
         if self.driven:
-            self.groups[-1][1][-1] = b * self.drive_unit
+            scale = b * self.drive_unit
+            for block, negative in self.drive_blocks:
+                self.scales[block] = -scale if negative else scale
             self.bound = self.h0_bound + abs(b)
 
     def matvec(self, psi: np.ndarray) -> np.ndarray:
         """(H0 + b S) psi, with b from the last :meth:`set_drive`."""
         self.matvecs += 1
-        dim = len(psi)
-        self.pair[:dim] = psi
-        np.negative(psi, out=self.pair[dim:])
-        out = self.diag * psi
-        for idx, scales in self.groups:
+        # psi first: with FMA, a complex product's bits depend on the order
+        np.multiply(psi, self.scales, out=self.src)
+        src = self.src.reshape(-1)
+        out = np.empty(len(psi), dtype=complex)
+        buf = self.buf
+        head, rows = buf[0], buf[1:]
+        for chunk, diag, idx in self.chunks:
+            np.multiply(diag, psi[chunk], out=head)
             # every index is in range; the default mode="raise" would
-            # gather into a temporary and copy it to out
-            gathered = self.pair.take(idx, out=self.gathered[: len(idx)], mode="wrap")
-            gathered *= scales
-            out += gathered[0] if len(gathered) == 1 else np.add.reduce(gathered, axis=0)
+            # gather into a temporary and copy it to buf
+            src.take(idx, out=rows, mode="wrap")
+            np.add.reduce(buf, axis=0, out=out[chunk])
         return out
 
     def apply(self, psi: np.ndarray, b: complex) -> np.ndarray:

@@ -26,8 +26,9 @@ same energies and drive elements as expectations on explicit 2^n kets.
 
 :func:`grouped_apply` is the oracle generator's former kernel, one real
 coefficient row per distinct flip mask built from :func:`string_term`'s
-phases: the signed index rows of ``oracle._Generator`` must reproduce it
-bit for bit.
+phases: with one row per group it adds the diagonal, then each row, one
+at a time, the sums that the chunked matvec of ``oracle._Generator``
+must reproduce bit for bit.
 
 :func:`gram` and :func:`reduced` take a thermal mixture's K x K member Gram
 matrix and its reduced matrix on kept sites from explicit 2^n member kets,

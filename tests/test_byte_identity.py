@@ -20,6 +20,9 @@ pin was re-taken once when the ``engine``, ``quad_tol`` and
 the header (the document without ``meta`` for JSON) were checked equal
 to those of the code before the removal; the 2x3 scene, until then run
 on the hilbert engine, was checked against that code's label engine.
+The 2x3 ``correlate`` pin holds the exact oracle's correlation scan; it
+was taken from the oracle kernel that gathered one index row per group,
+before its matvec moved to output chunks.
 
 The runs write to the relative directory ``out`` under a fresh working
 directory, so the configuration recorded in each header, and with it the
@@ -57,12 +60,14 @@ COMMANDS = {
     "phase": (["phase"], ("phase.csv", "intervals.csv", "levels.csv")),
     "thermal": (["thermal", "--kt", "0.5", "--emit-density"],
                 ("thermal.json", "thermal_weights.csv")),
+    "correlate": (["correlate"], ("correlations.csv",)),
 }
 
 CASES = [
     *((s, c) for s in ("4x4", "3x3", "12x4") for c in ("evolve", "sweep", "phase")),
     ("12x12", "evolve"),
     ("2x3", "evolve"),
+    ("2x3", "correlate"),
     ("2x2-all", "thermal"),
     ("2x2-pair", "thermal"),
 ]
@@ -129,6 +134,8 @@ DIGESTS = {
         "4fffd1e98c904cf086c93e967272d4126c1b789976f301e952cb724b65c7c8e2",
     ("2x3", "evolve", "density.json"):
         "b843b33c658c2a0f04659cf5d5c55967600a312f8bd4e51000b1094fc1860cda",
+    ("2x3", "correlate", "correlations.csv"):
+        "ebaa89f9929ddeacb0792916f9db4834de6955bc50ce39891f3e54046d698bb8",
     ("2x2-all", "thermal", "thermal.json"):
         "47fb0a9b26dfed382f16d79a61318b488e98ce0e59ca2fc065107e4ab3887002",
     ("2x2-all", "thermal", "thermal_weights.csv"):

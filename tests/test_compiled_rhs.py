@@ -4,10 +4,12 @@ Every Pauli string in ``src/`` acts as ``phase[k] * psi[k ^ mask]``
 (``string_term``): the oracle's generator, ``apply_h0`` and
 ``apply_pauli_string``.  The per-site reshape kernels of
 ``tests/reference.py`` are the reference on every torus; on 2x2 its
-Kronecker-product matrices are checked as well.  The generator's signed
-index rows are held bit for bit to the coefficient-row kernel they
-replaced (``reference.grouped_apply``).
+Kronecker-product matrices are checked as well.  The generator's
+chunked matvec is held bit for bit to the coefficient-row kernel with one
+row per group (``reference.grouped_apply``), whatever its chunk size.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,24 +119,46 @@ def test_h0_terms_match_the_bond_streamed_reference(shape, jx, jy, jz, seed):
         phase = string_term(((i, comp), (j, comp)), geom.n_sites)[1]
         assert np.array_equal(coeff, params.j(comp) * phase.real)
 
-    # the oracle keeps one signed index row and one scale |J| per x or y
-    # bond, in bond order, less the subnormal couplings it drops
+    # the oracle keeps one index row per x or y bond, in bond order, less
+    # the subnormal couplings it drops; entry k of a row points at
+    # psi[k ^ mask] in the source block whose scale is coeff[k]
     k = np.arange(dim)
     kept = [(mask, coeff) for mask, coeff in terms if np.max(np.abs(coeff)) >= np.finfo(float).tiny]
     gen = _Generator(geom, params, DriveSpec.exponential(0.0, 0.0, plaquette=0))
     assert gen.diag.dtype == complex
     assert np.array_equal(gen.diag, sum((c for m, c in kept if m == 0), np.zeros(dim)))
-    idx_rows = [row for idx, _ in gen.groups for row in idx]
-    scales = [complex(s) for _, col in gen.groups for s in col[:, 0]]
+    idx_rows = _index_rows(gen)
     off = [(mask, coeff) for mask, coeff in kept if mask != 0]
-    assert len(idx_rows) == len(scales) == len(off)
-    for idx, scale, (mask, coeff) in zip(idx_rows, scales, off):
-        assert np.array_equal(idx, (k ^ mask) + dim * (coeff < 0.0))
-        assert scale == abs(coeff[0])
+    assert len(idx_rows) == len(off)
+    for idx, (mask, coeff) in zip(idx_rows, off):
+        assert np.array_equal(idx % dim, k ^ mask)
+        assert np.array_equal(gen.scales[idx // dim, 0], coeff)
+    # one block per signed scale that occurs, each used
+    scales = gen.scales[:, 0]
+    assert len(set(scales.tolist())) == len(scales)
+    assert set((idx_rows // dim).ravel().tolist()) == set(range(len(scales)))
 
 
-# rows per group: one, a few, all of them
-GROUPINGS = {"one row": 1, "partial": 3, "all rows": 1000}
+def _index_rows(gen):
+    """The generator's index table as one row of dim entries per row."""
+    chunks, rows, chunk = gen.table.shape
+    return gen.table.transpose(1, 0, 2).reshape(rows, chunks * chunk)
+
+
+# indices per output chunk, by dim: every index in one chunk, four
+# chunks, and 256 (one chunk at 2x2, sixteen at dim 4096)
+CHUNKINGS = {"one chunk": lambda dim: dim, "four chunks": lambda dim: dim // 4, "C = 256": lambda dim: 256}
+
+
+def _chunked_generator(geom, params, drive, chunk):
+    """A :class:`_Generator` whose budget gives output chunks of ``chunk``."""
+    rows = _Generator(geom, params, drive).table.shape[1]
+    with pytest.MonkeyPatch.context() as mp:
+        # the chunk buffer is (rows + 1) x chunk complex values
+        mp.setattr(oracle, "_CHUNK_BYTES", (rows + 1) * chunk * 16)
+        gen = _Generator(geom, params, drive)
+    assert gen.chunk == chunk
+    return gen
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -145,34 +169,35 @@ GROUPINGS = {"one row": 1, "partial": 3, "all rows": 1000}
     jz=couplings,
     b_re=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
     b_im=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
-    grouping=st.sampled_from(sorted(GROUPINGS)),
+    chunking=st.sampled_from(sorted(CHUNKINGS)),
     data=st.data(),
 )
-def test_grouped_kernel_matches_the_reference(shape, jx, jy, jz, b_re, b_im, grouping, data):
+def test_grouped_kernel_matches_the_reference(shape, jx, jy, jz, b_re, b_im, chunking, data):
     geom = GEOMS[shape]
     plaquette = data.draw(st.integers(0, geom.n_plaquettes - 1), label="plaquette")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     params = CouplingParams(jx=jx, jy=jy, jz=jz)
+    drive = DriveSpec.exponential(1.0, 0.0, plaquette=plaquette)
     dim = 2**geom.n_sites
-    rows = GROUPINGS[grouping]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_GROUP_BYTES", rows * 16 * dim)
-        gen = _Generator(geom, params, DriveSpec.exponential(1.0, 0.0, plaquette=plaquette))
+    chunk = CHUNKINGS[chunking](dim)
+    gen = _chunked_generator(geom, params, drive, chunk)
 
-    sizes = [len(idx) for idx, _ in gen.groups]
-    # one row per x or y bond, and the drive row last: its index at k = 0,
-    # where every sign is +1, is the string's mask
+    # one row per x or y bond, and the drive row last, chunk-major
     string = drive_string(geom, plaquette)
     tiny = np.finfo(float).tiny
     bonds = [(i, j) for i, j, c in geom.bonds if c in "xy" and abs(params.j(c)) >= tiny]
-    assert sum(sizes) == len(bonds) + 1
-    assert int(gen.groups[-1][0][-1][0]) == string_term(string, geom.n_sites)[0]
-    assert all(size == min(rows, sum(sizes) - rows * g) for g, size in enumerate(sizes))
-    assert all(idx.shape == (len(col), dim) and col.shape == (len(idx), 1) for idx, col in gen.groups)
+    assert gen.table.shape == (dim // chunk, len(bonds) + 1, chunk)
+    assert gen.buf.shape == (len(bonds) + 2, chunk)
 
     psi = _random_psi(rng, dim)
     b = complex(b_re, b_im)
     got = gen.apply(psi, b)
+    # the drive row's index at k = 0, where every sign is +1, is the
+    # string's mask in the block of scale b times the string's constant
+    drive_idx = int(gen.table[0, -1, 0])
+    assert drive_idx % dim == string_term(string, geom.n_sites)[0]
+    assert gen.scales[drive_idx // dim, 0] == b * gen.drive_unit
+    assert np.array_equal(got, reference.grouped_apply(geom, params, drive, psi, b, 16 * dim))
     ref = reference.apply_h0(geom, params, psi) + b * reference.apply_pauli_string(psi, string)
     assert np.linalg.norm(got - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
 
@@ -189,11 +214,11 @@ tiny_couplings = st.sampled_from([5e-324, -1e-310, np.finfo(float).tiny, -np.fin
     d=amplitudes,
     drive_kind=st.sampled_from(["exponential", "custom"]),
     zero_b=st.booleans(),
-    grouping=st.sampled_from(sorted(GROUPINGS)),
+    chunking=st.sampled_from(sorted(CHUNKINGS)),
     data=st.data(),
 )
 def test_signed_kernel_matches_the_coefficient_row_kernel_bit_for_bit(
-    shape, jx, jy, jz, d, drive_kind, zero_b, grouping, data
+    shape, jx, jy, jz, d, drive_kind, zero_b, chunking, data
 ):
     geom = GEOMS[shape]
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -202,7 +227,6 @@ def test_signed_kernel_matches_the_coefficient_row_kernel_bit_for_bit(
     omega = data.draw(st.floats(-3.0, 3.0), label="omega")
     t = data.draw(st.floats(0.0, 3.0), label="t")
     samples = d * _random_psi(rng, 7)
-    group_bytes = GROUPINGS[grouping] * 16 * dim
     psi = _random_psi(rng, dim)
     psi[rng.integers(0, dim, 4)] = 0.0
     for plaquette in range(geom.n_plaquettes):
@@ -211,12 +235,31 @@ def test_signed_kernel_matches_the_coefficient_row_kernel_bit_for_bit(
         else:
             drive = DriveSpec.exponential(d, omega, plaquette=plaquette)
         b = 0j if zero_b else complex(drive.b_of(t))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "_GROUP_BYTES", group_bytes)
-            gen = _Generator(geom, params, drive)
-        # equal as numbers: a product with a zero may differ in its sign of zero
-        ref = reference.grouped_apply(geom, params, drive, psi, b, group_bytes)
+        gen = _chunked_generator(geom, params, drive, CHUNKINGS[chunking](dim))
+        # the diagonal, then the rows in bond order, as with one row per
+        # group; equal as numbers: a product with a zero may differ in its
+        # sign of zero
+        ref = reference.grouped_apply(geom, params, drive, psi, b, 16 * dim)
         assert np.array_equal(gen.apply(psi, b), ref)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2)], ids=["2x3", "3x2"])
+@pytest.mark.parametrize("drive_kind", ["exponential", "custom"])
+def test_dim_4096_matvecs_equal_the_64_kib_grouping_bit_for_bit(shape, drive_kind):
+    # at dim 4096 a 64 KiB group held one row: the former kernel's sums
+    geom = GEOMS[shape]
+    dim = 2**geom.n_sites
+    rng = np.random.default_rng(sum(shape) + len(drive_kind))
+    params = CouplingParams(jx=1.0, jy=-0.8, jz=1.2)
+    for plaquette in range(geom.n_plaquettes):
+        if drive_kind == "custom":
+            drive = DriveSpec.custom(np.linspace(0.0, 3.0, 7), _random_psi(rng, 7), plaquette=plaquette)
+        else:
+            drive = DriveSpec.exponential(0.3, 0.7, plaquette=plaquette)
+        gen = _Generator(geom, params, drive)
+        psi = _random_psi(rng, dim)
+        b = complex(drive.b_of(1.3))
+        assert np.array_equal(gen.apply(psi, b), reference.grouped_apply(geom, params, drive, psi, b, 1 << 16))
 
 
 @pytest.mark.parametrize("nx", range(2, 7))
@@ -228,22 +271,48 @@ def test_no_two_bonds_share_a_site_pair(nx, ny):
     assert len(pairs) == 3 * nx * ny
 
 
+def _args_2x4():
+    return build_lattice(2, 4), CouplingParams(1.0, 0.8, 1.2), DriveSpec.exponential(0.02, 0.5, plaquette=0)
+
+
+def _tables(gen):
+    return [v for v in vars(gen).values() if isinstance(v, np.ndarray)]
+
+
 def test_2x4_generator_holds_index_rows_and_ket_buffers():
-    geom = build_lattice(2, 4)
-    dim = 2**geom.n_sites
-    gen = _Generator(geom, CouplingParams(1.0, 0.8, 1.2), DriveSpec.exponential(0.02, 0.5, plaquette=0))
-    arrays = [v for v in vars(gen).values() if isinstance(v, np.ndarray)]
-    arrays += [a for group in gen.groups for a in group]
-    rows = sum(len(idx) for idx, _ in gen.groups)
-    assert rows == 16 + 1  # the x and y bonds, then the drive
+    gen = _Generator(*_args_2x4())
+    dim = len(gen.diag)
+    rows = 16 + 1  # the x and y bonds, then the drive
+    assert gen.table.shape == (dim // gen.chunk, rows, gen.chunk)
+    # one source block per signed scale: +1.0 for the x bonds, +-0.8 for
+    # the y bonds, +-b for the drive
+    blocks = 5
+    assert gen.src.shape == (blocks, dim)
+    arrays = _tables(gen)
     for a in arrays:
-        # no coefficient row: every float or complex table is ket-sized
-        assert a.dtype.kind == "i" or a.size <= 2 * dim
+        # no coefficient row: every float or complex table but the source
+        # blocks is at most ket-sized
+        assert a.dtype.kind == "i" or a is gen.src or a.size <= dim
     index_bytes = sum(a.nbytes for a in arrays if a.dtype.kind == "i")
     assert index_bytes == rows * dim * np.dtype(np.intp).itemsize
-    # the complex diagonal, the pair [psi, -psi], one gathered row, and
-    # the one-entry scale column of each group
-    assert sum(a.nbytes for a in arrays) - index_bytes == (1 + 2 + 1) * 16 * dim + rows * 16
+    # the complex diagonal, the source blocks, the (rows + 1) x chunk
+    # buffer and the column of one scale per block
+    assert sum(a.nbytes for a in arrays) - index_bytes == (1 + blocks) * 16 * dim + (rows + 1) * gen.chunk * 16 + blocks * 16
+
+
+def test_2x4_compile_peaks_within_its_tables_and_one_ket():
+    # the index table is filled in place: stacking its rows first and then
+    # copying them into chunks would hold it twice (8.9 MB at 2x4)
+    args = _args_2x4()
+    _Generator(*args)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        gen = _Generator(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= sum(a.nbytes for a in _tables(gen)) + 16 * len(gen.diag)
 
 
 def test_string_term_rejects_repeated_site():
