@@ -201,7 +201,8 @@ def _build_scene(cfg: RunConfig):
                 f"drive file covers t in [{t_first:.17g}, {t_last:.17g}]; "
                 f"it must cover [0, t_max = {cfg.t_max:.17g}]"
             )
-        # the samples carry the amplitude; d would scale the drive element again
+        # the samples carry the amplitude and d has no effect on them, so a
+        # d other than 1 is refused rather than silently ignored
         if cfg.d != 1.0:
             raise ConfigError(
                 f"a drive file's samples carry the drive amplitude, so d must "

@@ -7,7 +7,8 @@ Energies and drive elements come from the labels alone: product kets of
 the manifold carry one owner-assigned component label per site, a bond of
 component alpha has a nonzero expectation only when both endpoint sites
 carry the label alpha, in which case it contributes J_alpha * s_i * s_j,
-and the drive string maps each product ket to exactly one other.  A
+and the drive string maps each product ket to exactly one other, its
+image, the only ket with a drive element (:func:`drive_element`).  A
 state is named by its key, the sites where its ket differs from a
 reference configuration's (:func:`~kitaevsim.manifold.label_key`), so an
 energy is the reference's labelled-bond terms with those at the key's
@@ -180,49 +181,24 @@ def _single_site_element(component: str, sign_ket: int, sign_bra: int, op: str) 
     return complex(np.vdot(bra, PAULI[op] @ ket))
 
 
-def perturbation_elements(
-    geom: LatticeGeometry,
-    ground: FlipConfig,
-    targets,
-    params: CouplingParams,
-    drive_plaquette: int | None = None,
-) -> list[complex]:
-    """:func:`perturbation_element` from one ground state to each target.
+def drive_element(
+    geom: LatticeGeometry, ground: FlipConfig, plaquette: int, d: float
+) -> complex:
+    """D <image| string |ground> for the drive string on ``plaquette``.
 
-    No ket and no per-target signature is built: only the drive's image of
-    the ground state (:func:`drive_image_sites`) has a nonzero element, and
-    a target is that image when its key against the ground state
-    (:func:`~kitaevsim.manifold.label_key`) is the set of image sites.
-    The image's element is D times the single-site elements taken in
-    string order.
+    The string maps the ground state's product ket to exactly one product
+    ket, its image, whose signs are the ground state's negated on
+    :func:`drive_image_sites`; every other product ket has a zero element.
+    No ket is built: the element is D times the single-site elements taken
+    in string order, from the ground signs to the image's.
     """
-    targets = list(targets)
-    driven = [
-        tg.flipped_plaquette if drive_plaquette is None else drive_plaquette
-        for tg in targets
-    ]
-    strings = [drive_string(geom, q) for q in driven]
-
-    if params.d == 0.0:
-        return [0.0 + 0.0j] * len(targets)
-
+    image = drive_image_sites(geom, plaquette)
+    # the product below can give D = 0 a negative zero, whose angle is pi
+    if d == 0.0:
+        return 0.0 + 0.0j
     signs_g = flip_signature(geom, ground)
-    out = []
-    for tg, q, string in zip(targets, driven, strings):
-        moved = label_key(geom, ground, tg)
-        image = drive_image_sites(geom, q)
-        out.append(
-            _image_element(geom, signs_g, string, image, params.d)
-            if moved == image else 0.0 + 0.0j
-        )
-    return out
-
-
-def _image_element(geom, signs_g, string, image, d: float) -> complex:
-    """D times the product of single-site elements along the drive string,
-    from the ground signs to the image's, which are negated on ``image``."""
     val = complex(d)
-    for s, op in string:
+    for s, op in drive_string(geom, plaquette):
         sign = int(signs_g[s])
         val *= _single_site_element(
             geom.site_components[s], sign, -sign if s in image else sign, op
@@ -235,14 +211,19 @@ def perturbation_element(
     ground: FlipConfig,
     target: ExcitedLabel,
     params: CouplingParams,
-    drive_plaquette: int | None = None,
+    drive_plaquette: int,
 ) -> complex:
     """Time-independent drive matrix element M = D <target| string |ground>.
 
-    The string acts on ``drive_plaquette`` (defaults to the target's own
-    flipped plaquette).  The full time-dependent element is B(t) * M / D.
+    The string acts on ``drive_plaquette`` and D is ``params.d``.  The
+    target has a nonzero element only when it is the drive's image of the
+    ground state, that is when its key against the ground state
+    (:func:`~kitaevsim.manifold.label_key`) is the set of image sites; its
+    element is then :func:`drive_element`.
     """
-    return perturbation_elements(geom, ground, [target], params, drive_plaquette)[0]
+    if label_key(geom, ground, target) != drive_image_sites(geom, drive_plaquette):
+        return 0.0 + 0.0j
+    return drive_element(geom, ground, drive_plaquette, params.d)
 
 
 # a block of energy_expectations holds about this many bytes per array

@@ -1,17 +1,23 @@
 """First-order time-dependent transition coefficients.
 
-For the exponential drive B(t) = D exp(-i omega t), the first-order
-coefficient of a target at detuning delta = omega0 - omega is
+The first-order coefficient of a target is
 
-    c(t) = M/D * [ a(t) + i b(t) ],
-    a(t) = (D/delta) (1 - cos(delta t)),   b(t) = -(D/delta) sin(delta t),
+    c(t) = -i m integral_0^t exp(i omega0 t') B(t') dt',
 
-with omega0 = E_target - E_initial (hbar = 1).  Near resonance the
-(1 - cos)/delta form is replaced by its Taylor expansion.  A custom drive
-is the linear interpolation of its samples, so its defining time integral
-also has a closed form, summed segment by segment.  Gauss-Legendre
-quadrature of the same integral, on panels no wider than a quarter period
-of its carrier, is kept as an independent reference.
+with m = <target| S |initial> the unit element of the drive string S,
+omega0 = E_target - E_initial (hbar = 1), and the drive B(t) the only
+carrier of the amplitude D.  For B(t) = D exp(-i omega t), at detuning
+delta = omega0 - omega,
+
+    c(t) = m [ a(t) + i b(t) ],
+    a(t) = (D/delta) (1 - cos(delta t)),   b(t) = -(D/delta) sin(delta t).
+
+Near resonance the (1 - cos)/delta form is replaced by its Taylor
+expansion.  A custom drive is the linear interpolation of its samples,
+so its defining time integral also has a closed form, summed segment by
+segment.  Gauss-Legendre quadrature of the same integral, on panels no
+wider than a quarter period of its carrier, is kept as an independent
+reference.
 """
 
 from __future__ import annotations
@@ -24,9 +30,9 @@ import numpy as np
 
 from .hamiltonian import (
     CouplingParams,
+    drive_element,
     drive_image_sites,
     energy_expectations,
-    perturbation_elements,
 )
 from .lattice import LatticeGeometry
 from .manifold import ExcitedLabel, FlipConfig, excite, label_key
@@ -81,12 +87,11 @@ class DriveSpec:
         return cls(kind="exponential", amplitude=d, omega=omega, plaquette=plaquette)
 
     @classmethod
-    def custom(
-        cls, t_samples, b_samples, plaquette: int = 0, amplitude: float = 1.0
-    ) -> "DriveSpec":
+    def custom(cls, t_samples, b_samples, plaquette: int = 0) -> "DriveSpec":
+        """A drive whose samples carry its amplitude; ``amplitude`` is 1."""
         return cls(
             kind="custom",
-            amplitude=amplitude,
+            amplitude=1.0,
             plaquette=plaquette,
             t_samples=np.asarray(t_samples, dtype=float),
             b_samples=np.asarray(b_samples, dtype=complex),
@@ -214,17 +219,14 @@ def _quadrature_edges(drive: DriveSpec, delta_e: float, t: float) -> np.ndarray:
 def coefficient_quadrature(m: complex, drive: DriveSpec, delta_e: float, t: float) -> complex:
     """Numerical evaluation of the defining coefficient integral.
 
-    c(t) = (1/i) * integral_0^t exp(i delta_e t') B(t') (m / D_ref) dt'
-    where D_ref is the drive's amplitude field (the normalization under
-    which m was computed).  The 8-point Gauss-Legendre rule samples the
-    integrand on every panel of :func:`_quadrature_edges` at once.
+    c(t) = (1/i) * m * integral_0^t exp(i delta_e t') B(t') dt'
+    with m the unit drive element; B(t) carries the drive amplitude.  The
+    8-point Gauss-Legendre rule samples the integrand on every panel of
+    :func:`_quadrature_edges` at once.
     """
     if t < 0:
         raise ValueError("time must be >= 0")
     if t == 0 or m == 0:
-        return 0.0 + 0.0j
-    d_ref = drive.amplitude
-    if d_ref == 0:
         return 0.0 + 0.0j
     # on a panel of at most a quarter period, exp(i nu t) times a linear
     # function, the 8-point rule errs by at most (pi/2)^16 (8!)^4 /
@@ -236,7 +238,7 @@ def coefficient_quadrature(m: complex, drive: DriveSpec, delta_e: float, t: floa
     half = 0.5 * np.diff(edges)
     nodes = (edges[:-1] + half)[:, None] + half[:, None] * x
     values = np.exp(1j * delta_e * nodes) * drive.b_of(nodes)
-    return complex(-1j * (m / d_ref) * np.sum(half * (values @ w)))
+    return complex(-1j * m * np.sum(half * (values @ w)))
 
 
 def coefficient_interpolated(m: complex, drive: DriveSpec, delta_e: float, times) -> np.ndarray:
@@ -250,16 +252,16 @@ def coefficient_interpolated(m: complex, drive: DriveSpec, delta_e: float, times
             = exp(i delta_e x0) h [b0 E1(w) + (b1 - b0) E2(w)],  w = i delta_e h,
 
     with E1(w) = (e^w - 1)/w and E2(w) = (e^w - E1(w))/w.  The segment
-    integrals are summed cumulatively and read off at the grid times,
-    which must start at 0 and increase strictly.
+    integrals are summed cumulatively, read off at the grid times, which
+    must start at 0 and increase strictly, and multiplied by -i m, with m
+    the unit drive element.
     """
     if drive.kind != "custom":
         raise ValueError("coefficient_interpolated needs a custom drive")
     times = np.asarray(times, dtype=float)
     if len(times) == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValueError("time grid must start at 0 and increase strictly")
-    d_ref = drive.amplitude
-    if m == 0 or d_ref == 0:
+    if m == 0:
         return np.zeros(len(times), dtype=complex)
     x = np.union1d(times, drive.breakpoints(0.0, times[-1]))
     b = drive.b_of(x)
@@ -277,7 +279,7 @@ def coefficient_interpolated(m: complex, drive: DriveSpec, delta_e: float, times
     e2[~series] = (np.exp(wm) - e1[~series]) / wm
     segments = np.exp(1j * delta_e * x[:-1]) * h * (b[:-1] * e1 + (b[1:] - b[:-1]) * e2)
     integral = np.concatenate(([0.0], np.cumsum(segments)))
-    return -1j * (m / d_ref) * integral[np.searchsorted(x, times)]
+    return -1j * m * integral[np.searchsorted(x, times)]
 
 
 def connected_targets(
@@ -323,26 +325,29 @@ def evolve_coefficients(
     """One first-order CoefficientSeries per target state.
 
     The initial state carries zeroth-order amplitude one and no series of
-    its own.  Targets whose drive matrix element vanishes get identically
-    zero series.  A custom drive's series is the exact integral of its
-    linear interpolation (:func:`coefficient_interpolated`).
+    its own.  Only the target whose key against the initial state is the
+    drive's image (:func:`~kitaevsim.hamiltonian.drive_image_sites`) has a
+    nonzero drive element; every other target gets an identically zero
+    series.  The drive alone carries the amplitude D, so ``params.d`` is
+    not read.  A custom drive's series is the exact integral of its linear
+    interpolation (:func:`coefficient_interpolated`).
     """
     times = np.asarray(times, dtype=float)
     if len(times) == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValueError("time grid must start at 0 and increase strictly")
-    if drive.kind == "exponential" and drive.amplitude != params.d:
-        raise ValueError(
-            "exponential drive amplitude must match CouplingParams.d"
-        )
 
     ordered = sorted(targets, key=lambda tg: (tg.flipped_plaquette, tg.base.bits))
+    keys = [label_key(geom, initial, tg) for tg in ordered]
     e_init, *e_targets = energy_expectations(
-        geom, params, initial,
-        [frozenset()] + [label_key(geom, initial, tg) for tg in ordered],
+        geom, params, initial, [frozenset()] + keys
     ).tolist()
-    elements = perturbation_elements(geom, initial, ordered, params, drive.plaquette)
+    image = drive_image_sites(geom, drive.plaquette)
+    # a custom drive's samples carry D, so its element is the unit one
+    d = drive.amplitude if drive.kind == "exponential" else 1.0
+    element = drive_element(geom, initial, drive.plaquette, d)
     out = []
-    for target, m, e_t in zip(ordered, elements, e_targets):
+    for target, key, e_t in zip(ordered, keys, e_targets):
+        m = element if key == image else 0.0
         if m == 0:
             values = np.zeros(len(times), dtype=complex)
         elif drive.kind == "exponential":

@@ -140,7 +140,7 @@ def check_closed_form_vs_quadrature() -> CheckResult:
             for x in (0.1, 0.3, 1.0, 2.0, 3.0, 5.0, 7.0, 9.0, 11.0, 14.0, 17.0, 20.0):
                 t = x / delta
                 c = coefficient_closed_form(1, d, delta, t)
-                q = coefficient_quadrature(d, drive, delta, t)
+                q = coefficient_quadrature(1.0, drive, delta, t)
                 worst_rel = max(worst_rel, abs(q - c) / abs(c))
 
     worst_abs = 0.0
@@ -148,7 +148,7 @@ def check_closed_form_vs_quadrature() -> CheckResult:
         drive = DriveSpec.exponential(d, 0.0)
         for delta, t in ((1e-5, 5.0), (1e-6, 10.0), (-1e-5, 3.0), (0.0, 7.0)):
             c = coefficient_closed_form(1, d, delta, t)
-            q = coefficient_quadrature(d, drive, delta, t)
+            q = coefficient_quadrature(1.0, drive, delta, t)
             worst_abs = max(worst_abs, abs(q - c))
 
     ok = worst_rel < 1e-8 and worst_abs < 1e-10

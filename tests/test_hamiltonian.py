@@ -141,7 +141,7 @@ class TestPerturbationElement:
 
     def test_connected_element_fixture(self):
         # frozen value: |M| = D for the excitation of the driven plaquette 0
-        m = perturbation_element(self.geom, self.empty, excite(self.empty, 0), PARAMS)
+        m = perturbation_element(self.geom, self.empty, excite(self.empty, 0), PARAMS, 0)
         assert abs(m - 1.0) < 1e-12
         assert abs(hilbert_element(self.geom, self.empty, excite(self.empty, 0), PARAMS) - 1.0) < 1e-12
 
@@ -155,7 +155,7 @@ class TestPerturbationElement:
     def test_zero_drive_amplitude(self):
         params = CouplingParams(jx=1.0, jy=1.0, jz=1.0, d=0.0)
         m = perturbation_element(
-            self.geom, self.empty, excite(self.empty, 0), params
+            self.geom, self.empty, excite(self.empty, 0), params, drive_plaquette=0
         )
         assert m == 0.0
 
