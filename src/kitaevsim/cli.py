@@ -12,6 +12,7 @@ usage errors, 3 computation failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -36,7 +37,7 @@ from .density import (
     thermal_ensemble,
     thermal_weights,
 )
-from .hamiltonian import CouplingParams, EnergyTable, energy_expectation, perturbation_element
+from .hamiltonian import CouplingParams, EnergyTable, drive_element, energy_expectation
 from .lattice import build_lattice, geometry_to_json, validate_geometry
 from .manifold import (
     FlipConfig,
@@ -284,28 +285,24 @@ def _require_finite(coeffs, t_max: float) -> None:
             raise RuntimeError(f"t_max = {t_max:.17g} overflows the series of {s.label} or its phases")
 
 
-def _evolved(cfg: RunConfig, connected_only: bool, dense_basis: bool = False):
-    """Scene, targets and first-order series; ``dense_basis`` checks the
-    active-basis density matrix over initial + targets against the memory
-    budget before any series is evolved."""
+def _evolved(cfg: RunConfig, connected_only: bool):
+    """Scene, targets and first-order series.  The active-basis density
+    matrix over initial + targets is checked against the memory budget
+    before any series is evolved."""
     geom, params, drive, initial, times = _build_scene(cfg)
     if connected_only:
         targets = connected_targets(geom, params, initial, drive.plaquette)
     else:
         targets = [excite(initial, j) for j in range(geom.n_plaquettes)]
-    if dense_basis:
-        dim = len(targets) + 1
-        require_dense_budget(dim, dim, "active-basis density matrix")
+    dim = len(targets) + 1
+    require_dense_budget(dim, dim, "active-basis density matrix")
     coeffs = evolve_coefficients(geom, params, drive, initial, targets, times)
     _require_finite(coeffs, cfg.t_max)
     return geom, params, drive, initial, times, targets, coeffs
 
 
 def cmd_evolve(cfg: RunConfig, args) -> int:
-    # density.json holds the dense active-basis matrix over initial + targets
-    geom, params, _, initial, times, _, coeffs = _evolved(
-        cfg, args.connected_only, dense_basis=True
-    )
+    geom, params, _, initial, times, _, coeffs = _evolved(cfg, args.connected_only)
     meta = dict(cfg.as_dict())
     for series in coeffs:
         meta[f"omega0[{series.label}]"] = series.omega0
@@ -387,15 +384,12 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
             f"--omega-min and --omega-max must be finite, got "
             f"{args.omega_min} and {args.omega_max}"
         )
-    geom, params, _, initial, times, _, coeffs = _evolved(cfg, True)
+    geom, _, _, initial, times, _, coeffs = _evolved(cfg, True)
     if not coeffs:
         raise RuntimeError("no target is connected to the initial configuration")
-    series = coeffs[0]
-    omega0 = series.omega0
-    # only the detuning omega0 - omega changes along the sweep
-    m = perturbation_element(
-        geom, initial, series.target, params, drive_plaquette=cfg.plaquette
-    )
+    omega0 = coeffs[0].omega0
+    # the series' own element; only the detuning omega0 - omega changes
+    m = drive_element(geom, initial, cfg.plaquette, cfg.d)
     k = len(times) - 1
     rows = []
     for omega in np.linspace(args.omega_min, args.omega_max, args.omega_steps):
@@ -584,6 +578,7 @@ def integer(raw: str) -> int:
     return int(raw, 0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kitaevsim",
@@ -592,26 +587,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"kitaevsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # built per call, not at import, so the cmd_* looked up are the module's current ones
+    # --config and one flag per config key, their raw text parsed by _coerce
+    run_settings = argparse.ArgumentParser(add_help=False)
+    run_settings.add_argument("--config", help="key=value configuration file")
+    for f in fields(RunConfig):
+        run_settings.add_argument(f"--{f.name.replace('_', '-')}", help=_FIELD_HELP.get(f.name))
+    # main looks up cmd_<name> at call time, so a rebound cmd_* takes effect
     commands = (
-        ("lattice", cmd_lattice, "build, validate, and dump the geometry"),
-        ("manifold", cmd_manifold, "enumerate flip configurations"),
-        ("evolve", cmd_evolve, "first-order coefficient series"),
-        ("phase", cmd_phase, "phase decomposition and stability"),
-        ("sweep", cmd_sweep, "drive-frequency sweep"),
-        ("entropy", cmd_entropy, "sublattice entanglement entropy series"),
-        ("correlate", cmd_correlate, "correlation formula and exact scan"),
-        ("thermal", cmd_thermal, "Boltzmann mixture of evolved states"),
-        ("validate", cmd_validate, "run the acceptance property suite"),
+        ("lattice", "build, validate, and dump the geometry"),
+        ("manifold", "enumerate flip configurations"),
+        ("evolve", "first-order coefficient series"),
+        ("phase", "phase decomposition and stability"),
+        ("sweep", "drive-frequency sweep"),
+        ("entropy", "sublattice entanglement entropy series"),
+        ("correlate", "correlation formula and exact scan"),
+        ("thermal", "Boltzmann mixture of evolved states"),
+        ("validate", "run the acceptance property suite"),
     )
-    p = {}
-    for name, fn, help_text in commands:
-        p[name] = sub.add_parser(name, help=help_text)
-        p[name].add_argument("--config", help="key=value configuration file")
-        # one flag per config key, its raw text parsed by _coerce in load_config
-        for f in fields(RunConfig):
-            p[name].add_argument(f"--{f.name.replace('_', '-')}", help=_FIELD_HELP.get(f.name))
-        p[name].set_defaults(fn=fn)
+    p = {
+        name: sub.add_parser(name, help=help_text, parents=[run_settings])
+        for name, help_text in commands
+    }
     for name in ("evolve", "phase", "sweep", "entropy"):
         p[name].add_argument("--emit-plot-script", action="store_true",
                              help="write a matplotlib script next to the main CSV")
@@ -631,16 +627,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return args.fn(cfg, args)
-    except ConfigError as exc:
+        return globals()[f"cmd_{args.command}"](cfg, args)
+    except (ConfigError, OSError) as exc:
+        # OSError: an unreadable --drive-file or an unusable --outdir
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RuntimeError, ValueError, ArithmeticError, MemoryError) as exc:

@@ -47,7 +47,9 @@ SEGMENT_SERIES_THRESHOLD = 1e-3
 
 @dataclass(frozen=True)
 class DriveSpec:
-    """Time-dependent drive acting on one plaquette's six-Pauli string."""
+    """Time-dependent drive acting on one plaquette's six-Pauli string.
+
+    A custom drive's samples carry its amplitude, so ``amplitude`` must be 1."""
 
     kind: str  # "exponential" | "custom"
     amplitude: float
@@ -64,6 +66,8 @@ class DriveSpec:
         if not math.isfinite(self.omega):
             raise ValueError(f"drive omega must be finite, got {self.omega}")
         if self.kind == "custom":
+            if self.amplitude != 1.0:
+                raise ValueError(f"a custom drive's amplitude must be 1, got {self.amplitude}")
             if self.t_samples is None or self.b_samples is None:
                 raise ValueError("custom drive needs t_samples and b_samples")
             t = np.asarray(self.t_samples, dtype=float)
@@ -342,9 +346,8 @@ def evolve_coefficients(
         geom, params, initial, [frozenset()] + keys
     ).tolist()
     image = drive_image_sites(geom, drive.plaquette)
-    # a custom drive's samples carry D, so its element is the unit one
-    d = drive.amplitude if drive.kind == "exponential" else 1.0
-    element = drive_element(geom, initial, drive.plaquette, d)
+    # a custom drive's samples carry D and its amplitude is 1: the unit element
+    element = drive_element(geom, initial, drive.plaquette, drive.amplitude)
     out = []
     for target, key, e_t in zip(ordered, keys, e_targets):
         m = element if key == image else 0.0

@@ -59,6 +59,38 @@ class TestExitCodes:
         assert code == 3
         assert "computation failed: cannot allocate" in capsys.readouterr().err
 
+    def test_missing_drive_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        code = cli.main(["phase", "--drive-file", str(missing), "--d", "1",
+                         "--outdir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and str(missing) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_outdir_that_is_a_file_exits_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        code = cli.main(["phase", "--samples", "4", "--outdir", str(taken)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and str(taken) in err
+        assert taken.read_text() == "not a directory\n"
+
+    def test_rebound_command_runs_on_the_next_call(self, tmp_path, monkeypatch):
+        # the parser is built once, so main must not keep the first cmd_phase
+        argv = ["phase", "--samples", "4", "--outdir", str(tmp_path)]
+        assert cli.main(argv) == 0
+        calls = []
+
+        def rebound(cfg, args):
+            calls.append(cfg.samples)
+            return 3
+
+        monkeypatch.setattr(cli, "cmd_phase", rebound)
+        assert cli.main(argv) == 3
+        assert calls == [4]
+
     @pytest.mark.parametrize("n", [3, 6])
     def test_entropy_beyond_the_hilbert_cap_writes_exact_zeros(self, n, tmp_path):
         # the one target differs from the initial state on one A site only

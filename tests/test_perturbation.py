@@ -308,6 +308,12 @@ class TestDriveSpec:
         with pytest.raises(ValueError):
             DriveSpec(kind="custom", amplitude=1.0)
 
+    def test_custom_amplitude_other_than_one_rejected(self):
+        # the samples carry the amplitude, so any other value would be ignored
+        with pytest.raises(ValueError, match="amplitude must be 1"):
+            DriveSpec(kind="custom", amplitude=5.0, t_samples=np.array([0.0, 1.0]),
+                      b_samples=np.array([1.0, 1.0], dtype=complex))
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             DriveSpec(kind="sawtooth", amplitude=1.0)

@@ -1,6 +1,7 @@
 """Run settings reach RunConfig the same way from a flag and a config file."""
 
 import argparse
+import re
 from dataclasses import fields
 
 import pytest
@@ -90,6 +91,18 @@ def test_each_command_has_the_config_flags_and_its_own(command):
     flags = {s for a in sub.choices[command]._actions for s in a.option_strings}
     common = {"-h", "--help", "--config"}
     assert flags == common | FIELD_FLAGS | COMMAND_FLAGS[command]
+
+
+def test_every_help_text_renders_and_lists_the_config_flags():
+    # argparse formats help lazily, so a malformed help string fails only here
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(COMMAND_FLAGS)
+    top = parser.format_help()
+    assert all(command in top for command in COMMAND_FLAGS)
+    for command, subparser in sub.choices.items():
+        listed = set(re.findall(r"--[a-z0-9-]+", subparser.format_help()))
+        assert listed == {"--help", "--config"} | FIELD_FLAGS | COMMAND_FLAGS[command]
 
 
 # run settings that were removed, each with a value the code once accepted
