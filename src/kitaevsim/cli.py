@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import warnings
+from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from .correlation import correlation_exact_scan, correlation_formula, selection_
 from .density import (
     DENSE_DENSITY_BUDGET_BYTES,
     DensityMatrix,
+    ThermalEnsemble,
     assemble_state,
     density_matrix,
     embed_active_state,
@@ -34,7 +36,6 @@ from .density import (
     label_mixture,
     require_dense_budget,
     sublattice_entropy,
-    thermal_ensemble,
     thermal_weights,
 )
 from .hamiltonian import CouplingParams, EnergyTable, drive_element, energy_expectation
@@ -65,6 +66,13 @@ MANIFOLD_MAX_PLAQUETTES = 20
 # tracemalloc (20x20 to 60x60 weight01, 2x6 and 3x4 --members all); twice
 # that leaves room for the allocator and the longer labels of larger tori
 THERMAL_MEMBER_BYTES = 8192
+
+# tracemalloc peaks, counted about twice as above: a time sample 670 B besides
+# its series (phase, 2x2 to 64x64; the other commands less), a series 16 B a
+# sample (evolve, 4x4 to 32x32), a sweep row 580 B (2x2 and 16x16)
+SAMPLE_BYTES = 1536
+SERIES_SAMPLE_BYTES = 32
+SWEEP_ROW_BYTES = 1200
 
 
 class ConfigError(ValueError):
@@ -118,10 +126,19 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+def _read_text(path: str) -> str:
+    """The text of an input file, which must be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: byte {exc.start} is "
+                          f"0x{exc.object[exc.start]:02x}") from exc
+
+
 def parse_config_file(path: str) -> dict:
     """Flat key=value format; '#' starts a comment."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -173,11 +190,25 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _require_budget(nbytes: int, what: str) -> None:
+    """Raise RuntimeError if ``what`` needs more than the memory budget."""
+    if nbytes > DENSE_DENSITY_BUDGET_BYTES:
+        raise RuntimeError(f"{what} need about {nbytes} bytes, over the budget "
+                           f"of {DENSE_DENSITY_BUDGET_BYTES} bytes")
+
+
+def _require_sample_budget(samples: int, series: int) -> None:
+    """Raise RuntimeError if the time samples and their series are over budget."""
+    _require_budget(samples * (SAMPLE_BYTES + SERIES_SAMPLE_BYTES * series),
+                    f"{samples} time samples and {series} first-order series")
+
+
 def _build_scene(cfg: RunConfig):
+    _require_sample_budget(cfg.samples, 0)
     geom = build_lattice(cfg.nx, cfg.ny)
     params = CouplingParams(jx=cfg.jx, jy=cfg.jy, jz=cfg.jz, d=cfg.d, omega=cfg.omega)
     if cfg.drive_file:
-        data = np.genfromtxt(cfg.drive_file, delimiter=",", comments="#")
+        data = np.genfromtxt(_read_text(cfg.drive_file).splitlines(), delimiter=",", comments="#")
         if data.ndim != 2 or data.shape[1] < 3:
             raise ConfigError("drive file needs columns t, ReB, ImB")
         bad = np.flatnonzero(~np.all(np.isfinite(data[:, :3]), axis=1))
@@ -286,23 +317,24 @@ def _require_finite(coeffs, t_max: float) -> None:
 
 
 def _evolved(cfg: RunConfig, connected_only: bool):
-    """Scene, targets and first-order series.  The active-basis density
-    matrix over initial + targets is checked against the memory budget
-    before any series is evolved."""
+    """Scene and first-order series.  The series' samples and the
+    active-basis density matrix over initial + targets are checked against
+    the memory budget before any series is evolved."""
     geom, params, drive, initial, times = _build_scene(cfg)
     if connected_only:
         targets = connected_targets(geom, params, initial, drive.plaquette)
     else:
         targets = [excite(initial, j) for j in range(geom.n_plaquettes)]
+    _require_sample_budget(cfg.samples, len(targets))
     dim = len(targets) + 1
     require_dense_budget(dim, dim, "active-basis density matrix")
     coeffs = evolve_coefficients(geom, params, drive, initial, targets, times)
     _require_finite(coeffs, cfg.t_max)
-    return geom, params, drive, initial, times, targets, coeffs
+    return geom, params, drive, initial, times, coeffs
 
 
 def cmd_evolve(cfg: RunConfig, args) -> int:
-    geom, params, _, initial, times, _, coeffs = _evolved(cfg, args.connected_only)
+    geom, params, _, initial, times, coeffs = _evolved(cfg, args.connected_only)
     meta = dict(cfg.as_dict())
     for series in coeffs:
         meta[f"omega0[{series.label}]"] = series.omega0
@@ -339,7 +371,7 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
 
 
 def cmd_phase(cfg: RunConfig, args) -> int:
-    geom, params, drive, initial, times, targets, coeffs = _evolved(cfg, True)
+    *_, times, coeffs = _evolved(cfg, True)
     if not coeffs:
         raise RuntimeError("no target is connected to the initial configuration")
     series = coeffs[0]
@@ -384,7 +416,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
             f"--omega-min and --omega-max must be finite, got "
             f"{args.omega_min} and {args.omega_max}"
         )
-    geom, _, _, initial, times, _, coeffs = _evolved(cfg, True)
+    _require_budget(args.omega_steps * SWEEP_ROW_BYTES, f"{args.omega_steps} sweep rows")
+    geom, _, _, initial, times, coeffs = _evolved(cfg, True)
     if not coeffs:
         raise RuntimeError("no target is connected to the initial configuration")
     omega0 = coeffs[0].omega0
@@ -429,7 +462,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 def cmd_entropy(cfg: RunConfig, args) -> int:
     # S_A from the label amplitudes' Schmidt values: no 2**n ket, no cap
-    geom, _, _, initial, times, _, coeffs = _evolved(cfg, True)
+    geom, _, _, initial, times, coeffs = _evolved(cfg, True)
     if not coeffs:
         raise RuntimeError("no connected targets; nothing to evolve")
     entropies = sublattice_entropy(geom, initial, coeffs)
@@ -441,7 +474,7 @@ def cmd_entropy(cfg: RunConfig, args) -> int:
 
 
 def cmd_correlate(cfg: RunConfig, args) -> int:
-    geom, params, drive, initial, times, targets, coeffs = _evolved(cfg, True)
+    geom, params, drive, initial, times, coeffs = _evolved(cfg, True)
     outdir = _outdir(cfg)
     rows = []
 
@@ -496,10 +529,7 @@ def cmd_thermal(cfg: RunConfig, args) -> int:
         require_hilbert(geom.n_sites)
         require_dense_budget(2**geom.n_sites, 2**geom.n_sites, "mixture density matrix")
     count = {"weight01": n + 1, "all": 1 << n}.get(args.members, args.members.count(",") + 1)
-    nbytes = count * THERMAL_MEMBER_BYTES
-    if nbytes > DENSE_DENSITY_BUDGET_BYTES:
-        raise RuntimeError(f"{count} thermal members need about {nbytes} bytes, "
-                           f"over the budget of {DENSE_DENSITY_BUDGET_BYTES} bytes")
+    _require_budget(count * THERMAL_MEMBER_BYTES, f"{count} thermal members")
     if args.members == "weight01":
         members_cfg = [FlipConfig(0, n)] + [FlipConfig(1 << q, n) for q in range(n)]
     elif args.members == "all":
@@ -509,11 +539,16 @@ def cmd_thermal(cfg: RunConfig, args) -> int:
             members_cfg = [FlipConfig(int(tok, 0), n) for tok in args.members.split(",")]
         except ValueError as exc:
             raise ConfigError(f"bad --members {args.members!r}: {exc}") from exc
+        repeated = [h for h, k in Counter(c.hex for c in members_cfg).items() if k > 1]
+        if repeated:
+            raise ConfigError(f"--members lists {', '.join(repeated)} more than once; "
+                              f"each state is one member of the mixture")
 
     t = float(times[-1])
     members, kets, energies, labels = [], [], [], []
     for config in members_cfg:
         tg = connected_targets(geom, params, config, drive.plaquette)
+        _require_sample_budget(cfg.samples, len(tg))
         cs = evolve_coefficients(geom, params, drive, config, tg, times)
         _require_finite(cs, cfg.t_max)
         targets = [c.target for c in cs]
@@ -540,7 +575,7 @@ def cmd_thermal(cfg: RunConfig, args) -> int:
         **label_mixture(geom, members, weights),
     }
     if args.emit_density:
-        summary["density"] = thermal_ensemble(zip(energies, kets), cfg.kt).density().to_payload()
+        summary["density"] = ThermalEnsemble(kets, weights).density().to_payload()
     outdir = _outdir(cfg)
     write_json(outdir / "thermal.json", cfg.as_dict(), summary)
     write_csv(

@@ -82,7 +82,6 @@ def correlation_exact_scan(
     components,
     t: float,
     tol: float = 1e-9,
-    samples: int = 9,
 ) -> list[CorrelationRecord]:
     """Heisenberg-picture correlation table from exact evolution.
 
@@ -106,14 +105,14 @@ def correlation_exact_scan(
             return vec
 
     else:
-        times = np.linspace(0.0, float(t), max(2, samples))
+        times = np.linspace(0.0, float(t), 9)
         f = _Generator(geom, params, drive)
         res = exact_evolve(geom, params, drive, psi0, times, tol=tol, rhs=f)
         psi_t = res.kets[-1]
 
         def u_of_t(vec: np.ndarray) -> np.ndarray:
             # the same steps the accepted passes took, interval by interval
-            return propagate(drive, vec, times, res.substeps, rhs=f)
+            return propagate(vec, times, res.substeps, rhs=f)
 
         chi = u_of_t(psi_t)
 

@@ -110,18 +110,19 @@ class ActiveState:
     labels: tuple[str, ...]
     energies: np.ndarray
     amplitudes: np.ndarray
-    t: float
     norm_factor: float  # pre-normalization norm of the raw amplitudes
 
 
 @dataclass
 class ThermalEnsemble:
-    """Weighted mixture of pure states with Boltzmann weights."""
+    """Weighted mixture of pure states over one basis."""
 
-    energies: np.ndarray
     states: list[np.ndarray]
-    kt: float
     weights: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not self.states or any(len(psi) != len(self.states[0]) for psi in self.states):
+            raise ValueError("need one or more member states, all over one basis")
 
     def density(self) -> DensityMatrix:
         """Dense mixture rho = sum_k p_k |psi_k><psi_k| over the full basis.
@@ -179,23 +180,19 @@ def assemble_state(
         labels=tuple(labels),
         energies=np.asarray(energies, dtype=float),
         amplitudes=raw / norm,
-        t=float(t),
         norm_factor=norm,
     )
 
 
-def density_matrix(state: ActiveState | np.ndarray) -> DensityMatrix:
-    """Pure-state density matrix rho_mn = amp_m * conj(amp_n)."""
-    if isinstance(state, ActiveState):
-        amps = state.amplitudes
-        labels = state.labels
-    else:
-        amps = np.asarray(state, dtype=complex)
-        labels = None
+def density_matrix(state: ActiveState) -> DensityMatrix:
+    """Pure-state density matrix rho_mn = amp_m * conj(amp_n) over its labels."""
+    if not isinstance(state, ActiveState):
+        raise TypeError(f"density_matrix takes an ActiveState, got {type(state).__name__}")
+    amps = state.amplitudes
     if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
         raise ValueError("state must be normalized to 1e-10")
     require_dense_budget(len(amps), len(amps), "density matrix")
-    return DensityMatrix(matrix=np.outer(amps, amps.conj()), labels=labels)
+    return DensityMatrix(matrix=np.outer(amps, amps.conj()), labels=state.labels)
 
 
 def _sublattice_sites(geom: LatticeGeometry, part: str) -> list[int]:
@@ -437,17 +434,3 @@ def thermal_weights(energies, kt: float) -> np.ndarray:
     else:
         w = np.exp(-(e - e.min()) / kt)  # max-shift keeps exponents <= 0
     return w / w.sum()
-
-
-def thermal_ensemble(members, kt: float) -> ThermalEnsemble:
-    """Mixture of (energy, pure state) members with Boltzmann weights."""
-    members = list(members)
-    if not members:
-        raise ValueError("empty member list")
-    energies = np.array([float(e) for e, _ in members])
-    states = [np.asarray(psi, dtype=complex) for _, psi in members]
-    dim = len(states[0])
-    if any(len(psi) != dim for psi in states):
-        raise ValueError("member states must share one basis")
-    weights = thermal_weights(energies, kt)
-    return ThermalEnsemble(energies=energies, states=states, kt=kt, weights=weights)

@@ -3,8 +3,9 @@
 Convention: basis index bit k holds site k, bit value 0 = spin up
 (sigma^z = +1).  Vectors are complex numpy arrays of length 2**n.
 A string on distinct sites compiles (:func:`string_term`) to a flip
-mask and a phase vector and acts as ``phase[k] * psi[k ^ mask]``; this
-is the one kernel for every string and every H0 term.
+mask and a phase vector and acts as ``phase[k] * psi[k ^ mask]``;
+:func:`~kitaevsim.hamiltonian.h0_terms` builds the H0 bond terms in that
+form from bit parities, without it.
 """
 
 from __future__ import annotations

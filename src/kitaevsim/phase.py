@@ -6,10 +6,10 @@ exponent ln A + i phi is the quantity whose real part governs the
 stability of the initial state (growing |c| = transition underway) and
 whose imaginary part shifts effective energy levels.
 
-Samples where A falls below a zero threshold are flagged singular: the
-argument is genuinely undefined at c = 0, those samples are excluded
-from slope estimation, and the unwrapping branch restarts after each
-singular gap.
+Samples where A is at most 1e-12 of the series' peak modulus are flagged
+singular: the argument is genuinely undefined at c = 0, those samples
+are excluded from slope estimation, and the unwrapping branch restarts
+after each singular gap.
 """
 
 from __future__ import annotations
@@ -35,11 +35,10 @@ class SubGeometricPhase:
     modulus: np.ndarray       # A >= 0
     log_modulus: np.ndarray   # a = ln A, -inf at singular samples
     angle: np.ndarray         # unwrapped phi, 0.0 placeholder at singular samples
-    singular: np.ndarray      # bool flags where A <= eps_zero
-    eps_zero: float
+    singular: np.ndarray      # bool flags where A <= 1e-12 * max A
 
 
-def decompose_values(times, values, eps_zero: float | None = None) -> SubGeometricPhase:
+def decompose_values(times, values) -> SubGeometricPhase:
     """Decompose raw complex samples; see :func:`decompose`."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=complex)
@@ -48,12 +47,8 @@ def decompose_values(times, values, eps_zero: float | None = None) -> SubGeometr
 
     modulus = np.abs(values)
     peak = float(modulus.max()) if len(modulus) else 0.0
-    if eps_zero is None:
-        eps_zero = 1e-12 * peak if peak > 0 else math.inf
-    elif eps_zero <= 0:
-        raise ValueError("eps_zero must be positive")
-
-    singular = modulus <= eps_zero
+    # relative to the peak; an all-zero series is singular throughout
+    singular = modulus <= (1e-12 * peak if peak > 0 else math.inf)
     log_modulus = np.full(len(values), -math.inf)
     np.log(modulus, out=log_modulus, where=~singular)
 
@@ -80,13 +75,12 @@ def decompose_values(times, values, eps_zero: float | None = None) -> SubGeometr
         log_modulus=log_modulus,
         angle=np.array(angle, dtype=float),
         singular=singular,
-        eps_zero=float(eps_zero),
     )
 
 
-def decompose(series: CoefficientSeries, eps_zero: float | None = None) -> SubGeometricPhase:
+def decompose(series: CoefficientSeries) -> SubGeometricPhase:
     """Split a coefficient series into modulus and unwrapped argument."""
-    return decompose_values(series.times, series.values, eps_zero)
+    return decompose_values(series.times, series.values)
 
 
 def _slopes(phase: SubGeometricPhase) -> np.ndarray:
@@ -110,9 +104,7 @@ def _slopes(phase: SubGeometricPhase) -> np.ndarray:
     return slope
 
 
-def stability_intervals(
-    phase: SubGeometricPhase, slope_tol: float | None = None
-) -> list[tuple[float, float, str]]:
+def stability_intervals(phase: SubGeometricPhase) -> list[tuple[float, float, str]]:
     """Maximal runs where ln A grows or decays beyond a slope tolerance.
 
     Boundaries fall at classification changes and at singular samples.
@@ -120,13 +112,9 @@ def stability_intervals(
     ok = ~phase.singular
     if int(ok.sum()) < 3:
         raise ValueError("need at least 3 non-singular samples")
-    if slope_tol is None:
-        # relative default plus an absolute floor so that constant-modulus
-        # series (a identically zero up to roundoff) stay unclassified
-        peak = float(np.max(np.abs(phase.log_modulus[ok])))
-        slope_tol = 1e-9 * peak + 1e-12
-    elif not slope_tol >= 0:  # NaN would compare false and classify nothing
-        raise ValueError("slope_tol must be >= 0")
+    # relative to the peak |ln A|, plus a floor that leaves constant-modulus
+    # series (a identically zero up to roundoff) unclassified
+    slope_tol = 1e-9 * float(np.max(np.abs(phase.log_modulus[ok]))) + 1e-12
 
     slope = _slopes(phase)
     labels = np.zeros(len(slope), dtype=int)

@@ -443,9 +443,7 @@ def _convergence_2x2() -> tuple[float, float, float]:
     psi0 = build_product_ket(geom, FlipConfig(0, 4))
     params = CouplingParams(jx=1.0, jy=0.8, jz=1.2, d=0.05, omega=0.7)
     drive = DriveSpec.exponential(0.05, 0.7, plaquette=0)
-    return convergence_ratio(
-        geom, params, drive, psi0, t_end=2.0, coarse_substeps=16, samples=5
-    )
+    return convergence_ratio(geom, params, drive, psi0, t_end=2.0)
 
 
 def check_oracle_quality() -> CheckResult:

@@ -68,6 +68,18 @@ class TestExitCodes:
         assert err.startswith("configuration error: ") and str(missing) in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag", ["--config", "--drive-file"])
+    def test_input_that_is_not_utf8_exits_2(self, flag, tmp_path, capsys):
+        # the 0xff byte is not UTF-8; the same file otherwise reads and runs
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"d = 1\n\xff\n" if flag == "--config" else b"0,0.01,0\n\xff,0.01,0\n")
+        code = cli.main(["phase", flag, str(path), "--d", "1", "--outdir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and str(path) in err
+        assert "0xff" in err
+        assert not (tmp_path / "out").exists()
+
     def test_outdir_that_is_a_file_exits_2(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("not a directory\n")
@@ -228,6 +240,21 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert "--members" in proc.stderr
         assert not (tmp_path / "thermal.json").exists()
+
+    @pytest.mark.parametrize(
+        "members, repeated",
+        [("0x0,0x0,0x1", "0x0"), ("0x1,0x2,1", "0x1"), ("0x3,3,0x0,0", "0x3, 0x0")],
+    )
+    def test_thermal_repeated_member_exits_2_naming_it(self, members, repeated, tmp_path, capsys):
+        # a repeated state would count once per listing in the mixture
+        code = cli.main(["thermal", "--members", members, "--samples", "3",
+                         "--outdir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: --members lists {repeated} more than once; "
+            "each state is one member of the mixture\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "argv",

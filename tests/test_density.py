@@ -22,7 +22,6 @@ from kitaevsim.density import (
     reduced_entropy,
     schmidt_weights,
     sublattice_entropy,
-    thermal_ensemble,
     thermal_weights,
 )
 from kitaevsim.hamiltonian import CouplingParams, energy_expectation
@@ -96,15 +95,22 @@ class TestAssembleState:
             assemble_state([], 0.0, EMPTY)
 
 
+def active(amps) -> ActiveState:
+    """An ActiveState holding ``amps`` over the labels s0, s1, ..."""
+    amps = np.asarray(amps, dtype=complex)
+    return ActiveState(tuple(f"s{k}" for k in range(len(amps))), np.zeros(len(amps)), amps, 1.0)
+
+
 class TestDensityMatrix:
     def test_pure_basis_state(self):
-        rho = density_matrix(np.array([1.0, 0.0], dtype=complex))
+        rho = density_matrix(active([1.0, 0.0]))
         assert np.allclose(rho.matrix, [[1, 0], [0, 0]])
+        assert rho.labels == ("s0", "s1")
 
     def test_global_phase_invariance(self):
         amps = np.array([0.6, 0.8j], dtype=complex)
-        a = density_matrix(amps)
-        b = density_matrix(amps * np.exp(0.9j))
+        a = density_matrix(active(amps))
+        b = density_matrix(active(amps * np.exp(0.9j)))
         assert np.allclose(a.matrix, b.matrix, atol=1e-15)
 
     def test_diagonal_matches_moduli_and_ignores_phases(self):
@@ -121,7 +127,11 @@ class TestDensityMatrix:
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
-            density_matrix(np.array([1.0, 1.0], dtype=complex))
+            density_matrix(active([1.0, 1.0]))
+
+    def test_rejects_a_bare_array(self):
+        with pytest.raises(TypeError, match="ActiveState"):
+            density_matrix(np.array([1.0, 0.0], dtype=complex))
 
 
 class TestEntropy:
@@ -282,41 +292,39 @@ class TestThermal:
     def test_mixture_density(self):
         up = np.array([1.0, 0.0], dtype=complex)
         down = np.array([0.0, 1.0], dtype=complex)
-        rho = thermal_ensemble([(0.0, up), (1.0, down)], 1.0).density()
+        rho = ThermalEnsemble([up, down], thermal_weights([0.0, 1.0], 1.0)).density()
         assert not rho.diagnostics(tol=1e-12)
         assert rho.purity() < 1.0
         assert rho.matrix[0, 0].real == pytest.approx(0.731059, abs=1e-6)
 
     def test_pure_density_matrices_have_unit_purity(self):
-        rho = thermal_ensemble([(0.0, np.array([1.0, 0.0], dtype=complex))], 1.0).density()
+        rho = ThermalEnsemble([np.array([1.0, 0.0], dtype=complex)], np.ones(1)).density()
         assert rho.purity() == pytest.approx(1.0, abs=1e-12)
 
     def test_kt_zero_with_degenerate_minimum(self):
-        ens = thermal_ensemble(
-            [
-                (1.0, np.array([1.0, 0.0], dtype=complex)),
-                (1.0, np.array([0.0, 1.0], dtype=complex)),
-                (2.0, np.array([1.0, 0.0], dtype=complex)),
-            ],
-            0.0,
-        )
-        assert np.allclose(ens.weights, [0.5, 0.5, 0.0])
+        assert np.allclose(thermal_weights([1.0, 1.0, 2.0], 0.0), [0.5, 0.5, 0.0])
 
     def test_empty_members_rejected(self):
-        with pytest.raises(ValueError):
-            thermal_ensemble([], 1.0)
+        with pytest.raises(ValueError, match="one or more"):
+            ThermalEnsemble([], np.ones(0))
+        with pytest.raises(ValueError, match="empty"):
+            thermal_weights([], 1.0)
         with pytest.raises(ValueError):
             thermal_weights([0.0], -1.0)
+
+    def test_states_over_two_bases_rejected(self):
+        with pytest.raises(ValueError, match="all over one basis"):
+            ThermalEnsemble([np.ones(2) / math.sqrt(2.0), np.ones(4) / 2.0], np.full(2, 0.5))
 
     def test_density_over_budget_raises_before_allocating(self):
         # nine 2x4-torus kets: the 65536x65536 mixture would need 64 GiB
         dim = 2**16
-        members = []
+        kets = []
         for q in range(9):
             psi = np.zeros(dim, dtype=complex)
             psi[q] = 1.0
-            members.append((float(q), psi))
-        ens = thermal_ensemble(members, 1.0)
+            kets.append(psi)
+        ens = ThermalEnsemble(kets, thermal_weights(np.arange(9.0), 1.0))
         tracemalloc.start()
         try:
             with pytest.raises(RuntimeError, match="68719476736 bytes"):
@@ -332,7 +340,7 @@ def test_density_blocks_sum_the_same_products_as_whole_projectors(monkeypatch):
     rng = np.random.default_rng(3)
     kets = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
     kets /= np.linalg.norm(kets, axis=1)[:, None]
-    ens = thermal_ensemble([(float(k), psi) for k, psi in enumerate(kets)], 0.7)
+    ens = ThermalEnsemble(list(kets), thermal_weights(np.arange(3.0), 0.7))
     monkeypatch.setattr(density, "DENSITY_BLOCK_BYTES", 5 * 16 * 16)
     expected = np.zeros((16, 16), dtype=complex)
     for p, psi in zip(ens.weights, ens.states):
@@ -345,7 +353,7 @@ def test_density_holds_rho_and_one_block():
     rng = np.random.default_rng(4)
     kets = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
     kets /= np.linalg.norm(kets, axis=1)[:, None]
-    ens = thermal_ensemble([(float(k), psi) for k, psi in enumerate(kets)], 1.0)
+    ens = ThermalEnsemble(list(kets), thermal_weights(np.arange(3.0), 1.0))
     tracemalloc.start()
     try:
         rho = ens.density()
@@ -372,12 +380,7 @@ def test_gram_and_reduced_match_the_dense_mixture(n_sites, seed, picks, weights,
     pool /= np.linalg.norm(pool, axis=1)[:, None]
     w = np.array(weights[: len(picks)])
     assume(w.sum() > 0.0)
-    ens = ThermalEnsemble(
-        energies=np.zeros(len(picks)),
-        states=[pool[k] for k in picks],
-        kt=1.0,
-        weights=w / w.sum(),
-    )
+    ens = ThermalEnsemble(states=[pool[k] for k in picks], weights=w / w.sum())
     keep = data.draw(st.permutations(range(n_sites)))[: data.draw(st.integers(1, n_sites))]
 
     gram, rho = reference.gram(ens), ens.density()
@@ -423,9 +426,9 @@ def reference_mixture(geom, members, weights):
     reference.reduced."""
     kets = []
     for labels, amps in members:
-        state = ActiveState(tuple(map(str, labels)), np.zeros(len(labels)), amps, 0.0, 1.0)
+        state = ActiveState(tuple(map(str, labels)), np.zeros(len(labels)), amps, 1.0)
         kets.append(embed_active_state(geom, labels[0], labels[1:], state))
-    ens = ThermalEnsemble(energies=np.zeros(len(kets)), states=kets, kt=1.0, weights=weights)
+    ens = ThermalEnsemble(states=kets, weights=weights)
     rho = reference.gram(ens)
     rho_a = reference.reduced(ens, [k for k in range(geom.n_sites) if geom.sublattice[k] == "A"])
     return {

@@ -5,13 +5,13 @@ import pytest
 
 from kitaevsim import cli, density
 from kitaevsim.correlation import correlation_exact_scan
-from kitaevsim.density import DENSE_DENSITY_BUDGET_BYTES, density_matrix, reduced_entropy
+from kitaevsim.density import DENSE_DENSITY_BUDGET_BYTES, ActiveState, density_matrix, reduced_entropy
 from kitaevsim.hamiltonian import CouplingParams
 from kitaevsim.lattice import build_lattice
 from kitaevsim.manifold import FlipConfig, build_product_ket
 from kitaevsim.oracle import exact_evolve
 from kitaevsim.pauli import HILBERT_CAP_SITES, require_hilbert
-from kitaevsim.perturbation import DriveSpec
+from kitaevsim.perturbation import DriveSpec, connected_targets
 
 GEOM_3X3 = build_lattice(3, 3)  # 18 sites, over the 16-site cap
 PARAMS = CouplingParams(1.0, 1.0, 1.0, d=0.01)
@@ -123,7 +123,7 @@ class TestEvolveDensityBudget:
     def test_density_matrix_checks_the_budget(self, monkeypatch):
         monkeypatch.setattr(density, "DENSE_DENSITY_BUDGET_BYTES", 63)
         with pytest.raises(RuntimeError, match="64 bytes"):
-            density_matrix(np.array([1.0, 0.0], dtype=complex))
+            density_matrix(ActiveState(("a", "b"), np.zeros(2), np.array([1.0, 0.0], dtype=complex), 1.0))
 
 
 class TestEvolveDensityBudgetBeforeWork:
@@ -143,3 +143,82 @@ class TestEvolveDensityBudgetBeforeWork:
         argv = TestEvolveDensityBudget.ARGV + extra
         assert cli.main([*argv, "--outdir", str(tmp_path / "out")]) == 3
         assert not (tmp_path / "out").exists()
+
+
+def forbid(monkeypatch, name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the sample budget check")
+
+    monkeypatch.setattr(cli, name, fail)
+
+
+class TestSampleBudget:
+    """Time samples, series and sweep rows are sized before the work."""
+
+    SWEEP = ["sweep", "--omega-min", "0", "--omega-max", "1"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["evolve"], ["phase"], SWEEP, ["entropy"], ["correlate"], ["thermal"]],
+        ids=["evolve", "phase", "sweep", "entropy", "correlate", "thermal"],
+    )
+    def test_samples_over_budget_exit_3_before_the_lattice(self, argv, tmp_path, monkeypatch, capsys):
+        nbytes = 1000 * cli.SAMPLE_BYTES
+        monkeypatch.setattr(cli, "DENSE_DENSITY_BUDGET_BYTES", nbytes - 1)
+        forbid(monkeypatch, "build_lattice")
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--samples", "1000", "--outdir", str(out)]) == 3
+        assert f"1000 time samples and 0 first-order series need about {nbytes} bytes" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("over", [1, 0], ids=["over", "at"])
+    def test_series_are_sized_once_the_targets_are_known(self, over, tmp_path, monkeypatch, capsys):
+        # 3x3 over every plaquette: nine series of 100 samples
+        nbytes = 100 * (cli.SAMPLE_BYTES + 9 * cli.SERIES_SAMPLE_BYTES)
+        monkeypatch.setattr(cli, "DENSE_DENSITY_BUDGET_BYTES", nbytes - over)
+        if over:
+            forbid(monkeypatch, "evolve_coefficients")
+        out = tmp_path / "out"
+        code = cli.main(["evolve", "--nx", "3", "--ny", "3", "--samples", "100", "--outdir", str(out)])
+        if over:
+            assert code == 3
+            assert f"need about {nbytes} bytes" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert code == 0
+            assert (out / "coefficients.csv").exists()
+
+    def test_thermal_sizes_each_member_before_evolving_it(self, tmp_path, monkeypatch, capsys):
+        geom = build_lattice(2, 2)
+        series = len(connected_targets(geom, PARAMS, FlipConfig(0, 4), 0))
+        nbytes = 100 * (cli.SAMPLE_BYTES + series * cli.SERIES_SAMPLE_BYTES)
+        monkeypatch.setattr(cli, "DENSE_DENSITY_BUDGET_BYTES", nbytes - 1)
+        forbid(monkeypatch, "evolve_coefficients")
+        out = tmp_path / "out"
+        assert cli.main(["thermal", "--members", "0x0", "--samples", "100", "--outdir", str(out)]) == 3
+        assert f"{series} first-order series need about {nbytes} bytes" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("over", [1, 0], ids=["over", "at"])
+    def test_sweep_rows_are_sized_before_any_series(self, over, tmp_path, monkeypatch, capsys):
+        # 1000 rows outweigh the default 65 samples and their one series
+        nbytes = 1000 * cli.SWEEP_ROW_BYTES
+        monkeypatch.setattr(cli, "DENSE_DENSITY_BUDGET_BYTES", nbytes - over)
+        if over:
+            forbid(monkeypatch, "evolve_coefficients")
+        out = tmp_path / "out"
+        code = cli.main([*self.SWEEP, "--omega-steps", "1000", "--outdir", str(out)])
+        if over:
+            assert code == 3
+            assert f"1000 sweep rows need about {nbytes} bytes" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert code == 0
+            assert (out / "sweep.csv").exists()
+
+    def test_the_budget_bounds_the_samples_unpatched(self, tmp_path, monkeypatch, capsys):
+        forbid(monkeypatch, "build_lattice")
+        out = tmp_path / "out"
+        assert cli.main(["phase", "--samples", "100000000", "--outdir", str(out)]) == 3
+        assert f"need about {100000000 * cli.SAMPLE_BYTES} bytes" in capsys.readouterr().err
+        assert not out.exists()

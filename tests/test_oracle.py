@@ -127,9 +127,7 @@ class TestConvergence:
     def test_order_four_step_halving(self):
         params = CouplingParams(jx=1.0, jy=0.8, jz=1.2, d=0.05, omega=0.7)
         drive = DriveSpec.exponential(0.05, 0.7, plaquette=0)
-        err_c, err_f, ratio = convergence_ratio(
-            GEOM, params, drive, PSI0, t_end=2.0, coarse_substeps=16, samples=5
-        )
+        err_c, err_f, ratio = convergence_ratio(GEOM, params, drive, PSI0, t_end=2.0)
         assert err_c > err_f > 0
         assert ratio >= 15.0
 
@@ -140,25 +138,21 @@ class TestConvergence:
         monkeypatch.setattr(oracle_mod, "exact_evolve", no_reference)
         params = CouplingParams(jx=1.0, jy=0.8, jz=1.2, d=0.05, omega=0.7)
         drive = DriveSpec.exponential(0.05, 0.7, plaquette=0)
-        _, _, ratio = convergence_ratio(
-            GEOM, params, drive, PSI0, t_end=2.0, coarse_substeps=16, samples=5
-        )
+        _, _, ratio = convergence_ratio(GEOM, params, drive, PSI0, t_end=2.0)
         assert ratio >= 15.0
 
     # each of these divided by zero
     @pytest.mark.parametrize(
         "kwargs, match",
         [
-            (dict(samples=1), "two samples"),
             (dict(t_end=0.0), "t_end"),
             (dict(t_end=-1.0), "t_end"),
-            (dict(coarse_substeps=0), "substep"),
         ],
     )
     def test_bad_grids_and_step_counts_raise(self, kwargs, match):
         params = CouplingParams(jx=1.0, jy=0.8, jz=1.2, d=0.05, omega=0.7)
         drive = DriveSpec.exponential(0.05, 0.7, plaquette=0)
-        args = dict(t_end=2.0, coarse_substeps=16, samples=5) | kwargs
+        args = dict(t_end=2.0) | kwargs
         with pytest.raises(ValueError, match=match):
             convergence_ratio(GEOM, params, drive, PSI0, **args)
 

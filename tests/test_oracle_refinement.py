@@ -186,10 +186,10 @@ def test_correlation_scan_replays_the_accepted_substeps(monkeypatch):
     pairs = [(0, 1), (2, 3)]
     components = [("x", "x"), ("y", "z")]
     correlation_exact_scan(
-        GEOM, params, drive, FlipConfig(0, 4), pairs, components, t=1.5, tol=1e-9, samples=4
+        GEOM, params, drive, FlipConfig(0, 4), pairs, components, t=1.5, tol=1e-9
     )
     (res, seen), = runs
-    times = np.linspace(0.0, 1.5, 4)
+    times = np.linspace(0.0, 1.5, 9)
     one_vector = [((times[k], times[k + 1]), s) for k, s in enumerate(res.substeps)]
     vectors = 1 + len({(j, b) for _, j in pairs for _, b in components})
     assert calls[seen:] == one_vector * vectors
