@@ -141,10 +141,11 @@ class TestConvergence:
         _, _, ratio = convergence_ratio(GEOM, params, drive, PSI0, t_end=2.0)
         assert ratio >= 15.0
 
-    # each of these divided by zero
+    # an infinite end gave a NaN grid; zero and negative ends divided by zero
     @pytest.mark.parametrize(
         "kwargs, match",
         [
+            (dict(t_end=float("inf")), "t_end"),
             (dict(t_end=0.0), "t_end"),
             (dict(t_end=-1.0), "t_end"),
         ],
