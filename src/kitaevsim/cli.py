@@ -69,7 +69,9 @@ THERMAL_MEMBER_BYTES = 8192
 
 # tracemalloc peaks, counted about twice as above: a time sample 670 B besides
 # its series (phase, 2x2 to 64x64; the other commands less), a series 16 B a
-# sample (evolve, 4x4 to 32x32), a sweep row 580 B (2x2 and 16x16)
+# sample (evolve, 4x4 to 32x32), a sweep row 580 B (2x2 and 16x16).  Those
+# were taken while write_csv formatted a block whole; in chunks, phase peaks
+# at 152 B a sample and sweep at 240 B a row (2x2), so the counts are generous
 SAMPLE_BYTES = 1536
 SERIES_SAMPLE_BYTES = 32
 SWEEP_ROW_BYTES = 1200
@@ -362,7 +364,7 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
     if coeffs:
         rho = density_matrix(assemble_state(coeffs, float(times[-1]), initial))
     else:
-        rho = DensityMatrix(np.ones((1, 1), dtype=complex), (initial_label(initial),))
+        rho = DensityMatrix(np.ones((1, 1), dtype=complex), labels=(initial_label(initial),))
     write_json(
         outdir / "density.json", cfg.as_dict(), {"t": float(times[-1]), "density": rho.to_payload()}
     )

@@ -16,10 +16,17 @@ configuration) and the trace, purity and entropies of a thermal mixture
 of them (:func:`label_mixture`, keyed against the all-plus configuration)
 are squared singular values of small label-amplitude matrices
 (:func:`schmidt_weights`), indexed by one pass that keys every label and
-splits its key into A and B sites, with no 2**n_sites ket.  The dense 2**n forms (:func:`embed_active_state`,
-:func:`reduced_entropy`, :meth:`ThermalEnsemble.density`) stay for
-``thermal --emit-density``, the acceptance checks and the tests, under the
-Hilbert cap.
+splits its key into A and B sites, with no 2**n_sites ket.  The 2**n forms
+(:func:`embed_active_state`, :func:`reduced_entropy`,
+:meth:`ThermalEnsemble.density`) stay for ``thermal --emit-density``, the
+acceptance checks and the tests, under the Hilbert cap.
+
+A :class:`DensityMatrix` is kept as its factors, rho = sum_k p_k
+|psi_k><psi_k|: one amplitude vector for a pure state, or member kets and
+their weights for a mixture.  Its payload's ``entries`` form each block of
+matrix rows from the kets only as ``output.write_json`` writes it, so no
+dim x dim matrix is held; ``matrix``, ``trace``, ``purity`` and
+``diagnostics`` form it when asked, for checks at small dim.
 
 Entropy uses the natural logarithm, so a maximally mixed qubit pair
 carries ln 2 per qubit.
@@ -34,18 +41,18 @@ import numpy as np
 
 from .lattice import LatticeGeometry
 from .manifold import FlipConfig, build_product_ket, label_key
+from .output import LazyRows
 from .pauli import n_sites_of, require_hilbert
 from .perturbation import CoefficientSeries
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
 
-# largest dense density matrix require_dense_budget lets through; the 2x3
-# torus's full-Hilbert mixture needs 256 MiB, the 2x4 torus's 64 GiB, and
-# evolve's (N+1)**2 active-basis matrix fits up to the 90x90 torus
+# largest density matrix require_dense_budget lets through, in bytes of the
+# [re, im] entries its payload writes (16 * dim**2); the factors held are
+# only its kets.  The 2x3 torus's full-Hilbert mixture writes 256 MiB, the
+# 2x4 torus's 64 GiB, and evolve's (N+1)**2 active-basis matrix fits up to
+# the 90x90 torus
 DENSE_DENSITY_BUDGET_BYTES = 1 << 30
-
-# bytes of one row block of the projector ThermalEnsemble.density adds to rho
-DENSITY_BLOCK_BYTES = 1 << 22
 
 
 def require_dense_budget(rows: int, cols: int, what: str) -> None:
@@ -60,21 +67,38 @@ def require_dense_budget(rows: int, cols: int, what: str) -> None:
 
 @dataclass
 class DensityMatrix:
-    """Complex Hermitian matrix with its basis labels (None = full Hilbert)."""
+    """rho = sum_k p_k |psi_k><psi_k| as its factors: the rows of ``kets``
+    and their ``weights``, with its basis labels (None = full Hilbert).
 
-    matrix: np.ndarray
+    ``weights`` None marks a pure state, one ket with rho_mn = psi_m
+    conj(psi_n).
+    """
+
+    kets: np.ndarray
+    weights: np.ndarray | None = None
     labels: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.kets.ndim != 2 or (self.weights is None and len(self.kets) != 1):
+            raise ValueError("kets must be a (K, dim) array, K = 1 when weights is None")
+
+    @property
+    def dim(self) -> int:
+        return self.kets.shape[1]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense dim x dim matrix, formed on every call."""
+        w = np.ones(1) if self.weights is None else self.weights
+        return (self.kets.T * w) @ self.kets.conj()
 
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
+        m = self.matrix
+        return float(np.trace(m @ m).real)
 
     def diagnostics(self, tol: float = 1e-10) -> list[str]:
         """Contract violations (empty list = healthy density matrix)."""
@@ -82,8 +106,9 @@ class DensityMatrix:
         m = self.matrix
         if np.max(np.abs(m - m.conj().T)) > 1e-12:
             issues.append("not Hermitian to 1e-12")
-        if abs(self.trace - 1.0) > tol:
-            issues.append(f"trace {self.trace} deviates from 1")
+        trace = float(np.trace(m).real)
+        if abs(trace - 1.0) > tol:
+            issues.append(f"trace {trace} deviates from 1")
         evals = np.linalg.eigvalsh(m)
         if evals.min() < -1e-10:
             issues.append(f"negative eigenvalue {evals.min():.3e}")
@@ -92,15 +117,47 @@ class DensityMatrix:
     def to_payload(self) -> dict:
         """JSON-ready form: basis labels plus row-major [re, im] entries.
 
-        ``entries`` is the (dim**2, 2) float view of the matrix, which
-        ``output.write_json`` streams without building per-entry lists.
+        ``entries`` is a :class:`DensityEntries` view, which
+        ``output.write_json`` streams a block at a time, each block formed
+        from the kets as it is written.
         """
         if self.labels is not None:
             basis = list(self.labels)
         else:
             basis = [f"hilbert:{k}" for k in range(self.dim)]
-        flat = np.ascontiguousarray(self.matrix, dtype=complex).reshape(-1)
-        return {"basis": basis, "dim": self.dim, "entries": flat.view(float).reshape(-1, 2)}
+        return {"basis": basis, "dim": self.dim, "entries": DensityEntries(self)}
+
+
+class DensityEntries(LazyRows):
+    """The (dim**2, 2) float view of a DensityMatrix's row-major entries.
+
+    A row slice forms only the matrix rows it spans, from the kets.  A pure
+    state's entry is the product psi_m * conj(psi_n), as ``np.outer``
+    forms it; a mixture's starts at zero and adds psi_k,m conj(psi_k,n) *
+    p_k member by member.  Either way each entry, the sign of a zero
+    included, is that of the dense matrix built by the same products.
+    """
+
+    def __init__(self, rho: DensityMatrix) -> None:
+        self.shape = (rho.dim**2, 2)
+        self._rho = rho
+        self._conj = rho.kets.conj()
+
+    def _rows(self, start: int, stop: int) -> np.ndarray:
+        rho, dim = self._rho, self._rho.dim
+        first, last = start // dim, -(-stop // dim)
+        kets = rho.kets[:, first:last]
+        if rho.weights is None:
+            block = np.outer(kets[0], self._conj[0])
+        else:
+            block = np.zeros((last - first, dim), dtype=complex)
+            part = np.empty_like(block)
+            for p, psi, psi_conj in zip(rho.weights, kets, self._conj):
+                np.multiply.outer(psi, psi_conj, out=part)
+                part *= p
+                block += part
+        offset = first * dim
+        return block.reshape(-1).view(float).reshape(-1, 2)[start - offset:stop - offset]
 
 
 @dataclass
@@ -125,26 +182,11 @@ class ThermalEnsemble:
             raise ValueError("need one or more member states, all over one basis")
 
     def density(self) -> DensityMatrix:
-        """Dense mixture rho = sum_k p_k |psi_k><psi_k| over the full basis.
-
-        Each row block of rho takes every member's weighted projector rows
-        in member order, through one buffer of DENSITY_BLOCK_BYTES, so the
-        memory held is rho plus that buffer.
-        """
+        """The mixture rho = sum_k p_k |psi_k><psi_k| over the full basis,
+        kept as the member kets and their weights."""
         dim = len(self.states[0])
         require_dense_budget(dim, dim, "mixture density matrix")
-        rho = np.zeros((dim, dim), dtype=complex)
-        rows = max(1, DENSITY_BLOCK_BYTES // (16 * dim))
-        buf = np.empty((min(rows, dim), dim), dtype=complex)
-        conj = [psi.conj() for psi in self.states]
-        for start in range(0, dim, rows):
-            block = rho[start:start + rows]
-            part = buf[:len(block)]
-            for p, psi, psi_conj in zip(self.weights, self.states, conj):
-                np.multiply.outer(psi[start:start + rows], psi_conj, out=part)
-                part *= p
-                block += part
-        return DensityMatrix(matrix=rho)
+        return DensityMatrix(kets=np.array(self.states), weights=np.asarray(self.weights))
 
 
 def initial_label(config: FlipConfig) -> str:
@@ -192,7 +234,7 @@ def density_matrix(state: ActiveState) -> DensityMatrix:
     if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
         raise ValueError("state must be normalized to 1e-10")
     require_dense_budget(len(amps), len(amps), "density matrix")
-    return DensityMatrix(matrix=np.outer(amps, amps.conj()), labels=state.labels)
+    return DensityMatrix(kets=amps[None, :], labels=state.labels)
 
 
 def _sublattice_sites(geom: LatticeGeometry, part: str) -> list[int]:
@@ -201,8 +243,9 @@ def _sublattice_sites(geom: LatticeGeometry, part: str) -> list[int]:
     return [k for k in range(geom.n_sites) if geom.sublattice[k] == part]
 
 
-def reduced_density_matrix(psi: np.ndarray, keep_sites) -> np.ndarray:
-    """Reduced density matrix of a pure ket on the kept sites.
+def _split_sites(psi: np.ndarray, keep_sites) -> np.ndarray:
+    """A ket as the matrix whose rows run over the kept sites' basis and
+    whose columns run over the other sites'.
 
     Site k of the ket lives on bit k of the basis index.
     """
@@ -214,7 +257,12 @@ def reduced_density_matrix(psi: np.ndarray, keep_sites) -> np.ndarray:
     # axis j of the reshaped tensor is site n-1-j
     tensor = psi.reshape([2] * n)
     axes = [n - 1 - s for s in keep] + [n - 1 - s for s in rest]
-    block = np.transpose(tensor, axes).reshape(2 ** len(keep), 2 ** len(rest))
+    return np.transpose(tensor, axes).reshape(2 ** len(keep), 2 ** len(rest))
+
+
+def reduced_density_matrix(psi: np.ndarray, keep_sites) -> np.ndarray:
+    """Reduced density matrix of a pure ket on the kept sites."""
+    block = _split_sites(psi, keep_sites)
     return block @ block.conj().T
 
 
@@ -255,10 +303,11 @@ def reduced_entropy(
     if abs(np.linalg.norm(full_ket) - 1.0) > 1e-9:
         raise ValueError("ket must be normalized")
     keep = _sublattice_sites(geom, part)
-    rho = reduced_density_matrix(full_ket, keep)
-    s = entropy_of_density(rho)
+    block = _split_sites(full_ket, keep)
+    s = entropy_of_density(block @ block.conj().T)
     labels = tuple(f"{part}{k}" for k in range(2 ** len(keep)))
-    return DensityMatrix(matrix=rho, labels=labels), s
+    # the reduced matrix is the sum of the projectors on block's columns
+    return DensityMatrix(kets=block.T, weights=np.ones(block.shape[1]), labels=labels), s
 
 
 def _blocks(rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:

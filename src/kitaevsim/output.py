@@ -6,13 +6,16 @@ configuration, and the configuration itself.  CSV floats are written with
 17 significant digits and JSON floats in ``repr`` form, the shortest that
 round-trips, so both files round-trip bit-exactly and diff cleanly.
 
-Both writers stream: no more text is held than one block of rows.
-``write_csv`` takes column blocks, formats each column in one pass, and
-formats a column again only when its bits differ from the previous
-block's, so a time grid shared by many series is formatted once.
-``write_json`` writes each numpy array in blocks of JSON_BLOCK_ROWS rows;
-a block made of few runs of bit-identical rows, such as the mostly-zero
-rows of a density matrix, has each run's row encoded once.
+Both writers stream.  ``write_csv`` takes column blocks and writes each
+block in chunks of CSV_CHUNK_ROWS rows, formatting each column of a
+chunk in one pass.  A column whose bits equal the previous block's is
+written from the text kept for it, so a time grid shared by many series
+is formatted once; otherwise a long block's text is held one chunk at a
+time.  ``write_json`` writes each numpy array, or each
+:class:`LazyRows` whose rows are formed only when asked, in blocks of
+JSON_BLOCK_ROWS rows; a block made of few runs of bit-identical rows,
+such as the mostly-zero rows of a density matrix, has each run's row
+encoded once.
 """
 
 from __future__ import annotations
@@ -31,6 +34,11 @@ from . import __version__
 # first-axis rows of an array that write_json encodes per C-encoder call;
 # an (N, 2) block of floats is about 400 KB of text
 JSON_BLOCK_ROWS = 4096
+
+# rows that write_csv writes at once; a longer block goes out in chunks of
+# this many rows, and its columns are formatted chunk by chunk unless they
+# repeat the previous block's
+CSV_CHUNK_ROWS = 4096
 
 # a block with at most one run of bit-identical consecutive rows per RUN_ROWS
 # rows is written run by run; on (N, 2) floats the two ways to write a block
@@ -98,11 +106,16 @@ def write_csv(path: Path, config: dict, columns: list[str], blocks) -> None:
     that fills every row of its block.  A cell is written as 1/0 for a
     bool, with 17 significant digits for a float (numpy float64
     included), and as ``str()`` otherwise; an array as its ``tolist()``.
-    Each block's rows are written before the next block is drawn.
+    Each block's rows are written before the next block is drawn, in
+    chunks of CSV_CHUNK_ROWS rows.  An array column's text is formatted
+    whole and kept when its block fits one chunk or its bits equal the
+    previous block's, and reused while they stay equal; any other column
+    is formatted one chunk at a time.
     """
     with path.open("w") as fh:
         fh.write("\n".join([*header_block(config), ",".join(columns)]) + "\n")
-        previous: list[tuple[tuple, list[str]] | None] = [None] * len(columns)
+        # per column: the previous block's array bits and its text, if kept
+        previous: list[tuple[tuple, list[str] | None] | None] = [None] * len(columns)
         for block in blocks:
             if len(block) != len(columns):
                 raise ValueError(f"a block has {len(block)} columns, the header {len(columns)}")
@@ -110,32 +123,69 @@ def write_csv(path: Path, config: dict, columns: list[str], blocks) -> None:
             if len(lengths) != 1:
                 raise ValueError(f"a block's columns must share one length, got {sorted(lengths)}")
             (n_rows,) = lengths
-            texts = []
+            texts: list[list[str] | None] = []
             for k, column in enumerate(block):
-                if _is_scalar(column):
-                    texts.append(repeat(_format_cell(column), n_rows))
-                    continue
                 if not isinstance(column, np.ndarray):
-                    texts.append(_format_column(column))
+                    texts.append(None)
                     continue
                 key = (column.tobytes(), column.dtype, column.shape)
-                if previous[k] is None or previous[k][0] != key:
+                seen = previous[k] is not None and previous[k][0] == key
+                text = previous[k][1] if seen else None
+                if text is None and (seen or n_rows <= CSV_CHUNK_ROWS):
                     previous[k] = None  # free the old text before formatting
-                    previous[k] = (key, _format_column(column))
-                texts.append(previous[k][1])
-            if n_rows:
-                fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+                    text = _format_column(column)
+                previous[k] = (key, text)
+                texts.append(text)
+            for start in range(0, n_rows, CSV_CHUNK_ROWS):
+                stop = min(start + CSV_CHUNK_ROWS, n_rows)
+                cells = [
+                    repeat(_format_cell(column), stop - start) if _is_scalar(column)
+                    else _format_column(column[start:stop]) if text is None
+                    else text[start:stop]
+                    for column, text in zip(block, texts)
+                ]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _lift_arrays(node, arrays: list[np.ndarray]):
+class LazyRows:
+    """A read-only 2-D float array whose rows are formed only when sliced.
+
+    ``write_json`` takes one wherever it takes a numpy array, and asks it
+    only for ``len()`` and row slices, each returned as an ndarray.  A
+    subclass sets ``shape`` and forms rows [start, stop) in ``_rows``.
+    """
+
+    dtype = np.dtype(float)
+    ndim = 2
+    shape: tuple[int, int]
+
+    @property
+    def size(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        if not isinstance(rows, slice) or rows.step not in (None, 1):
+            raise TypeError("LazyRows takes row slices of step 1")
+        start, stop, _ = rows.indices(len(self))
+        return self._rows(start, max(start, stop))
+
+    def _rows(self, start: int, stop: int) -> np.ndarray:
+        raise NotImplementedError
+
+
+def _lift_arrays(node, arrays: list):
     """Copy of ``node`` with each nonempty array replaced by a placeholder.
 
-    The arrays are appended to ``arrays``; the k-th one's placeholder is
-    the string NUL + "ndarray:k".  An empty array becomes its (short) list.
+    The arrays (numpy arrays and LazyRows) are appended to ``arrays``; the
+    k-th one's placeholder is the string NUL + "ndarray:k".  An empty
+    array becomes its (short) list.
     """
-    if isinstance(node, np.ndarray):
+    if isinstance(node, (np.ndarray, LazyRows)):
         if node.size == 0:
-            return node.tolist()
+            return node[:].tolist()
         if node.ndim not in (1, 2) or node.dtype.kind not in "biuf":
             raise TypeError(
                 f"write_json takes 1-D or 2-D real arrays, got {node.ndim}-D {node.dtype}"
@@ -176,8 +226,9 @@ def _run_starts(block: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.flatnonzero(changed) + 1))
 
 
-def _write_array(fh: TextIO, arr: np.ndarray, indent: str) -> None:
-    """Write ``arr`` as ``json.dumps(arr.tolist(), indent=2)`` lays it out.
+def _write_array(fh: TextIO, arr, indent: str) -> None:
+    """Write ``arr``, a numpy array or LazyRows, as
+    ``json.dumps(arr.tolist(), indent=2)`` lays it out.
 
     ``indent`` is the indentation of the line the array starts on.  The
     array goes out in blocks of JSON_BLOCK_ROWS rows.  A block with at
@@ -207,9 +258,9 @@ def write_json(path: Path, config: dict, payload: dict) -> None:
     """JSON document whose first key is the reproducibility header.
 
     The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True)``
-    with every numpy array in ``payload`` given as its ``tolist()``.  The
-    arrays are streamed to the file in row blocks, so no list of their
-    entries is ever built.
+    with every numpy array and LazyRows in ``payload`` given as its
+    ``tolist()``.  The arrays are streamed to the file in row blocks, so no
+    list of their entries is ever built.
     """
     doc = {
         "meta": {
@@ -220,7 +271,7 @@ def write_json(path: Path, config: dict, payload: dict) -> None:
         }
     }
     doc.update(payload)
-    arrays: list[np.ndarray] = []
+    arrays: list = []
     pieces = _ARRAY_PLACEHOLDER.split(
         json.dumps(_lift_arrays(doc, arrays), indent=2, sort_keys=True)
     )

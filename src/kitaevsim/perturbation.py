@@ -267,7 +267,10 @@ def coefficient_interpolated(m: complex, drive: DriveSpec, delta_e: float, times
         raise ValueError("time grid must start at 0 and increase strictly")
     if m == 0:
         return np.zeros(len(times), dtype=complex)
-    x = np.union1d(times, drive.breakpoints(0.0, times[-1]))
+    # the sorted grid without repeats, as np.union1d gives it; numpy's unique
+    # imports numpy.ma on its first call
+    x = np.sort(np.concatenate((times, drive.breakpoints(0.0, times[-1]))))
+    x = x[np.concatenate(([True], x[1:] != x[:-1]))]
     b = drive.b_of(x)
     h = np.diff(x)
     theta = delta_e * h

@@ -288,20 +288,19 @@ def check_density_structure() -> CheckResult:
     t = times[17]
     state = assemble_state(coeffs, t, initial)
     rho = density_matrix(state)
+    m = rho.matrix
 
     issues = rho.diagnostics(tol=1e-10)
     hermitian_ok = not issues
 
     phases = [decompose(c) for c in coeffs]
     k = coeffs[0].index_of(t)
-    diag_dev = abs(
-        rho.matrix[1, 1].real - (phases[0].modulus[k] / state.norm_factor) ** 2
-    )
-    diag_dev = max(diag_dev, abs(rho.matrix[0, 0].real - 1.0 / state.norm_factor**2))
+    diag_dev = abs(m[1, 1].real - (phases[0].modulus[k] / state.norm_factor) ** 2)
+    diag_dev = max(diag_dev, abs(m[0, 0].real - 1.0 / state.norm_factor**2))
 
     # off-diagonal argument pattern: (phi_m - phi_n) + (E_n - E_m) t
     expected = phases[0].angle[k] + (state.energies[0] - state.energies[1]) * t
-    arg_dev = abs(np.exp(1j * np.angle(rho.matrix[1, 0])) - np.exp(1j * expected))
+    arg_dev = abs(np.exp(1j * np.angle(m[1, 0])) - np.exp(1j * expected))
 
     # shifting one coefficient's phase by a constant must leave every
     # diagonal entry untouched and rotate its off-diagonal row by the shift
@@ -316,12 +315,10 @@ def check_density_structure() -> CheckResult:
         )
         for c in coeffs
     ]
-    rho_shift = density_matrix(assemble_state(shifted, t, initial))
-    shift_diag_dev = float(
-        np.max(np.abs(np.diag(rho_shift.matrix) - np.diag(rho.matrix)))
-    )
-    rotated = rho.matrix[1, 0] * np.exp(1j * theta)
-    shift_offdiag_dev = abs(rho_shift.matrix[1, 0] - rotated)
+    m_shift = density_matrix(assemble_state(shifted, t, initial)).matrix
+    shift_diag_dev = float(np.max(np.abs(np.diag(m_shift) - np.diag(m))))
+    rotated = m[1, 0] * np.exp(1j * theta)
+    shift_offdiag_dev = abs(m_shift[1, 0] - rotated)
 
     ok = (
         hermitian_ok

@@ -33,6 +33,11 @@ must reproduce bit for bit.
 :func:`gram` and :func:`reduced` take a thermal mixture's K x K member Gram
 matrix and its reduced matrix on kept sites from explicit 2^n member kets,
 the forms :func:`kitaevsim.density.label_mixture` must match from labels.
+
+:func:`dense_mixture` is the whole dense matrix sum_k p_k |psi_k><psi_k|
+summed as ``ThermalEnsemble.density`` once built it, the entries the
+streamed payload of ``ThermalEnsemble.density().to_payload()`` must
+reproduce bit for bit.
 """
 
 import math
@@ -322,9 +327,23 @@ def gram(ensemble) -> DensityMatrix:
     mixture is rho = A A^H; so G has the trace, the purity and the nonzero
     spectrum of ``ensemble.density()`` without its 2**n x 2**n matrix.
     """
-    kets = np.array(ensemble.states)
-    amp = np.sqrt(ensemble.weights)
-    return DensityMatrix(matrix=amp[:, None] * (kets.conj() @ kets.T) * amp[None, :])
+    # a = columns sqrt(p_k) psi_k; G = a^H a sums the projectors on the
+    # conjugated rows of a
+    a = np.array(ensemble.states).T * np.sqrt(ensemble.weights)
+    return DensityMatrix(kets=a.conj(), weights=np.ones(len(a)))
+
+
+def dense_mixture(weights, states) -> np.ndarray:
+    """The dense mixture sum_k p_k |psi_k><psi_k|: a zero matrix to which
+    each member's projector times its weight is added in member order."""
+    dim = len(states[0])
+    rho = np.zeros((dim, dim), dtype=complex)
+    part = np.empty_like(rho)
+    for p, psi in zip(weights, states):
+        np.multiply.outer(psi, psi.conj(), out=part)
+        part *= p
+        rho += part
+    return rho
 
 
 def reduced(ensemble, keep_sites) -> np.ndarray:

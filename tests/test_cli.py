@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,21 @@ class TestExitCodes:
                          "--outdir", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "thermal.json").exists()
+
+    def test_thermal_emit_density_holds_less_than_its_dense_matrix(self, tmp_path):
+        # 2x2 --members all: a 256 x 256 mixture, 1 MiB dense; the first run
+        # leaves the imports and caches in place, the second is traced
+        argv = ["thermal", "--nx", "2", "--ny", "2", "--samples", "17", "--members", "all",
+                "--emit-density", "--outdir", str(tmp_path)]
+        assert cli.main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 256 * 256, f"peak {peak} bytes"
+        assert json.loads((tmp_path / "thermal.json").read_text())["density"]["dim"] == 256
 
     def test_thermal_emit_density_over_memory_budget_exits_3(self, tmp_path):
         # the 2x4 mixture density matrix would take 64 GiB
@@ -397,6 +413,20 @@ class TestDriveFileCoverage:
         assert "configuration error" in proc.stderr
         assert "d must be 1" in proc.stderr and "d = 0.01" in proc.stderr
         assert not (tmp_path / "out").exists()
+
+    def test_phase_with_a_drive_file_does_not_import_numpy_ma(self, tmp_path):
+        # np.union1d's unique imports numpy.ma on its first call
+        script = (
+            "import sys\n"
+            "from kitaevsim import cli\n"
+            f"code = cli.main(['phase', '--drive-file', {str(self._drive_file(tmp_path, 0.0, self.T_MAX))!r},"
+            f" '--d', '1', '--t-max', {repr(self.T_MAX)!r}, '--samples', '9',"
+            f" '--outdir', {str(tmp_path / 'out')!r}])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-2:] == ["0", "False"]
 
     def test_sweep_rejects_drive_file(self, tmp_path):
         # the sweep scans the exponential drive's omega; a custom drive has none

@@ -1,5 +1,9 @@
+import io
+import json
 import math
+import os
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,9 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kitaevsim import density, pauli
+from kitaevsim import output, pauli
 from kitaevsim.density import (
-    DENSITY_BLOCK_BYTES,
     ThermalEnsemble,
     assemble_state,
     density_matrix,
@@ -335,21 +338,32 @@ class TestThermal:
         assert peak < 1 << 20
 
 
+def written_entries(entries) -> str:
+    """The JSON text output.write_json streams for ``entries``."""
+    fh = io.StringIO()
+    output._write_array(fh, entries, "")
+    return fh.getvalue()
+
+
 def test_density_blocks_sum_the_same_products_as_whole_projectors(monkeypatch):
-    # five rows per block over 16 rows: three full blocks and a partial one
+    # blocks of 83 entries over a 16 x 16 matrix: each but the last ends
+    # inside a matrix row
     rng = np.random.default_rng(3)
     kets = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
     kets /= np.linalg.norm(kets, axis=1)[:, None]
     ens = ThermalEnsemble(list(kets), thermal_weights(np.arange(3.0), 0.7))
-    monkeypatch.setattr(density, "DENSITY_BLOCK_BYTES", 5 * 16 * 16)
+    monkeypatch.setattr(output, "JSON_BLOCK_ROWS", 83)
     expected = np.zeros((16, 16), dtype=complex)
     for p, psi in zip(ens.weights, ens.states):
         expected += np.multiply.outer(psi, psi.conj()) * p
-    assert np.array_equal(ens.density().matrix, expected)
+    # repr texts are equal only for bit-identical floats
+    assert written_entries(ens.density().to_payload()["entries"]) == json.dumps(
+        expected.reshape(-1).view(float).reshape(-1, 2).tolist(), indent=2
+    )
 
 
-def test_density_holds_rho_and_one_block():
-    dim = 1024  # a 16 MiB rho, four times the block
+def test_density_payload_writes_in_less_than_the_dense_matrix():
+    dim = 1024  # a 16 MiB matrix
     rng = np.random.default_rng(4)
     kets = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
     kets /= np.linalg.norm(kets, axis=1)[:, None]
@@ -357,12 +371,52 @@ def test_density_holds_rho_and_one_block():
     tracemalloc.start()
     try:
         rho = ens.density()
+        output.write_json(Path(os.devnull), {"nx": 2}, {"density": rho.to_payload()})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < 16 * dim * dim, f"peak {peak} bytes for a {16 * dim * dim}-byte matrix"
     assert abs(rho.trace - 1.0) < 1e-12
-    # a second dim x dim projector buffer would add 16 MiB
-    assert peak < 16 * dim * dim + DENSITY_BLOCK_BYTES + (1 << 20)
+
+
+def signed_zero_kets(rng, k: int, dim: int) -> np.ndarray:
+    """k random complex kets of length dim, about half of whose real and
+    imaginary parts are +0.0 or -0.0."""
+    parts = rng.normal(size=(k, dim, 2))
+    zero = rng.random(size=parts.shape) < 0.5
+    parts[zero] = np.copysign(0.0, rng.normal(size=int(zero.sum())))
+    return parts.view(complex)[..., 0]
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    dim=st.integers(1, 256),
+    seed=st.integers(0, 2**32 - 1),
+    weights=st.none() | st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                                 min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_streamed_entries_are_the_dense_entries_bit_for_bit(dim, seed, weights, data):
+    # weights None draws a pure state; block sizes split matrix rows
+    rng = np.random.default_rng(seed)
+    block = data.draw(st.sampled_from([n for n in (1, 5, dim - 1, dim + 3) if n > 0]))
+    if weights is None:
+        amps = signed_zero_kets(rng, 1, dim)[0]
+        if not amps.any():
+            amps[0] = 1.0
+        amps /= np.linalg.norm(amps)
+        rho = density_matrix(active(amps))
+        dense = np.outer(amps, amps.conj())
+    else:
+        kets = list(signed_zero_kets(rng, len(weights), dim))
+        rho = ThermalEnsemble(kets, np.array(weights)).density()
+        dense = reference.dense_mixture(np.array(weights), kets)
+    entries = rho.to_payload()["entries"]
+    assert len(entries) == dim * dim
+    # repr texts are equal only for bit-identical floats, -0.0 against 0.0 too
+    with mock.patch.object(output, "JSON_BLOCK_ROWS", block):
+        written = written_entries(entries)
+    assert written == json.dumps(dense.reshape(-1).view(float).reshape(-1, 2).tolist(), indent=2)
 
 
 @settings(max_examples=50, deadline=None, database=None)

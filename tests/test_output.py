@@ -11,6 +11,7 @@ import json
 import os
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kitaevsim import output
-from kitaevsim.density import DensityMatrix
+from kitaevsim.density import ActiveState, density_matrix
 from kitaevsim.output import JSON_BLOCK_ROWS, write_csv, write_json
 from reference import write_csv_rows
 
@@ -122,16 +123,20 @@ def test_write_json_rejects_arrays_it_cannot_stream(arr, tmp_path):
 
 
 def test_density_payload_streams_in_bounded_memory():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((1024, 1024)) + 1j * rng.standard_normal((1024, 1024))
+    # evolve's shape: a pure state with few nonzero amplitudes, whose
+    # matrix rows are mostly zero
+    dim = 1024
+    amps = np.zeros(dim, dtype=complex)
+    amps[[0, 7, 300]] = [0.6, 0.64j, -0.48]
+    state = ActiveState(tuple(f"s{k}" for k in range(dim)), np.zeros(dim), amps, 1.0)
     tracemalloc.start()
     try:
-        payload = {"density": DensityMatrix(matrix=m).to_payload()}
+        payload = {"density": density_matrix(state).to_payload()}
         write_json(Path(os.devnull), CONFIG, payload)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < m.nbytes // 2, f"peak {peak} bytes for a {m.nbytes}-byte matrix"
+    assert peak < 16 * dim * dim // 8, f"peak {peak} bytes for a {16 * dim * dim}-byte matrix"
 
 
 def test_a_block_of_runs_encodes_each_run_once(tmp_path, monkeypatch):
@@ -212,12 +217,14 @@ def block_rows(block):
 
 
 @settings(database=None, max_examples=200, deadline=None)
-@given(data=column_blocks())
-def test_write_csv_matches_the_per_cell_writer(data, tmp_path_factory):
+@given(data=column_blocks(), chunk=st.sampled_from([1, 2, 36, output.CSV_CHUNK_ROWS]))
+def test_write_csv_matches_the_per_cell_writer(data, chunk, tmp_path_factory):
+    # chunks of 1, 2 and 36 rows split the 37-row blocks
     kinds, blocks = data
     tmp_path = tmp_path_factory.mktemp("csv")
     columns = [f"{kind}{k}" for k, kind in enumerate(kinds)]
-    write_csv(tmp_path / "cols.csv", CONFIG, columns, iter(blocks))
+    with mock.patch.object(output, "CSV_CHUNK_ROWS", chunk):
+        write_csv(tmp_path / "cols.csv", CONFIG, columns, iter(blocks))
     write_csv_rows(tmp_path / "rows.csv", CONFIG, columns,
                    [row for block in blocks for row in block_rows(block)])
     assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
@@ -268,3 +275,60 @@ def test_write_csv_streams_in_bounded_memory(tmp_path):
     size = path.stat().st_size
     assert len(path.read_text().splitlines()) == n_rows + len(output.header_block(CONFIG)) + 1
     assert peak < size // 2, f"peak {peak} bytes for a {size}-byte file"
+
+
+def test_write_csv_formats_a_long_block_in_chunks(tmp_path):
+    # phase.csv's layout: one block of 200 001 rows, four float columns and
+    # a bool column; the arrays exist before tracing starts
+    n_rows = 200_001
+    rng = np.random.default_rng(5)
+    block = (np.linspace(0.0, 6.0, n_rows), rng.random(n_rows), rng.standard_normal(n_rows),
+             rng.standard_normal(n_rows), rng.random(n_rows) < 0.01)
+    path = tmp_path / "long.csv"
+    tracemalloc.start()
+    try:
+        write_csv(path, CONFIG, ["t", "A", "a", "phi", "singular"], [block])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the columns' bits, kept to spot a repeat in the next block, are 33 B a
+    # row; formatting the block whole held about 560 B a row
+    assert peak < 64 * n_rows, f"peak {peak} bytes, {peak / n_rows:.0f} B a row"
+    write_csv_rows(tmp_path / "rows.csv", CONFIG, ["t", "A", "a", "phi", "singular"],
+                   block_rows(block))
+    assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.fixture
+def formatted(monkeypatch):
+    """The lengths of the columns write_csv formats, in call order."""
+    calls = []
+    format_column = output._format_column
+
+    def spy(column):
+        calls.append(len(column))
+        return format_column(column)
+
+    monkeypatch.setattr(output, "_format_column", spy)
+    return calls
+
+
+def test_write_csv_formats_a_repeated_short_column_once(formatted, tmp_path):
+    # coefficients.csv's layout: one short block per series over one time grid
+    times = np.linspace(0.0, 6.0, 65)
+    write_csv(tmp_path / "series.csv", CONFIG, ["target", "t", "re_c"],
+              ((f"x{k}", times, np.full(65, float(k))) for k in range(576)))
+    # the time grid once, then one value column per series
+    assert formatted == [65] * 577
+
+
+def test_write_csv_keeps_the_text_of_a_repeated_long_column(formatted, tmp_path, monkeypatch):
+    # three 10-row blocks over 4-row chunks: the first block's grid goes out
+    # chunk by chunk, the repeat is formatted whole once and then reused
+    times = np.linspace(0.0, 1.0, 10)
+    monkeypatch.setattr(output, "CSV_CHUNK_ROWS", 4)
+    write_csv(tmp_path / "cols.csv", CONFIG, ["k", "t"], [(f"x{k}", times) for k in range(3)])
+    assert formatted == [4, 4, 2, 10]
+    write_csv_rows(tmp_path / "rows.csv", CONFIG, ["k", "t"],
+                   [(f"x{k}", t) for k in range(3) for t in times.tolist()])
+    assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
