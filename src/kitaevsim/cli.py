@@ -71,10 +71,22 @@ THERMAL_MEMBER_BYTES = 8192
 # its series (phase, 2x2 to 64x64; the other commands less), a series 16 B a
 # sample (evolve, 4x4 to 32x32), a sweep row 580 B (2x2 and 16x16).  Those
 # were taken while write_csv formatted a block whole; in chunks, phase peaks
-# at 152 B a sample and sweep at 240 B a row (2x2), so the counts are generous
+# at 152 B a sample, and sweep, in blocks of SWEEP_BLOCK_ENTRIES, at 85 B a
+# row (2x2, 500 000 rows), so the counts are generous
 SAMPLE_BYTES = 1536
 SERIES_SAMPLE_BYTES = 32
 SWEEP_ROW_BYTES = 1200
+
+# (omega rows x samples) entries the sweep evaluates at once, 16 KB for each
+# float temporary of the closed form and its decomposition.  Blocks of 32 768
+# took 4.2-4.4 s on 500 000 omegas against 5.0-5.4 s, but label_torus's
+# 101 x 65 grid in one block left its process's peak RSS 0.14 MB higher
+SWEEP_BLOCK_ENTRIES = 1 << 11
+
+# smallest scan_tol the correlate exact scan is known to meet: 2e-15 ends
+# in 14 s on 2x2 and 83 s on 2x3 (2-core machine), while 1e-15 on 2x2 runs
+# past 150 s, its step estimate held up by rounding at 3e-16 to 1e-14
+SCAN_TOL_FLOOR = 2e-15
 
 
 class ConfigError(ValueError):
@@ -117,8 +129,11 @@ class RunConfig:
             raise ConfigError(f"t_max must be positive and finite, got {self.t_max}")
         if self.samples < 2:
             raise ConfigError("need at least 2 time samples")
-        if not self.scan_tol > 0:  # a NaN tolerance is never met
-            raise ConfigError("scan_tol must be positive")
+        if not self.scan_tol >= SCAN_TOL_FLOOR:  # a NaN tolerance is never met
+            raise ConfigError(
+                f"scan_tol must be at least {SCAN_TOL_FLOOR:g}, got {self.scan_tol}: the exact "
+                f"scan's error estimate stops falling near 1e-15, so a smaller one is never met"
+            )
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         if not self.kt >= 0:  # also rejects NaN; inf means uniform weights
@@ -406,6 +421,28 @@ def cmd_phase(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _sweep_rows(times, omega0: float, m: complex, omegas) -> tuple[np.ndarray, np.ndarray]:
+    """|c(t_max)|^2 and the predicted resonance omega0 - phi(t_max)/t_max
+    of the closed-form series m * c(omega0 - omega, t) at each omega.
+
+    The (omega rows x samples) closed form and its decomposition go in
+    blocks of SWEEP_BLOCK_ENTRIES entries; each element goes through the
+    operations the series of one omega would.  A predicted resonance is
+    NaN where the last sample is singular.
+    """
+    k = len(times) - 1
+    weight, predicted = np.empty(len(omegas)), np.empty(len(omegas))
+    step = max(1, SWEEP_BLOCK_ENTRIES // len(times))
+    for start in range(0, len(omegas), step):
+        deltas = omega0 - omegas[start:start + step]
+        ph = decompose_values(times, m * coefficient_closed_form(1, 1.0, deltas[:, None], times))
+        stop = start + len(deltas)
+        # a float's ** 2 is C pow, which numpy's square (x * x) can miss by an ulp
+        weight[start:stop] = [w ** 2 for w in ph.modulus[:, k].tolist()]
+        predicted[start:stop] = np.where(ph.singular[:, k], math.nan, omega0 - ph.angle[:, k] / times[k])
+    return weight, predicted
+
+
 def cmd_sweep(cfg: RunConfig, args) -> int:
     if cfg.drive_file:
         raise ConfigError(
@@ -425,30 +462,23 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     omega0 = coeffs[0].omega0
     # the series' own element; only the detuning omega0 - omega changes
     m = drive_element(geom, initial, cfg.plaquette, cfg.d)
-    k = len(times) - 1
-    rows = []
-    for omega in np.linspace(args.omega_min, args.omega_max, args.omega_steps):
-        values = m * np.asarray(
-            coefficient_closed_form(1, 1.0, omega0 - omega, times), dtype=complex
-        )
-        ph = decompose_values(times, values)
-        weight = float(np.abs(values[k]) ** 2)
-        if ph.singular[k]:
-            predicted = float("nan")
-        else:
-            predicted = omega0 - float(ph.angle[k]) / float(times[k])
-        rows.append((float(omega), weight, predicted))
-    rows.sort(key=lambda r: r[0])  # a descending range is written ascending
+    omegas = np.linspace(args.omega_min, args.omega_max, args.omega_steps)
+    order = np.argsort(omegas, kind="stable")  # a descending range is written ascending
+    rows = tuple(column[order] for column in (omegas, *_sweep_rows(times, omega0, m, omegas)))
     outdir = _outdir(cfg)
     out = outdir / "sweep.csv"
     write_csv(
         out, {**cfg.as_dict(), "omega_min": args.omega_min,
               "omega_max": args.omega_max, "omega_steps": args.omega_steps},
-        ["omega", "weight_at_t_max", "predicted_resonance"], [_columns(rows, 3)],
+        ["omega", "weight_at_t_max", "predicted_resonance"], [rows],
     )
     _maybe_plot(args, out)
 
-    peak = max(rows, key=lambda r: r[1])
+    # the first row of the greatest weight, as max() over the rows picks
+    # it: a NaN weight is passed over unless it comes first
+    weight = rows[1]
+    at = 0 if math.isnan(weight[0]) else int(np.argmax(np.where(np.isnan(weight), -math.inf, weight)))
+    peak = [float(column[at]) for column in rows]
     summary = {
         "omega0": omega0,
         "omega_peak": peak[0],

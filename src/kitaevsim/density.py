@@ -56,12 +56,13 @@ DENSE_DENSITY_BUDGET_BYTES = 1 << 30
 
 
 def require_dense_budget(rows: int, cols: int, what: str) -> None:
-    """Raise RuntimeError if a dense complex rows x cols matrix is over budget."""
+    """Raise RuntimeError if the entries of a complex rows x cols matrix
+    take more bytes in binary (16 each) than the budget."""
     nbytes = 16 * rows * cols
     if nbytes > DENSE_DENSITY_BUDGET_BYTES:
         raise RuntimeError(
-            f"the dense {rows}x{cols} {what} needs {nbytes} bytes, over the "
-            f"budget of {DENSE_DENSITY_BUDGET_BYTES} bytes"
+            f"the {rows}x{cols} {what}'s entries take {nbytes} bytes in binary, "
+            f"over the budget of {DENSE_DENSITY_BUDGET_BYTES} bytes"
         )
 
 

@@ -375,8 +375,9 @@ def evolve_fixed_substeps(
         raise ValueError("need at least one substep per interval")
     times = np.asarray(times, dtype=float)
     f = _Generator(geom, params, drive) if rhs is None else rhs
+    # step never writes its input, so the first kept ket is this one copy
     psi = psi0.astype(complex, copy=True)
-    kets = [psi.copy()]
+    kets = [psi]
     for k in range(len(times) - 1):
         h = (times[k + 1] - times[k]) / substeps
         for i in range(substeps):

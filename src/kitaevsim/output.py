@@ -6,16 +6,21 @@ configuration, and the configuration itself.  CSV floats are written with
 17 significant digits and JSON floats in ``repr`` form, the shortest that
 round-trips, so both files round-trip bit-exactly and diff cleanly.
 
-Both writers stream.  ``write_csv`` takes column blocks and writes each
-block in chunks of CSV_CHUNK_ROWS rows, formatting each column of a
-chunk in one pass.  A column whose bits equal the previous block's is
-written from the text kept for it, so a time grid shared by many series
-is formatted once; otherwise a long block's text is held one chunk at a
-time.  ``write_json`` writes each numpy array, or each
-:class:`LazyRows` whose rows are formed only when asked, in blocks of
-JSON_BLOCK_ROWS rows; a block made of few runs of bit-identical rows,
-such as the mostly-zero rows of a density matrix, has each run's row
-encoded once.
+Both writers stream, and neither holds a whole file's text.
+``write_csv`` takes column blocks and writes each block in chunks of
+CSV_CHUNK_ROWS rows, formatting each column of a chunk in one pass.  A
+column whose bits equal the previous block's is written from the text
+kept for it, so a time grid shared by many series is formatted once;
+otherwise a long block's text is held one chunk at a time.  A short
+block whose array columns all repeat the bits of the last short block,
+such as a zero series after another, is written from that block's row
+text in one join around its own scalar cells.  ``write_json`` writes
+each numpy array, or each :class:`LazyRows` whose rows are formed only
+when asked, in blocks of JSON_BLOCK_ROWS rows.  Runs of bit-identical
+rows are found by comparing 8-byte words; a block made of few runs,
+such as the mostly-zero rows of a density matrix, is written one string
+per run from row texts kept in a bounded memo keyed by the row's bits,
+so each distinct row is encoded once per array.
 """
 
 from __future__ import annotations
@@ -41,9 +46,14 @@ JSON_BLOCK_ROWS = 4096
 CSV_CHUNK_ROWS = 4096
 
 # a block with at most one run of bit-identical consecutive rows per RUN_ROWS
-# rows is written run by run; on (N, 2) floats the two ways to write a block
-# cost the same at about 3.5 rows per run
+# rows is written run by run; on (N, 2) floats whose runs are all distinct
+# the two ways to write a block cost the same at about 3 rows per run, and
+# runs of rows already in the memo cost a tenth of encoding the block whole
 RUN_ROWS = 4
+
+# row texts write_json keeps per array, keyed by the row's bits: a density
+# matrix's rows repeat a handful of distinct entries in many runs
+MEMO_ROWS = 256
 
 # JSON text of the string write_json puts in place of the k-th array
 _ARRAY_PLACEHOLDER = re.compile(r'"\\u0000ndarray:(\d+)"')
@@ -94,8 +104,13 @@ def _format_column(column) -> list[str]:
     return [_format_cell(cell) for cell in column]
 
 
-def _is_scalar(column) -> bool:
-    return isinstance(column, (str, int, float, np.generic))
+# a column of one of these types is a scalar that fills its block
+_SCALARS = (str, int, float, np.generic)
+
+
+def _bits(column: np.ndarray) -> tuple:
+    """A key two arrays share only when their cells are equal bit for bit."""
+    return column.tobytes(), column.dtype, column.shape
 
 
 def write_csv(path: Path, config: dict, columns: list[str], blocks) -> None:
@@ -110,39 +125,65 @@ def write_csv(path: Path, config: dict, columns: list[str], blocks) -> None:
     chunks of CSV_CHUNK_ROWS rows.  An array column's text is formatted
     whole and kept when its block fits one chunk or its bits equal the
     previous block's, and reused while they stay equal; any other column
-    is formatted one chunk at a time.
+    is formatted one chunk at a time.  A block of number arrays and
+    scalars that fits one chunk keeps its rows' text, split at the scalar
+    cells; a next block whose arrays repeat those bits is written from
+    that text in one join around its own scalar cells.
     """
     with path.open("w") as fh:
         fh.write("\n".join([*header_block(config), ",".join(columns)]) + "\n")
         # per column: the previous block's array bits and its text, if kept
         previous: list[tuple[tuple, list[str] | None] | None] = [None] * len(columns)
+        # the last whole block's keys and its rows' text split at the scalar cells
+        kept: tuple[list, list[str]] | None = None
         for block in blocks:
             if len(block) != len(columns):
                 raise ValueError(f"a block has {len(block)} columns, the header {len(columns)}")
-            lengths = {len(column) for column in block if not _is_scalar(column)}
+            scalar = [isinstance(column, _SCALARS) for column in block]
+            lengths = {len(column) for column, s in zip(block, scalar) if not s}
             if len(lengths) != 1:
                 raise ValueError(f"a block's columns must share one length, got {sorted(lengths)}")
             (n_rows,) = lengths
-            texts: list[list[str] | None] = []
-            for k, column in enumerate(block):
-                if not isinstance(column, np.ndarray):
-                    texts.append(None)
-                    continue
-                key = (column.tobytes(), column.dtype, column.shape)
-                seen = previous[k] is not None and previous[k][0] == key
-                text = previous[k][1] if seen else None
-                if text is None and (seen or n_rows <= CSV_CHUNK_ROWS):
-                    previous[k] = None  # free the old text before formatting
-                    text = _format_column(column)
-                previous[k] = (key, text)
-                texts.append(text)
+            # a short block of number arrays (whose text holds no NUL) and scalars
+            whole = 0 < n_rows <= CSV_CHUNK_ROWS and all(
+                s or (isinstance(column, np.ndarray) and column.dtype.kind in "biuf")
+                for column, s in zip(block, scalar))
+            keys = [None if s else _bits(column) for column, s in zip(block, scalar)] if whole else None
+            if whole and kept is not None and kept[0] == keys:
+                parts = kept[1]
+            else:
+                texts: list[list[str] | None] = []
+                for k, column in enumerate(block):
+                    if not isinstance(column, np.ndarray):
+                        texts.append(None)
+                        continue
+                    # a long block's bits are taken one column at a time
+                    key = keys[k] if whole else _bits(column)
+                    seen = previous[k] is not None and previous[k][0] == key
+                    text = previous[k][1] if seen else None
+                    if text is None and (seen or n_rows <= CSV_CHUNK_ROWS):
+                        previous[k] = None  # free the old text before formatting
+                        text = _format_column(column)
+                    previous[k] = (key, text)
+                    texts.append(text)
+                if whole:
+                    # NUL marks the scalar cells
+                    cells = [repeat("\0", n_rows) if s else text for s, text in zip(scalar, texts)]
+                    parts = ("\n".join(map(",".join, zip(*cells))) + "\n").split("\0")
+                    kept = (keys, parts)
+            if whole:
+                pieces = [None] * (2 * len(parts) - 1)
+                pieces[::2] = parts
+                pieces[1::2] = [_format_cell(c) for c, s in zip(block, scalar) if s] * n_rows
+                fh.write("".join(pieces))
+                continue
             for start in range(0, n_rows, CSV_CHUNK_ROWS):
                 stop = min(start + CSV_CHUNK_ROWS, n_rows)
                 cells = [
-                    repeat(_format_cell(column), stop - start) if _is_scalar(column)
+                    repeat(_format_cell(column), stop - start) if s
                     else _format_column(column[start:stop]) if text is None
                     else text[start:stop]
-                    for column, text in zip(block, texts)
+                    for column, s, text in zip(block, scalar, texts)
                 ]
                 fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
@@ -219,10 +260,19 @@ def _encode(rows: np.ndarray, inner: str) -> str:
     )
 
 
-def _run_starts(block: np.ndarray) -> np.ndarray:
-    """Indices where a run of bit-identical consecutive rows starts."""
+def _row_words(block: np.ndarray) -> np.ndarray:
+    """The rows of ``block`` as unsigned words: 8-byte words where the row
+    size is a multiple of 8, else bytes.  Equal words mean equal bits."""
     raw = np.ascontiguousarray(block).view(np.uint8).reshape(len(block), -1)
-    changed = np.any(raw[1:] != raw[:-1], axis=1)
+    return raw.view(np.uint64) if raw.shape[1] % 8 == 0 else raw
+
+
+def _run_starts(words: np.ndarray) -> np.ndarray:
+    """Indices where a run of bit-identical consecutive rows starts."""
+    # column by column: np.any along a short row axis is several times slower
+    changed = words[1:, 0] != words[:-1, 0]
+    for k in range(1, words.shape[1]):
+        changed |= words[1:, k] != words[:-1, k]
     return np.concatenate(([0], np.flatnonzero(changed) + 1))
 
 
@@ -233,24 +283,36 @@ def _write_array(fh: TextIO, arr, indent: str) -> None:
     ``indent`` is the indentation of the line the array starts on.  The
     array goes out in blocks of JSON_BLOCK_ROWS rows.  A block with at
     most one run of bit-identical rows per RUN_ROWS rows is written run
-    by run, each run's row encoded once and its text repeated; any other
-    block is encoded whole.
+    by run, one string per run: its row's text repeated.  A row's text is
+    kept in a memo of up to MEMO_ROWS texts keyed by its bits, so a row
+    that recurs anywhere in the array is encoded once.  Any other block
+    is encoded whole.  (Joining a block's runs into one string first was
+    no faster and held the block's text twice.)
     """
     inner = indent + "  "
     sep = ",\n" + inner
-    fh.write("[\n" + inner)
+    memo: dict[bytes, str] = {}
+    fh.write("[")
     for start in range(0, len(arr), JSON_BLOCK_ROWS):
         block = arr[start:start + JSON_BLOCK_ROWS]
-        if start:
-            fh.write(sep)
-        starts = _run_starts(block)
+        words = _row_words(block)
+        starts = _run_starts(words)
+        # every row is preceded by sep but the array's first, by "\n" + inner
         if len(starts) * RUN_ROWS > len(block):
+            fh.write(sep if start else sep[1:])
             fh.write(_encode(block, inner))
             continue
-        for first, end in zip(starts, [*starts[1:], len(block)]):
-            if first:
-                fh.write(sep)
-            fh.write(sep.join([_encode(block[first:first + 1], inner)] * int(end - first)))
+        for first, end in zip(starts.tolist(), [*starts[1:].tolist(), len(block)]):
+            key = words[first].tobytes()
+            text = memo.get(key)
+            if text is None:
+                if len(memo) == MEMO_ROWS:
+                    memo.clear()
+                text = memo[key] = sep + _encode(block[first:first + 1], inner)
+            if not start and not first:
+                fh.write(text[1:])
+                first += 1
+            fh.write(text * (end - first))
     fh.write("\n" + indent + "]")
 
 

@@ -155,29 +155,28 @@ class CoefficientSeries:
         return k
 
 
-def coefficient_closed_form(m_sign: int, d: float, delta: float, t):
+def coefficient_closed_form(m_sign: int, d: float, delta, t):
     """Closed-form coefficient for the exponential drive.
 
     Returns m_sign * (a + i b) with a, b as in the module docstring;
-    accepts scalar or array t >= 0.  The Taylor branch handles
-    |delta * t| < 1e-4 including delta = 0 exactly.
+    accepts scalar or array t >= 0, and a scalar delta or an array of
+    them that broadcasts against t (the result then has the broadcast
+    shape).  The Taylor branch handles |delta * t| < 1e-4 including
+    delta = 0 exactly.
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("time must be >= 0")
     # an overflowing t gives inf or NaN values, which the callers reject
     # (exit 3) with a message of their own instead of numpy's warnings
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = delta * t_arr
         series = np.abs(x) < RESONANCE_SERIES_THRESHOLD
 
-        if delta != 0.0:
-            # stable main branch: 1 - cos(x) = 2 sin(x/2)^2
-            a = np.where(series, 0.0, d * (2.0 * np.sin(x / 2.0) ** 2) / delta)
-            b = np.where(series, 0.0, -d * np.sin(x) / delta)
-        else:
-            a = np.zeros_like(t_arr)
-            b = np.zeros_like(t_arr)
+        # stable main branch: 1 - cos(x) = 2 sin(x/2)^2; zero where delta is
+        unused = series | (delta == 0.0)
+        a = np.where(unused, 0.0, d * (2.0 * np.sin(x / 2.0) ** 2) / delta)
+        b = np.where(unused, 0.0, -d * np.sin(x) / delta)
 
         if np.any(series):
             ts = np.where(series, t_arr, 0.0)
@@ -185,7 +184,7 @@ def coefficient_closed_form(m_sign: int, d: float, delta: float, t):
             a = np.where(series, d * (delta * ts * ts / 2.0) * (1.0 - xs * xs / 12.0), a)
             b = np.where(series, -d * ts * (1.0 - xs * xs / 6.0), b)
         out = np.asarray((a + 1j * b) * m_sign)
-    return complex(out) if t_arr.ndim == 0 else out
+    return complex(out) if out.ndim == 0 else out
 
 
 # built on first use: the first eigh call costs every importer about 1 MB

@@ -38,43 +38,89 @@ class SubGeometricPhase:
     singular: np.ndarray      # bool flags where A <= 1e-12 * max A
 
 
-def decompose_values(times, values) -> SubGeometricPhase:
-    """Decompose raw complex samples; see :func:`decompose`."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=complex)
-    if len(times) != len(values):
-        raise ValueError("times and values length mismatch")
-
-    modulus = np.abs(values)
-    peak = float(modulus.max()) if len(modulus) else 0.0
-    # relative to the peak; an all-zero series is singular throughout
-    singular = modulus <= (1e-12 * peak if peak > 0 else math.inf)
-    log_modulus = np.full(len(values), -math.inf)
-    np.log(modulus, out=log_modulus, where=~singular)
-
-    # one np.angle pass; the loop then runs on Python floats
-    angle = np.angle(values).tolist()
+def _unwrap_row(raw: list[float], singular: list[bool]) -> list[float]:
+    """Minimal-jump continuation of one row of raw arguments, sample by
+    sample; see :func:`_unwrap`."""
+    angle = list(raw)
     # index and angle of the previous non-singular sample; a non-singular
     # first sample continues from 0.0, which keeps its raw argument in
     # [-pi, pi] but turns a -0.0 into 0.0
     prev, last = -1, 0.0
-    for k, skip in enumerate(singular.tolist()):
+    for k, skip in enumerate(singular):
         if skip:
             angle[k] = 0.0
             continue
         if prev == k - 1:
             # minimal-jump continuation
-            raw = angle[k]
-            angle[k] = raw + TWO_PI * round((last - raw) / TWO_PI)
+            angle[k] = raw[k] + TWO_PI * round((last - raw[k]) / TWO_PI)
         # else the first sample of an arc: the branch restarts at the raw argument
         prev, last = k, angle[k]
+    return angle
+
+
+def _unwrap(raw: np.ndarray, singular: np.ndarray) -> np.ndarray:
+    """Unwrapped arguments of (rows, samples) raw arguments in [-pi, pi].
+
+    Each row is :func:`_unwrap_row`: a non-singular sample whose
+    predecessor is non-singular (or which is the first, continuing from
+    0.0) takes ``raw + TWO_PI * round((last - raw) / TWO_PI)`` with
+    ``last`` the angle before it; any other non-singular sample keeps its
+    raw argument, and a singular one holds 0.0.  The whole array is done
+    in one pass: each sample's whole turns are taken against the previous
+    raw argument and summed along its arc, and the angles they give are
+    then checked against the sample-by-sample rule.  A row that fails the
+    check, by a jump within rounding of half a turn or by a non-finite
+    argument, is redone by :func:`_unwrap_row`, which also raises where
+    ``round`` does.  So every angle is bit for bit that of the loop.
+    """
+    rows, n = raw.shape
+    ok = ~singular
+    # samples that continue the branch of the sample before them
+    cont = ok.copy()
+    cont[:, 1:] &= ok[:, :-1]
+    before = np.zeros_like(raw)  # the first sample continues from 0.0
+    before[:, 1:] = raw[:, :-1]
+    with np.errstate(invalid="ignore"):
+        turns = np.cumsum(np.where(cont, np.rint((before - raw) / TWO_PI), 0.0), axis=1)
+        # less the sum up to the arc's first sample; + 0.0 turns -0.0 into 0.0
+        arc = np.maximum.accumulate(np.where(cont, 0, np.arange(1, n + 1)), axis=1)
+        turns -= np.take_along_axis(np.hstack([np.zeros((rows, 1)), turns]), arc, axis=1)
+        turns += 0.0
+        angle = np.where(cont, raw + TWO_PI * turns, raw)
+        angle[singular] = 0.0
+        before[:, 1:] = angle[:, :-1]
+        wrong = cont & (np.rint((before - raw) / TWO_PI) != turns)
+    for r in np.flatnonzero(wrong.any(axis=1)).tolist():
+        angle[r] = _unwrap_row(raw[r].tolist(), singular[r].tolist())
+    return angle
+
+
+def decompose_values(times, values) -> SubGeometricPhase:
+    """Decompose raw complex samples; see :func:`decompose`.
+
+    ``values`` is one series over ``times`` or a (rows, samples) array of
+    series over the same times, each row decomposed on its own.
+    """
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=complex)
+    if values.ndim not in (1, 2) or values.shape[-1] != len(times):
+        raise ValueError("times and values length mismatch")
+    rows = np.atleast_2d(values)
+
+    modulus = np.abs(rows)
+    # relative to each row's peak; an all-zero row is singular throughout
+    peak = modulus.max(axis=1, initial=0.0, keepdims=True)
+    singular = modulus <= np.where(peak > 0, 1e-12 * peak, math.inf)
+    log_modulus = np.full(rows.shape, -math.inf)
+    np.log(modulus, out=log_modulus, where=~singular)
+    angle = _unwrap(np.angle(rows), singular)
 
     return SubGeometricPhase(
         times=times,
-        modulus=modulus,
-        log_modulus=log_modulus,
-        angle=np.array(angle, dtype=float),
-        singular=singular,
+        modulus=modulus.reshape(values.shape),
+        log_modulus=log_modulus.reshape(values.shape),
+        angle=angle.reshape(values.shape),
+        singular=singular.reshape(values.shape),
     )
 
 

@@ -22,7 +22,9 @@ Hilbert cap, :func:`hilbert_energy` and :func:`hilbert_element` take the
 same energies and drive elements as expectations on explicit 2^n kets.
 
 :func:`loop_unwrap` is the per-sample argument unwrapping that
-:func:`kitaevsim.phase.decompose_values` must reproduce bit for bit.
+:func:`kitaevsim.phase.decompose_values` must reproduce bit for bit, and
+:func:`loop_sweep_rows` the per-omega loop whose rows ``sweep`` must
+write bit for bit from its (omega x samples) arrays.
 
 :func:`grouped_apply` is the oracle generator's former kernel, one real
 coefficient row per distinct flip mask built from :func:`string_term`'s
@@ -51,6 +53,7 @@ from kitaevsim.lattice import COMPONENTS, PLAQUETTE_PATTERN
 from kitaevsim.manifold import build_product_ket, excite, flip_signature
 from kitaevsim.output import header_block
 from kitaevsim.pauli import PAULI, n_sites_of, pauli_eigenvector, string_term
+from kitaevsim.perturbation import coefficient_closed_form
 
 
 def write_csv_rows(path: Path, config: dict, columns: list[str], rows) -> None:
@@ -318,6 +321,27 @@ def loop_unwrap(values, singular) -> np.ndarray:
             angle[k] = raw
         prev = k
     return angle
+
+
+def loop_sweep_rows(times, omega0: float, m: complex, omegas) -> list[tuple]:
+    """(omega, |c(t_max)|^2, omega0 - phi(t_max)/t_max) per omega, one
+    closed-form series at a time, sorted by omega; phi is NaN where the
+    last sample is singular."""
+    k = len(times) - 1
+    rows = []
+    for omega in omegas:
+        values = m * np.asarray(coefficient_closed_form(1, 1.0, omega0 - omega, times), dtype=complex)
+        modulus = np.abs(values)
+        peak = float(modulus.max())
+        singular = modulus <= (1e-12 * peak if peak > 0 else math.inf)
+        weight = float(np.abs(values[k]) ** 2)
+        if singular[k]:
+            predicted = float("nan")
+        else:
+            predicted = omega0 - float(loop_unwrap(values, singular)[k]) / float(times[k])
+        rows.append((float(omega), weight, predicted))
+    rows.sort(key=lambda r: r[0])
+    return rows
 
 
 def gram(ensemble) -> DensityMatrix:

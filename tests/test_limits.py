@@ -106,7 +106,9 @@ class TestEvolveDensityBudget:
         monkeypatch.setattr(density, "DENSE_DENSITY_BUDGET_BYTES", 1599)
         code = cli.main([*self.ARGV, "--outdir", str(tmp_path / "out")])
         assert code == 3
-        assert "1600 bytes" in capsys.readouterr().err
+        # no dense matrix is held: the count is the entries' binary size
+        assert "10x10 active-basis density matrix's entries take 1600 bytes in binary" in (
+            capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_at_budget_runs(self, tmp_path, monkeypatch):
@@ -222,3 +224,23 @@ class TestSampleBudget:
         assert cli.main(["phase", "--samples", "100000000", "--outdir", str(out)]) == 3
         assert f"need about {100000000 * cli.SAMPLE_BYTES} bytes" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestScanTolFloor:
+    """A scan_tol the exact scan cannot meet exits 2 before any work:
+    below the floor, rounding holds its error estimate up and the scan
+    would run until killed."""
+
+    @pytest.mark.parametrize("tol", ["1e-300", "1e-16"])
+    def test_below_the_floor_exits_2_before_any_file(self, tol, tmp_path, monkeypatch, capsys):
+        forbid(monkeypatch, "build_lattice")
+        out = tmp_path / "out"
+        assert cli.main(["correlate", "--scan-tol", tol, "--outdir", str(out)]) == 2
+        assert f"scan_tol must be at least {cli.SCAN_TOL_FLOOR:g}, got {float(tol)}" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_the_floor_itself_is_accepted(self):
+        cli.RunConfig(scan_tol=cli.SCAN_TOL_FLOOR).validate()
+        with pytest.raises(cli.ConfigError, match="scan_tol"):
+            cli.RunConfig(scan_tol=cli.SCAN_TOL_FLOOR / 2).validate()

@@ -157,6 +157,35 @@ def test_a_block_of_runs_encodes_each_run_once(tmp_path, monkeypatch):
     assert (tmp_path / "runs.json").read_bytes() == reference_bytes(tmp_path, {"arr": arr})
 
 
+def test_a_row_recurring_across_blocks_is_encoded_once_per_array(tmp_path, monkeypatch):
+    """A density matrix's layout in blocks of 16 rows: runs of four
+    distinct rows, -0.0 against 0.0 among them, recur in block after
+    block and straddle block boundaries."""
+    monkeypatch.setattr(output, "JSON_BLOCK_ROWS", 16)
+    rows = np.array([[0.0, 0.0], [0.5, -0.0], [0.0, -0.0], [1e-300, float("nan")]])
+    rng = np.random.default_rng(3)
+    # runs of at least 5 rows keep every block at most one run per RUN_ROWS rows
+    arr = np.repeat(rows[rng.integers(0, 4, 60)], rng.integers(5, 40, 60), axis=0)
+    assert len(arr) > 40 * output.JSON_BLOCK_ROWS
+    encoded = []
+
+    def spy(block, inner):
+        encoded.append(block.tobytes())
+        return encode(block, inner)
+
+    encode = output._encode
+    monkeypatch.setattr(output, "_encode", spy)
+    payload = {"a": arr, "b": {"c": arr[::-1].copy()}}
+    write_json(tmp_path / "runs.json", CONFIG, payload)
+    distinct = sorted({row.tobytes() for row in arr})
+    assert sorted(encoded) == sorted(distinct * 2)
+    assert (tmp_path / "runs.json").read_bytes() == reference_bytes(tmp_path, payload)
+    # a memo too small for the four rows encodes some again, to the same bytes
+    monkeypatch.setattr(output, "MEMO_ROWS", 2)
+    write_json(tmp_path / "small.json", CONFIG, payload)
+    assert (tmp_path / "small.json").read_bytes() == (tmp_path / "runs.json").read_bytes()
+
+
 # ---------------------------------------------------------------- write_csv
 
 CELLS = {
@@ -320,6 +349,18 @@ def test_write_csv_formats_a_repeated_short_column_once(formatted, tmp_path):
               ((f"x{k}", times, np.full(65, float(k))) for k in range(576)))
     # the time grid once, then one value column per series
     assert formatted == [65] * 577
+
+
+def test_write_csv_reuses_a_block_around_scalars_in_any_column(formatted, tmp_path):
+    # a scalar between array columns and one after them, a NUL in a label:
+    # the arrays repeat, so only the first block formats them
+    times, zeros = np.linspace(0.0, 1.0, 5), np.zeros(5)
+    blocks = [(times, f"s\0{k}", zeros, k % 2 == 0) for k in range(6)]
+    write_csv(tmp_path / "cols.csv", CONFIG, ["t", "label", "x", "even"], blocks)
+    assert formatted == [5, 5]
+    write_csv_rows(tmp_path / "rows.csv", CONFIG, ["t", "label", "x", "even"],
+                   [row for block in blocks for row in block_rows(block)])
+    assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_write_csv_keeps_the_text_of_a_repeated_long_column(formatted, tmp_path, monkeypatch):

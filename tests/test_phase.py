@@ -101,6 +101,24 @@ class TestDecompose:
             assert ph.angle.dtype == np.float64
 
 
+    def test_rows_match_the_per_sample_loop_at_half_turns(self):
+        """Rows are decomposed each on its own.  Jumps of half a turn, give
+        or take an ulp, on phases wound far from zero are where the array
+        pass's summed turns can miss the loop's rounding; those rows must
+        still come out bit for bit."""
+        rng = np.random.default_rng(11)
+        steps = rng.choice([math.pi, -math.pi, math.nextafter(math.pi, 4.0),
+                            math.nextafter(math.pi, 3.0), 2.5], size=(200, 30))
+        phi = np.cumsum(steps, axis=1) + rng.uniform(-1e3, 1e3, size=(200, 1))
+        values = rng.choice([1.0, 1.0, 1.0, 0.0], size=phi.shape) * np.exp(1j * phi)
+        ph = decompose_values(np.arange(30.0), values)
+        for row, angle, singular in zip(values, ph.angle, ph.singular):
+            one = decompose_values(np.arange(30.0), row)
+            assert np.array_equal(one.singular, singular)
+            assert [a.hex() for a in angle.tolist()] == [
+                a.hex() for a in loop_unwrap(row, singular).tolist()]
+            assert [a.hex() for a in angle.tolist()] == [a.hex() for a in one.angle.tolist()]
+
 class TestStabilityIntervals:
     def test_growth_decay_arcs_delta_one(self):
         t = np.linspace(0.0, 4.0 * np.pi, 801)
