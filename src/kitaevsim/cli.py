@@ -27,13 +27,15 @@ from . import __version__
 from .correlation import correlation_exact_scan, correlation_formula, selection_rule_report
 from .density import (
     DENSE_DENSITY_BUDGET_BYTES,
+    ActiveState,
     DensityMatrix,
     ThermalEnsemble,
     assemble_state,
     density_matrix,
     embed_active_state,
     initial_label,
-    label_mixture,
+    keyed_mixture,
+    phased_amplitudes,
     require_dense_budget,
     sublattice_entropy,
     thermal_weights,
@@ -49,7 +51,13 @@ from .manifold import (
 )
 from .output import write_csv, write_json, write_plot_script
 from .pauli import HILBERT_CAP_SITES, require_hilbert
-from .perturbation import DriveSpec, coefficient_closed_form, connected_targets, evolve_coefficients
+from .perturbation import (
+    DriveSpec,
+    coefficient_closed_form,
+    connected_targets,
+    evolve_coefficients,
+    first_order,
+)
 from .phase import decompose, decompose_values, effective_level, shifted_transition_frequency, stability_intervals
 from .validation import oracle_error_report, run_acceptance
 
@@ -62,9 +70,11 @@ EXIT_COMPUTE = 3
 # 5 s and 264 MB, and each further plaquette doubles both
 MANIFOLD_MAX_PLAQUETTES = 20
 
-# thermal's member loop and label mixture peak at 3.6-4.2 KB a member by
-# tracemalloc (20x20 to 60x60 weight01, 2x6 and 3x4 --members all); twice
-# that leaves room for the allocator and the longer labels of larger tori
+# thermal's one pass over its members, the keyed mixture and the writes peak
+# at 4.2-4.8 KB a member by tracemalloc (20x20, 40x40 and 60x60 weight01,
+# 2x6 and 3x4 --members all; 4.0-4.4 KB when each member was evolved on its
+# own).  Twice that leaves room for the allocator; a member's label and bits
+# grow with the torus, to about 9 KB a member at 128x128
 THERMAL_MEMBER_BYTES = 8192
 
 # tracemalloc peaks, counted about twice as above: a time sample 670 B besides
@@ -324,13 +334,17 @@ def cmd_manifold(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _overflow(label: str, t_max: float) -> RuntimeError:
+    return RuntimeError(f"t_max = {t_max:.17g} overflows the series of {label} or its phases")
+
+
 def _require_finite(coeffs, t_max: float) -> None:
     """Raise RuntimeError if a series value, or the phase E * t_max of the
     initial state or a target, is not finite."""
     for s in coeffs:
         if not (np.isfinite(s.values).all() and math.isfinite(s.e_initial * t_max)
                 and math.isfinite(s.e_target * t_max)):
-            raise RuntimeError(f"t_max = {t_max:.17g} overflows the series of {s.label} or its phases")
+            raise _overflow(s.label, t_max)
 
 
 def _evolved(cfg: RunConfig, connected_only: bool):
@@ -463,8 +477,10 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     # the series' own element; only the detuning omega0 - omega changes
     m = drive_element(geom, initial, cfg.plaquette, cfg.d)
     omegas = np.linspace(args.omega_min, args.omega_max, args.omega_steps)
-    order = np.argsort(omegas, kind="stable")  # a descending range is written ascending
-    rows = tuple(column[order] for column in (omegas, *_sweep_rows(times, omega0, m, omegas)))
+    rows = (omegas, *_sweep_rows(times, omega0, m, omegas))
+    if args.omega_min > args.omega_max:
+        # linspace gives a descending range in order; it is written ascending
+        rows = tuple(column[::-1] for column in rows)
     outdir = _outdir(cfg)
     out = outdir / "sweep.csv"
     write_csv(
@@ -553,6 +569,61 @@ def cmd_correlate(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _thermal_summary(geom, params, drive, configs, times, cfg: RunConfig, emit_density: bool) -> dict:
+    """thermal.json's fields for the Boltzmann mixture of ``configs``, each
+    evolved to times[-1] at first order in one pass over all members
+    (:func:`first_order`), and with ``emit_density`` its density matrix.
+    The series are sized before the pass; the mixture is taken from the
+    members' keys (:func:`keyed_mixture`)."""
+    # the drive's image, so each member's target plaquette if any, is the
+    # same for every configuration
+    plaquettes = [tg.flipped_plaquette
+                  for tg in connected_targets(geom, params, configs[0], drive.plaquette)]
+    _require_sample_budget(cfg.samples, len(plaquettes))
+    targets = [[excite(config, p) for p in plaquettes] for config in configs]
+    first = first_order(geom, params, drive, configs, targets)
+    t = float(times[-1])
+    final = first.final_values(times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = (np.isfinite(final) & np.isfinite(first.e_targets * t)
+                  & np.isfinite(first.e_members[first.member] * t))
+    if not finite.all():
+        bad = [target for labels in targets for target in labels][int(np.argmin(finite))]
+        raise _overflow(f"exc:p{bad.flipped_plaquette}:{bad.base.hex}", cfg.t_max)
+
+    energies, e_targets = first.e_members.tolist(), first.e_targets.tolist()
+    width = len(plaquettes)
+    amplitudes, kets, labels = [], [], []
+    for k, (config, tg) in enumerate(zip(configs, targets)):
+        rows = slice(k * width, (k + 1) * width)
+        if tg:
+            amps, norm = phased_amplitudes(energies[k], e_targets[rows], final[rows], t)
+        else:
+            amps = np.ones(1)
+        amplitudes.append(amps)
+        if emit_density:
+            # embed_active_state reads only the state's amplitudes
+            kets.append(embed_active_state(geom, config, tg, ActiveState((), np.empty(0), amps, norm))
+                        if tg else build_product_ket(geom, config))
+        labels.append(initial_label(config))
+
+    weights = thermal_weights(energies, cfg.kt)
+    # each member's labels' keys, its own first
+    keys = ([first.member_keys[k], *first.target_keys[k * width:(k + 1) * width]]
+            for k in range(len(configs)))
+    summary = {
+        "kt": cfg.kt,
+        "t_evaluated": t,
+        "members": labels,
+        "energies": [float(e) for e in energies],
+        "weights": [float(w) for w in weights],
+        **keyed_mixture(geom, keys, amplitudes, weights),
+    }
+    if emit_density:
+        summary["density"] = ThermalEnsemble(kets, weights).density().to_payload()
+    return summary
+
+
 def cmd_thermal(cfg: RunConfig, args) -> int:
     geom, params, drive, _, times = _build_scene(cfg)
     n = geom.n_plaquettes
@@ -576,45 +647,14 @@ def cmd_thermal(cfg: RunConfig, args) -> int:
             raise ConfigError(f"--members lists {', '.join(repeated)} more than once; "
                               f"each state is one member of the mixture")
 
-    t = float(times[-1])
-    members, kets, energies, labels = [], [], [], []
-    for config in members_cfg:
-        tg = connected_targets(geom, params, config, drive.plaquette)
-        _require_sample_budget(cfg.samples, len(tg))
-        cs = evolve_coefficients(geom, params, drive, config, tg, times)
-        _require_finite(cs, cfg.t_max)
-        targets = [c.target for c in cs]
-        # the series carry the member's energy
-        if cs:
-            state = assemble_state(cs, t, config)
-            members.append(([config, *targets], state.amplitudes))
-            energies.append(cs[0].e_initial)
-        else:
-            members.append(([config], np.ones(1)))
-            energies.append(energy_expectation(geom, params, config))
-        if args.emit_density:
-            kets.append(embed_active_state(geom, config, targets, state) if cs
-                        else build_product_ket(geom, config))
-        labels.append(initial_label(config))
-
-    weights = thermal_weights(energies, cfg.kt)
-    summary = {
-        "kt": cfg.kt,
-        "t_evaluated": t,
-        "members": labels,
-        "energies": [float(e) for e in energies],
-        "weights": [float(w) for w in weights],
-        **label_mixture(geom, members, weights),
-    }
-    if args.emit_density:
-        summary["density"] = ThermalEnsemble(kets, weights).density().to_payload()
+    summary = _thermal_summary(geom, params, drive, members_cfg, times, cfg, args.emit_density)
     outdir = _outdir(cfg)
     write_json(outdir / "thermal.json", cfg.as_dict(), summary)
     write_csv(
         outdir / "thermal_weights.csv", cfg.as_dict(), ["member", "energy", "weight"],
-        [(labels, summary["energies"], summary["weights"])],
+        [(summary["members"], summary["energies"], summary["weights"])],
     )
-    print(f"wrote thermal.json ({len(labels)} members, purity {summary['purity']:.6f})")
+    print(f"wrote thermal.json ({len(members_cfg)} members, purity {summary['purity']:.6f})")
     return EXIT_OK
 
 

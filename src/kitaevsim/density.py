@@ -13,7 +13,7 @@ keyed by the sites where it differs from a reference configuration
 unequal keys orthogonal ones.  So the sublattice entropy of an evolved
 state (:func:`sublattice_entropy`, keyed against its initial
 configuration) and the trace, purity and entropies of a thermal mixture
-of them (:func:`label_mixture`, keyed against the all-plus configuration)
+of them (:func:`keyed_mixture`, keyed against one reference for all)
 are squared singular values of small label-amplitude matrices
 (:func:`schmidt_weights`), indexed by one pass that keys every label and
 splits its key into A and B sites, with no 2**n_sites ket.  The 2**n forms
@@ -194,13 +194,25 @@ def initial_label(config: FlipConfig) -> str:
     return f"cfg:{config.hex}"
 
 
+def phased_amplitudes(e_initial: float, e_targets, values, t: float) -> tuple[np.ndarray, float]:
+    """Normalized amplitudes of the first-order state at time t and their
+    pre-normalization norm: exp(-i E t) for the initial label, then each
+    target's first-order value at t times its exp(-i E t)."""
+    amps = [np.exp(-1j * e_initial * t)]
+    amps += [v * np.exp(-1j * e * t) for v, e in zip(values, e_targets)]
+    raw = np.asarray(amps, dtype=complex)
+    norm = float(np.linalg.norm(raw))
+    return raw / norm, norm
+
+
 def assemble_state(
     coeffs: list[CoefficientSeries], t: float, initial: FlipConfig
 ) -> ActiveState:
     """Evolved state at time t: zeroth-order initial plus first-order targets.
 
     Dynamical phases exp(-i E t) are applied to every amplitude and the
-    vector is normalized; the pre-normalization norm is reported.
+    vector is normalized (:func:`phased_amplitudes`); the pre-normalization
+    norm is reported.
     """
     if not coeffs:
         raise ValueError("need at least one coefficient series")
@@ -209,20 +221,12 @@ def assemble_state(
         if s.e_initial != e_init:
             raise ValueError("series disagree on the initial energy")
     k = coeffs[0].index_of(t)
-
-    labels = [initial_label(initial)]
-    energies = [e_init]
-    amps = [np.exp(-1j * e_init * t)]
-    for s in coeffs:
-        labels.append(s.label)
-        energies.append(s.e_target)
-        amps.append(s.values[k] * np.exp(-1j * s.e_target * t))
-    raw = np.asarray(amps, dtype=complex)
-    norm = float(np.linalg.norm(raw))
+    e_targets = [s.e_target for s in coeffs]
+    amplitudes, norm = phased_amplitudes(e_init, e_targets, [s.values[k] for s in coeffs], t)
     return ActiveState(
-        labels=tuple(labels),
-        energies=np.asarray(energies, dtype=float),
-        amplitudes=raw / norm,
+        labels=(initial_label(initial), *(s.label for s in coeffs)),
+        energies=np.asarray([e_init, *e_targets], dtype=float),
+        amplitudes=amplitudes,
         norm_factor=norm,
     )
 
@@ -311,9 +315,10 @@ def reduced_entropy(
     return DensityMatrix(kets=block.T, weights=np.ones(block.shape[1]), labels=labels), s
 
 
-def _blocks(rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
-    """Entry indices of each block of the pattern (rows, cols): the
-    connected components of the graph joining each entry's row and column."""
+def _block_ids(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Each entry's block of the pattern (rows, cols), a block being a
+    connected component of the graph joining each entry's row and column;
+    blocks are numbered in increasing order of their union-find roots."""
     n_rows = int(rows.max()) + 1
     parent = list(range(n_rows + int(cols.max()) + 1))
 
@@ -325,31 +330,67 @@ def _blocks(rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
 
     for r, c in zip(rows.tolist(), cols.tolist()):
         parent[root(r)] = root(n_rows + c)
-    roots = np.array([root(r) for r in rows.tolist()])
-    order = np.argsort(roots, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(roots[order])) + 1)
+    roots = [root(r) for r in rows.tolist()]
+    number = {x: b for b, x in enumerate(sorted(set(roots)))}
+    return np.array([number[x] for x in roots], dtype=np.intp)
+
+
+def _starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of a sorted array starts."""
+    new = np.empty(len(sorted_keys), dtype=bool)
+    new[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
+    return new
+
+
+def _local_index(block: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's index among the distinct ``ids`` of its block, in
+    increasing order, and each block's count of distinct ids."""
+    order = np.lexsort((ids, block))
+    b = block[order]
+    block_start = _starts(b)
+    # the distinct (block, id) pairs in sorted order, numbered from 0
+    distinct = np.cumsum(block_start | _starts(ids[order])) - 1
+    # blocks are numbered 0, 1, ... with no gap, so each starts once
+    first = distinct[block_start]
+    local = np.empty(len(order), dtype=np.intp)
+    local[order] = distinct - first[b]
+    return local, np.append(first[1:], distinct[-1] + 1) - first
 
 
 def schmidt_weights(rows, cols, values) -> np.ndarray:
     """Squared singular values of the matrix M that sums ``values[..., e]``
     at (rows[e], cols[e]); leading axes of ``values`` give one M each.
 
-    M is decomposed one block at a time, a block being rows and columns
-    that share no entry with the rest, so the cost follows the largest
-    block rather than M's shape.  The last axis holds every block's
-    weights, min(rows, columns) of them per block.
+    M is decomposed by blocks, a block being rows and columns that share
+    no entry with the rest, so the cost follows the blocks rather than M's
+    shape.  Blocks of one shape are built with one scatter and decomposed
+    with one stacked SVD, each block with its rows and columns in
+    increasing order and repeated entries summed in order.  The last axis
+    holds every block's weights, min(rows, columns) of them per block, in
+    block order (:func:`_block_ids`).
     """
     rows, cols = np.asarray(rows), np.asarray(cols)
     values = np.asarray(values, dtype=complex)
     flat = values.reshape(-1, values.shape[-1])
-    out = []
-    for entries in _blocks(rows, cols):
-        row_ids, r = np.unique(rows[entries], return_inverse=True)
-        col_ids, c = np.unique(cols[entries], return_inverse=True)
-        m = np.zeros((len(flat), len(row_ids), len(col_ids)), dtype=complex)
-        np.add.at(m, (slice(None), r, c), flat[:, entries])
-        out.append(np.linalg.svd(m, compute_uv=False) ** 2)
-    return np.concatenate(out, axis=-1).reshape(values.shape[:-1] + (-1,))
+    block = _block_ids(rows, cols)
+    r, n_r = _local_index(block, rows)
+    c, n_c = _local_index(block, cols)
+    k = np.minimum(n_r, n_c)
+    offset = np.cumsum(k) - k
+    out = np.empty((len(flat), int(k.sum())))
+    # each block's place in the stack of its shape
+    shape = n_r * (int(n_c.max()) + 1) + n_c
+    slot = np.empty(len(k), dtype=np.intp)
+    for code in set(shape.tolist()):
+        same = np.flatnonzero(shape == code)
+        slot[same] = np.arange(len(same))
+        entries = np.flatnonzero(shape[block] == code)
+        m = np.zeros((len(same), len(flat), n_r[same[0]], n_c[same[0]]), dtype=complex)
+        np.add.at(m, (slot[block[entries]], slice(None), r[entries], c[entries]), flat[:, entries].T)
+        weights = np.linalg.svd(m, compute_uv=False) ** 2
+        out[:, offset[same][:, None] + np.arange(k[same[0]])] = weights.transpose(1, 0, 2)
+    return out.reshape(values.shape[:-1] + (-1,))
 
 
 def _weights_entropy(p: np.ndarray) -> np.ndarray:
@@ -360,21 +401,19 @@ def _weights_entropy(p: np.ndarray) -> np.ndarray:
     return -np.sum(p * logs, axis=-1) + 0.0
 
 
-def _keyed_indices(geom: LatticeGeometry, reference: FlipConfig, members) -> np.ndarray:
-    """Four index rows with one column per label of ``members`` (a label
-    list per member, in order): the label's member, its key against
-    ``reference`` (:func:`~kitaevsim.manifold.label_key`), the key's A
-    sites, and the pair of its member and the key's B sites, each numbered
-    in order of first appearance."""
-    keys, a_parts, kb_pairs = {}, {}, {}
+def _keyed_indices(geom: LatticeGeometry, keys) -> np.ndarray:
+    """Four index rows with one column per key of ``keys`` (a key list per
+    member, in order): the key's member, the key, its A sites, and the
+    pair of its member and its B sites, each numbered in order of first
+    appearance."""
+    numbers, a_parts, kb_pairs = {}, {}, {}
     index = []
-    for k, labels in enumerate(members):
-        for label in labels:
-            key = label_key(geom, reference, label)
+    for k, member_keys in enumerate(keys):
+        for key in member_keys:
             on_a = frozenset(s for s in key if geom.sublattice[s] == "A")
             index.append((
                 k,
-                keys.setdefault(key, len(keys)),
+                numbers.setdefault(key, len(numbers)),
                 a_parts.setdefault(on_a, len(a_parts)),
                 kb_pairs.setdefault((k, key - on_a), len(kb_pairs)),
             ))
@@ -404,7 +443,8 @@ def sublattice_entropy(
     times = coeffs[0].times
 
     # row and column of M for the initial label, then for each target
-    _, _, row, col = _keyed_indices(geom, initial, [[initial] + [s.target for s in coeffs]])
+    labels = [initial] + [s.target for s in coeffs]
+    _, _, row, col = _keyed_indices(geom, [[label_key(geom, initial, label) for label in labels]])
     if not (row.any() and col.any()):
         return np.zeros(len(times))
 
@@ -416,23 +456,23 @@ def sublattice_entropy(
     return _weights_entropy(weights / weights.sum(axis=-1, keepdims=True))
 
 
-def label_mixture(geom: LatticeGeometry, members, weights) -> dict[str, float]:
+def keyed_mixture(geom: LatticeGeometry, keys, amps, weights) -> dict[str, float]:
     """Trace, purity, entropy and S_A of the mixture sum_k p_k |psi_k><psi_k|,
     with no 2**n_sites ket.
 
-    ``members`` pairs each member's labels (its FlipConfig, then its
-    ExcitedLabels) with their amplitudes, as :func:`assemble_state` orders
-    them.  Every label is keyed (:func:`~kitaevsim.manifold.label_key`)
-    against one reference shared by all members, so equal kets share a key
-    whichever members hold them.  With X[k, key] = sqrt(p_k) * amplitude
-    the mixture is X^T conj(X) in the orthonormal key basis, so its nonzero
-    spectrum is X's squared singular values; that of the reduced mixture
-    on A comes from V[a, (k, b)] = sqrt(p_k) M_k[a, b], member k's Schmidt
-    matrix M_k as in :func:`sublattice_entropy`, for every k side by side.
+    ``keys`` yields, member by member, the keys of the member's labels
+    (:func:`~kitaevsim.manifold.label_key`), all against one reference, so
+    equal kets share a key whichever members hold them; ``amps[k]`` holds
+    member k's amplitudes on those kets, as :func:`assemble_state` orders
+    them.
+
+    With X[k, key] = sqrt(p_k) * amplitude the mixture is X^T conj(X) in
+    the orthonormal key basis, so its nonzero spectrum is X's squared
+    singular values; that of the reduced mixture on A comes from
+    V[a, (k, b)] = sqrt(p_k) M_k[a, b], member k's Schmidt matrix M_k as in
+    :func:`sublattice_entropy`, for every k side by side.
     """
-    labels, amps = zip(*members)
-    reference = FlipConfig(0, geom.n_plaquettes)
-    member, key_col, a_row, kb_col = _keyed_indices(geom, reference, labels)
+    member, key_col, a_row, kb_col = _keyed_indices(geom, keys)
     values = np.concatenate([math.sqrt(p) * np.asarray(a) for a, p in zip(amps, weights)])
     w_mix = schmidt_weights(member, key_col, values)
     w_a = schmidt_weights(a_row, kb_col, values)

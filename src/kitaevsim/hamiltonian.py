@@ -8,7 +8,7 @@ the manifold carry one owner-assigned component label per site, a bond of
 component alpha has a nonzero expectation only when both endpoint sites
 carry the label alpha, in which case it contributes J_alpha * s_i * s_j,
 and the drive string maps each product ket to exactly one other, its
-image, the only ket with a drive element (:func:`drive_element`).  A
+image, the only ket with a drive element (:func:`drive_elements`).  A
 state is named by its key, the sites where its ket differs from a
 reference configuration's (:func:`~kitaevsim.manifold.label_key`), so an
 energy is the reference's labelled-bond terms with those at the key's
@@ -181,29 +181,54 @@ def _single_site_element(component: str, sign_ket: int, sign_bra: int, op: str) 
     return complex(np.vdot(bra, PAULI[op] @ ket))
 
 
+def drive_elements(
+    geom: LatticeGeometry, reference: FlipConfig, keys, plaquette: int, d: float
+) -> np.ndarray:
+    """D <image| string |ket> for the product ket of each key against
+    ``reference``, the drive string acting on ``plaquette``.
+
+    The string maps each product ket to exactly one product ket, its
+    image, whose signs are the ket's negated on :func:`drive_image_sites`;
+    every other product ket has a zero element.  No ket is built: an
+    element is D times the single-site elements taken in string order,
+    from the ket's signs to the image's.  Only the signs on the string's
+    six sites enter, so the product is taken once per sign pattern there
+    (at most 2**6 of them, one reference flip signature for all keys) and
+    gathered.
+    """
+    image = drive_image_sites(geom, plaquette)
+    keys = list(keys)
+    out = np.zeros(len(keys), dtype=complex)
+    # the product below can give D = 0 a negative zero, whose angle is pi
+    if d == 0.0:
+        return out
+    string = drive_string(geom, plaquette)
+    signs = flip_signature(geom, reference)
+    # a key's pattern: bit k set where it negates the string's k-th site
+    bit = {s: 1 << k for k, (s, _) in enumerate(string)}
+    sites = frozenset(bit)
+    by_pattern: dict[int, complex] = {}
+    for row, key in enumerate(keys):
+        pattern = sum(bit[s] for s in key & sites)
+        val = by_pattern.get(pattern)
+        if val is None:
+            val = complex(d)
+            for s, op in string:
+                sign = -int(signs[s]) if pattern & bit[s] else int(signs[s])
+                val *= _single_site_element(
+                    geom.site_components[s], sign, -sign if s in image else sign, op
+                )
+            by_pattern[pattern] = val
+        out[row] = val
+    return out
+
+
 def drive_element(
     geom: LatticeGeometry, ground: FlipConfig, plaquette: int, d: float
 ) -> complex:
-    """D <image| string |ground> for the drive string on ``plaquette``.
-
-    The string maps the ground state's product ket to exactly one product
-    ket, its image, whose signs are the ground state's negated on
-    :func:`drive_image_sites`; every other product ket has a zero element.
-    No ket is built: the element is D times the single-site elements taken
-    in string order, from the ground signs to the image's.
-    """
-    image = drive_image_sites(geom, plaquette)
-    # the product below can give D = 0 a negative zero, whose angle is pi
-    if d == 0.0:
-        return 0.0 + 0.0j
-    signs_g = flip_signature(geom, ground)
-    val = complex(d)
-    for s, op in drive_string(geom, plaquette):
-        sign = int(signs_g[s])
-        val *= _single_site_element(
-            geom.site_components[s], sign, -sign if s in image else sign, op
-        )
-    return val
+    """D <image| string |ground> for the drive string on ``plaquette``:
+    the one-ket call of :func:`drive_elements`, keyed against ``ground``."""
+    return complex(drive_elements(geom, ground, [frozenset()], plaquette, d)[0])
 
 
 def perturbation_element(

@@ -113,6 +113,17 @@ def _bits(column: np.ndarray) -> tuple:
     return column.tobytes(), column.dtype, column.shape
 
 
+def _same_bits(kept, key) -> bool:
+    """Whether two column keys hold the same bits.  A block that fits one
+    chunk is keyed by :func:`_bits`; a longer one by its array, compared a
+    chunk at a time so that no copy of its bits is held."""
+    if isinstance(kept, np.ndarray) and isinstance(key, np.ndarray):
+        return kept is key or (kept.dtype == key.dtype and kept.shape == key.shape and all(
+            kept[k:k + CSV_CHUNK_ROWS].tobytes() == key[k:k + CSV_CHUNK_ROWS].tobytes()
+            for k in range(0, len(key), CSV_CHUNK_ROWS)))
+    return isinstance(kept, tuple) and isinstance(key, tuple) and kept == key
+
+
 def write_csv(path: Path, config: dict, columns: list[str], blocks) -> None:
     """CSV with a '#' header block, streamed one block of rows at a time.
 
@@ -128,12 +139,13 @@ def write_csv(path: Path, config: dict, columns: list[str], blocks) -> None:
     is formatted one chunk at a time.  A block of number arrays and
     scalars that fits one chunk keeps its rows' text, split at the scalar
     cells; a next block whose arrays repeat those bits is written from
-    that text in one join around its own scalar cells.
+    that text in one join around its own scalar cells.  An array must not
+    change while the blocks after it are written.
     """
     with path.open("w") as fh:
         fh.write("\n".join([*header_block(config), ",".join(columns)]) + "\n")
-        # per column: the previous block's array bits and its text, if kept
-        previous: list[tuple[tuple, list[str] | None] | None] = [None] * len(columns)
+        # per column: the previous block's array key (_same_bits) and its text, if kept
+        previous: list[tuple[tuple | np.ndarray, list[str] | None] | None] = [None] * len(columns)
         # the last whole block's keys and its rows' text split at the scalar cells
         kept: tuple[list, list[str]] | None = None
         for block in blocks:
@@ -157,9 +169,9 @@ def write_csv(path: Path, config: dict, columns: list[str], blocks) -> None:
                     if not isinstance(column, np.ndarray):
                         texts.append(None)
                         continue
-                    # a long block's bits are taken one column at a time
-                    key = keys[k] if whole else _bits(column)
-                    seen = previous[k] is not None and previous[k][0] == key
+                    # a long block keeps the array itself, not a copy of its bits
+                    key = keys[k] if whole else column
+                    seen = previous[k] is not None and _same_bits(previous[k][0], key)
                     text = previous[k][1] if seen else None
                     if text is None and (seen or n_rows <= CSV_CHUNK_ROWS):
                         previous[k] = None  # free the old text before formatting

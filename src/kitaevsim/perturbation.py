@@ -30,7 +30,7 @@ import numpy as np
 
 from .hamiltonian import (
     CouplingParams,
-    drive_element,
+    drive_elements,
     drive_image_sites,
     energy_expectations,
 )
@@ -320,6 +320,106 @@ def connected_targets(
             if geom.position3_site(p) == site]
 
 
+@dataclass(frozen=True)
+class FirstOrder:
+    """First-order transitions of several members, each an initial
+    configuration with its own list of targets (:func:`first_order`).
+
+    The targets of all members are listed member after member, and
+    ``member`` holds each one's member index.  Every label's key is taken
+    against the first member's configuration.  ``elements`` holds each
+    target's unit drive element, zero unless the target is its member's
+    drive image.
+    """
+
+    drive: DriveSpec
+    member_keys: list[frozenset[int]]
+    target_keys: list[frozenset[int]]
+    e_members: np.ndarray
+    e_targets: np.ndarray
+    member: np.ndarray
+    elements: np.ndarray
+
+    def values(self, times) -> np.ndarray:
+        """The (targets, len(times)) first-order series on the grid
+        ``times``; a target with a zero element has a zero row."""
+        return self._series(np.asarray(times, dtype=float), final=False)
+
+    def final_values(self, times) -> np.ndarray:
+        """Each target's value at times[-1], the last column of
+        :meth:`values` bit for bit; the exponential drive's closed form is
+        evaluated at that time only."""
+        return self._series(np.asarray(times, dtype=float), final=True)[:, 0]
+
+    def _series(self, times: np.ndarray, final: bool) -> np.ndarray:
+        out = np.zeros((len(self.elements), 1 if final else len(times)), dtype=complex)
+        live = np.flatnonzero(self.elements)
+        m = self.elements[live]
+        delta_e = self.e_targets[live] - self.e_members[self.member[live]]
+        if self.drive.kind == "exponential":
+            # c = (M/D) * closed_form(D) = M * closed_form at unit amplitude
+            t = times[-1:] if final else times
+            out[live] = m[:, None] * coefficient_closed_form(
+                1, 1.0, (delta_e - self.drive.omega)[:, None], t
+            )
+        else:
+            # the integral at t depends on every grid time before it
+            for row, mk, de in zip(live.tolist(), m.tolist(), delta_e.tolist()):
+                series = coefficient_interpolated(mk, self.drive, de, times)
+                out[row] = series[-1:] if final else series
+        return out
+
+
+def first_order(
+    geom: LatticeGeometry,
+    params: CouplingParams,
+    drive: DriveSpec,
+    members,
+    targets,
+) -> FirstOrder:
+    """Energies and drive elements of several members and their targets
+    in one pass.
+
+    ``members`` lists one or more initial configurations and ``targets``
+    one sequence of excited labels per member.  Every label is keyed
+    (:func:`~kitaevsim.manifold.label_key`) against one reference, the
+    first member, so one :func:`energy_expectations` call gives every
+    energy and one :func:`drive_elements` call every member's element; a
+    key holds only the sites where a label differs from the reference, so
+    one member's keys stay as small as its targets' differences.  A
+    label's bond terms are the reference's negated at its key's sites,
+    exactly the terms of a key against the member, summed in the same
+    order, so each energy has the bits of a call keyed against its
+    member.  A target has its member's element when its key against the
+    member is the drive's image
+    (:func:`~kitaevsim.hamiltonian.drive_image_sites`), and zero
+    otherwise.  The drive alone carries the amplitude D, so ``params.d``
+    is not read; a custom drive's unit element has D = 1.
+    """
+    reference = members[0]
+    member_keys = [label_key(geom, reference, config) for config in members]
+    image = drive_image_sites(geom, drive.plaquette)
+    owner, target_keys, driven = [], [], []
+    for k, (config, key, labels) in enumerate(zip(members, member_keys, targets)):
+        for target in labels:
+            relative = label_key(geom, config, target)
+            owner.append(k)
+            target_keys.append(key ^ relative)
+            driven.append(relative == image)
+    energies = energy_expectations(geom, params, reference, member_keys + target_keys)
+    owner = np.array(owner, dtype=np.intp)
+    element = drive_elements(geom, reference, member_keys, drive.plaquette, drive.amplitude)
+    return FirstOrder(
+        drive=drive,
+        member_keys=member_keys,
+        target_keys=target_keys,
+        e_members=energies[:len(member_keys)],
+        e_targets=energies[len(member_keys):],
+        member=owner,
+        elements=np.where(np.array(driven, dtype=bool), element[owner], 0.0),
+    )
+
+
 def evolve_coefficients(
     geom: LatticeGeometry,
     params: CouplingParams,
@@ -328,47 +428,23 @@ def evolve_coefficients(
     targets,
     times,
 ) -> list[CoefficientSeries]:
-    """One first-order CoefficientSeries per target state.
+    """One first-order CoefficientSeries per target state, in order of
+    (plaquette, base bits): the one-member call of :func:`first_order`.
 
     The initial state carries zeroth-order amplitude one and no series of
     its own.  Only the target whose key against the initial state is the
-    drive's image (:func:`~kitaevsim.hamiltonian.drive_image_sites`) has a
-    nonzero drive element; every other target gets an identically zero
-    series.  The drive alone carries the amplitude D, so ``params.d`` is
-    not read.  A custom drive's series is the exact integral of its linear
-    interpolation (:func:`coefficient_interpolated`).
+    drive's image has a nonzero drive element; every other target gets an
+    identically zero series.  A custom drive's series is the exact
+    integral of its linear interpolation (:func:`coefficient_interpolated`).
     """
     times = np.asarray(times, dtype=float)
     if len(times) == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValueError("time grid must start at 0 and increase strictly")
 
     ordered = sorted(targets, key=lambda tg: (tg.flipped_plaquette, tg.base.bits))
-    keys = [label_key(geom, initial, tg) for tg in ordered]
-    e_init, *e_targets = energy_expectations(
-        geom, params, initial, [frozenset()] + keys
-    ).tolist()
-    image = drive_image_sites(geom, drive.plaquette)
-    # a custom drive's samples carry D and its amplitude is 1: the unit element
-    element = drive_element(geom, initial, drive.plaquette, drive.amplitude)
-    out = []
-    for target, key, e_t in zip(ordered, keys, e_targets):
-        m = element if key == image else 0.0
-        if m == 0:
-            values = np.zeros(len(times), dtype=complex)
-        elif drive.kind == "exponential":
-            # c = (M/D) * closed_form(D) = M * closed_form at unit amplitude
-            delta = (e_t - e_init) - drive.omega
-            unit = coefficient_closed_form(1, 1.0, delta, times)
-            values = m * np.asarray(unit, dtype=complex)
-        else:
-            values = coefficient_interpolated(m, drive, e_t - e_init, times)
-        out.append(
-            CoefficientSeries(
-                target=target,
-                e_target=e_t,
-                e_initial=e_init,
-                times=times,
-                values=values,
-            )
-        )
-    return out
+    first = first_order(geom, params, drive, [initial], [ordered])
+    e_init = float(first.e_members[0])
+    return [
+        CoefficientSeries(target=target, e_target=e_t, e_initial=e_init, times=times, values=values)
+        for target, e_t, values in zip(ordered, first.e_targets.tolist(), first.values(times))
+    ]

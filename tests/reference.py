@@ -34,12 +34,21 @@ must reproduce bit for bit.
 
 :func:`gram` and :func:`reduced` take a thermal mixture's K x K member Gram
 matrix and its reduced matrix on kept sites from explicit 2^n member kets,
-the forms :func:`kitaevsim.density.label_mixture` must match from labels.
+the forms :func:`kitaevsim.density.keyed_mixture` must match from keyed labels.
 
 :func:`dense_mixture` is the whole dense matrix sum_k p_k |psi_k><psi_k|
 summed as ``ThermalEnsemble.density`` once built it, the entries the
 streamed payload of ``ThermalEnsemble.density().to_payload()`` must
 reproduce bit for bit.
+
+:func:`loop_evolve_coefficients` is the first order of one member keyed
+against the member itself, its drive element a product along the string
+from the member's own flip signature: the series, energies and elements
+that :func:`kitaevsim.perturbation.first_order`, keyed against one
+reference for all members, must reproduce bit for bit.
+:func:`loop_schmidt_weights` decomposes one block at a time, each with its
+own scatter and SVD, the weights the stacked decomposition of
+:func:`kitaevsim.density.schmidt_weights` must reproduce bit for bit.
 """
 
 import math
@@ -48,12 +57,21 @@ from pathlib import Path
 import numpy as np
 
 from kitaevsim.density import DensityMatrix, reduced_density_matrix
-from kitaevsim.hamiltonian import drive_string
+from kitaevsim.hamiltonian import (
+    _single_site_element,
+    drive_image_sites,
+    drive_string,
+    energy_expectations,
+)
 from kitaevsim.lattice import COMPONENTS, PLAQUETTE_PATTERN
-from kitaevsim.manifold import build_product_ket, excite, flip_signature
+from kitaevsim.manifold import build_product_ket, excite, flip_signature, label_key
 from kitaevsim.output import header_block
 from kitaevsim.pauli import PAULI, n_sites_of, pauli_eigenvector, string_term
-from kitaevsim.perturbation import coefficient_closed_form
+from kitaevsim.perturbation import (
+    CoefficientSeries,
+    coefficient_closed_form,
+    coefficient_interpolated,
+)
 
 
 def write_csv_rows(path: Path, config: dict, columns: list[str], rows) -> None:
@@ -376,3 +394,75 @@ def reduced(ensemble, keep_sites) -> np.ndarray:
         p * reduced_density_matrix(psi, keep_sites)
         for p, psi in zip(ensemble.weights, ensemble.states)
     )
+
+
+def loop_evolve_coefficients(geom, params, drive, initial, targets, times) -> list[CoefficientSeries]:
+    """One CoefficientSeries per target, in order of (plaquette, base
+    bits): energies keyed against ``initial`` in one energy_expectations
+    call, the element a product of single-site elements from the initial
+    flip signature, and each target's series computed on its own."""
+    times = np.asarray(times, dtype=float)
+    ordered = sorted(targets, key=lambda tg: (tg.flipped_plaquette, tg.base.bits))
+    keys = [label_key(geom, initial, tg) for tg in ordered]
+    e_init, *e_targets = energy_expectations(
+        geom, params, initial, [frozenset()] + keys
+    ).tolist()
+    image = drive_image_sites(geom, drive.plaquette)
+    element = 0.0 + 0.0j
+    if drive.amplitude != 0.0:
+        signs_g = flip_signature(geom, initial)
+        element = complex(drive.amplitude)
+        for s, op in drive_string(geom, drive.plaquette):
+            sign = int(signs_g[s])
+            element *= _single_site_element(
+                geom.site_components[s], sign, -sign if s in image else sign, op
+            )
+    out = []
+    for target, key, e_t in zip(ordered, keys, e_targets):
+        m = element if key == image else 0.0
+        if m == 0:
+            values = np.zeros(len(times), dtype=complex)
+        elif drive.kind == "exponential":
+            delta = (e_t - e_init) - drive.omega
+            values = m * np.asarray(coefficient_closed_form(1, 1.0, delta, times), dtype=complex)
+        else:
+            values = coefficient_interpolated(m, drive, e_t - e_init, times)
+        out.append(CoefficientSeries(target=target, e_target=e_t, e_initial=e_init,
+                                     times=times, values=values))
+    return out
+
+
+def _loop_blocks(rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
+    """Entry indices of each block of the pattern (rows, cols), blocks in
+    increasing order of their union-find roots."""
+    n_rows = int(rows.max()) + 1
+    parent = list(range(n_rows + int(cols.max()) + 1))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        parent[root(r)] = root(n_rows + c)
+    roots = np.array([root(r) for r in rows.tolist()])
+    order = np.argsort(roots, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(roots[order])) + 1)
+
+
+def loop_schmidt_weights(rows, cols, values) -> np.ndarray:
+    """schmidt_weights one block at a time: each block's rows and columns
+    in increasing order, its entries scattered and its matrices decomposed
+    on their own, the weights concatenated in block order."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    values = np.asarray(values, dtype=complex)
+    flat = values.reshape(-1, values.shape[-1])
+    out = []
+    for entries in _loop_blocks(rows, cols):
+        row_ids, r = np.unique(rows[entries], return_inverse=True)
+        col_ids, c = np.unique(cols[entries], return_inverse=True)
+        m = np.zeros((len(flat), len(row_ids), len(col_ids)), dtype=complex)
+        np.add.at(m, (slice(None), r, c), flat[:, entries])
+        out.append(np.linalg.svd(m, compute_uv=False) ** 2)
+    return np.concatenate(out, axis=-1).reshape(values.shape[:-1] + (-1,))

@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 from kitaevsim import output, pauli
 from kitaevsim.density import (
     ThermalEnsemble,
+    _keyed_indices,
     assemble_state,
     density_matrix,
     ActiveState,
     embed_active_state,
     entropy_of_density,
-    label_mixture,
+    keyed_mixture,
     partial_trace_matrix,
     reduced_density_matrix,
     reduced_entropy,
@@ -34,6 +35,7 @@ from kitaevsim.manifold import (
     FlipConfig,
     build_product_ket,
     excite,
+    label_key,
     signature_kernel,
 )
 from kitaevsim.perturbation import (
@@ -474,6 +476,53 @@ def test_schmidt_weights_match_one_dense_svd(seed, n_rows, n_cols, n_entries):
     assert np.max(np.abs(whole[:, k:]), initial=0.0) < 1e-12
 
 
+@st.composite
+def block_patterns(draw):
+    """A pattern of blocks of drawn shapes, 1 x m, m x 1 and larger: each
+    block's first row meets every column and its first column every row,
+    with extra and repeated entries; row and column ids are shuffled
+    across blocks, and so are the entries."""
+    shapes = draw(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(0, 4)),
+                           min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = [], []
+    n_rows = n_cols = 0
+    for r, c, extra in shapes:
+        pairs = [(i, 0) for i in range(r)] + [(0, j) for j in range(1, c)]
+        pairs += [(int(rng.integers(r)), int(rng.integers(c))) for _ in range(extra)]
+        rows += [n_rows + i for i, _ in pairs]
+        cols += [n_cols + j for _, j in pairs]
+        n_rows, n_cols = n_rows + r, n_cols + c
+    order = rng.permutation(len(rows))
+    rows = rng.permutation(n_rows)[np.array(rows)][order]
+    cols = rng.permutation(n_cols)[np.array(cols)][order]
+    lead = draw(st.sampled_from([(), (1,), (3,), (2, 4)]))
+    values = rng.normal(size=(*lead, len(rows))) + 1j * rng.normal(size=(*lead, len(rows)))
+    return rows, cols, values
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(pattern=block_patterns())
+def test_stacked_schmidt_weights_are_the_per_block_loop_bit_for_bit(pattern):
+    rows, cols, values = pattern
+    stacked = schmidt_weights(rows, cols, values)
+    loop = reference.loop_schmidt_weights(rows, cols, values)
+    assert stacked.shape == loop.shape
+    assert stacked.tobytes() == loop.tobytes()
+
+
+def all_plus_keys(geom, members):
+    """Each member's label keys against the all-plus configuration, one
+    reference for all members; ``members`` pairs labels with amplitudes."""
+    reference_config = FlipConfig(0, geom.n_plaquettes)
+    return [[label_key(geom, reference_config, label) for label in labels] for labels, _ in members]
+
+
+def label_mixture(geom, members, weights):
+    """keyed_mixture of members given as (labels, amplitudes)."""
+    return keyed_mixture(geom, all_plus_keys(geom, members), [amps for _, amps in members], weights)
+
+
 def reference_mixture(geom, members, weights):
     """trace, purity, mixture_entropy and sublattice_entropy of the mixture
     of the members' embed_active_state kets, from reference.gram and
@@ -570,3 +619,17 @@ def test_label_mixture_of_3x3_flip_kernel_twins():
     pure = label_mixture(geom, members[:3], w[:3] / w[:3].sum())
     assert pure["purity"] == pytest.approx(1.0, abs=1e-12)
     assert pure["mixture_entropy"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_schmidt_weights_of_3x3_flip_kernel_twins_are_the_per_block_loop():
+    # twins share their keys, so their rows meet in one block of the
+    # member x key matrix and of the A x (member, B) matrix
+    geom = build_lattice(3, 3)
+    base = 0b000010110
+    twins = [FlipConfig(base, 9)] + [FlipConfig(base ^ c.bits, 9) for c in signature_kernel(geom)]
+    members, w = evolved_members(geom, twins + [FlipConfig(0b1, 9)])
+    member, key_col, a_row, kb_col = _keyed_indices(geom, all_plus_keys(geom, members))
+    values = np.concatenate([math.sqrt(p) * amps for (_, amps), p in zip(members, w)])
+    for rows, cols in [(member, key_col), (a_row, kb_col)]:
+        assert schmidt_weights(rows, cols, values).tobytes() == \
+            reference.loop_schmidt_weights(rows, cols, values).tobytes()

@@ -191,11 +191,12 @@ class TestSampleBudget:
             assert (out / "coefficients.csv").exists()
 
     def test_thermal_sizes_each_member_before_evolving_it(self, tmp_path, monkeypatch, capsys):
+        # every member's series are sized before the one pass over all members
         geom = build_lattice(2, 2)
         series = len(connected_targets(geom, PARAMS, FlipConfig(0, 4), 0))
         nbytes = 100 * (cli.SAMPLE_BYTES + series * cli.SERIES_SAMPLE_BYTES)
         monkeypatch.setattr(cli, "DENSE_DENSITY_BUDGET_BYTES", nbytes - 1)
-        forbid(monkeypatch, "evolve_coefficients")
+        forbid(monkeypatch, "first_order")
         out = tmp_path / "out"
         assert cli.main(["thermal", "--members", "0x0", "--samples", "100", "--outdir", str(out)]) == 3
         assert f"{series} first-order series need about {nbytes} bytes" in capsys.readouterr().err

@@ -328,6 +328,23 @@ def test_write_csv_formats_a_long_block_in_chunks(tmp_path):
     assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
+def test_write_csv_holds_no_copy_of_a_long_blocks_bits(tmp_path):
+    # the same block as above: a long block is compared with the next one
+    # by its arrays, so nothing of its size is held besides one chunk's text
+    # (about 13 B a row here; a tobytes key of every column took 33 B more)
+    n_rows = 200_001
+    rng = np.random.default_rng(5)
+    block = (np.linspace(0.0, 6.0, n_rows), rng.random(n_rows), rng.standard_normal(n_rows),
+             rng.standard_normal(n_rows), rng.random(n_rows) < 0.01)
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "long.csv", CONFIG, ["t", "A", "a", "phi", "singular"], [block])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * n_rows, f"peak {peak} bytes, {peak / n_rows:.0f} B a row"
+
+
 @pytest.fixture
 def formatted(monkeypatch):
     """The lengths of the columns write_csv formats, in call order."""
