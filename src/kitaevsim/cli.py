@@ -186,13 +186,15 @@ _FIELD_HELP = {
     "jobs": "no effect; recorded in output headers",
 }
 
+# each run setting's declared type, "int", "float" or "str"
+_SETTING_KINDS = {f.name: f.type for f in fields(RunConfig)}
+
 
 def _coerce(name: str, raw: str):
     """Parse one raw run-setting value from a config file or a flag."""
-    kinds = {f.name: f.type for f in fields(RunConfig)}
-    if name not in kinds:
+    if name not in _SETTING_KINDS:
         raise ConfigError(f"unknown config key {name!r}")
-    kind = kinds[name]
+    kind = _SETTING_KINDS[name]
     try:
         if kind == "int":
             return int(raw, 0)  # accepts 0x.. bitmask hex

@@ -62,31 +62,49 @@ class CouplingParams:
         return {"x": self.jx, "y": self.jy, "z": self.jz}[component]
 
 
-def h0_terms(geom: LatticeGeometry, params: CouplingParams) -> Iterator[tuple[int, np.ndarray]]:
-    """H0 as one (mask, coefficient) term per bond of nonzero coupling.
+def h0_bonds(geom: LatticeGeometry, params: CouplingParams) -> Iterator[tuple[int, int, int, float, int | None]]:
+    """H0 as one sign rule (i, j, mask, J, negative) per bond of nonzero coupling.
 
-    The terms come in bond order; a bond acts as
+    The rules come in bond order.  The bond on sites i and j acts as
     ``coeff[k] * psi[k ^ mask]``, as its string would through
-    :func:`string_term`, and every coefficient is +-J.  The sign is the
-    parity of the bond's two bits of the output index k: an x bond has
-    none, a y bond (sigma^y sigma^y = -s_i s_j with s = 1 - 2 bit) is
-    negative where the parity is even, and a z bond, mask 0, where it is
-    odd.  No complex phase is built.  The terms are yielded one at a
-    time, so a caller that groups them never holds every bond's vector.
+    :func:`string_term`, with coeff[k] = -J where the parity of the bits
+    i and j of the output index k is ``negative`` and +J elsewhere
+    (``negative`` None: +J everywhere).  An x bond flips both bits and
+    has no sign; a y bond (sigma^y sigma^y = -s_i s_j with s = 1 - 2 bit)
+    flips both and is negative where the parity is even; a z bond, mask
+    0, is negative where it is odd.  This is the one definition of the
+    bond signs: :func:`h0_terms` expands it into coefficient vectors, and
+    the oracle reads it into its index rows and diagonal.
     """
-    k = np.arange(2**geom.n_sites)
     for i, j, comp in geom.bonds:
         coupling = params.j(comp)
         if coupling == 0.0:
             continue
+        pair = (1 << i) | (1 << j)
         if comp == "x":
-            yield (1 << i) | (1 << j), np.full(len(k), coupling)
+            yield i, j, pair, coupling, None
+        elif comp == "y":
+            yield i, j, pair, coupling, 0
+        else:
+            yield i, j, 0, coupling, 1
+
+
+def h0_terms(geom: LatticeGeometry, params: CouplingParams) -> Iterator[tuple[int, np.ndarray]]:
+    """H0 as one (mask, coefficient) term per bond of nonzero coupling.
+
+    The terms come in bond order, one per rule of :func:`h0_bonds`; a
+    bond acts as ``coeff[k] * psi[k ^ mask]`` and every coefficient is
+    +-J, its sign from the parity of the bond's two bits of the output
+    index k.  No complex phase is built.  The terms are yielded one at a
+    time, so a caller that groups them never holds every bond's vector.
+    """
+    k = np.arange(2**geom.n_sites)
+    for i, j, mask, coupling, negative in h0_bonds(geom, params):
+        if negative is None:
+            yield mask, np.full(len(k), coupling)
             continue
         odd = ((k >> i) ^ (k >> j)) & 1
-        if comp == "y":
-            yield (1 << i) | (1 << j), coupling * (2 * odd - 1)
-        else:
-            yield 0, coupling * (1 - 2 * odd)
+        yield mask, coupling * (2 * odd - 1 if negative == 0 else 1 - 2 * odd)
 
 
 def apply_h0(geom: LatticeGeometry, params: CouplingParams, psi: np.ndarray) -> np.ndarray:

@@ -10,9 +10,14 @@ accepted at its start, until the step-doubling estimate of its error
 fits its share of the tolerance (Hairer, Norsett & Wanner, Solving
 ODEs I, sec. II.4).  One Richardson pair per two
 intervals costs 1.5 CF4 steps per interval at the least, against 3 for
-a pair per interval.  The generator is compiled once per run.  The
-fixed-step core is exposed so convergence order can be measured
-directly by step halving.
+a pair per interval.  An undriven run takes no pairs: CF4 is exact for
+an autonomous H0, so a coarse pass would measure only the truncation of
+the exponentials, which their bounds already give, and the run is one
+pass of one step per output interval.  The generator's tables are
+compiled once per lattice, couplings, drive plaquette and driven-ness,
+and kept for the next run of that key, so a scan over the drive's
+amplitude or frequency compiles once.  The fixed-step core is exposed
+so convergence order can be measured directly by step halving.
 
 Note the exponential drive B(t) = D exp(-i omega t) multiplies a
 Hermitian Pauli string by a complex scalar, so the driven generator is
@@ -28,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hamiltonian import CouplingParams, drive_string, h0_terms
+from .hamiltonian import CouplingParams, drive_string, h0_bonds
 from .lattice import COMPONENTS, LatticeGeometry
 from .pauli import require_hilbert, string_term
 from .perturbation import CoefficientSeries, DriveSpec
@@ -205,12 +210,158 @@ def _chunk_size(rows: int, dim: int) -> int:
     return min(dim, 1 << max(1, fit.bit_length() - 1))
 
 
+def _parity(x: np.ndarray) -> np.ndarray:
+    """Parity of the set bits of each entry of a non-negative int array."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        x = x ^ (x >> shift)
+    return x & 1
+
+
+@dataclass(frozen=True)
+class _Compiled:
+    """The parts of a :class:`_Generator` that depend only on its key and
+    that no run writes: the read-only diagonal and index ``table``, the
+    output ``chunks`` as (slice, diagonal, indices) views of their
+    memory, and the signed scale of each source block (a bond's +-|J|,
+    or the drive's "+b" or "-b"), in order of first use."""
+
+    diag: np.ndarray
+    table: np.ndarray
+    chunk: int
+    chunks: tuple
+    h0_bound: float
+    drive_unit: complex | None
+    blocks: tuple
+
+
+# the last compile, as (key, _Compiled): one lattice's tables at a time
+_compiled: tuple | None = None
+
+
+def _compile(geom: LatticeGeometry, params: CouplingParams, drive: DriveSpec, driven: bool) -> _Compiled:
+    """The compiled parts of H0 + b S, reused while the key, every input
+    that the compile reads, stays the same."""
+    global _compiled
+    # a subnormal coupling adds nothing next to a normal one, yet would
+    # slow every matvec with subnormal arithmetic
+    tiny = np.finfo(float).tiny
+    params = replace(params, **{f"j{c}": 0.0 for c in COMPONENTS if abs(params.j(c)) < tiny})
+    string = drive_string(geom, drive.plaquette) if driven else None
+    key = (geom.n_sites, geom.bonds, string, tuple(params.j(c) for c in COMPONENTS), _CHUNK_BYTES)
+    if _compiled is not None and _compiled[0] == key:
+        return _compiled[1]
+    # the old tables go before the new ones are built
+    _compiled = None
+    compiled = _compile_tables(geom.n_sites, list(h0_bonds(geom, params)), string)
+    _compiled = (key, compiled)
+    return compiled
+
+
+def _compile_tables(n: int, bonds: list, string) -> _Compiled:
+    """The diagonal and index table of the bond rules of :func:`h0_bonds`
+    plus the drive ``string`` (None when undriven), in array passes.
+
+    Every row, and every bond's sign, is a function of the output index
+    k whose parts split over k = hi * L + lo, L = 2^s about sqrt(dim):
+    k ^ mask is (hi ^ mask_hi) L + (lo ^ mask_lo), and the parity of k's
+    bits on a set is that of hi's bits xor that of lo's.  So a row is a
+    per-hi offset plus one of two per-lo vectors, chosen by hi's parity,
+    and the whole table is one gather and one add.  A z bond's sign is
+    one bit of a pattern that splits the same way; the diagonal's value
+    at each pattern is summed over the z bonds in bond order, as their
+    terms would be at k, and the diagonal is gathered from those sums.
+    Only the patterns are ket-sized (a torus has one z bond a site, so
+    there are sqrt(dim) of them).
+    """
+    dim = 1 << n
+    rules = []  # (mask, sign bits, parity where -, + scale, - scale)
+    z_bonds = []  # (J, sign bits, parity where -J)
+    for i, j, mask, coupling, negative in bonds:
+        bits = (1 << i) | (1 << j)
+        if mask == 0:
+            z_bonds.append((coupling, bits, negative))
+            continue
+        # an entry +-J goes to the block of -|J| where it is negative
+        flip = int(coupling < 0.0)
+        rule = (0, 1 - flip) if negative is None else (bits, negative ^ flip)
+        rules.append((mask, *rule, abs(coupling), -abs(coupling)))
+    row_sum = sum(rule[3] for rule in rules)
+    drive_unit = None
+    if string is not None:
+        # string_term on the string's own six sites: its constant is the
+        # phase at k = 0, where every sign is +1, and its real sign the
+        # parity of the sites whose set bit alone makes it negative
+        local_mask, phase = string_term([(a, comp) for a, (_, comp) in enumerate(string)], len(string))
+        drive_unit = complex(phase[0])
+        negative = (phase * drive_unit.conjugate()).real < 0.0
+        mask = sum(1 << site for a, (site, _) in enumerate(string) if local_mask >> a & 1)
+        bits = sum(1 << site for a, (site, _) in enumerate(string) if negative[1 << a])
+        rules.append((mask, bits, 1, "+b", "-b"))
+    rows = len(rules)
+    chunk = _chunk_size(rows, dim)
+    s = min(chunk.bit_length() - 1, (n + 1) // 2)
+    hi = np.arange(dim >> s) << s
+    lo = np.arange(1 << s)
+
+    z_bits = np.array([bits for _, bits, _ in z_bonds], dtype=np.intp)
+    weights = np.left_shift(1, np.arange(len(z_bonds)), dtype=np.intp)
+    # bit b of a pattern is set where z bond b is -J
+    where_odd = np.array([negative for _, _, negative in z_bonds], dtype=np.intp)
+    pattern_hi = ((_parity(hi[:, None] & z_bits) ^ where_odd ^ 1) * weights).sum(axis=1, dtype=np.intp)
+    pattern_lo = (_parity(lo[:, None] & z_bits) * weights).sum(axis=1, dtype=np.intp)
+    patterns = np.arange(1 << len(z_bonds))
+    values = np.zeros(len(patterns))
+    for b, (coupling, _, _) in enumerate(z_bonds):
+        values += np.where(patterns >> b & 1, -coupling, coupling)
+    # the patterns that occur: every pair of a high and a low part
+    seen_hi, seen_lo = np.zeros((2, len(patterns)), dtype=bool)
+    seen_hi[pattern_hi] = seen_lo[pattern_lo] = True
+    seen = np.flatnonzero(seen_hi)[:, None] ^ np.flatnonzero(seen_lo)
+    h0_bound = float(np.max(np.abs(values[seen]))) + row_sum
+    diag = np.empty(dim, dtype=complex)
+    np.take(values.astype(complex), pattern_hi[:, None] ^ pattern_lo, out=diag.reshape(-1, len(lo)), mode="wrap")
+
+    # entry k of row r is (k ^ mask) + dim * (the block of its signed
+    # scale): the block of + where both occur and k is not negative
+    blocks: dict = {}
+    first, step = np.zeros((2, rows), dtype=np.intp)
+    for r, (_, bits, negative, plus, minus) in enumerate(rules):
+        used = [key for key, use in ((plus, bits or negative), (minus, bits or not negative)) if use]
+        ids = [blocks.setdefault(key, len(blocks)) for key in used]
+        first[r], step[r] = ids[0], ids[-1] - ids[0]
+    masks, bits, negative = (np.array([rule[i] for rule in rules], dtype=np.intp) for i in range(3))
+    offsets = (hi[:, None] ^ (masks & -len(lo))) + dim * first
+    choice = 2 * np.arange(rows) + _parity(hi[:, None] & bits)
+    # where hi's parity is p, an entry is negative where p ^ (lo's
+    # parity) is ``negative``
+    lo_negative = (_parity(lo & bits[:, None])[:, None] ^ np.array([[0], [1]])) == negative[:, None, None]
+    low_rows = (lo ^ (masks & (len(lo) - 1))[:, None])[:, None] + (dim * step)[:, None, None] * lo_negative
+    # chunk-major: table[c] holds every row's indices for output chunk c
+    table = np.empty((dim // chunk, rows, chunk), dtype=np.intp)
+    if rows:
+        # each chunk split at L: table[c, r, q, lo] has hi = c * chunk / L + q
+        quads = table.reshape(dim // chunk, rows, chunk >> s, len(lo))
+        per_chunk = (dim // chunk, chunk >> s, rows)
+        np.take(low_rows.reshape(2 * rows, -1), choice.reshape(per_chunk).transpose(0, 2, 1),
+                axis=0, out=quads, mode="wrap")
+        quads += offsets.reshape(per_chunk).transpose(0, 2, 1)[..., None]
+    diag.flags.writeable = False
+    # the matvec's index views stay views of the writable table: take
+    # copies a read-only index array on every call (a 17 x 1024 chunk's
+    # gather took 23 us instead of 17 us); only the held table is locked
+    chunks = tuple((slice(i * chunk, (i + 1) * chunk), diag[i * chunk : (i + 1) * chunk], idx)
+                   for i, idx in enumerate(table))
+    locked = table.view()
+    locked.flags.writeable = False
+    return _Compiled(diag, locked, chunk, chunks, h0_bound, drive_unit, tuple(blocks))
+
+
 class _Generator:
-    """H(t) = H0 + B(t) S compiled once for one lattice, couplings and drive.
+    """H(t) = H0 + B(t) S compiled for one lattice, couplings and drive.
 
     Every Pauli string acts as ``phase[k] * psi[k ^ mask]``
     (:func:`string_term`), and every phase of H0 and S is a real sign
-    times one constant.  Of the bond terms of :func:`h0_terms`, the z
+    times one constant.  Of the bond rules of :func:`h0_bonds`, the z
     bonds sum into one diagonal, stored complex so that ``diag * psi``
     needs no cast.  An x or y bond's entries are +-|J|, and the drive
     string's are +-b times the constant (-i)^(number of y).  A matvec
@@ -230,6 +381,10 @@ class _Generator:
     equals theirs bit for bit, up to the sign of zero.  A torus of
     nx, ny >= 2 has no two bonds on one site pair, so no two rows share a
     mask.
+    The diagonal, the index table and the block scales are compiled once
+    per key (:func:`_compile`) and shared, read-only, by every generator
+    of that key; ``scales``, ``src`` and ``buf``, which a matvec writes,
+    are each generator's own.
     ``bound`` = max|diag| + sum |J| over the x and y rows, plus |b| once
     :meth:`set_drive` has set b, is the largest absolute row sum of
     H0 + b S.  H0 is Hermitian and S a permutation with unit phases, so
@@ -241,77 +396,24 @@ class _Generator:
     """
 
     def __init__(self, geom: LatticeGeometry, params: CouplingParams, drive: DriveSpec):
-        # a subnormal coupling adds nothing next to a normal one, yet
-        # would slow every matvec with subnormal arithmetic
-        tiny = np.finfo(float).tiny
-        params = replace(params, **{f"j{c}": 0.0 for c in COMPONENTS if abs(params.j(c)) < tiny})
         self.drive = drive
         self.driven = drive.kind == "custom" or drive.amplitude != 0.0
-        blocks = self._compile_rows(geom, params)
-        self.bound = self.h0_bound
+        compiled = _compile(geom, params, drive, self.driven)
+        self.diag, self.table = compiled.diag, compiled.table
+        self.chunk, self.chunks = compiled.chunk, compiled.chunks
+        self.h0_bound = self.bound = compiled.h0_bound
+        self.drive_unit = compiled.drive_unit
+        blocks = compiled.blocks
         # one column of scales; set_drive writes the drive's
         self.scales = np.array([0.0 if key in ("+b", "-b") else key for key in blocks], dtype=complex)[:, None]
-        self.drive_blocks = [(blocks[key], key == "-b") for key in ("+b", "-b") if key in blocks]
-        # allocated once the row temporaries are gone: psi times every
-        # signed scale, written once per matvec
+        self.drive_blocks = [(blocks.index(key), key == "-b") for key in ("+b", "-b") if key in blocks]
+        # psi times every signed scale, written once per matvec
         self.src = np.empty((len(blocks), len(self.diag)), dtype=complex)
         # row 0 takes diag * psi, the rest the chunk's gathered rows
         self.buf = np.empty((self.table.shape[1] + 1, self.chunk), dtype=complex)
-        c = self.chunk
-        self.chunks = [(slice(i * c, (i + 1) * c), self.diag[i * c : (i + 1) * c], idx)
-                       for i, idx in enumerate(self.table)]
         self.krylov_tol = _KRYLOV_TOL
         self.krylov_error = 0.0
         self.matvecs = 0
-
-    def _compile_rows(self, geom: LatticeGeometry, params: CouplingParams) -> dict:
-        """Set ``diag``, ``h0_bound``, ``drive_unit``, ``chunk`` and the
-        index ``table``; return the source blocks, each signed scale (a
-        bond's +-|J|, or the drive's "+b" or "-b") -> its block, in order
-        of first use."""
-        n = geom.n_sites
-        dim = 2**n
-        # one index row per x and y bond of nonzero coupling, then the drive
-        rows = sum(1 for _, _, c in geom.bonds if c != "z" and params.j(c) != 0.0) + self.driven
-        self.chunk = _chunk_size(rows, dim)
-        k = np.arange(dim).reshape(-1, self.chunk)
-        # chunk-major, filled in place: table[c] holds every row's
-        # indices for output chunk c, so no row is held twice
-        self.table = np.empty((len(k), rows, self.chunk), dtype=np.intp)
-        blocks: dict = {}
-
-        def fill(r: int, mask: int, negative: np.ndarray, keys) -> None:
-            # row r: (k ^ mask) into the block of keys[1] where
-            # ``negative`` holds, of keys[0] where it does not
-            row = self.table[:, r]
-            np.bitwise_xor(k, mask, out=row)
-            offsets = [dim * blocks.setdefault(key, len(blocks))
-                       for key, used in zip(keys, (not negative.all(), negative.any())) if used]
-            row += offsets[0]
-            if len(offsets) == 2:
-                np.add(row, offsets[1] - offsets[0], out=row, where=negative)
-
-        self.diag = np.zeros(dim, dtype=complex)
-        # the z bonds sum into the real part, a view
-        diag = self.diag.real
-        r = 0
-        row_sum = 0.0
-        for mask, term in h0_terms(geom, params):
-            if mask == 0:
-                diag += term
-                continue
-            # every entry of a bond's term is +-J
-            j = abs(float(term[0]))
-            fill(r, mask, (term < 0.0).reshape(k.shape), (j, -j))
-            row_sum += j
-            r += 1
-        self.h0_bound = float(np.max(np.abs(diag))) + row_sum
-        if self.driven:
-            mask, phase = string_term(drive_string(geom, self.drive.plaquette), n)
-            # phase[0] has every sign +1: it is the constant
-            self.drive_unit = complex(phase[0])
-            fill(r, mask, ((phase * self.drive_unit.conjugate()).real < 0.0).reshape(k.shape), ("+b", "-b"))
-        return blocks
 
     def set_drive(self, b: complex) -> None:
         """Set the drive value b of the matvecs that follow."""
@@ -370,13 +472,14 @@ def evolve_fixed_substeps(
     couplings and drive; it is compiled here when omitted, and only then
     are ``geom`` and ``params`` read.  A kept ``rhs`` keeps its
     truncation tolerance, which :func:`exact_evolve` sets from its own.
+    ``kets[0]`` may be the caller's ``psi0`` itself (it is when ``psi0``
+    is complex): no step writes its input, so no copy is made.
     """
     if substeps < 1:
         raise ValueError("need at least one substep per interval")
     times = np.asarray(times, dtype=float)
     f = _Generator(geom, params, drive) if rhs is None else rhs
-    # step never writes its input, so the first kept ket is this one copy
-    psi = psi0.astype(complex, copy=True)
+    psi = np.asarray(psi0, dtype=complex)
     kets = [psi]
     for k in range(len(times) - 1):
         h = (times[k + 1] - times[k]) / substeps
@@ -436,6 +539,107 @@ def _pairs(drive: DriveSpec, times: np.ndarray, k: int) -> bool:
     return len(drive.breakpoints(t0, t2)) == 0
 
 
+def _windows(f: _Generator, psi: np.ndarray, times: np.ndarray, tol: float) -> tuple:
+    """(kets, substeps, estimate, truncation part, CF4 steps) of a driven
+    run, its windows refined by Richardson pairs as in :func:`exact_evolve`."""
+    drive = f.drive
+    span = times[-1] - times[0]
+    kets = [psi]
+    accepted: list[int] = []
+    estimate = 0.0
+    krylov_total = 0.0
+    cf4_steps = 0
+    q = 1  # fine substeps per interval
+    k = 0
+    while k < len(times) - 1:
+        width = 2 if _pairs(drive, times, k) else 1
+        if width == 2:
+            fine_grid, coarse_grid = times[k : k + 3], times[k : k + 3 : 2]
+        else:
+            fine_grid = coarse_grid = _interval_grid(drive, times[k], times[k + 1])
+        budget = tol * (times[k + width] - times[k]) / span
+        while True:
+            coarse_n = q if width == 2 else -(-q // 2)
+            fine_n = q if width == 2 else 2 * coarse_n
+            steps = coarse_n * (len(coarse_grid) - 1) + fine_n * (len(fine_grid) - 1)
+            if cf4_steps + steps > _MAX_TOTAL_STEPS:
+                raise RuntimeError(
+                    f"step refinement exhausted at {fine_n} substeps on interval "
+                    f"{k} without reaching tol={tol}"
+                )
+            coarse = evolve_fixed_substeps(None, None, drive, kets[-1], coarse_grid, coarse_n, rhs=f)[-1]
+            f.krylov_error = 0.0
+            fine = evolve_fixed_substeps(None, None, drive, kets[-1], fine_grid, fine_n, rhs=f)
+            krylov = f.krylov_error
+            cf4_steps += steps
+            # order 4: the fine pass's error is ~ diff / 15
+            est = float(np.max(np.abs(coarse - fine[-1]))) / 15.0
+            q_next = _next_substeps(fine_n, est, 0.5 * budget)
+            if est + krylov <= budget:
+                break
+            q = q_next
+        kets.extend(fine[1:] if width == 2 else fine[-1:])
+        accepted.extend([fine_n] * width)
+        estimate += est + krylov
+        krylov_total += krylov
+        q = q_next
+        k += width
+    return kets, accepted, estimate, krylov_total, cf4_steps
+
+
+def _fitting_substeps(width: float, bound: float) -> int:
+    """Fewest equal CF4 substeps n of an interval of ``width`` whose
+    exponentials, of theta = (width / n) bound / 2, fit :func:`expv`'s
+    sub-step cap; more than ``_MAX_TOTAL_STEPS`` when no run could."""
+    need = 0.5 * width * bound / (_THETA * _MAX_SUB_STEPS)
+    if not need <= _MAX_TOTAL_STEPS:
+        return _MAX_TOTAL_STEPS + 1
+    n = max(1, math.ceil(need))
+    # expv's own theta, from h = width / n, may round above the cap
+    if math.ceil(0.5 * (width / n) * bound / _THETA) > _MAX_SUB_STEPS:
+        n += 1
+    return n
+
+
+def _one_pass(f: _Generator, psi: np.ndarray, times: np.ndarray) -> tuple:
+    """(kets, substeps, estimate, truncation part, CF4 steps) of an
+    undriven run, in one pass.
+
+    CF4 is exact for an autonomous H0, so a coarse pass would measure only
+    Taylor truncation, which the bounds already give: the estimate is the
+    summed truncation bounds, within ``_KRYLOV_SHARE`` of the tolerance.
+    Each interval takes :func:`_fitting_substeps` (1 unless it is too long
+    for one exponential), and each run of intervals with one count is one
+    call.  A call whose series gives up is taken again from its start with
+    ``_MAX_GROWTH`` times the substeps, as a failed window would be.
+    """
+    counts = [_fitting_substeps(width, f.bound) for width in np.diff(times)]
+    kets = [psi]
+    accepted: list[int] = []
+    krylov_total = 0.0
+    cf4_steps = 0
+    k = 0
+    while k < len(counts):
+        n = counts[k]
+        end = k + 1
+        while end < len(counts) and counts[end] == n:
+            end += 1
+        while True:
+            if cf4_steps + n * (end - k) > _MAX_TOTAL_STEPS:
+                raise RuntimeError(f"step refinement exhausted at {n} substeps on interval {k}")
+            f.krylov_error = 0.0
+            run = evolve_fixed_substeps(None, None, f.drive, kets[-1], times[k : end + 1], n, rhs=f)
+            cf4_steps += n * (end - k)
+            if math.isfinite(f.krylov_error):
+                break
+            n *= _MAX_GROWTH
+        kets.extend(run[1:])
+        accepted.extend([n] * (end - k))
+        krylov_total += f.krylov_error
+        k = end
+    return kets, accepted, krylov_total, krylov_total, cf4_steps
+
+
 def exact_evolve(
     geom: LatticeGeometry,
     params: CouplingParams,
@@ -467,9 +671,11 @@ def exact_evolve(
     next q, and a rejected window's retry, follow the h^4 law toward half
     the share, counted in fine substeps per interval; the first window
     starts at q = 1.  A custom drive's sample times split a one-interval
-    window into pieces of s (and 2s) substeps each.  ``rhs`` is as in
-    :func:`evolve_fixed_substeps` and is compiled once here when
-    omitted; its truncation tolerance is set from ``tol``.
+    window into pieces of s (and 2s) substeps each.  An undriven run
+    takes no windows but one pass (:func:`_one_pass`), its estimate the
+    summed truncation bounds.  ``rhs`` is as in
+    :func:`evolve_fixed_substeps` and is compiled here when omitted; its
+    truncation tolerance is set from ``tol``.
     """
     times = np.asarray(times, dtype=float)
     require_hilbert(geom.n_sites)
@@ -484,49 +690,13 @@ def exact_evolve(
         raise ValueError("time grid must be finite and strictly increasing")
 
     f = _Generator(geom, params, drive) if rhs is None else rhs
-    span = times[-1] - times[0]
-    f.krylov_tol = _KRYLOV_SHARE * tol / span
+    f.krylov_tol = _KRYLOV_SHARE * tol / (times[-1] - times[0])
     matvecs_before = f.matvecs
-    kets = [psi0.astype(complex, copy=True)]
-    accepted: list[int] = []
-    estimate = 0.0
-    krylov_total = 0.0
-    cf4_steps = 0
-    q = 1  # fine substeps per interval
-    k = 0
-    while k < len(times) - 1:
-        width = 2 if _pairs(drive, times, k) else 1
-        if width == 2:
-            fine_grid, coarse_grid = times[k : k + 3], times[k : k + 3 : 2]
-        else:
-            fine_grid = coarse_grid = _interval_grid(drive, times[k], times[k + 1])
-        budget = tol * (times[k + width] - times[k]) / span
-        while True:
-            coarse_n = q if width == 2 else -(-q // 2)
-            fine_n = q if width == 2 else 2 * coarse_n
-            steps = coarse_n * (len(coarse_grid) - 1) + fine_n * (len(fine_grid) - 1)
-            if cf4_steps + steps > _MAX_TOTAL_STEPS:
-                raise RuntimeError(
-                    f"step refinement exhausted at {fine_n} substeps on interval "
-                    f"{k} without reaching tol={tol}"
-                )
-            coarse = evolve_fixed_substeps(geom, params, drive, kets[-1], coarse_grid, coarse_n, rhs=f)[-1]
-            f.krylov_error = 0.0
-            fine = evolve_fixed_substeps(geom, params, drive, kets[-1], fine_grid, fine_n, rhs=f)
-            krylov = f.krylov_error
-            cf4_steps += steps
-            # order 4: the fine pass's error is ~ diff / 15
-            est = float(np.max(np.abs(coarse - fine[-1]))) / 15.0
-            q_next = _next_substeps(fine_n, est, 0.5 * budget)
-            if est + krylov <= budget:
-                break
-            q = q_next
-        kets.extend(fine[1:] if width == 2 else fine[-1:])
-        accepted.extend([fine_n] * width)
-        estimate += est + krylov
-        krylov_total += krylov
-        q = q_next
-        k += width
+    psi = psi0.astype(complex, copy=True)
+    if f.driven:
+        kets, accepted, estimate, krylov_total, cf4_steps = _windows(f, psi, times, tol)
+    else:
+        kets, accepted, estimate, krylov_total, cf4_steps = _one_pass(f, psi, times)
     matvecs = f.matvecs - matvecs_before
 
     norms = np.array([_norm(k) for k in kets])

@@ -14,11 +14,12 @@ eigendecomposition of dense H0.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kitaevsim import oracle
-from kitaevsim.hamiltonian import CouplingParams, drive_string
+from kitaevsim.hamiltonian import CouplingParams, drive_string, h0_terms
 from kitaevsim.lattice import build_lattice
 from kitaevsim.manifold import FlipConfig, build_product_ket
 from kitaevsim.oracle import _Generator, evolve_fixed_substeps, expv
@@ -258,3 +259,118 @@ def test_result_counts_every_matvec_of_every_pass(monkeypatch):
     )
     assert undriven.energy_drift is not None
     assert undriven.matvecs == len(matvecs) - result.matvecs
+
+
+def undriven_reference(geom, params, psi0, times):
+    """exp(-i H0 t) psi0 at each of ``times``, from the eigendecomposition
+    of dense H0 one block at a time.
+
+    The x and y bonds flip pairs of bits, so H0 connects only indices that
+    differ by a sum of their masks, and each coset of those sums is one
+    block: eight of 512 at 2x3, where the whole 4096 x 4096 matrix took
+    23 s and 0.7 GB to diagonalize.  The entries come from the bond terms
+    of ``h0_terms``, which ``test_compiled_rhs.py`` holds to the reference
+    kernels.
+    """
+    dim = len(psi0)
+    terms = list(h0_terms(geom, params))
+    span = np.zeros(1, dtype=np.intp)
+    for mask, _ in terms:
+        span = np.union1d(span, span ^ mask)
+    out = np.empty((len(times), dim), dtype=complex)
+    left = np.ones(dim, dtype=bool)
+    while left.any():
+        block = np.sort(np.flatnonzero(left)[0] ^ span)
+        left[block] = False
+        where = np.full(dim, -1)
+        where[block] = np.arange(len(block))
+        h = np.zeros((len(block), len(block)))
+        for mask, coeff in terms:
+            # row k holds the term's one entry, in column k ^ mask
+            h[where[block], where[block ^ mask]] += coeff[block]
+        evals, vecs = np.linalg.eigh(h)
+        out[:, block] = (np.exp(-1j * np.outer(times, evals)) * (vecs.T @ psi0[block])) @ vecs.T
+    return out
+
+
+UNDRIVEN = CouplingParams(jx=1.0, jy=0.8, jz=1.2)
+
+
+@pytest.mark.parametrize(
+    "shape, times, most_matvecs",
+    [
+        # a Richardson pair per two intervals took 1 792
+        ((2, 3), np.linspace(0.0, 2.0 * np.pi, 9), 896),
+        # each interval's one step is past the sub-step cap, so it takes two
+        ((2, 2), np.linspace(0.0, 100.0, 3), None),
+    ],
+    ids=["2x3 to 2pi", "2x2 to 100"],
+)
+def test_an_undriven_run_is_one_pass(monkeypatch, shape, times, most_matvecs):
+    geom = GEOMS[shape]
+    psi0 = build_product_ket(geom, FlipConfig(0, geom.n_plaquettes))
+    tol = 1e-9
+    calls = []
+    real = oracle.evolve_fixed_substeps
+
+    def recording(geom, params, drive, psi0, times, substeps, **kwargs):
+        calls.append(substeps)
+        return real(geom, params, drive, psi0, times, substeps, **kwargs)
+
+    monkeypatch.setattr(oracle, "evolve_fixed_substeps", recording)
+    drive = DriveSpec.exponential(0.0, 0.0)
+    res = oracle.exact_evolve(geom, UNDRIVEN, drive, psi0, times, tol=tol)
+    bound = oracle._Generator(geom, UNDRIVEN, drive).bound
+    widths = np.diff(times)
+    cap = oracle._THETA * oracle._MAX_SUB_STEPS
+    # the fewest substeps whose exponentials, theta = h bound / 2, fit the cap
+    assert all(0.5 * w / n * bound <= cap for w, n in zip(widths, res.substeps))
+    assert all(n == 1 or 0.5 * w / (n - 1) * bound > cap for w, n in zip(widths, res.substeps))
+    assert len(calls) == 1 and res.cf4_steps == sum(res.substeps)
+    if most_matvecs is not None:
+        assert res.substeps == (1,) * len(widths)
+        assert res.matvecs <= most_matvecs
+    else:
+        assert min(res.substeps) > 1
+    assert res.error_estimate == res.krylov_error <= tol
+    ref = undriven_reference(geom, UNDRIVEN, psi0, times)
+    assert max(float(np.max(np.abs(a - b))) for a, b in zip(res.kets, ref)) <= tol
+
+
+@pytest.mark.parametrize(
+    "shape, bits, t_end, samples",
+    [((2, 2), 0x0, 2.0 * np.pi / 0.7, 5), ((2, 2), 0x5, 2.0, 5), ((2, 3), 0x0, 2.0 * np.pi, 9)],
+    ids=["criterion 10", "2x2 0x5", "2x3 to 2pi"],
+)
+def test_the_one_pass_keeps_the_fine_kets_of_the_richardson_pairs(shape, bits, t_end, samples):
+    # where every window accepts its first pair, at one substep per
+    # interval, the pairs' fine pass is the one pass, bit for bit
+    geom = GEOMS[shape]
+    psi0 = build_product_ket(geom, FlipConfig(bits, geom.n_plaquettes)).astype(complex)
+    times = np.linspace(0.0, t_end, samples)
+    f = oracle._Generator(geom, UNDRIVEN, DriveSpec.exponential(0.0, 0.0))
+    f.krylov_tol = oracle._KRYLOV_SHARE * 1e-9 / t_end
+    pairs = oracle._windows(f, psi0, times, 1e-9)
+    one = oracle._one_pass(f, psi0, times)
+    assert pairs[1] == one[1] == [1] * (samples - 1)
+    assert all(np.array_equal(a, b) for a, b in zip(pairs[0], one[0]))
+
+
+def test_a_pass_whose_series_gives_up_is_retried_with_more_substeps(monkeypatch):
+    # at theta = 1.5 a series of twelve terms stops short of its bound,
+    # and the pass ends in NaN; sixteen times the substeps bring theta
+    # to 0.19
+    monkeypatch.setattr(oracle, "_MAX_TAYLOR_TERMS", 12)
+    geom = GEOMS[(2, 2)]
+    psi0 = build_product_ket(geom, FlipConfig(0, geom.n_plaquettes))
+    times = np.linspace(0.0, 1.0, 3)
+    res = oracle.exact_evolve(geom, UNDRIVEN, DriveSpec.exponential(0.0, 0.0), psi0, times, tol=1e-9)
+    assert res.substeps == (16, 16) and res.cf4_steps == 2 + 32
+    assert res.error_estimate <= 1e-9
+    ref = undriven_reference(geom, UNDRIVEN, psi0, times)
+    assert max(float(np.max(np.abs(a - b))) for a, b in zip(res.kets, ref)) <= 1e-9
+    # a pass that never converges ends in the step budget
+    monkeypatch.setattr(oracle, "_MAX_TAYLOR_TERMS", 1)
+    monkeypatch.setattr(oracle, "_MAX_TOTAL_STEPS", 1000)
+    with pytest.raises(RuntimeError, match="refinement exhausted"):
+        oracle.exact_evolve(geom, UNDRIVEN, DriveSpec.exponential(0.0, 0.0), psi0, times, tol=1e-9)

@@ -9,7 +9,9 @@ chunked matvec is held bit for bit to the coefficient-row kernel with one
 row per group (``reference.grouped_apply``), whatever its chunk size.
 """
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -300,11 +302,13 @@ def test_2x4_generator_holds_index_rows_and_ket_buffers():
     assert sum(a.nbytes for a in arrays) - index_bytes == (1 + blocks) * 16 * dim + (rows + 1) * gen.chunk * 16 + blocks * 16
 
 
-def test_2x4_compile_peaks_within_its_tables_and_one_ket():
+def test_2x4_compile_peaks_within_its_tables_and_one_ket(monkeypatch):
     # the index table is filled in place: stacking its rows first and then
     # copying them into chunks would hold it twice (8.9 MB at 2x4)
     args = _args_2x4()
     _Generator(*args)
+    # a compile, not a hit in the cache of the last one
+    monkeypatch.setattr(oracle, "_compiled", None)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -313,6 +317,122 @@ def test_2x4_compile_peaks_within_its_tables_and_one_ket():
     finally:
         tracemalloc.stop()
     assert peak <= sum(a.nbytes for a in _tables(gen)) + 16 * len(gen.diag)
+
+
+def _key_inputs(shape, jx, jy, jz, plaquette, driven, d=0.3, omega=0.7, kind="exponential"):
+    """Fresh lattice, couplings and drive: equal inputs, never the same objects."""
+    geom = build_lattice(*shape)
+    params = CouplingParams(jx=jx, jy=jy, jz=jz, d=d, omega=omega)
+    if kind == "custom":
+        drive = DriveSpec.custom(np.linspace(0.0, 3.0, 4), [d, 0.5j * d, -d, d], plaquette=plaquette)
+    else:
+        drive = DriveSpec.exponential(d if driven else 0.0, omega, plaquette=plaquette)
+    return geom, params, drive
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    shape=st.sampled_from(sorted(GEOMS)),
+    jx=st.one_of(couplings, tiny_couplings),
+    jy=st.one_of(couplings, tiny_couplings),
+    jz=st.one_of(couplings, tiny_couplings),
+    driven=st.booleans(),
+    chunking=st.sampled_from(sorted(CHUNKINGS)),
+    data=st.data(),
+)
+def test_a_cached_compile_equals_a_fresh_one(shape, jx, jy, jz, driven, chunking, data):
+    plaquette = data.draw(st.integers(0, GEOMS[shape].n_plaquettes - 1), label="plaquette")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    dim = 2 ** GEOMS[shape].n_sites
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_compiled", None)
+        # the chunk buffer of the largest table, 2x3's 18 + 1 rows
+        mp.setattr(oracle, "_CHUNK_BYTES", 20 * CHUNKINGS[chunking](dim) * 16)
+        first = _Generator(*_key_inputs(shape, jx, jy, jz, plaquette, driven))
+        # equal inputs from new objects, a drive of another amplitude,
+        # frequency and kind: one key
+        args = _key_inputs(shape, jx, jy, jz, plaquette, driven, d=0.1, omega=-0.4,
+                           kind="custom" if driven and data.draw(st.booleans(), label="custom") else "exponential")
+        hit = _Generator(*args)
+        assert hit.table is first.table and hit.diag is first.diag
+        # what a matvec writes is each generator's own
+        for name in ("scales", "src", "buf"):
+            assert not np.shares_memory(getattr(hit, name), getattr(first, name))
+        mp.setattr(oracle, "_compiled", None)
+        fresh = _Generator(*args)
+    assert fresh.table is not hit.table
+    assert np.array_equal(hit.diag, fresh.diag) and np.array_equal(hit.table, fresh.table)
+    assert (hit.chunk, hit.h0_bound, hit.bound) == (fresh.chunk, fresh.h0_bound, fresh.bound)
+    assert np.array_equal(hit.scales, fresh.scales)
+    psi = _random_psi(rng, dim)
+    b = complex(args[2].b_of(1.3)) if driven else 0j
+    ref = reference.grouped_apply(*args, psi, b, 16 * dim)
+    assert np.array_equal(hit.apply(psi, b), ref)
+    assert np.array_equal(first.apply(psi, b), ref)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(shape=(3, 2)),  # other bonds on as many sites
+        dict(plaquette=1),  # the drive on other sites
+        dict(jx=0.5),
+        dict(jz=0.0),
+        dict(driven=False),
+    ],
+    ids=["bonds", "drive sites", "jx", "jz zero", "undriven"],
+)
+def test_any_change_of_the_key_recompiles(monkeypatch, change):
+    monkeypatch.setattr(oracle, "_compiled", None)
+    base = dict(shape=(2, 3), jx=1.0, jy=0.8, jz=1.2, plaquette=0, driven=True)
+    first = _Generator(*_key_inputs(**base))
+    second = _Generator(*_key_inputs(**{**base, **change}))
+    assert second.table is not first.table
+    assert oracle._compiled[1].table is second.table
+
+
+def test_the_chunk_budget_is_part_of_the_key(monkeypatch):
+    monkeypatch.setattr(oracle, "_compiled", None)
+    args = _key_inputs((2, 3), 1.0, 0.8, 1.2, 0, True)
+    first = _Generator(*args)
+    monkeypatch.setattr(oracle, "_CHUNK_BYTES", oracle._CHUNK_BYTES // 2)
+    second = _Generator(*args)
+    assert second.table is not first.table and second.chunk == first.chunk // 2
+
+
+def test_couplings_equal_after_the_subnormal_flush_share_a_compile(monkeypatch):
+    monkeypatch.setattr(oracle, "_compiled", None)
+    first = _Generator(*_key_inputs((2, 2), 1.0, 0.0, 1.2, 0, True))
+    second = _Generator(*_key_inputs((2, 2), 1.0, -1e-310, 1.2, 0, True))
+    assert second.table is first.table
+
+
+def test_the_cache_holds_one_lattice_and_its_arrays_are_read_only(monkeypatch):
+    monkeypatch.setattr(oracle, "_compiled", None)
+    compiling = []
+    real = oracle._compile_tables
+
+    def checked(*args):
+        # the last key's tables are dropped before the next are built
+        compiling.append(oracle._compiled)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_compile_tables", checked)
+    gen = _Generator(*_key_inputs((2, 2), 1.0, 0.8, 1.2, 0, True))
+    with pytest.raises(ValueError, match="read-only"):
+        gen.table[0, 0, 0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        gen.diag[0] = 0.0
+    assert not any(diag.flags.writeable for _, diag, _ in gen.chunks)
+    # take copies read-only indices on every call, so the matvec's index
+    # views are of the table's writable memory
+    assert all(idx.flags.writeable and np.shares_memory(idx, gen.table) for _, _, idx in gen.chunks)
+    old = weakref.ref(gen.table)
+    del gen
+    _Generator(*_key_inputs((2, 3), 1.0, 0.8, 1.2, 0, True))
+    gc.collect()
+    assert old() is None
+    assert compiling == [None, None]
 
 
 def test_string_term_rejects_repeated_site():

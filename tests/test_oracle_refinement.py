@@ -171,6 +171,19 @@ def test_steps_end_on_custom_drive_samples(monkeypatch):
 
 
 def test_correlation_scan_replays_the_accepted_substeps(monkeypatch):
+    _check_scan_replays(monkeypatch, d=0.01)
+
+
+def test_undriven_correlation_scan_replays_its_one_pass(monkeypatch):
+    passes = _check_scan_replays(monkeypatch, d=0.0)
+    # one pass of one substep per interval over the whole grid
+    assert passes == [(tuple(np.linspace(0.0, 1.5, 9)), 1)]
+
+
+def _check_scan_replays(monkeypatch, d):
+    """Run a 2x2 correlation scan at drive amplitude ``d``: every vector
+    replays the accepted substeps interval by interval, and the generator
+    is compiled once.  Returns the passes of the scan's exact run."""
     calls = _record_passes(monkeypatch)
     compiled = _count_compiles(monkeypatch)
     runs = []
@@ -182,7 +195,7 @@ def test_correlation_scan_replays_the_accepted_substeps(monkeypatch):
         return res
 
     monkeypatch.setattr(correlation_mod, "exact_evolve", keep)
-    params, drive = _driven(d=0.01, omega=0.5)
+    params, drive = _driven(d=d, omega=0.5)
     pairs = [(0, 1), (2, 3)]
     components = [("x", "x"), ("y", "z")]
     correlation_exact_scan(
@@ -194,6 +207,7 @@ def test_correlation_scan_replays_the_accepted_substeps(monkeypatch):
     vectors = 1 + len({(j, b) for _, j in pairs for _, b in components})
     assert calls[seen:] == one_vector * vectors
     assert len(compiled) == 1
+    return calls[:seen]
 
 
 def test_overflowing_pass_ends_in_refinement_exhausted(monkeypatch):
