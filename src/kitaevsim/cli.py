@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .correlation import correlation_exact_scan, correlation_formula, selection_rule_report
 from .density import (
-    DENSE_DENSITY_BUDGET_BYTES,
     ActiveState,
     DensityMatrix,
     ThermalEnsemble,
@@ -36,7 +35,7 @@ from .density import (
     initial_label,
     keyed_mixture,
     phased_amplitudes,
-    require_dense_budget,
+    require_budget,
     sublattice_entropy,
     thermal_weights,
 )
@@ -219,17 +218,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _require_budget(nbytes: int, what: str) -> None:
-    """Raise RuntimeError if ``what`` needs more than the memory budget."""
-    if nbytes > DENSE_DENSITY_BUDGET_BYTES:
-        raise RuntimeError(f"{what} need about {nbytes} bytes, over the budget "
-                           f"of {DENSE_DENSITY_BUDGET_BYTES} bytes")
-
-
 def _require_sample_budget(samples: int, series: int) -> None:
     """Raise RuntimeError if the time samples and their series are over budget."""
-    _require_budget(samples * (SAMPLE_BYTES + SERIES_SAMPLE_BYTES * series),
-                    f"{samples} time samples and {series} first-order series")
+    require_budget(samples * (SAMPLE_BYTES + SERIES_SAMPLE_BYTES * series),
+                   f"{samples} time samples and {series} first-order series need about")
 
 
 def _build_scene(cfg: RunConfig):
@@ -360,7 +352,7 @@ def _evolved(cfg: RunConfig, connected_only: bool):
         targets = [excite(initial, j) for j in range(geom.n_plaquettes)]
     _require_sample_budget(cfg.samples, len(targets))
     dim = len(targets) + 1
-    require_dense_budget(dim, dim, "active-basis density matrix")
+    require_budget(16 * dim * dim, f"the {dim}x{dim} active-basis density matrix's entries take")
     coeffs = evolve_coefficients(geom, params, drive, initial, targets, times)
     _require_finite(coeffs, cfg.t_max)
     return geom, params, drive, initial, times, coeffs
@@ -471,7 +463,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
             f"--omega-min and --omega-max must be finite, got "
             f"{args.omega_min} and {args.omega_max}"
         )
-    _require_budget(args.omega_steps * SWEEP_ROW_BYTES, f"{args.omega_steps} sweep rows")
+    require_budget(args.omega_steps * SWEEP_ROW_BYTES, f"{args.omega_steps} sweep rows need about")
     geom, _, _, initial, times, coeffs = _evolved(cfg, True)
     if not coeffs:
         raise RuntimeError("no target is connected to the initial configuration")
@@ -632,9 +624,10 @@ def cmd_thermal(cfg: RunConfig, args) -> int:
     if args.emit_density:
         # the mixture density matrix is over the full 2**n_sites basis
         require_hilbert(geom.n_sites)
-        require_dense_budget(2**geom.n_sites, 2**geom.n_sites, "mixture density matrix")
+        dim = 2**geom.n_sites
+        require_budget(16 * dim * dim, f"the {dim}x{dim} mixture density matrix's entries take")
     count = {"weight01": n + 1, "all": 1 << n}.get(args.members, args.members.count(",") + 1)
-    _require_budget(count * THERMAL_MEMBER_BYTES, f"{count} thermal members")
+    require_budget(count * THERMAL_MEMBER_BYTES, f"{count} thermal members need about")
     if args.members == "weight01":
         members_cfg = [FlipConfig(0, n)] + [FlipConfig(1 << q, n) for q in range(n)]
     elif args.members == "all":

@@ -47,23 +47,19 @@ from .perturbation import CoefficientSeries
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
 
-# largest density matrix require_dense_budget lets through, in bytes of the
-# [re, im] entries its payload writes (16 * dim**2); the factors held are
-# only its kets.  The 2x3 torus's full-Hilbert mixture writes 256 MiB, the
-# 2x4 torus's 64 GiB, and evolve's (N+1)**2 active-basis matrix fits up to
-# the 90x90 torus
+# the memory budget every size check holds a request to, in bytes: a
+# density matrix counts the [re, im] entries its payload writes (16 *
+# dim**2), and the factors held are only its kets.  The 2x3 torus's
+# full-Hilbert mixture writes 256 MiB, the 2x4 torus's 64 GiB, and evolve's
+# (N+1)**2 active-basis matrix fits up to the 90x90 torus
 DENSE_DENSITY_BUDGET_BYTES = 1 << 30
 
 
-def require_dense_budget(rows: int, cols: int, what: str) -> None:
-    """Raise RuntimeError if the entries of a complex rows x cols matrix
-    take more bytes in binary (16 each) than the budget."""
-    nbytes = 16 * rows * cols
+def require_budget(nbytes: int, what: str) -> None:
+    """Raise RuntimeError if ``nbytes`` is over the budget; the message is
+    ``what``, the byte count and the budget."""
     if nbytes > DENSE_DENSITY_BUDGET_BYTES:
-        raise RuntimeError(
-            f"the {rows}x{cols} {what}'s entries take {nbytes} bytes in binary, "
-            f"over the budget of {DENSE_DENSITY_BUDGET_BYTES} bytes"
-        )
+        raise RuntimeError(f"{what} {nbytes} bytes, over the budget of {DENSE_DENSITY_BUDGET_BYTES} bytes")
 
 
 @dataclass
@@ -186,7 +182,7 @@ class ThermalEnsemble:
         """The mixture rho = sum_k p_k |psi_k><psi_k| over the full basis,
         kept as the member kets and their weights."""
         dim = len(self.states[0])
-        require_dense_budget(dim, dim, "mixture density matrix")
+        require_budget(16 * dim * dim, f"the {dim}x{dim} mixture density matrix's entries take")
         return DensityMatrix(kets=np.array(self.states), weights=np.asarray(self.weights))
 
 
@@ -238,7 +234,8 @@ def density_matrix(state: ActiveState) -> DensityMatrix:
     amps = state.amplitudes
     if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
         raise ValueError("state must be normalized to 1e-10")
-    require_dense_budget(len(amps), len(amps), "density matrix")
+    dim = len(amps)
+    require_budget(16 * dim * dim, f"the {dim}x{dim} density matrix's entries take")
     return DensityMatrix(kets=amps[None, :], labels=state.labels)
 
 

@@ -9,18 +9,18 @@ round-trips, so both files round-trip bit-exactly and diff cleanly.
 Both writers stream, and neither holds a whole file's text.
 ``write_csv`` takes column blocks and writes each block in chunks of
 CSV_CHUNK_ROWS rows, formatting each column of a chunk in one pass.  A
-column whose bits equal the previous block's is written from the text
-kept for it, so a time grid shared by many series is formatted once;
-otherwise a long block's text is held one chunk at a time.  A short
-block whose array columns all repeat the bits of the last short block,
-such as a zero series after another, is written from that block's row
-text in one join around its own scalar cells.  ``write_json`` writes
-each numpy array, or each :class:`LazyRows` whose rows are formed only
-when asked, in blocks of JSON_BLOCK_ROWS rows.  Runs of bit-identical
-rows are found by comparing 8-byte words; a block made of few runs,
-such as the mostly-zero rows of a density matrix, is written one string
-per run from row texts kept in a bounded memo keyed by the row's bits,
-so each distinct row is encoded once per array.
+block of number arrays and scalars keeps its rows' text, split at the
+scalar cells, when it fits one chunk or when its arrays repeat the
+previous block's bits; a block that repeats the kept one, such as each
+zero series after another, is written from that text in one join around
+its own scalar cells.  Any other block's text is held one chunk at a
+time.  ``write_json`` writes each numpy array, or each
+:class:`LazyRows` whose rows are formed only when asked, in blocks of
+JSON_BLOCK_ROWS rows.  Runs of bit-identical rows are found by
+comparing 8-byte words; a block made of few runs, such as the
+mostly-zero rows of a density matrix, is written one string per run
+from row texts kept in a bounded memo keyed by the row's bits, so each
+distinct row is encoded once per array.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ from . import __version__
 JSON_BLOCK_ROWS = 4096
 
 # rows that write_csv writes at once; a longer block goes out in chunks of
-# this many rows, and its columns are formatted chunk by chunk unless they
-# repeat the previous block's
+# this many rows, its text kept only when it repeats the previous block
 CSV_CHUNK_ROWS = 4096
 
 # a block with at most one run of bit-identical consecutive rows per RUN_ROWS
@@ -114,14 +113,13 @@ def _bits(column: np.ndarray) -> tuple:
 
 
 def _same_bits(kept, key) -> bool:
-    """Whether two column keys hold the same bits.  A block that fits one
-    chunk is keyed by :func:`_bits`; a longer one by its array, compared a
-    chunk at a time so that no copy of its bits is held."""
-    if isinstance(kept, np.ndarray) and isinstance(key, np.ndarray):
-        return kept is key or (kept.dtype == key.dtype and kept.shape == key.shape and all(
-            kept[k:k + CSV_CHUNK_ROWS].tobytes() == key[k:k + CSV_CHUNK_ROWS].tobytes()
-            for k in range(0, len(key), CSV_CHUNK_ROWS)))
-    return isinstance(kept, tuple) and isinstance(key, tuple) and kept == key
+    """Whether two arrays hold the same bits, compared a chunk at a time so
+    that no copy of their bits is held; a scalar column's key is None."""
+    if kept is None or key is None or kept is key:
+        return kept is key
+    return kept.dtype == key.dtype and kept.shape == key.shape and all(
+        kept[k:k + CSV_CHUNK_ROWS].tobytes() == key[k:k + CSV_CHUNK_ROWS].tobytes()
+        for k in range(0, len(key), CSV_CHUNK_ROWS))
 
 
 def write_csv(path: Path, config: dict, columns: list[str], blocks) -> None:
@@ -133,21 +131,21 @@ def write_csv(path: Path, config: dict, columns: list[str], blocks) -> None:
     bool, with 17 significant digits for a float (numpy float64
     included), and as ``str()`` otherwise; an array as its ``tolist()``.
     Each block's rows are written before the next block is drawn, in
-    chunks of CSV_CHUNK_ROWS rows.  An array column's text is formatted
-    whole and kept when its block fits one chunk or its bits equal the
-    previous block's, and reused while they stay equal; any other column
-    is formatted one chunk at a time.  A block of number arrays and
-    scalars that fits one chunk keeps its rows' text, split at the scalar
-    cells; a next block whose arrays repeat those bits is written from
-    that text in one join around its own scalar cells.  An array must not
-    change while the blocks after it are written.
+    chunks of CSV_CHUNK_ROWS rows, each column of a chunk formatted in
+    one pass.  A block of number arrays and scalars keeps its rows' text,
+    chunk by chunk and split at the scalar cells, when it fits one chunk
+    or when its arrays repeat the bits of the previous such block; a later
+    block whose arrays repeat the kept block's is written from that text,
+    joined around its own scalar cells.  An array of a block longer than
+    a chunk must not change while the blocks after it are written.
     """
     with path.open("w") as fh:
         fh.write("\n".join([*header_block(config), ",".join(columns)]) + "\n")
-        # per column: the previous block's array key (_same_bits) and its text, if kept
-        previous: list[tuple[tuple | np.ndarray, list[str] | None] | None] = [None] * len(columns)
-        # the last whole block's keys and its rows' text split at the scalar cells
-        kept: tuple[list, list[str]] | None = None
+        # the last block of number arrays and scalars: its rows, its column
+        # keys (None for a scalar; an array's _bits if the block fits one
+        # chunk, else the array) and, once kept, its rows' text per chunk,
+        # split at the scalar cells
+        kept_rows, kept_keys, kept_text = -1, None, None
         for block in blocks:
             if len(block) != len(columns):
                 raise ValueError(f"a block has {len(block)} columns, the header {len(columns)}")
@@ -156,48 +154,42 @@ def write_csv(path: Path, config: dict, columns: list[str], blocks) -> None:
             if len(lengths) != 1:
                 raise ValueError(f"a block's columns must share one length, got {sorted(lengths)}")
             (n_rows,) = lengths
-            # a short block of number arrays (whose text holds no NUL) and scalars
-            whole = 0 < n_rows <= CSV_CHUNK_ROWS and all(
-                s or (isinstance(column, np.ndarray) and column.dtype.kind in "biuf")
-                for column, s in zip(block, scalar))
-            keys = [None if s else _bits(column) for column, s in zip(block, scalar)] if whole else None
-            if whole and kept is not None and kept[0] == keys:
-                parts = kept[1]
-            else:
-                texts: list[list[str] | None] = []
-                for k, column in enumerate(block):
-                    if not isinstance(column, np.ndarray):
-                        texts.append(None)
+            keep = reuse = False
+            # number arrays, whose text holds no NUL, and scalars
+            if all(s or (isinstance(column, np.ndarray) and column.dtype.kind in "biuf")
+                   for column, s in zip(block, scalar)):
+                short = n_rows <= CSV_CHUNK_ROWS
+                keys = [None if s else _bits(column) if short else column
+                        for column, s in zip(block, scalar)]
+                seen = kept_rows == n_rows and (
+                    keys == kept_keys if short else all(map(_same_bits, kept_keys, keys)))
+                if not seen:
+                    # free the old text before formatting
+                    kept_rows, kept_keys, kept_text = n_rows, keys, None
+                reuse = kept_text is not None
+                keep = not reuse and (seen or short)
+                if keep:
+                    kept_text = []
+            fills = [_format_cell(column) for column, s in zip(block, scalar) if s]
+            for k, start in enumerate(range(0, n_rows, CSV_CHUNK_ROWS)):
+                stop = min(start + CSV_CHUNK_ROWS, n_rows)
+                if not reuse:
+                    # NUL marks the scalar cells of text that is kept
+                    cells = [
+                        repeat("\0" if keep else _format_cell(column), stop - start) if s
+                        else _format_column(column[start:stop])
+                        for column, s in zip(block, scalar)
+                    ]
+                    text = "\n".join(map(",".join, zip(*cells))) + "\n"
+                    if not keep:
+                        fh.write(text)
                         continue
-                    # a long block keeps the array itself, not a copy of its bits
-                    key = keys[k] if whole else column
-                    seen = previous[k] is not None and _same_bits(previous[k][0], key)
-                    text = previous[k][1] if seen else None
-                    if text is None and (seen or n_rows <= CSV_CHUNK_ROWS):
-                        previous[k] = None  # free the old text before formatting
-                        text = _format_column(column)
-                    previous[k] = (key, text)
-                    texts.append(text)
-                if whole:
-                    # NUL marks the scalar cells
-                    cells = [repeat("\0", n_rows) if s else text for s, text in zip(scalar, texts)]
-                    parts = ("\n".join(map(",".join, zip(*cells))) + "\n").split("\0")
-                    kept = (keys, parts)
-            if whole:
+                    kept_text.append(text.split("\0"))
+                parts = kept_text[k]
                 pieces = [None] * (2 * len(parts) - 1)
                 pieces[::2] = parts
-                pieces[1::2] = [_format_cell(c) for c, s in zip(block, scalar) if s] * n_rows
+                pieces[1::2] = fills * (stop - start)
                 fh.write("".join(pieces))
-                continue
-            for start in range(0, n_rows, CSV_CHUNK_ROWS):
-                stop = min(start + CSV_CHUNK_ROWS, n_rows)
-                cells = [
-                    repeat(_format_cell(column), stop - start) if s
-                    else _format_column(column[start:stop]) if text is None
-                    else text[start:stop]
-                    for column, s, text in zip(block, scalar, texts)
-                ]
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 class LazyRows:

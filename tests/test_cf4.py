@@ -2,13 +2,13 @@
 
 The fixed-step CF4 propagator is checked against classical RK4 at fine
 steps, and ``expv`` against the dense exponential of H0 + b S, built
-from the Kronecker products of ``tests/reference.py``, from
-``np.linalg.eig``: its value, and its returned truncation bound against
-its true error.  ``rk4_fixed_substeps`` is the RK4 core the oracle ran
-before CF4 replaced it, on -i (H0 + B(t) S) psi from the oracle's
-compiled generator.  One undriven ``exact_evolve`` run whose
-exponentials all split into Taylor sub-steps is checked against the
-eigendecomposition of dense H0.
+from the Kronecker products of ``tests/reference.py`` and exponentiated
+by scaling and squaring (``expm_taylor``): its value, and its returned
+truncation bound against its true error.  ``rk4_fixed_substeps`` is the
+RK4 core the oracle ran before CF4 replaced it, on -i (H0 + B(t) S) psi
+from the oracle's compiled generator.  One undriven ``exact_evolve``
+run whose exponentials all split into Taylor sub-steps is checked
+against the eigendecomposition of dense H0.
 """
 
 import math
@@ -25,14 +25,13 @@ from kitaevsim.manifold import FlipConfig, build_product_ket
 from kitaevsim.oracle import _Generator, evolve_fixed_substeps, expv
 from kitaevsim.perturbation import DriveSpec
 
-from reference import dense_h0_kron, kron_string
+from reference import dense_h0_kron, expm_taylor, kron_string
 
 GEOMS = {shape: build_lattice(*shape) for shape in ((2, 2), (2, 3), (3, 2))}
 
 couplings = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
 amplitudes = st.one_of(st.just(0.0), st.floats(0.001, 0.3))
 # nonzero couplings: with two of them zero, H0 + b S can be defective
-# and its eigenvector basis no reference
 nonzero = st.builds(lambda sign, size: sign * size, st.sampled_from([-1.0, 1.0]), st.floats(0.1, 1.0))
 
 
@@ -126,8 +125,7 @@ def test_expv_matches_dense_exponential(jx, jy, jz, b_re, b_im, tau, data):
     string = drive_string(geom, plaquette)
     dense = dense_h0_kron(geom, params) + b * kron_string(geom.n_sites, string)
     v = _random_ket(rng, dim)
-    evals, vecs = np.linalg.eig(-1j * tau * dense)
-    ref = vecs @ (np.exp(evals) * np.linalg.solve(vecs, v))
+    ref = expm_taylor(-1j * tau * dense) @ v
 
     f = _Generator(geom, params, drive)
     f.set_drive(b)
@@ -160,8 +158,7 @@ def test_expv_bound_covers_its_true_error(jx, jy, jz, b_re, b_im, tau, tol, data
     string = drive_string(geom, plaquette)
     dense = dense_h0_kron(geom, params) + b * kron_string(geom.n_sites, string)
     v = _random_ket(rng, 2**geom.n_sites)
-    evals, vecs = np.linalg.eig(-1j * tau * dense)
-    ref = vecs @ (np.exp(evals) * np.linalg.solve(vecs, v))
+    ref = expm_taylor(-1j * tau * dense) @ v
 
     # the generator's bound is the largest absolute row sum of H0 + b S
     assert math.isclose(f.bound, float(np.max(np.sum(np.abs(dense), axis=1))), rel_tol=1e-12)

@@ -359,15 +359,6 @@ def formatted(monkeypatch):
     return calls
 
 
-def test_write_csv_formats_a_repeated_short_column_once(formatted, tmp_path):
-    # coefficients.csv's layout: one short block per series over one time grid
-    times = np.linspace(0.0, 6.0, 65)
-    write_csv(tmp_path / "series.csv", CONFIG, ["target", "t", "re_c"],
-              ((f"x{k}", times, np.full(65, float(k))) for k in range(576)))
-    # the time grid once, then one value column per series
-    assert formatted == [65] * 577
-
-
 def test_write_csv_reuses_a_block_around_scalars_in_any_column(formatted, tmp_path):
     # a scalar between array columns and one after them, a NUL in a label:
     # the arrays repeat, so only the first block formats them
@@ -380,13 +371,34 @@ def test_write_csv_reuses_a_block_around_scalars_in_any_column(formatted, tmp_pa
     assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
-def test_write_csv_keeps_the_text_of_a_repeated_long_column(formatted, tmp_path, monkeypatch):
-    # three 10-row blocks over 4-row chunks: the first block's grid goes out
-    # chunk by chunk, the repeat is formatted whole once and then reused
-    times = np.linspace(0.0, 1.0, 10)
-    monkeypatch.setattr(output, "CSV_CHUNK_ROWS", 4)
-    write_csv(tmp_path / "cols.csv", CONFIG, ["k", "t"], [(f"x{k}", times) for k in range(3)])
-    assert formatted == [4, 4, 2, 10]
-    write_csv_rows(tmp_path / "rows.csv", CONFIG, ["k", "t"],
-                   [(f"x{k}", t) for k in range(3) for t in times.tolist()])
+def series_blocks(n_samples, n_series):
+    """coefficients.csv's layout: a target label, the time grid, and the
+    real and imaginary parts of one nonzero series, then of zero series."""
+    times = np.linspace(0.0, 6.0, n_samples)
+    values = [np.exp(1j * times) - 1.0] + [np.zeros(n_samples, complex) for _ in range(n_series - 1)]
+    return [(f"x{k}", times, v.real, v.imag) for k, v in enumerate(values)]
+
+
+def test_write_csv_formats_a_short_zero_series_once(formatted, tmp_path):
+    # 65 samples, as every evolve writes by default: the nonzero block and
+    # the first zero block are formatted, the other zero blocks reuse it
+    blocks = series_blocks(65, 576)
+    write_csv(tmp_path / "cols.csv", CONFIG, ["target", "t", "re_c", "im_c"], iter(blocks))
+    assert formatted == [65] * 6
+    write_csv_rows(tmp_path / "rows.csv", CONFIG, ["target", "t", "re_c", "im_c"],
+                   [row for block in blocks for row in block_rows(block)])
+    assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_write_csv_formats_a_long_zero_series_at_most_twice(formatted, tmp_path):
+    # past one chunk a block's text is kept only once its arrays repeat the
+    # previous block's: the first zero block goes out chunk by chunk, the
+    # second is formatted and kept, and the rest are written from its text
+    n_samples = 2 * output.CSV_CHUNK_ROWS + 1
+    blocks = series_blocks(n_samples, 6)
+    write_csv(tmp_path / "cols.csv", CONFIG, ["target", "t", "re_c", "im_c"], iter(blocks))
+    chunks = [output.CSV_CHUNK_ROWS] * 6 + [1] * 3
+    assert formatted == chunks * 3
+    write_csv_rows(tmp_path / "rows.csv", CONFIG, ["target", "t", "re_c", "im_c"],
+                   [row for block in blocks for row in block_rows(block)])
     assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
