@@ -358,6 +358,16 @@ def _evolved(cfg: RunConfig, connected_only: bool):
     return geom, params, drive, initial, times, coeffs
 
 
+def _connected(cfg: RunConfig):
+    """:func:`_evolved` over the connected targets, for the commands that
+    need a series: RuntimeError (exit 3) if the drive connects none."""
+    scene = _evolved(cfg, True)
+    if not scene[-1]:
+        raise RuntimeError("no connected targets: the drive connects no target "
+                           "to the initial configuration")
+    return scene
+
+
 def cmd_evolve(cfg: RunConfig, args) -> int:
     geom, params, _, initial, times, coeffs = _evolved(cfg, args.connected_only)
     meta = dict(cfg.as_dict())
@@ -396,9 +406,7 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
 
 
 def cmd_phase(cfg: RunConfig, args) -> int:
-    *_, times, coeffs = _evolved(cfg, True)
-    if not coeffs:
-        raise RuntimeError("no target is connected to the initial configuration")
+    *_, times, coeffs = _connected(cfg)
     series = coeffs[0]
     phase = decompose(series)
     intervals = stability_intervals(phase)
@@ -464,9 +472,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
             f"{args.omega_min} and {args.omega_max}"
         )
     require_budget(args.omega_steps * SWEEP_ROW_BYTES, f"{args.omega_steps} sweep rows need about")
-    geom, _, _, initial, times, coeffs = _evolved(cfg, True)
-    if not coeffs:
-        raise RuntimeError("no target is connected to the initial configuration")
+    geom, _, _, initial, times, coeffs = _connected(cfg)
     omega0 = coeffs[0].omega0
     # the series' own element; only the detuning omega0 - omega changes
     m = drive_element(geom, initial, cfg.plaquette, cfg.d)
@@ -504,9 +510,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 def cmd_entropy(cfg: RunConfig, args) -> int:
     # S_A from the label amplitudes' Schmidt values: no 2**n ket, no cap
-    geom, _, _, initial, times, coeffs = _evolved(cfg, True)
-    if not coeffs:
-        raise RuntimeError("no connected targets; nothing to evolve")
+    geom, _, _, initial, times, coeffs = _connected(cfg)
     entropies = sublattice_entropy(geom, initial, coeffs)
     out = _outdir(cfg) / "entropy.csv"
     write_csv(out, cfg.as_dict(), ["t", "s_a"], [(times, entropies)])

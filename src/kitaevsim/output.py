@@ -14,13 +14,14 @@ scalar cells, when it fits one chunk or when its arrays repeat the
 previous block's bits; a block that repeats the kept one, such as each
 zero series after another, is written from that text in one join around
 its own scalar cells.  Any other block's text is held one chunk at a
-time.  ``write_json`` writes each numpy array, or each
-:class:`LazyRows` whose rows are formed only when asked, in blocks of
-JSON_BLOCK_ROWS rows.  Runs of bit-identical rows are found by
-comparing 8-byte words; a block made of few runs, such as the
-mostly-zero rows of a density matrix, is written one string per run
-from row texts kept in a bounded memo keyed by the row's bits, so each
-distinct row is encoded once per array.
+time.  ``write_json`` writes its document chunk by chunk as the
+indented encoder gives it, and each numpy array, or each
+:class:`LazyRows` whose rows are formed only when asked, where the
+array's placeholder chunk comes, in blocks of JSON_BLOCK_ROWS rows.
+Runs of bit-identical rows are found by comparing 8-byte words; a block
+made of few runs, such as the mostly-zero rows of a density matrix, is
+written one string per run from row texts kept in a bounded memo keyed
+by the row's bits, so each distinct row is encoded once per array.
 """
 
 from __future__ import annotations
@@ -325,8 +326,11 @@ def write_json(path: Path, config: dict, payload: dict) -> None:
 
     The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True)``
     with every numpy array and LazyRows in ``payload`` given as its
-    ``tolist()``.  The arrays are streamed to the file in row blocks, so no
-    list of their entries is ever built.
+    ``tolist()``.  Each chunk of ``JSONEncoder.iterencode`` goes to the
+    file as it comes, so the document's text is never held whole, and
+    each array is streamed in row blocks where its placeholder chunk
+    comes, so no list of its entries is ever built.  An array that
+    cannot be streamed raises before the file is opened.
     """
     doc = {
         "meta": {
@@ -338,15 +342,20 @@ def write_json(path: Path, config: dict, payload: dict) -> None:
     }
     doc.update(payload)
     arrays: list = []
-    pieces = _ARRAY_PLACEHOLDER.split(
-        json.dumps(_lift_arrays(doc, arrays), indent=2, sort_keys=True)
-    )
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(_lift_arrays(doc, arrays))
     with path.open("w") as fh:
-        fh.write(pieces[0])
-        for before, k, text in zip(pieces[0::2], pieces[1::2], pieces[2::2]):
-            line = before[before.rfind("\n") + 1:]
-            _write_array(fh, arrays[int(k)], " " * (len(line) - len(line.lstrip(" "))))
+        # the text after the last newline written, in the chunk that holds
+        # it: the indentation of the line being written
+        line = ""
+        for chunk in chunks:
+            # a string value ends its chunk, so a placeholder does
+            found = _ARRAY_PLACEHOLDER.search(chunk)
+            text = chunk if found is None else chunk[:found.start()]
             fh.write(text)
+            if "\n" in text:
+                line = text[text.rfind("\n") + 1:]
+            if found is not None:
+                _write_array(fh, arrays[int(found[1])], " " * (len(line) - len(line.lstrip(" "))))
         fh.write("\n")
 
 

@@ -129,25 +129,30 @@ def decompose(series: CoefficientSeries) -> SubGeometricPhase:
     return decompose_values(series.times, series.values)
 
 
+def runs(values) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of each maximal run of equal consecutive
+    values in a nonempty 1-D array."""
+    values = np.asarray(values)
+    ends = np.flatnonzero(values[1:] != values[:-1])
+    return np.r_[0, ends + 1], np.r_[ends, len(values) - 1]
+
+
 def _slopes(phase: SubGeometricPhase) -> np.ndarray:
-    """Finite-difference slope of a(t); NaN where not estimable."""
-    t = phase.times
-    a = phase.log_modulus
-    ok = ~phase.singular
-    n = len(t)
-    slope = np.full(n, np.nan)
-    for k in range(n):
-        if not ok[k]:
-            continue
-        left = k - 1 if k - 1 >= 0 and ok[k - 1] else None
-        right = k + 1 if k + 1 < n and ok[k + 1] else None
-        if left is not None and right is not None:
-            slope[k] = (a[right] - a[left]) / (t[right] - t[left])
-        elif right is not None:
-            slope[k] = (a[right] - a[k]) / (t[right] - t[k])
-        elif left is not None:
-            slope[k] = (a[k] - a[left]) / (t[k] - t[left])
-    return slope
+    """Finite-difference slope of a(t); NaN where not estimable.
+
+    A non-singular sample takes the central difference over its
+    non-singular neighbours, or the one-sided difference to the one it
+    has; a sample with neither, and a singular one, gets NaN.
+    """
+    t, a, ok = phase.times, phase.log_modulus, ~phase.singular
+    # each sample's non-singular neighbour, or the sample itself: a sample
+    # with neither divides 0 by 0
+    k = np.arange(len(t))
+    left = k - np.r_[False, ok[:-1]]
+    right = k + np.r_[ok[1:], False]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (a[right] - a[left]) / (t[right] - t[left])
+    return np.where(ok, slope, np.nan)
 
 
 def stability_intervals(phase: SubGeometricPhase) -> list[tuple[float, float, str]]:
@@ -162,28 +167,12 @@ def stability_intervals(phase: SubGeometricPhase) -> list[tuple[float, float, st
     # series (a identically zero up to roundoff) unclassified
     slope_tol = 1e-9 * float(np.max(np.abs(phase.log_modulus[ok]))) + 1e-12
 
+    # +1 growing, -1 decaying, 0 unclassified (NaN slopes included)
     slope = _slopes(phase)
-    labels = np.zeros(len(slope), dtype=int)
-    with np.errstate(invalid="ignore"):
-        labels[slope > slope_tol] = 1
-        labels[slope < -slope_tol] = -1
-    labels[~ok] = 0
-    labels[np.isnan(slope)] = 0
-
-    intervals: list[tuple[float, float, str]] = []
-    k = 0
-    n = len(labels)
-    while k < n:
-        if labels[k] == 0:
-            k += 1
-            continue
-        start = k
-        while k + 1 < n and labels[k + 1] == labels[start]:
-            k += 1
-        name = GROWING if labels[start] > 0 else DECAYING
-        intervals.append((float(phase.times[start]), float(phase.times[k]), name))
-        k += 1
-    return intervals
+    labels = (slope > slope_tol).astype(int) - (slope < -slope_tol)
+    first, last = runs(labels)
+    return [(float(phase.times[s]), float(phase.times[e]), GROWING if labels[s] > 0 else DECAYING)
+            for s, e in zip(first.tolist(), last.tolist()) if labels[s]]
 
 
 def effective_level(e: float, phase: SubGeometricPhase) -> tuple[np.ndarray, np.ndarray]:

@@ -48,7 +48,7 @@ from .perturbation import (
     connected_targets,
     evolve_coefficients,
 )
-from .phase import decompose, decompose_values, stability_intervals
+from .phase import decompose, decompose_values, runs, stability_intervals
 
 
 @dataclass
@@ -208,17 +208,8 @@ def check_phase_law() -> CheckResult:
     diff = phase.angle - law
 
     # arcs = maximal non-singular runs between zeros of the modulus
-    arcs = []
-    start = None
-    for k in range(len(times)):
-        if not phase.singular[k]:
-            if start is None:
-                start = k
-        elif start is not None:
-            arcs.append((start, k - 1))
-            start = None
-    if start is not None:
-        arcs.append((start, len(times) - 1))
+    first, last = runs(phase.singular)
+    arcs = [(a0, a1) for a0, a1 in zip(first.tolist(), last.tolist()) if not phase.singular[a0]]
 
     law_dev = 0.0
     branch_dev = 0.0

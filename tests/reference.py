@@ -25,6 +25,10 @@ same energies and drive elements as expectations on explicit 2^n kets.
 :func:`kitaevsim.phase.decompose_values` must reproduce bit for bit, and
 :func:`loop_sweep_rows` the per-omega loop whose rows ``sweep`` must
 write bit for bit from its (omega x samples) arrays.
+:func:`loop_slopes` and :func:`loop_stability_intervals` are the former
+per-sample walks of :mod:`kitaevsim.phase`: the slopes, intervals and
+too-few-samples error that ``_slopes`` and ``stability_intervals`` must
+reproduce bit for bit from the run finder ``runs``.
 
 :func:`grouped_apply` is the oracle generator's former kernel, one real
 coefficient row per distinct flip mask built from :func:`string_term`'s
@@ -360,6 +364,58 @@ def loop_unwrap(values, singular) -> np.ndarray:
             angle[k] = raw
         prev = k
     return angle
+
+
+def loop_slopes(phase) -> np.ndarray:
+    """Finite-difference slope of a(t), sample by sample; NaN where not estimable."""
+    t = phase.times
+    a = phase.log_modulus
+    ok = ~phase.singular
+    n = len(t)
+    slope = np.full(n, np.nan)
+    for k in range(n):
+        if not ok[k]:
+            continue
+        left = k - 1 if k - 1 >= 0 and ok[k - 1] else None
+        right = k + 1 if k + 1 < n and ok[k + 1] else None
+        if left is not None and right is not None:
+            slope[k] = (a[right] - a[left]) / (t[right] - t[left])
+        elif right is not None:
+            slope[k] = (a[right] - a[k]) / (t[right] - t[k])
+        elif left is not None:
+            slope[k] = (a[k] - a[left]) / (t[k] - t[left])
+    return slope
+
+
+def loop_stability_intervals(phase) -> list[tuple[float, float, str]]:
+    """Maximal runs of growing or decaying ln A, walked sample by sample."""
+    ok = ~phase.singular
+    if int(ok.sum()) < 3:
+        raise ValueError("need at least 3 non-singular samples")
+    slope_tol = 1e-9 * float(np.max(np.abs(phase.log_modulus[ok]))) + 1e-12
+
+    slope = loop_slopes(phase)
+    labels = np.zeros(len(slope), dtype=int)
+    with np.errstate(invalid="ignore"):
+        labels[slope > slope_tol] = 1
+        labels[slope < -slope_tol] = -1
+    labels[~ok] = 0
+    labels[np.isnan(slope)] = 0
+
+    intervals: list[tuple[float, float, str]] = []
+    k = 0
+    n = len(labels)
+    while k < n:
+        if labels[k] == 0:
+            k += 1
+            continue
+        start = k
+        while k + 1 < n and labels[k + 1] == labels[start]:
+            k += 1
+        name = "GROWING" if labels[start] > 0 else "DECAYING"
+        intervals.append((float(phase.times[start]), float(phase.times[k]), name))
+        k += 1
+    return intervals
 
 
 def loop_sweep_rows(times, omega0: float, m: complex, omegas) -> list[tuple]:

@@ -124,6 +124,17 @@ class TestExitCodes:
         assert "no connected targets" in capsys.readouterr().err
         assert not (tmp_path / "entropy.csv").exists()
 
+    def test_commands_that_need_a_series_give_one_error_without_a_target(self, tmp_path, capsys):
+        # on 2x2 the drive on plaquette 1 connects no target to the default initial state
+        errors = set()
+        for command in (["phase"], ["sweep", "--omega-min", "0", "--omega-max", "1"], ["entropy"]):
+            out = tmp_path / command[0]
+            code = cli.main([*command, "--plaquette", "1", "--samples", "3", "--outdir", str(out)])
+            assert code == 3
+            errors.add(capsys.readouterr().err)
+            assert not out.exists()
+        assert len(errors) == 1
+
     @pytest.mark.parametrize("samples", ["2", "3"])
     def test_phase_with_too_few_samples_exits_3_before_output(self, samples, tmp_path, capsys):
         # the t = 0 sample is always singular
