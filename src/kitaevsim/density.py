@@ -23,10 +23,14 @@ acceptance checks and the tests, under the Hilbert cap.
 
 A :class:`DensityMatrix` is kept as its factors, rho = sum_k p_k
 |psi_k><psi_k|: one amplitude vector for a pure state, or member kets and
-their weights for a mixture.  Its payload's ``entries`` form each block of
-matrix rows from the kets only as ``output.write_json`` writes it, so no
-dim x dim matrix is held; ``matrix``, ``trace``, ``purity`` and
-``diagnostics`` form it when asked, for checks at small dim.
+their weights for a mixture.  Its payload is written over its support,
+the basis states where some ket is nonzero: every entry outside it is
+zero, so the payload lists the support's labels and the entries of the
+support block only, each formed by the products the whole matrix would
+take, a row at a time as ``output.write_json`` writes them, so neither
+the block nor the dim x dim matrix is held.  ``matrix``, ``trace``,
+``purity`` and ``diagnostics`` form the dim x dim matrix when asked, for
+checks at small dim.
 
 Entropy uses the natural logarithm, so a maximally mixed qubit pair
 carries ln 2 per qubit.
@@ -41,17 +45,16 @@ import numpy as np
 
 from .lattice import LatticeGeometry
 from .manifold import FlipConfig, build_product_ket, label_key
-from .output import LazyRows
 from .pauli import n_sites_of, require_hilbert
 from .perturbation import CoefficientSeries
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
 
 # the memory budget every size check holds a request to, in bytes: a
-# density matrix counts the [re, im] entries its payload writes (16 *
-# dim**2), and the factors held are only its kets.  The 2x3 torus's
-# full-Hilbert mixture writes 256 MiB, the 2x4 torus's 64 GiB, and evolve's
-# (N+1)**2 active-basis matrix fits up to the 90x90 torus
+# density matrix's payload counts the [re, im] entries of its support
+# block (16 * |support|**2), and a mixture over the full Hilbert basis
+# 16 * dim**2 (the 2x3 torus's 256 MiB, the 2x4 torus's 64 GiB).  Evolve's
+# support is the initial state and at most one connected target
 DENSE_DENSITY_BUDGET_BYTES = 1 << 30
 
 
@@ -112,49 +115,46 @@ class DensityMatrix:
         return issues
 
     def to_payload(self) -> dict:
-        """JSON-ready form: basis labels plus row-major [re, im] entries.
-
-        ``entries`` is a :class:`DensityEntries` view, which
-        ``output.write_json`` streams a block at a time, each block formed
-        from the kets as it is written.
-        """
+        """JSON-ready form over the support: its basis labels, the full
+        ``dim``, and the row-major [re, im] entries of the support block,
+        an iterator of its rows (:meth:`_support_rows`)."""
+        support = np.flatnonzero((self.kets != 0).any(axis=0))
+        n = len(support)
+        require_budget(16 * n * n, f"the {n}x{n} support block of the density matrix takes")
         if self.labels is not None:
-            basis = list(self.labels)
+            basis = [self.labels[k] for k in support.tolist()]
         else:
-            basis = [f"hilbert:{k}" for k in range(self.dim)]
-        return {"basis": basis, "dim": self.dim, "entries": DensityEntries(self)}
+            basis = [f"hilbert:{k}" for k in support.tolist()]
+        return {"basis": basis, "dim": self.dim, "entries": self._support_rows(support)}
 
+    def _support_rows(self, support: np.ndarray):
+        """The support block's [re, im] entries, one matrix row at a time
+        as a (len(support), 2) float array, formed as asked.
 
-class DensityEntries(LazyRows):
-    """The (dim**2, 2) float view of a DensityMatrix's row-major entries.
-
-    A row slice forms only the matrix rows it spans, from the kets.  A pure
-    state's entry is the product psi_m * conj(psi_n), as ``np.outer``
-    forms it; a mixture's starts at zero and adds psi_k,m conj(psi_k,n) *
-    p_k member by member.  Either way each entry, the sign of a zero
-    included, is that of the dense matrix built by the same products.
-    """
-
-    def __init__(self, rho: DensityMatrix) -> None:
-        self.shape = (rho.dim**2, 2)
-        self._rho = rho
-        self._conj = rho.kets.conj()
-
-    def _rows(self, start: int, stop: int) -> np.ndarray:
-        rho, dim = self._rho, self._rho.dim
-        first, last = start // dim, -(-stop // dim)
-        kets = rho.kets[:, first:last]
-        if rho.weights is None:
-            block = np.outer(kets[0], self._conj[0])
-        else:
-            block = np.zeros((last - first, dim), dtype=complex)
-            part = np.empty_like(block)
-            for p, psi, psi_conj in zip(rho.weights, kets, self._conj):
-                np.multiply.outer(psi, psi_conj, out=part)
-                part *= p
-                block += part
-        offset = first * dim
-        return block.reshape(-1).view(float).reshape(-1, 2)[start - offset:stop - offset]
+        A pure state's entry is the product psi_m * conj(psi_n), as
+        ``np.outer`` forms it; a mixture's starts at zero and adds
+        psi_k,m conj(psi_k,n) * p_k member by member.  Each row's products
+        are formed over the whole basis and then taken on the support: a
+        complex product's last bit can depend on the length of the row it
+        is formed in, and so each entry, the sign of a zero included, is
+        that of the whole matrix built by the same products, all of whose
+        other entries are zero.  A member whose (finite) ket is zero at the
+        row's state is skipped: it would add signed zeros, and a sum
+        started at +0.0 is never -0.0, so adding them changes no bit.
+        """
+        conj = self.kets.conj()
+        part = np.empty((1, self.dim), dtype=complex)
+        for m in support.tolist():
+            psi = self.kets[:, m:m + 1]
+            if self.weights is None:
+                row = np.outer(psi[0], conj[0])[:, support]
+            else:
+                row = np.zeros((1, len(support)), dtype=complex)
+                for k in np.flatnonzero(psi[:, 0]).tolist():
+                    np.multiply.outer(psi[k], conj[k], out=part)
+                    part *= self.weights[k]
+                    row += part[:, support]
+            yield row.reshape(-1).view(float).reshape(-1, 2)
 
 
 @dataclass
@@ -234,8 +234,6 @@ def density_matrix(state: ActiveState) -> DensityMatrix:
     amps = state.amplitudes
     if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
         raise ValueError("state must be normalized to 1e-10")
-    dim = len(amps)
-    require_budget(16 * dim * dim, f"the {dim}x{dim} density matrix's entries take")
     return DensityMatrix(kets=amps[None, :], labels=state.labels)
 
 

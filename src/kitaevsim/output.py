@@ -15,13 +15,11 @@ previous block's bits; a block that repeats the kept one, such as each
 zero series after another, is written from that text in one join around
 its own scalar cells.  Any other block's text is held one chunk at a
 time.  ``write_json`` writes its document chunk by chunk as the
-indented encoder gives it, and each numpy array, or each
-:class:`LazyRows` whose rows are formed only when asked, where the
-array's placeholder chunk comes, in blocks of JSON_BLOCK_ROWS rows.
-Runs of bit-identical rows are found by comparing 8-byte words; a block
-made of few runs, such as the mostly-zero rows of a density matrix, is
-written one string per run from row texts kept in a bounded memo keyed
-by the row's bits, so each distinct row is encoded once per array.
+indented encoder gives it, and each numpy array, or each iterator of
+arrays whose rows it stacks, where the array's placeholder chunk comes,
+in blocks of JSON_BLOCK_ROWS rows.  A block's distinct values in each
+column are formatted once each, so a mostly-zero block costs little
+more than a sort and a join.
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections.abc import Iterator
 from itertools import repeat
 from pathlib import Path
 from typing import TextIO
@@ -37,23 +36,14 @@ import numpy as np
 
 from . import __version__
 
-# first-axis rows of an array that write_json encodes per C-encoder call;
-# an (N, 2) block of floats is about 400 KB of text
-JSON_BLOCK_ROWS = 4096
+# first-axis rows of an array that write_json encodes at once; encoding
+# an (N, 2) block of distinct floats peaks at about 320 KB (1.3 MB at 4096
+# rows, more than the 1 MiB of a 256 x 256 density matrix)
+JSON_BLOCK_ROWS = 1024
 
 # rows that write_csv writes at once; a longer block goes out in chunks of
 # this many rows, its text kept only when it repeats the previous block
 CSV_CHUNK_ROWS = 4096
-
-# a block with at most one run of bit-identical consecutive rows per RUN_ROWS
-# rows is written run by run; on (N, 2) floats whose runs are all distinct
-# the two ways to write a block cost the same at about 3 rows per run, and
-# runs of rows already in the memo cost a tenth of encoding the block whole
-RUN_ROWS = 4
-
-# row texts write_json keeps per array, keyed by the row's bits: a density
-# matrix's rows repeat a handful of distinct entries in many runs
-MEMO_ROWS = 256
 
 # JSON text of the string write_json puts in place of the k-th array
 _ARRAY_PLACEHOLDER = re.compile(r'"\\u0000ndarray:(\d+)"')
@@ -193,45 +183,19 @@ def write_csv(path: Path, config: dict, columns: list[str], blocks) -> None:
                 fh.write("".join(pieces))
 
 
-class LazyRows:
-    """A read-only 2-D float array whose rows are formed only when sliced.
-
-    ``write_json`` takes one wherever it takes a numpy array, and asks it
-    only for ``len()`` and row slices, each returned as an ndarray.  A
-    subclass sets ``shape`` and forms rows [start, stop) in ``_rows``.
-    """
-
-    dtype = np.dtype(float)
-    ndim = 2
-    shape: tuple[int, int]
-
-    @property
-    def size(self) -> int:
-        return self.shape[0] * self.shape[1]
-
-    def __len__(self) -> int:
-        return self.shape[0]
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        if not isinstance(rows, slice) or rows.step not in (None, 1):
-            raise TypeError("LazyRows takes row slices of step 1")
-        start, stop, _ = rows.indices(len(self))
-        return self._rows(start, max(start, stop))
-
-    def _rows(self, start: int, stop: int) -> np.ndarray:
-        raise NotImplementedError
-
-
 def _lift_arrays(node, arrays: list):
-    """Copy of ``node`` with each nonempty array replaced by a placeholder.
+    """Copy of ``node`` with each nonempty array, and each iterator of
+    arrays, replaced by a placeholder.
 
-    The arrays (numpy arrays and LazyRows) are appended to ``arrays``; the
-    k-th one's placeholder is the string NUL + "ndarray:k".  An empty
-    array becomes its (short) list.
+    The arrays are appended to ``arrays``; the k-th one's placeholder is
+    the string NUL + "ndarray:k".  An empty array becomes its (short) list.
     """
-    if isinstance(node, (np.ndarray, LazyRows)):
+    if isinstance(node, Iterator):
+        arrays.append(node)
+        return f"\0ndarray:{len(arrays) - 1}"
+    if isinstance(node, np.ndarray):
         if node.size == 0:
-            return node[:].tolist()
+            return node.tolist()
         if node.ndim not in (1, 2) or node.dtype.kind not in "biuf":
             raise TypeError(
                 f"write_json takes 1-D or 2-D real arrays, got {node.ndim}-D {node.dtype}"
@@ -245,92 +209,66 @@ def _lift_arrays(node, arrays: list):
     return node
 
 
+def _texts(values: np.ndarray, pre: str, post: str) -> np.ndarray:
+    """Object array of ``pre`` + the JSON text of each of the 1-D
+    ``values`` + ``post``; each distinct value, by its bits, goes through
+    the C encoder once."""
+    _, first, at = np.unique(values.view(f"u{values.itemsize}"), return_index=True, return_inverse=True)
+    texts = json.dumps(values[first].tolist())[1:-1].split(", ")
+    return np.array([pre + text + post for text in texts], dtype=object)[at]
+
+
 def _encode(rows: np.ndarray, inner: str) -> str:
     """JSON text of ``rows`` in the indented layout, brackets dropped.
 
-    ``rows`` goes through the C encoder in compact form, whose ", " and
-    "], [" separators are then rewritten into the layout of
-    ``json.dumps(..., indent=2)``; a float's JSON text holds no bracket,
-    comma or space.
+    Each value's text carries the separator ``json.dumps(..., indent=2)``
+    puts before it, and a row's last the row's close, so the block's text
+    is one join; a value's JSON text holds no comma or space.
     """
-    text = json.dumps(rows.tolist())[1:-1]
     if rows.ndim == 1:
-        return text.replace(", ", ",\n" + inner)
+        return "".join(_texts(rows, ",\n" + inner, "").tolist())[len(inner) + 2:]
     leaf = inner + "  "
-    return (
-        text.replace("], [", "],\n" + inner + "[")
-        .replace(", ", ",\n" + leaf)
-        .replace("[", "[\n" + leaf)
-        .replace("]", "\n" + inner + "]")
-    )
-
-
-def _row_words(block: np.ndarray) -> np.ndarray:
-    """The rows of ``block`` as unsigned words: 8-byte words where the row
-    size is a multiple of 8, else bytes.  Equal words mean equal bits."""
-    raw = np.ascontiguousarray(block).view(np.uint8).reshape(len(block), -1)
-    return raw.view(np.uint64) if raw.shape[1] % 8 == 0 else raw
-
-
-def _run_starts(words: np.ndarray) -> np.ndarray:
-    """Indices where a run of bit-identical consecutive rows starts."""
-    # column by column: np.any along a short row axis is several times slower
-    changed = words[1:, 0] != words[:-1, 0]
-    for k in range(1, words.shape[1]):
-        changed |= words[1:, k] != words[:-1, k]
-    return np.concatenate(([0], np.flatnonzero(changed) + 1))
+    last = rows.shape[1] - 1
+    cells = np.empty(rows.shape, dtype=object)
+    for j in range(last + 1):
+        # the first column's separator ends the previous row and opens its own
+        pre = ",\n" + inner + "[\n" + leaf if j == 0 else ",\n" + leaf
+        cells[:, j] = _texts(rows[:, j], pre, "\n" + inner + "]" if j == last else "")
+    return "".join(cells.reshape(-1).tolist())[len(inner) + 2:]
 
 
 def _write_array(fh: TextIO, arr, indent: str) -> None:
-    """Write ``arr``, a numpy array or LazyRows, as
-    ``json.dumps(arr.tolist(), indent=2)`` lays it out.
+    """Write ``arr``, a numpy array or an iterator of arrays whose rows it
+    stacks, as ``json.dumps(arr.tolist(), indent=2)`` lays it out.
 
-    ``indent`` is the indentation of the line the array starts on.  The
-    array goes out in blocks of JSON_BLOCK_ROWS rows.  A block with at
-    most one run of bit-identical rows per RUN_ROWS rows is written run
-    by run, one string per run: its row's text repeated.  A row's text is
-    kept in a memo of up to MEMO_ROWS texts keyed by its bits, so a row
-    that recurs anywhere in the array is encoded once.  Any other block
-    is encoded whole.  (Joining a block's runs into one string first was
-    no faster and held the block's text twice.)
+    ``indent`` is the indentation of the line the array starts on.  Each
+    array is encoded in blocks of JSON_BLOCK_ROWS rows, each written as it
+    is encoded; an iterator that gives no rows is written as ``[]``.
     """
     inner = indent + "  "
-    sep = ",\n" + inner
-    memo: dict[bytes, str] = {}
+    empty = True
     fh.write("[")
-    for start in range(0, len(arr), JSON_BLOCK_ROWS):
-        block = arr[start:start + JSON_BLOCK_ROWS]
-        words = _row_words(block)
-        starts = _run_starts(words)
-        # every row is preceded by sep but the array's first, by "\n" + inner
-        if len(starts) * RUN_ROWS > len(block):
-            fh.write(sep if start else sep[1:])
-            fh.write(_encode(block, inner))
-            continue
-        for first, end in zip(starts.tolist(), [*starts[1:].tolist(), len(block)]):
-            key = words[first].tobytes()
-            text = memo.get(key)
-            if text is None:
-                if len(memo) == MEMO_ROWS:
-                    memo.clear()
-                text = memo[key] = sep + _encode(block[first:first + 1], inner)
-            if not start and not first:
-                fh.write(text[1:])
-                first += 1
-            fh.write(text * (end - first))
-    fh.write("\n" + indent + "]")
+    for block in [arr] if isinstance(arr, np.ndarray) else arr:
+        for start in range(0, len(block), JSON_BLOCK_ROWS):
+            # every row is preceded by ",\n" + inner but the array's first,
+            # by "\n" + inner
+            fh.write("\n" + inner if empty else ",\n" + inner)
+            empty = False
+            fh.write(_encode(block[start:start + JSON_BLOCK_ROWS], inner))
+    fh.write("]" if empty else "\n" + indent + "]")
 
 
 def write_json(path: Path, config: dict, payload: dict) -> None:
     """JSON document whose first key is the reproducibility header.
 
     The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True)``
-    with every numpy array and LazyRows in ``payload`` given as its
-    ``tolist()``.  Each chunk of ``JSONEncoder.iterencode`` goes to the
-    file as it comes, so the document's text is never held whole, and
-    each array is streamed in row blocks where its placeholder chunk
-    comes, so no list of its entries is ever built.  An array that
-    cannot be streamed raises before the file is opened.
+    with every numpy array in ``payload`` given as its ``tolist()``, and
+    every iterator of arrays as the list of their rows.  Each chunk of
+    ``JSONEncoder.iterencode`` goes to the file as it comes, so the
+    document's text is never held whole, and each array is streamed in
+    row blocks where its placeholder chunk comes, so no list of its
+    entries is ever built; an iterator's arrays are asked for only then.
+    An array that cannot be streamed raises before the file is opened.
     """
     doc = {
         "meta": {

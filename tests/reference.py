@@ -41,9 +41,12 @@ matrix and its reduced matrix on kept sites from explicit 2^n member kets,
 the forms :func:`kitaevsim.density.keyed_mixture` must match from keyed labels.
 
 :func:`dense_mixture` is the whole dense matrix sum_k p_k |psi_k><psi_k|
-summed as ``ThermalEnsemble.density`` once built it, the entries the
-streamed payload of ``ThermalEnsemble.density().to_payload()`` must
-reproduce bit for bit.
+summed as ``ThermalEnsemble.density`` once built it, and
+:func:`dense_density_payload` the payload every ``density`` field was
+written as before it moved to the support: every basis label and all
+dim x dim entries, ``np.outer`` for a pure state and
+:func:`dense_mixture` for a mixture.  The support block of
+``DensityMatrix.to_payload`` must reproduce their entries bit for bit.
 
 :func:`loop_evolve_coefficients` is the first order of one member keyed
 against the member itself, its drive element a product along the string
@@ -463,6 +466,20 @@ def dense_mixture(weights, states) -> np.ndarray:
         part *= p
         rho += part
     return rho
+
+
+def dense_density_payload(rho: DensityMatrix) -> dict:
+    """``rho``'s payload over its whole basis: every label, ``dim`` and the
+    row-major [re, im] entries of the dim x dim matrix."""
+    if rho.weights is None:
+        dense = np.outer(rho.kets[0], rho.kets[0].conj())
+    else:
+        dense = dense_mixture(rho.weights, rho.kets)
+    if rho.labels is not None:
+        basis = list(rho.labels)
+    else:
+        basis = [f"hilbert:{k}" for k in range(rho.dim)]
+    return {"basis": basis, "dim": rho.dim, "entries": dense.reshape(-1).view(float).reshape(-1, 2)}
 
 
 def reduced(ensemble, keep_sites) -> np.ndarray:

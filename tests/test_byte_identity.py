@@ -22,7 +22,13 @@ to those of the code before the removal; the 2x3 scene, until then run
 on the hilbert engine, was checked against that code's label engine.
 The 2x3 ``correlate`` pin holds the exact oracle's correlation scan; it
 was taken from the oracle kernel that gathered one index row per group,
-before its matvec moved to output chunks.
+before its matvec moved to output chunks.  The five ``density.json`` pins
+and the two ``thermal.json`` pins were re-taken when each ``density``
+payload moved from the whole basis and all dim x dim entries to the
+basis states where some ket is nonzero and the block over them;
+:func:`test_support_payload_rebuilds_the_dense_layout` holds the new
+files to the old layout's entries bit for bit and rebuilds the old
+layout from the same state to the old digests.
 
 The runs write to the relative directory ``out`` under a fresh working
 directory, so the configuration recorded in each header, and with it the
@@ -30,10 +36,16 @@ header's hash, is the same on every machine.
 """
 
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
 from kitaevsim import cli
+from kitaevsim.density import DensityMatrix
+from kitaevsim.output import write_json
+
+import reference
 
 COMMON = ["--jx", "1.0", "--jy", "0.8", "--jz", "1.2", "--d", "0.01", "--omega", "0.8"]
 
@@ -44,11 +56,16 @@ SCENES = {
     "3x3": ["--nx", "3", "--ny", "3", "--initial", "0x1b5", "--samples", "33"],
     # twelve labelled bonds: the energy sum's order shows in its last bits
     "12x4": ["--nx", "12", "--ny", "4", "--initial", "0x1", "--samples", "17"],
-    # 145^2 density rows: the JSON array spans six blocks of JSON_BLOCK_ROWS
+    # 144 plaquettes: 36-hex-digit labels, and a density.json over 2 of
+    # its 145 labels
     "12x12": ["--nx", "12", "--ny", "12", "--initial", "0x9e3779b97f4a7c15f39cc0605cedc834",
               "--samples", "33"],
     "2x3": ["--nx", "2", "--ny", "3", "--initial", "0x2d", "--samples", "17"],
-    # dense 256 x 256 mixture matrices from sixteen members and from two
+    # 577 labels, 14 MB of density.json in the dense layout; the dense
+    # layout test's alone
+    "24x24": ["--nx", "24", "--ny", "24", "--samples", "33"],
+    # mixtures over the 256-state Hilbert basis from sixteen members and
+    # from two
     "2x2-all": ["--nx", "2", "--ny", "2", "--samples", "17", "--members", "all"],
     "2x2-pair": ["--nx", "2", "--ny", "2", "--samples", "17", "--members", "0x0,0x1"],
 }
@@ -79,7 +96,7 @@ DIGESTS = {
     ("4x4", "evolve", "energies.csv"):
         "d29a6a0d17054f04506dbf9f01430a18ad4f60478e7c52dabdd2be6c7553597b",
     ("4x4", "evolve", "density.json"):
-        "e12c44293230cbcbc3e6be08fbe17355f6af36f3851a0bf901cc760e895498a9",
+        "f0816a99e2bf22234e4e443bd6e271efb429543f25ffb1893a2e70ebfc4e408b",
     ("4x4", "sweep", "sweep.csv"):
         "6e534bf44ae38ca351c92e6e296f0fee049ae12837dadfab72dc03de7e0d1089",
     ("4x4", "sweep", "sweep_summary.json"):
@@ -95,7 +112,7 @@ DIGESTS = {
     ("3x3", "evolve", "energies.csv"):
         "5d205c49adb9ca54d1b4b33847ec297622143057cf28f7ba1d307e627ba8a25b",
     ("3x3", "evolve", "density.json"):
-        "8957f0934ecdaee13f011e9f084224c5d42036da9110dad60764ea47b7cc88de",
+        "a95195171a885e7e386a1e1d26c72594f39d2afa1150b4ab985ca3ab404fa32b",
     ("3x3", "sweep", "sweep.csv"):
         "5896cec623d03df7cb5ff8d66b38ff55b9580a96a4c51c982b6efe27afda6837",
     ("3x3", "sweep", "sweep_summary.json"):
@@ -111,7 +128,7 @@ DIGESTS = {
     ("12x4", "evolve", "energies.csv"):
         "ee301e9153299010c062db51fd9b6bac056911ab80d94c44673084a2b03decf6",
     ("12x4", "evolve", "density.json"):
-        "399fe6916f8a8eebb0446493175460b3deb57c8343f035d01bb8c21cd228e9e9",
+        "c032cb12dc58fd9e0b4afffabd5198d24bd8e7c4adf756319c431c91fa63b438",
     ("12x4", "sweep", "sweep.csv"):
         "a03431b5b7feb37d1b954cdfd3cc59b265e0e26ad067eedb93b22600b1a3da98",
     ("12x4", "sweep", "sweep_summary.json"):
@@ -127,21 +144,21 @@ DIGESTS = {
     ("12x12", "evolve", "energies.csv"):
         "0d0a062a07037363ec93d273f2506161757f65fd952ce4d960447af3a9eab346",
     ("12x12", "evolve", "density.json"):
-        "3e70ef1477702ef070674657e70900dbbae32c4c616e53674f31a800a9cc0985",
+        "ea638a69fe8470fbbef0c8b7f72624a37eb19b3a3b5a05d94df5a308d154d694",
     ("2x3", "evolve", "coefficients.csv"):
         "1f808541dd17aa06c6f0ef000bf2e140ace692c3c9d3eaa4d4d1afb4148f2521",
     ("2x3", "evolve", "energies.csv"):
         "4fffd1e98c904cf086c93e967272d4126c1b789976f301e952cb724b65c7c8e2",
     ("2x3", "evolve", "density.json"):
-        "b843b33c658c2a0f04659cf5d5c55967600a312f8bd4e51000b1094fc1860cda",
+        "afb8fb67bd421b9414135148a8c36d3827062397e997ae2c7a0b70af8645cd94",
     ("2x3", "correlate", "correlations.csv"):
         "ebaa89f9929ddeacb0792916f9db4834de6955bc50ce39891f3e54046d698bb8",
     ("2x2-all", "thermal", "thermal.json"):
-        "47fb0a9b26dfed382f16d79a61318b488e98ce0e59ca2fc065107e4ab3887002",
+        "38973d845c835d3d35cca1219affd459397870148e389fc46ddf801d5e16f3ab",
     ("2x2-all", "thermal", "thermal_weights.csv"):
         "107ff5da3297f552b6980e0fde1d98b055f2bd7ab921626760be448e8aa1b89b",
     ("2x2-pair", "thermal", "thermal.json"):
-        "d72eee179dda1fa147fc03ce09aa862722d5e7f5b9b77501de316a66a48b8956",
+        "72cb567e8b7e610736b38401d0ee5ee5ba5a2bed380f31b8090e7f2818b97c1d",
     ("2x2-pair", "thermal", "thermal_weights.csv"):
         "ddde63bda682dcf28b686d81b18cf6a0aef60e701a2a80592861b97b98bcbc8d",
 }
@@ -156,3 +173,70 @@ def test_outputs_match_pinned_digests(scene, command, tmp_path, monkeypatch, cap
     for name in files:
         digest = hashlib.sha256((tmp_path / outdir / name).read_bytes()).hexdigest()
         assert digest == DIGESTS[(scene, command, name)], name
+
+
+# (scene, command, file) -> sha256 of the file as written when every
+# ``density`` payload listed the whole basis and all dim x dim entries
+DENSE_LAYOUT_DIGESTS = {
+    ("4x4", "evolve", "density.json"):
+        "e12c44293230cbcbc3e6be08fbe17355f6af36f3851a0bf901cc760e895498a9",
+    ("3x3", "evolve", "density.json"):
+        "8957f0934ecdaee13f011e9f084224c5d42036da9110dad60764ea47b7cc88de",
+    ("12x4", "evolve", "density.json"):
+        "399fe6916f8a8eebb0446493175460b3deb57c8343f035d01bb8c21cd228e9e9",
+    ("12x12", "evolve", "density.json"):
+        "3e70ef1477702ef070674657e70900dbbae32c4c616e53674f31a800a9cc0985",
+    ("2x3", "evolve", "density.json"):
+        "b843b33c658c2a0f04659cf5d5c55967600a312f8bd4e51000b1094fc1860cda",
+    ("24x24", "evolve", "density.json"):
+        "b3dca62d2a2bc2777815375a1ddb831a749a8f60a1b06896a40ee58189761a6d",
+    ("2x2-all", "thermal", "thermal.json"):
+        "47fb0a9b26dfed382f16d79a61318b488e98ce0e59ca2fc065107e4ab3887002",
+    ("2x2-pair", "thermal", "thermal.json"):
+        "d72eee179dda1fa147fc03ce09aa862722d5e7f5b9b77501de316a66a48b8956",
+}
+
+
+@pytest.mark.parametrize("scene,command,name", sorted(DENSE_LAYOUT_DIGESTS))
+def test_support_payload_rebuilds_the_dense_layout(scene, command, name, tmp_path, monkeypatch, capsys):
+    """The density written over its support holds the dense layout's
+    entries there bit for bit, every other dense entry is zero, and the
+    dense layout rebuilt from the same state has the file's former digest."""
+    states, documents = [], []
+    to_payload = DensityMatrix.to_payload
+
+    def keep_state(rho):
+        states.append(rho)
+        return to_payload(rho)
+
+    def keep_document(path, config, payload):
+        documents.append((config, payload))
+        write_json(path, config, payload)
+
+    monkeypatch.setattr(DensityMatrix, "to_payload", keep_state)
+    monkeypatch.setattr(cli, "write_json", keep_document)
+    monkeypatch.chdir(tmp_path)
+    argv, _ = COMMANDS[command]
+    outdir = f"out/{command}"
+    assert cli.main([*argv, *SCENES[scene], *COMMON, "--outdir", outdir]) == 0
+    (rho,), ((config, payload),) = states, documents
+
+    dense = reference.dense_density_payload(rho)
+    written = json.loads((tmp_path / outdir / name).read_text())["density"]
+    index = {label: k for k, label in enumerate(dense["basis"])}
+    at = [index[label] for label in written["basis"]]
+    assert written["dim"] == dense["dim"] == len(dense["basis"])
+    if command == "evolve":
+        # the initial state and at most one connected target
+        assert len(at) <= 2
+    matrix = dense["entries"].reshape(-1).view(complex).reshape(rho.dim, rho.dim)
+    support = np.ix_(at, at)
+    block = np.array(written["entries"], dtype=float).reshape(-1).view(complex)
+    assert block.tobytes() == matrix[support].tobytes()
+    outside = matrix.copy()
+    outside[support] = 0.0
+    assert not outside.any()
+
+    write_json(tmp_path / "dense.json", config, {**payload, "density": dense})
+    digest = hashlib.sha256((tmp_path / "dense.json").read_bytes()).hexdigest()
+    assert digest == DENSE_LAYOUT_DIGESTS[(scene, command, name)]

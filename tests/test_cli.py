@@ -160,7 +160,8 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_thermal_at_the_hilbert_cap_runs(self, tmp_path):
-        # 2x4 is the 16-site cap, which only --emit-density keeps
+        # 2x4 is the 16-site cap; without --emit-density thermal holds no
+        # 2^n ket and runs beyond it too (the next test)
         proc = run_cli(
             "thermal", "--nx", "2", "--ny", "4", "--outdir", str(tmp_path),
             "--samples", "3",

@@ -348,8 +348,8 @@ def written_entries(entries) -> str:
 
 
 def test_density_blocks_sum_the_same_products_as_whole_projectors(monkeypatch):
-    # blocks of 83 entries over a 16 x 16 matrix: each but the last ends
-    # inside a matrix row
+    # JSON blocks of 83 entries, longer than the 16-entry matrix rows the
+    # payload gives one at a time
     rng = np.random.default_rng(3)
     kets = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
     kets /= np.linalg.norm(kets, axis=1)[:, None]
@@ -381,6 +381,22 @@ def test_density_payload_writes_in_less_than_the_dense_matrix():
     assert abs(rho.trace - 1.0) < 1e-12
 
 
+def test_a_sparse_mixture_payload_writes_its_support_block():
+    # three members each nonzero on 40 of 1024 states: the payload lists
+    # their union and its |S| x |S| entries
+    dim = 1024
+    rng = np.random.default_rng(4)
+    kets = np.zeros((3, dim), dtype=complex)
+    for psi in kets:
+        at = rng.choice(dim, 40, replace=False)
+        psi[at] = rng.normal(size=40) + 1j * rng.normal(size=40)
+    kets /= np.linalg.norm(kets, axis=1)[:, None]
+    support = np.flatnonzero(kets.any(axis=0))
+    payload = ThermalEnsemble(list(kets), thermal_weights(np.arange(3.0), 1.0)).density().to_payload()
+    assert payload["basis"] == [f"hilbert:{k}" for k in support]
+    assert sum(map(len, payload["entries"])) == len(support) ** 2
+
+
 def signed_zero_kets(rng, k: int, dim: int) -> np.ndarray:
     """k random complex kets of length dim, about half of whose real and
     imaginary parts are +0.0 or -0.0."""
@@ -388,6 +404,30 @@ def signed_zero_kets(rng, k: int, dim: int) -> np.ndarray:
     zero = rng.random(size=parts.shape) < 0.5
     parts[zero] = np.copysign(0.0, rng.normal(size=int(zero.sum())))
     return parts.view(complex)[..., 0]
+
+
+def rebuilt(payload: dict, labels) -> tuple[np.ndarray, list[int]]:
+    """The dim x dim matrix a payload gives over the basis ``labels``, zero
+    outside its support, and the support's indices into ``labels``."""
+    index = {label: k for k, label in enumerate(labels)}
+    at = [index[label] for label in payload["basis"]]
+    entries = np.concatenate([np.empty((0, 2)), *payload["entries"]]).reshape(-1).view(complex)
+    dense = np.zeros((payload["dim"], payload["dim"]), dtype=complex)
+    dense[np.ix_(at, at)] = entries.reshape(len(at), len(at))
+    return dense, at
+
+
+def test_support_entries_keep_the_bits_of_whole_rows():
+    # a mixture's psi_0 conj(psi_0) formed in a row of one entry or in the
+    # basis's row of two can differ in its last bit (numpy's vector loop
+    # may fuse a multiply and an add); the payload's entry is the whole
+    # matrix's
+    psi = np.array([0.18905338 - 0.52274844j, 0.0])
+    psi /= np.linalg.norm(psi)
+    rho = ThermalEnsemble([psi], np.ones(1)).density()
+    dense = reference.dense_mixture(np.ones(1), [psi])
+    (block,) = rho.to_payload()["entries"]
+    assert block.tobytes() == dense[:1, :1].tobytes()
 
 
 @settings(max_examples=25, deadline=None, database=None)
@@ -399,7 +439,7 @@ def signed_zero_kets(rng, k: int, dim: int) -> np.ndarray:
     data=st.data(),
 )
 def test_streamed_entries_are_the_dense_entries_bit_for_bit(dim, seed, weights, data):
-    # weights None draws a pure state; block sizes split matrix rows
+    # weights None draws a pure state; JSON blocks split matrix rows
     rng = np.random.default_rng(seed)
     block = data.draw(st.sampled_from([n for n in (1, 5, dim - 1, dim + 3) if n > 0]))
     if weights is None:
@@ -408,17 +448,30 @@ def test_streamed_entries_are_the_dense_entries_bit_for_bit(dim, seed, weights, 
             amps[0] = 1.0
         amps /= np.linalg.norm(amps)
         rho = density_matrix(active(amps))
+        labels = rho.labels
+        kets = amps[None, :]
         dense = np.outer(amps, amps.conj())
     else:
-        kets = list(signed_zero_kets(rng, len(weights), dim))
-        rho = ThermalEnsemble(kets, np.array(weights)).density()
+        kets = signed_zero_kets(rng, len(weights), dim)
+        rho = ThermalEnsemble(list(kets), np.array(weights)).density()
+        labels = [f"hilbert:{k}" for k in range(dim)]
         dense = reference.dense_mixture(np.array(weights), kets)
-    entries = rho.to_payload()["entries"]
-    assert len(entries) == dim * dim
-    # repr texts are equal only for bit-identical floats, -0.0 against 0.0 too
+    payload = rho.to_payload()
+    assert payload["dim"] == dim
+    got, at = rebuilt(payload, labels)
+    # the support: every basis state where some ket is nonzero, in order
+    assert at == np.flatnonzero((kets != 0).any(axis=0)).tolist()
+    support = np.ix_(at, at)
+    # bit for bit over the support, -0.0 against 0.0 too, and 0 elsewhere
+    assert got[support].tobytes() == dense[support].tobytes()
+    outside = dense.copy()
+    outside[support] = 0.0
+    assert not outside.any()
+    # repr texts are equal only for bit-identical floats
     with mock.patch.object(output, "JSON_BLOCK_ROWS", block):
-        written = written_entries(entries)
-    assert written == json.dumps(dense.reshape(-1).view(float).reshape(-1, 2).tolist(), indent=2)
+        written = written_entries(rho.to_payload()["entries"])
+    assert written == json.dumps(
+        dense[support].reshape(-1).view(float).reshape(-1, 2).tolist(), indent=2)
 
 
 @settings(max_examples=50, deadline=None, database=None)

@@ -1,5 +1,7 @@
 """Size limits fail cleanly: one Hilbert-cap message, manifold and density budgets."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -93,68 +95,32 @@ class TestManifoldLimit:
         assert (tmp_path / "configs.csv").exists()
 
 
-@pytest.fixture
-def unsized_samples(monkeypatch):
-    """Time samples and series that cost no bytes, so that the density
-    matrix alone meets the one budget every size check shares."""
-    monkeypatch.setattr(cli, "SAMPLE_BYTES", 0)
-    monkeypatch.setattr(cli, "SERIES_SAMPLE_BYTES", 0)
+class TestDensityPayloadBudget:
+    """The budget holds the support block a density payload writes, 16
+    bytes an entry, not the dim x dim matrix."""
 
-
-@pytest.mark.usefixtures("unsized_samples")
-class TestEvolveDensityBudget:
-    # 3x3 without --connected-only: one target per plaquette, so the
-    # active-basis density matrix is 10x10 complex, 1600 bytes
-    ARGV = ["evolve", "--nx", "3", "--ny", "3", "--samples", "3"]
-
-    def test_90x90_fits_and_91x91_does_not(self):
-        assert 16 * (90 * 90 + 1) ** 2 <= DENSE_DENSITY_BUDGET_BYTES
+    def test_91x91_evolve_writes_at_most_two_labels(self, tmp_path):
+        # its 8282 x 8282 active-basis matrix would be over the budget
         assert 16 * (91 * 91 + 1) ** 2 > DENSE_DENSITY_BUDGET_BYTES
+        code = cli.main(["evolve", "--nx", "91", "--ny", "91", "--samples", "3",
+                         "--outdir", str(tmp_path)])
+        assert code == 0
+        written = json.loads((tmp_path / "density.json").read_text())["density"]
+        assert written["dim"] == 91 * 91 + 1
+        assert len(written["basis"]) <= 2
 
-    def test_over_budget_exits_3_before_any_file(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(density, "DENSE_DENSITY_BUDGET_BYTES", 1599)
-        code = cli.main([*self.ARGV, "--outdir", str(tmp_path / "out")])
-        assert code == 3
-        # no dense matrix is held: the count is the entries' binary size
-        assert "10x10 active-basis density matrix's entries take 1600 bytes" in (
-            capsys.readouterr().err)
-        assert not (tmp_path / "out").exists()
-
-    def test_at_budget_runs(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(density, "DENSE_DENSITY_BUDGET_BYTES", 1600)
-        assert cli.main([*self.ARGV, "--outdir", str(tmp_path)]) == 0
-        assert (tmp_path / "density.json").exists()
-
-    def test_connected_only_is_unaffected(self, tmp_path, monkeypatch):
-        # --connected-only keeps the initial state and its one target: 2x2
-        monkeypatch.setattr(density, "DENSE_DENSITY_BUDGET_BYTES", 64)
-        assert cli.main([*self.ARGV, "--connected-only", "--outdir", str(tmp_path)]) == 0
-        assert (tmp_path / "density.json").exists()
-
-    def test_density_matrix_checks_the_budget(self, monkeypatch):
-        monkeypatch.setattr(density, "DENSE_DENSITY_BUDGET_BYTES", 63)
-        with pytest.raises(RuntimeError, match="64 bytes"):
-            density_matrix(ActiveState(("a", "b"), np.zeros(2), np.array([1.0, 0.0], dtype=complex), 1.0))
-
-
-@pytest.mark.usefixtures("unsized_samples")
-class TestEvolveDensityBudgetBeforeWork:
-    """The active-basis budget is checked before any series is evolved."""
-
-    @pytest.mark.parametrize(
-        "extra, budget",
-        [([], 1599), (["--connected-only"], 63)],
-        ids=["all-plaquettes", "connected-only"],
-    )
-    def test_over_budget_exits_3_before_evolving(self, extra, budget, tmp_path, monkeypatch):
-        def no_evolution(*args, **kwargs):
-            raise AssertionError("series were evolved before the budget check")
-
-        monkeypatch.setattr(density, "DENSE_DENSITY_BUDGET_BYTES", budget)
-        monkeypatch.setattr(cli, "evolve_coefficients", no_evolution)
-        argv = TestEvolveDensityBudget.ARGV + extra
-        assert cli.main([*argv, "--outdir", str(tmp_path / "out")]) == 3
-        assert not (tmp_path / "out").exists()
+    @pytest.mark.parametrize("over", [1, 0], ids=["over", "at"])
+    def test_to_payload_sizes_the_support_block(self, over, monkeypatch):
+        # three of ten amplitudes are nonzero: a 3 x 3 block of 144 bytes
+        amps = np.zeros(10, dtype=complex)
+        amps[[1, 4, 8]] = [0.6, 0.64j, -0.48]
+        rho = density_matrix(ActiveState(tuple(f"s{k}" for k in range(10)), np.zeros(10), amps, 1.0))
+        monkeypatch.setattr(density, "DENSE_DENSITY_BUDGET_BYTES", 144 - over)
+        if over:
+            with pytest.raises(RuntimeError, match="3x3 support block of the density matrix takes 144 bytes"):
+                rho.to_payload()
+        else:
+            assert rho.to_payload()["basis"] == ["s1", "s4", "s8"]
 
 
 def forbid(monkeypatch, name):

@@ -8,14 +8,13 @@ of the same column blocks.
 """
 
 import json
-import os
 import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kitaevsim import output
@@ -43,20 +42,32 @@ keys = st.text(alphabet="abmz", min_size=1, max_size=3)
 # lengths of runs of one repeated row; the long ones straddle a block boundary
 RUN_LENGTHS = [1, 2, 3, JSON_BLOCK_ROWS - 1, JSON_BLOCK_ROWS + 1]
 
+NAN = float("nan")
+# runs of rows whose bits differ where their values compare equal: -0.0
+# against 0.0, and NaN rows
+SIGNED_ZERO_RUNS = np.repeat(
+    np.array([[0.5, -0.0], [0.5, 0.0], [NAN, -0.0], [NAN, -0.0]]), [10, 4000, 40, 46], axis=0)
+# runs of four distinct rows, -0.0 against 0.0 among them, in the order of
+# a mostly-zero matrix's rows: over blocks of 16 rows they recur in block
+# after block and straddle block boundaries
+_rng = np.random.default_rng(3)
+STRADDLING_RUNS = np.repeat(
+    np.array([[0.0, 0.0], [0.5, -0.0], [0.0, -0.0], [1e-300, NAN]])[_rng.integers(0, 4, 60)],
+    _rng.integers(5, 40, 60), axis=0)
+
 floats = st.sampled_from(SPECIAL) | st.floats()
 
 
 @st.composite
 def float_arrays(draw):
-    """1-D or (N, 2) float array: a few drawn values tiled, or a few drawn
-    rows repeated in runs of drawn lengths."""
-    width = draw(st.sampled_from([(), (2,)]))
+    """1-D or (N, 1 to 3) float array: a few drawn values tiled, or a few
+    drawn rows repeated in runs of drawn lengths."""
+    width = draw(st.sampled_from([(), (1,), (2,), (3,)]))
     if draw(st.booleans()):
         values = draw(st.lists(floats, min_size=1, max_size=8))
         return np.resize(np.array(values), (draw(st.sampled_from(ROW_COUNTS)), *width))
-    rows = np.array(draw(st.lists(st.tuples(floats, floats), min_size=1, max_size=3)))
-    if not width:
-        rows = rows[:, 0]
+    rows = np.array(draw(st.lists(st.tuples(floats, floats, floats), min_size=1, max_size=3)))
+    rows = rows[:, :width[0]] if width else rows[:, 0]
     runs = draw(st.lists(
         st.tuples(st.integers(0, len(rows) - 1), st.sampled_from(RUN_LENGTHS)),
         min_size=1, max_size=4,
@@ -97,6 +108,18 @@ def as_lists(node):
     return node
 
 
+def as_blocks(node):
+    """``node`` with each array given as an iterator of three row blocks,
+    some empty when it has fewer than three rows."""
+    if isinstance(node, np.ndarray):
+        return iter(np.array_split(node, 3))
+    if isinstance(node, dict):
+        return {k: as_blocks(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [as_blocks(v) for v in node]
+    return node
+
+
 def reference_bytes(tmp_path: Path, payload: dict) -> bytes:
     """The stdlib encoding of the header plus the list form of ``payload``."""
     write_json(tmp_path / "meta.json", CONFIG, {})
@@ -105,13 +128,19 @@ def reference_bytes(tmp_path: Path, payload: dict) -> bytes:
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
-@pytest.mark.parametrize("form", ["lists", "arrays"])
+@pytest.mark.parametrize("form", ["lists", "arrays", "blocks"])
 @settings(database=None, max_examples=40, deadline=None)
-@given(payload=payloads())
-def test_write_json_matches_the_stdlib_encoding(form, payload, tmp_path_factory):
+@given(payload=payloads(), block=st.sampled_from([JSON_BLOCK_ROWS, 16]))
+@example(payload={"arr": SIGNED_ZERO_RUNS}, block=JSON_BLOCK_ROWS)
+@example(payload={"a": STRADDLING_RUNS, "b": {"c": STRADDLING_RUNS[::-1].copy()}}, block=16)
+@example(payload={"i": np.arange(-9, 9).reshape(6, 3), "u": np.arange(5, dtype=np.uint8),
+                  "b": np.array([[True, False], [False, False]])}, block=16)
+def test_write_json_matches_the_stdlib_encoding(form, payload, block, tmp_path_factory):
+    # arrays are encoded in blocks of ``block`` rows
     tmp_path = tmp_path_factory.mktemp("json")
-    written = payload if form == "arrays" else as_lists(payload)
-    write_json(tmp_path / "doc.json", CONFIG, written)
+    written = {"lists": as_lists, "arrays": lambda p: p, "blocks": as_blocks}[form](payload)
+    with mock.patch.object(output, "JSON_BLOCK_ROWS", block):
+        write_json(tmp_path / "doc.json", CONFIG, written)
     assert (tmp_path / "doc.json").read_bytes() == reference_bytes(tmp_path, payload)
 
 
@@ -122,9 +151,9 @@ def test_write_json_rejects_arrays_it_cannot_stream(arr, tmp_path):
     assert not (tmp_path / "bad.json").exists()
 
 
-def test_density_payload_streams_in_bounded_memory():
+def test_density_payload_streams_in_bounded_memory(tmp_path):
     # evolve's shape: a pure state with few nonzero amplitudes, whose
-    # matrix rows are mostly zero
+    # payload is the 3 x 3 block over them
     dim = 1024
     amps = np.zeros(dim, dtype=complex)
     amps[[0, 7, 300]] = [0.6, 0.64j, -0.48]
@@ -132,58 +161,14 @@ def test_density_payload_streams_in_bounded_memory():
     tracemalloc.start()
     try:
         payload = {"density": density_matrix(state).to_payload()}
-        write_json(Path(os.devnull), CONFIG, payload)
+        write_json(tmp_path / "density.json", CONFIG, payload)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 16 * dim * dim // 8, f"peak {peak} bytes for a {16 * dim * dim}-byte matrix"
-
-
-def test_a_block_of_runs_encodes_each_run_once(tmp_path, monkeypatch):
-    """Runs are split where the bits change: -0.0 against 0.0 starts a new
-    run, though the two compare equal."""
-    rows = np.array([[0.5, -0.0], [0.5, 0.0], [float("nan"), -0.0], [float("nan"), -0.0]])
-    arr = np.repeat(rows, [10, 4000, 40, 46], axis=0)
-    encoded = []
-
-    def spy(rows, inner):
-        encoded.append(len(rows))
-        return encode(rows, inner)
-
-    encode = output._encode
-    monkeypatch.setattr(output, "_encode", spy)
-    write_json(tmp_path / "runs.json", CONFIG, {"arr": arr})
-    assert encoded == [1, 1, 1]
-    assert (tmp_path / "runs.json").read_bytes() == reference_bytes(tmp_path, {"arr": arr})
-
-
-def test_a_row_recurring_across_blocks_is_encoded_once_per_array(tmp_path, monkeypatch):
-    """A density matrix's layout in blocks of 16 rows: runs of four
-    distinct rows, -0.0 against 0.0 among them, recur in block after
-    block and straddle block boundaries."""
-    monkeypatch.setattr(output, "JSON_BLOCK_ROWS", 16)
-    rows = np.array([[0.0, 0.0], [0.5, -0.0], [0.0, -0.0], [1e-300, float("nan")]])
-    rng = np.random.default_rng(3)
-    # runs of at least 5 rows keep every block at most one run per RUN_ROWS rows
-    arr = np.repeat(rows[rng.integers(0, 4, 60)], rng.integers(5, 40, 60), axis=0)
-    assert len(arr) > 40 * output.JSON_BLOCK_ROWS
-    encoded = []
-
-    def spy(block, inner):
-        encoded.append(block.tobytes())
-        return encode(block, inner)
-
-    encode = output._encode
-    monkeypatch.setattr(output, "_encode", spy)
-    payload = {"a": arr, "b": {"c": arr[::-1].copy()}}
-    write_json(tmp_path / "runs.json", CONFIG, payload)
-    distinct = sorted({row.tobytes() for row in arr})
-    assert sorted(encoded) == sorted(distinct * 2)
-    assert (tmp_path / "runs.json").read_bytes() == reference_bytes(tmp_path, payload)
-    # a memo too small for the four rows encodes some again, to the same bytes
-    monkeypatch.setattr(output, "MEMO_ROWS", 2)
-    write_json(tmp_path / "small.json", CONFIG, payload)
-    assert (tmp_path / "small.json").read_bytes() == (tmp_path / "runs.json").read_bytes()
+    written = json.loads((tmp_path / "density.json").read_text())["density"]
+    assert (written["basis"], written["dim"]) == (["s0", "s7", "s300"], dim)
+    assert len(written["entries"]) == 9
 
 
 # ---------------------------------------------------------------- write_csv
