@@ -26,13 +26,11 @@ import numpy as np
 from . import __version__
 from .correlation import correlation_exact_scan, correlation_formula, selection_rule_report
 from .density import (
-    ActiveState,
     DensityMatrix,
-    ThermalEnsemble,
     assemble_state,
     density_matrix,
-    embed_active_state,
     initial_label,
+    keyed_density,
     keyed_mixture,
     phased_amplitudes,
     require_budget,
@@ -43,13 +41,12 @@ from .hamiltonian import CouplingParams, EnergyTable, drive_element, energy_expe
 from .lattice import build_lattice, geometry_to_json, validate_geometry
 from .manifold import (
     FlipConfig,
-    build_product_ket,
     enumerate_weight_class,
     excite,
     signature_kernel,
 )
 from .output import write_csv, write_json, write_plot_script
-from .pauli import HILBERT_CAP_SITES, require_hilbert
+from .pauli import HILBERT_CAP_SITES
 from .perturbation import (
     DriveSpec,
     coefficient_closed_form,
@@ -568,8 +565,9 @@ def _thermal_summary(geom, params, drive, configs, times, cfg: RunConfig, emit_d
     """thermal.json's fields for the Boltzmann mixture of ``configs``, each
     evolved to times[-1] at first order in one pass over all members
     (:func:`first_order`), and with ``emit_density`` its density matrix.
-    The series are sized before the pass; the mixture is taken from the
-    members' keys (:func:`keyed_mixture`)."""
+    The series are sized before the pass; the mixture and its density
+    matrix are taken from the members' keys (:func:`keyed_mixture`,
+    :func:`keyed_density`)."""
     # the drive's image, so each member's target plaquette if any, is the
     # same for every configuration
     plaquettes = [tg.flipped_plaquette
@@ -584,28 +582,21 @@ def _thermal_summary(geom, params, drive, configs, times, cfg: RunConfig, emit_d
                   & np.isfinite(first.e_members[first.member] * t))
     if not finite.all():
         bad = [target for labels in targets for target in labels][int(np.argmin(finite))]
-        raise _overflow(f"exc:p{bad.flipped_plaquette}:{bad.base.hex}", cfg.t_max)
+        raise _overflow(bad.label, cfg.t_max)
 
     energies, e_targets = first.e_members.tolist(), first.e_targets.tolist()
     width = len(plaquettes)
-    amplitudes, kets, labels = [], [], []
-    for k, (config, tg) in enumerate(zip(configs, targets)):
+    amplitudes = []
+    for k, tg in enumerate(targets):
         rows = slice(k * width, (k + 1) * width)
-        if tg:
-            amps, norm = phased_amplitudes(energies[k], e_targets[rows], final[rows], t)
-        else:
-            amps = np.ones(1)
-        amplitudes.append(amps)
-        if emit_density:
-            # embed_active_state reads only the state's amplitudes
-            kets.append(embed_active_state(geom, config, tg, ActiveState((), np.empty(0), amps, norm))
-                        if tg else build_product_ket(geom, config))
-        labels.append(initial_label(config))
+        amplitudes.append(phased_amplitudes(energies[k], e_targets[rows], final[rows], t)[0]
+                          if tg else np.ones(1))
+    labels = [initial_label(config) for config in configs]
 
     weights = thermal_weights(energies, cfg.kt)
     # each member's labels' keys, its own first
-    keys = ([first.member_keys[k], *first.target_keys[k * width:(k + 1) * width]]
-            for k in range(len(configs)))
+    keys = [[first.member_keys[k], *first.target_keys[k * width:(k + 1) * width]]
+            for k in range(len(configs))]
     summary = {
         "kt": cfg.kt,
         "t_evaluated": t,
@@ -615,19 +606,18 @@ def _thermal_summary(geom, params, drive, configs, times, cfg: RunConfig, emit_d
         **keyed_mixture(geom, keys, amplitudes, weights),
     }
     if emit_density:
-        summary["density"] = ThermalEnsemble(kets, weights).density().to_payload()
+        names = ([label, *(target.label for target in tg)] for label, tg in zip(labels, targets))
+        summary["density"] = keyed_density(geom, keys, amplitudes, weights, names).to_payload()
     return summary
 
 
 def cmd_thermal(cfg: RunConfig, args) -> int:
     geom, params, drive, _, times = _build_scene(cfg)
     n = geom.n_plaquettes
-    if args.emit_density:
-        # the mixture density matrix is over the full 2**n_sites basis
-        require_hilbert(geom.n_sites)
-        dim = 2**geom.n_sites
-        require_budget(16 * dim * dim, f"the {dim}x{dim} mixture density matrix's entries take")
     count = {"weight01": n + 1, "all": 1 << n}.get(args.members, args.members.count(",") + 1)
+    if args.emit_density:
+        # each member has at most one target, so the mixture at most 2 * count keys
+        require_budget(16 * (2 * count) ** 2, f"the mixture density matrix over up to {2 * count} keys takes")
     require_budget(count * THERMAL_MEMBER_BYTES, f"{count} thermal members need about")
     if args.members == "weight01":
         members_cfg = [FlipConfig(0, n)] + [FlipConfig(1 << q, n) for q in range(n)]
@@ -725,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     p["thermal"].add_argument("--members", default="weight01",
                               help="'weight01', 'all', or comma-separated hex bitmasks")
     p["thermal"].add_argument("--emit-density", action="store_true",
-                              help="include the full mixture density matrix in thermal.json")
+                              help="include the mixture density matrix, over the members' keys, in thermal.json")
     return parser
 
 

@@ -16,10 +16,12 @@ configuration) and the trace, purity and entropies of a thermal mixture
 of them (:func:`keyed_mixture`, keyed against one reference for all)
 are squared singular values of small label-amplitude matrices
 (:func:`schmidt_weights`), indexed by one pass that keys every label and
-splits its key into A and B sites, with no 2**n_sites ket.  The 2**n forms
+splits its key into A and B sites, with no 2**n_sites ket.  The mixture
+itself, as ``thermal --emit-density`` writes it, is kept over that same
+key basis (:func:`keyed_density`).  The 2**n forms
 (:func:`embed_active_state`, :func:`reduced_entropy`,
-:meth:`ThermalEnsemble.density`) stay for ``thermal --emit-density``, the
-acceptance checks and the tests, under the Hilbert cap.
+:meth:`ThermalEnsemble.density`) stay for the acceptance checks, the
+benchmark and the tests, under the Hilbert cap.
 
 A :class:`DensityMatrix` is kept as its factors, rho = sum_k p_k
 |psi_k><psi_k|: one amplitude vector for a pure state, or member kets and
@@ -54,7 +56,8 @@ ENTROPY_EIGENVALUE_FLOOR = 1e-14
 # density matrix's payload counts the [re, im] entries of its support
 # block (16 * |support|**2), and a mixture over the full Hilbert basis
 # 16 * dim**2 (the 2x3 torus's 256 MiB, the 2x4 torus's 64 GiB).  Evolve's
-# support is the initial state and at most one connected target
+# support is the initial state and at most one connected target, and so
+# is each thermal member's: its mixture has at most 2 keys per member
 DENSE_DENSITY_BUDGET_BYTES = 1 << 30
 
 
@@ -140,18 +143,18 @@ class DensityMatrix:
         that of the whole matrix built by the same products, all of whose
         other entries are zero.  A member whose (finite) ket is zero at the
         row's state is skipped: it would add signed zeros, and a sum
-        started at +0.0 is never -0.0, so adding them changes no bit.
+        started at +0.0 is never -0.0, so adding them changes no bit.  Each
+        member's conjugate row is taken as its product needs it.
         """
-        conj = self.kets.conj()
         part = np.empty((1, self.dim), dtype=complex)
         for m in support.tolist():
             psi = self.kets[:, m:m + 1]
             if self.weights is None:
-                row = np.outer(psi[0], conj[0])[:, support]
+                row = np.outer(psi[0], self.kets[0].conj())[:, support]
             else:
                 row = np.zeros((1, len(support)), dtype=complex)
                 for k in np.flatnonzero(psi[:, 0]).tolist():
-                    np.multiply.outer(psi[k], conj[k], out=part)
+                    np.multiply.outer(psi[k], self.kets[k].conj(), out=part)
                     part *= self.weights[k]
                     row += part[:, support]
             yield row.reshape(-1).view(float).reshape(-1, 2)
@@ -477,6 +480,25 @@ def keyed_mixture(geom: LatticeGeometry, keys, amps, weights) -> dict[str, float
         "mixture_entropy": float(_weights_entropy(w_mix)),
         "sublattice_entropy": float(_weights_entropy(w_a)),
     }
+
+
+def keyed_density(geom: LatticeGeometry, keys, amps, weights, names) -> DensityMatrix:
+    """The mixture sum_k p_k |psi_k><psi_k| over the orthonormal basis of
+    its members' keys, with no 2**n_sites ket.
+
+    ``keys`` and ``amps`` are as for :func:`keyed_mixture`, and ``names``
+    yields, member by member, the labels of those keys.  The keys are
+    numbered in order of first appearance (:func:`_keyed_indices`), row k
+    of the kets holds member k's amplitudes at its keys' numbers, and each
+    key is named by the first label that holds it.
+    """
+    member, key_col, _, _ = _keyed_indices(geom, keys)
+    kets = np.zeros((len(amps), int(key_col.max()) + 1), dtype=complex)
+    kets[member, key_col] = np.concatenate(amps)
+    first = {}
+    for k, name in zip(key_col.tolist(), (name for member_names in names for name in member_names)):
+        first.setdefault(k, name)
+    return DensityMatrix(kets, np.asarray(weights), tuple(first.values()))
 
 
 def embed_active_state(

@@ -57,6 +57,11 @@ class ExcitedLabel:
                 f"for n={self.base.n}"
             )
 
+    @property
+    def label(self) -> str:
+        """The label written for this state: ``exc:p<plaquette>:<base hex>``."""
+        return f"exc:p{self.flipped_plaquette}:{self.base.hex}"
+
 
 def excite(config: FlipConfig, i: int) -> ExcitedLabel:
     """Label the state obtained by flipping plaquette i's third spin."""

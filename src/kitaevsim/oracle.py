@@ -120,10 +120,11 @@ def _norm(a: np.ndarray) -> float:
 
 
 def expv(
-    apply, v: np.ndarray, scale: complex, tol: float, bound: float
+    apply, v: np.ndarray, scale: complex, tol: float, bound: float, growth: float
 ) -> tuple[np.ndarray, float]:
     """exp(scale * M) v by a truncated Taylor series, where ``apply(x)``
-    returns M x as a new vector and ``bound`` >= ||M||.
+    returns M x as a new vector, ``bound`` >= ||M||, and ``growth`` >= the
+    largest eigenvalue of the Hermitian part of scale * M.
 
     The unit interval is cut into s = ceil(|scale| bound / 2) equal
     sub-steps tau, so that theta = |scale| bound tau <= 2 on each.  A
@@ -132,6 +133,11 @@ def expv(
     ||t_k|| theta / (k + 1 - theta) <= tol * tau: since ||t_(j+1)|| <=
     ||t_j|| theta / (j + 1), that is a bound on the norm of every term
     left out (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
+    The sub-steps after sub-step j carry its error through
+    exp((s - 1 - j) tau scale M), whose 2-norm is at most
+    exp(growth (s - 1 - j) / s) (the logarithmic norm bound), so its
+    bound is counted, in the stopping test and in the sum, times that
+    factor: with a complex drive value exp(scale * M) is no contraction.
 
     Returns the vector and the summed bounds (<= tol); when the
     exponential needs more than ``_MAX_SUB_STEPS`` sub-steps or a
@@ -146,7 +152,8 @@ def expv(
     theta /= subs
     factor = scale / subs
     err = 0.0
-    for _ in range(subs):
+    for j in range(subs):
+        carried = math.exp(growth * (subs - 1 - j) / subs)
         term, total = w, w.copy()
         for k in range(_MAX_TAYLOR_TERMS + 1):
             if k:
@@ -156,7 +163,7 @@ def expv(
             size = _norm(term)
             if not math.isfinite(size):
                 return np.full_like(w, np.nan), math.inf
-            rest = size * theta / (k + 1 - theta) if k + 1 > theta else math.inf
+            rest = size * theta / (k + 1 - theta) * carried if k + 1 > theta else math.inf
             if rest <= tol / subs:
                 break
         else:
@@ -451,7 +458,8 @@ class _Generator:
         tol = self.krylov_tol * 0.5 * h
         for b in (m0 - 4.0 * m1, m0 + 4.0 * m1):
             self.set_drive(b)
-            psi, err = expv(self.matvec, psi, -0.5j * h, tol, self.bound)
+            # -0.5i h (H0 + b S) has Hermitian part 0.5 h Im(b) S; S's eigenvalues are +-1
+            psi, err = expv(self.matvec, psi, -0.5j * h, tol, self.bound, 0.5 * h * abs(b.imag))
             self.krylov_error += err
         return psi
 

@@ -142,7 +142,7 @@ class CoefficientSeries:
 
     @property
     def label(self) -> str:
-        return f"exc:p{self.target.flipped_plaquette}:{self.target.base.hex}"
+        return self.target.label
 
     @property
     def omega0(self) -> float:

@@ -28,7 +28,13 @@ payload moved from the whole basis and all dim x dim entries to the
 basis states where some ket is nonzero and the block over them;
 :func:`test_support_payload_rebuilds_the_dense_layout` holds the new
 files to the old layout's entries bit for bit and rebuilds the old
-layout from the same state to the old digests.
+layout from the same state to the old digests.  The two ``thermal.json``
+pins were re-taken once more when ``thermal --emit-density`` moved its
+mixture from the members' 2**n kets to their keys' basis: the same test
+lifts each new payload back to the Hilbert basis, holds it to the
+mixture of the members' kets within 1e-12, and rebuilds the dense layout
+of that mixture to its dense-layout digests; both
+``thermal_weights.csv`` pins held unedited.
 
 The runs write to the relative directory ``out`` under a fresh working
 directory, so the configuration recorded in each header, and with it the
@@ -42,7 +48,8 @@ import numpy as np
 import pytest
 
 from kitaevsim import cli
-from kitaevsim.density import DensityMatrix
+from kitaevsim.density import ActiveState, DensityMatrix, embed_active_state, keyed_density
+from kitaevsim.manifold import FlipConfig, build_product_ket, excite
 from kitaevsim.output import write_json
 
 import reference
@@ -64,10 +71,12 @@ SCENES = {
     # 577 labels, 14 MB of density.json in the dense layout; the dense
     # layout test's alone
     "24x24": ["--nx", "24", "--ny", "24", "--samples", "33"],
-    # mixtures over the 256-state Hilbert basis from sixteen members and
-    # from two
+    # mixtures over the members' keys, from sixteen members and from two
     "2x2-all": ["--nx", "2", "--ny", "2", "--samples", "17", "--members", "all"],
     "2x2-pair": ["--nx", "2", "--ny", "2", "--samples", "17", "--members", "0x0,0x1"],
+    # mixtures whose 4096-state Hilbert matrix is checked a row block at a time
+    "2x3-pair": ["--nx", "2", "--ny", "3", "--samples", "17", "--members", "0x0,0x1"],
+    "2x3-weight01": ["--nx", "2", "--ny", "3", "--samples", "17"],
 }
 
 COMMANDS = {
@@ -154,11 +163,11 @@ DIGESTS = {
     ("2x3", "correlate", "correlations.csv"):
         "ebaa89f9929ddeacb0792916f9db4834de6955bc50ce39891f3e54046d698bb8",
     ("2x2-all", "thermal", "thermal.json"):
-        "38973d845c835d3d35cca1219affd459397870148e389fc46ddf801d5e16f3ab",
+        "ff2ab57c4bde51d0670ca7b617be1e6951f63b6f1485d1392eb57e264903f259",
     ("2x2-all", "thermal", "thermal_weights.csv"):
         "107ff5da3297f552b6980e0fde1d98b055f2bd7ab921626760be448e8aa1b89b",
     ("2x2-pair", "thermal", "thermal.json"):
-        "72cb567e8b7e610736b38401d0ee5ee5ba5a2bed380f31b8090e7f2818b97c1d",
+        "3fdab045d9132bba2af3de7559613f0941091c94ac99a95a43e974446e1eaa3b",
     ("2x2-pair", "thermal", "thermal_weights.csv"):
         "ddde63bda682dcf28b686d81b18cf6a0aef60e701a2a80592861b97b98bcbc8d",
 }
@@ -197,13 +206,46 @@ DENSE_LAYOUT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("scene,command,name", sorted(DENSE_LAYOUT_DIGESTS))
+# mixtures checked against the Hilbert-basis mixture with no pinned dense file
+HILBERT_CHECKED = [("2x3-pair", "thermal", "thermal.json"), ("2x3-weight01", "thermal", "thermal.json")]
+
+
+def parse_label(geom, label):
+    """The configuration a ``cfg:<hex>`` or ``exc:p<j>:<hex>`` label names,
+    and its excitation (None for ``cfg:``)."""
+    kind, *plaquette, bits = label.split(":")
+    config = FlipConfig(int(bits, 16), geom.n_plaquettes)
+    return config, (excite(config, int(plaquette[0][1:])) if kind == "exc" else None)
+
+
+def member_ket(geom, names, amps):
+    """A thermal member's 2**n ket as ``--emit-density`` built it over the
+    Hilbert basis: its amplitudes on the product kets of its labels."""
+    config, _ = parse_label(geom, names[0])
+    targets = [parse_label(geom, name)[1] for name in names[1:]]
+    if not targets:
+        return build_product_ket(geom, config)
+    return embed_active_state(geom, config, targets, ActiveState((), np.empty(0), amps, 1.0))
+
+
+@pytest.mark.parametrize("scene,command,name", [*sorted(DENSE_LAYOUT_DIGESTS), *HILBERT_CHECKED])
 def test_support_payload_rebuilds_the_dense_layout(scene, command, name, tmp_path, monkeypatch, capsys):
     """The density written over its support holds the dense layout's
     entries there bit for bit, every other dense entry is zero, and the
-    dense layout rebuilt from the same state has the file's former digest."""
-    states, documents = [], []
+    dense layout rebuilt from the same state has the file's former digest.
+
+    A thermal mixture is written over its members' keys.  Lifted by V,
+    whose columns are the product kets of its basis labels, it is the
+    mixture of the members' 2**n kets to 1e-12, and that mixture's dense
+    layout, where pinned, has the digest of the file written over the
+    Hilbert basis."""
+    states, documents, mixtures = [], [], []
     to_payload = DensityMatrix.to_payload
+
+    def keep_mixture(geom, keys, amps, weights, names):
+        names = [list(member_names) for member_names in names]
+        mixtures.append((geom, names, amps, weights))
+        return keyed_density(geom, keys, amps, weights, names)
 
     def keep_state(rho):
         states.append(rho)
@@ -215,6 +257,7 @@ def test_support_payload_rebuilds_the_dense_layout(scene, command, name, tmp_pat
 
     monkeypatch.setattr(DensityMatrix, "to_payload", keep_state)
     monkeypatch.setattr(cli, "write_json", keep_document)
+    monkeypatch.setattr(cli, "keyed_density", keep_mixture)
     monkeypatch.chdir(tmp_path)
     argv, _ = COMMANDS[command]
     outdir = f"out/{command}"
@@ -236,6 +279,18 @@ def test_support_payload_rebuilds_the_dense_layout(scene, command, name, tmp_pat
     outside = matrix.copy()
     outside[support] = 0.0
     assert not outside.any()
+
+    if command == "thermal":
+        ((geom, names, amps, weights),) = mixtures
+        kets = np.array([member_ket(geom, n, a) for n, a in zip(names, amps)])
+        v = np.array([build_product_ket(geom, *parse_label(geom, label)) for label in written["basis"]]).T
+        lifted = v @ block.reshape(len(at), len(at))
+        for rows in np.array_split(np.arange(len(v)), max(1, len(v) // 256)):
+            want = (kets[:, rows].T * weights) @ kets.conj()
+            assert np.max(np.abs(lifted[rows] @ v.conj().T - want)) <= 1e-12
+        if (scene, command, name) not in DENSE_LAYOUT_DIGESTS:
+            return
+        dense = reference.dense_density_payload(DensityMatrix(kets, np.asarray(weights)))
 
     write_json(tmp_path / "dense.json", config, {**payload, "density": dense})
     digest = hashlib.sha256((tmp_path / "dense.json").read_bytes()).hexdigest()

@@ -4,7 +4,8 @@ The fixed-step CF4 propagator is checked against classical RK4 at fine
 steps, and ``expv`` against the dense exponential of H0 + b S, built
 from the Kronecker products of ``tests/reference.py`` and exponentiated
 by scaling and squaring (``expm_taylor``): its value, and its returned
-truncation bound against its true error.  ``rk4_fixed_substeps`` is the
+truncation bound against its true error, a complex drive value's
+growth of that error included.  ``rk4_fixed_substeps`` is the
 RK4 core the oracle ran before CF4 replaced it, on -i (H0 + B(t) S) psi
 from the oracle's compiled generator.  One undriven ``exact_evolve``
 run whose exponentials all split into Taylor sub-steps is checked
@@ -129,7 +130,7 @@ def test_expv_matches_dense_exponential(jx, jy, jz, b_re, b_im, tau, data):
 
     f = _Generator(geom, params, drive)
     f.set_drive(b)
-    got, err = expv(lambda x: f.apply(x, b), v, -1j * tau, 1e-14, f.bound)
+    got, err = expv(lambda x: f.apply(x, b), v, -1j * tau, 1e-14, f.bound, tau * abs(b.imag))
     assert err <= 1e-14
     assert float(np.max(np.abs(got - ref))) <= 1e-12
 
@@ -162,9 +163,30 @@ def test_expv_bound_covers_its_true_error(jx, jy, jz, b_re, b_im, tau, tol, data
 
     # the generator's bound is the largest absolute row sum of H0 + b S
     assert math.isclose(f.bound, float(np.max(np.sum(np.abs(dense), axis=1))), rel_tol=1e-12)
-    got, err = expv(f.matvec, v, -1j * tau, tol, f.bound)
+    # -i tau (H0 + b S) has Hermitian part tau Im(b) S, whose largest
+    # eigenvalue is tau |Im b|
+    got, err = expv(f.matvec, v, -1j * tau, tol, f.bound, tau * abs(b.imag))
     assert err <= tol
     assert float(np.linalg.norm(got - ref)) <= err + 1e-13
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+def test_expv_bound_covers_the_growth_of_a_complex_drive_value(tol):
+    # exp(-i tau (H0 + b S)) with Im b != 0 is no contraction: a sub-step's
+    # truncation error grows through the sub-steps after it; a bound that
+    # left that out fell below this example's true error, by factors of
+    # 1.23 (tol 1e-6) and 1.30 (tol 1e-9)
+    geom = GEOMS[(2, 2)]
+    params = CouplingParams(jx=0.1, jy=-0.95, jz=-0.2, d=1.0)
+    f = _Generator(geom, params, DriveSpec.exponential(1.0, 0.0, plaquette=0))
+    b, tau = complex(-0.5, 0.5), 3.0
+    f.set_drive(b)
+    dense = dense_h0_kron(geom, params) + b * kron_string(geom.n_sites, drive_string(geom, 0))
+    v = _random_ket(np.random.default_rng(1), 2**geom.n_sites)
+    ref = expm_taylor(-1j * tau * dense) @ v
+    got, err = expv(f.matvec, v, -1j * tau, tol, f.bound, tau * abs(b.imag))
+    assert err <= tol
+    assert float(np.linalg.norm(got - ref)) <= err
 
 
 def test_expv_past_the_sub_step_cap_gives_nan():
@@ -180,10 +202,10 @@ def test_expv_past_the_sub_step_cap_gives_nan():
     # theta = |scale| bound: past the cap no matvec is taken, just below it
     # the series converges
     cap = oracle._THETA * oracle._MAX_SUB_STEPS
-    got, err = expv(counted, v, -1j * (cap + 1.0) / f.bound, 1e-9, f.bound)
+    got, err = expv(counted, v, -1j * (cap + 1.0) / f.bound, 1e-9, f.bound, 0.0)
     assert np.all(np.isnan(got)) and err == math.inf
     assert not calls
-    got, err = expv(counted, v, -1j * (cap - 1.0) / f.bound, 1e-9, f.bound)
+    got, err = expv(counted, v, -1j * (cap - 1.0) / f.bound, 1e-9, f.bound, 0.0)
     assert np.all(np.isfinite(got)) and err <= 1e-9
     assert abs(np.linalg.norm(got) - 1.0) <= 1e-9
 
@@ -208,14 +230,14 @@ def test_exact_evolve_through_krylov_sub_steps(monkeypatch):
     tol = 1e-9
     matvecs = []
 
-    def counting_expv(apply, v, scale, tol, bound):
+    def counting_expv(apply, v, scale, tol, bound, growth):
         calls = [0]
 
         def counted(x):
             calls[0] += 1
             return apply(x)
 
-        out = expv(counted, v, scale, tol, bound)
+        out = expv(counted, v, scale, tol, bound, growth)
         matvecs.append(calls[0])
         return out
 
@@ -239,12 +261,12 @@ def test_result_counts_every_matvec_of_every_pass(monkeypatch):
     psi0 = build_product_ket(geom, FlipConfig(0, geom.n_plaquettes))
     matvecs = []
 
-    def counting_expv(apply, v, scale, tol, bound):
+    def counting_expv(apply, v, scale, tol, bound, growth):
         def counted(x):
             matvecs.append(1)
             return apply(x)
 
-        return expv(counted, v, scale, tol, bound)
+        return expv(counted, v, scale, tol, bound, growth)
 
     monkeypatch.setattr(oracle, "expv", counting_expv)
     result = oracle.exact_evolve(geom, params, drive, psi0, np.linspace(0.0, 2.0, 4), tol=1e-10)

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from kitaevsim import cli
+from kitaevsim.density import embed_active_state
 from kitaevsim.hamiltonian import CouplingParams
 from kitaevsim.lattice import build_lattice
-from kitaevsim.manifold import FlipConfig
+from kitaevsim.manifold import FlipConfig, build_product_ket
 from kitaevsim.perturbation import DriveSpec, connected_targets, evolve_coefficients
 from kitaevsim.phase import decompose
 
@@ -43,13 +44,13 @@ class TestExitCodes:
         assert proc.returncode == 2
 
     def test_computation_failure_exits_3(self, tmp_path):
-        # the mixture density matrix needs the full Hilbert space; 3x3 exceeds the cap
+        # the drive on plaquette 1 of 2x2 connects no target to phase
         proc = run_cli(
-            "thermal", "--emit-density", "--nx", "3", "--ny", "3", "--outdir", str(tmp_path),
+            "phase", "--nx", "2", "--ny", "2", "--plaquette", "1", "--outdir", str(tmp_path),
             "--samples", "3",
         )
         assert proc.returncode == 3
-        assert "computation failed" in proc.stderr
+        assert "computation failed: no connected targets" in proc.stderr
 
     def test_memory_error_exits_3(self, tmp_path, monkeypatch, capsys):
         def out_of_memory(cfg, args):
@@ -160,8 +161,8 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_thermal_at_the_hilbert_cap_runs(self, tmp_path):
-        # 2x4 is the 16-site cap; without --emit-density thermal holds no
-        # 2^n ket and runs beyond it too (the next test)
+        # 2x4 is the 16-site cap; thermal holds no 2^n ket and runs beyond
+        # it too (the next test)
         proc = run_cli(
             "thermal", "--nx", "2", "--ny", "4", "--outdir", str(tmp_path),
             "--samples", "3",
@@ -196,23 +197,31 @@ class TestExitCodes:
         assert int(proc.stdout.split()[-1]) < 100 * 1024  # KiB
         assert len(json.loads((tmp_path / "thermal.json").read_text())["members"]) == 256
 
-    @pytest.mark.parametrize("extra", [[], ["--plaquette", "1", "--members", "all"]],
-                             ids=["targets", "no-targets"])
+    @pytest.mark.parametrize(
+        "extra", [[], ["--plaquette", "1", "--members", "all"], ["--emit-density", "--members", "all"]],
+        ids=["targets", "no-targets", "emit-density"],
+    )
     def test_thermal_builds_no_hilbert_space_vector(self, extra, tmp_path, monkeypatch):
         def no_ket(*args, **kwargs):
-            raise AssertionError("thermal built a 2**n vector without --emit-density")
+            raise AssertionError("thermal built a 2**n vector")
 
-        monkeypatch.setattr(cli, "build_product_ket", no_ket)
-        monkeypatch.setattr(cli, "embed_active_state", no_ket)
+        # every kitaevsim module's name for either builder
+        builders = (build_product_ket, embed_active_state)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "kitaevsim":
+                for key, value in list(vars(module).items()):
+                    if any(value is f for f in builders):
+                        monkeypatch.setattr(module, key, no_ket)
         code = cli.main(["thermal", "--nx", "2", "--ny", "3", *extra, "--samples", "3",
                          "--outdir", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "thermal.json").exists()
 
     def test_thermal_emit_density_holds_less_than_its_dense_matrix(self, tmp_path):
-        # 2x2 --members all: a 256 x 256 mixture, 1 MiB dense; the first run
-        # leaves the imports and caches in place, the second is traced
-        argv = ["thermal", "--nx", "2", "--ny", "2", "--samples", "17", "--members", "all",
+        # 2x4 --members all: 256 members over 512 keys, a 4 MiB dense
+        # matrix; the first run leaves the imports and caches in place, the
+        # second is traced
+        argv = ["thermal", "--nx", "2", "--ny", "4", "--samples", "17", "--members", "all",
                 "--emit-density", "--outdir", str(tmp_path)]
         assert cli.main(argv) == 0
         tracemalloc.start()
@@ -221,18 +230,41 @@ class TestExitCodes:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 256 * 256, f"peak {peak} bytes"
-        assert json.loads((tmp_path / "thermal.json").read_text())["density"]["dim"] == 256
+        assert peak < 16 * 512 * 512, f"peak {peak} bytes"
+        assert json.loads((tmp_path / "thermal.json").read_text())["density"]["dim"] == 512
 
-    def test_thermal_emit_density_over_memory_budget_exits_3(self, tmp_path):
-        # the 2x4 mixture density matrix would take 64 GiB
-        proc = run_cli(
-            "thermal", "--nx", "2", "--ny", "4", "--outdir", str(tmp_path),
-            "--samples", "3", "--emit-density",
-        )
-        assert proc.returncode == 3
-        assert "68719476736 bytes" in proc.stderr
-        assert not (tmp_path / "thermal.json").exists()
+    def test_thermal_emit_density_over_memory_budget_exits_3(self, tmp_path, monkeypatch, capsys):
+        # 65537 weight01 members hold at most 131074 keys, whose mixture
+        # would take 16 * 131074**2 bytes; sized before any member is listed
+        forbid_member_work(monkeypatch)
+        out = tmp_path / "out"
+        code = cli.main(["thermal", "--nx", "256", "--ny", "256", "--emit-density",
+                         "--samples", "3", "--outdir", str(out)])
+        assert code == 3
+        assert "274886295616 bytes" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("nx,ny,members", [(2, 4, "weight01"), (8, 8, "0x0,0x1")],
+                             ids=["2x4-weight01", "8x8-pair"])
+    def test_thermal_emit_density_beyond_the_hilbert_cap_runs(self, nx, ny, members, tmp_path):
+        code = cli.main(["thermal", "--nx", str(nx), "--ny", str(ny), "--members", members,
+                         "--emit-density", "--samples", "3", "--outdir", str(tmp_path)])
+        assert code == 0
+        doc = json.loads((tmp_path / "thermal.json").read_text())
+        assert doc["density"]["dim"] <= 2 * len(doc["members"])
+
+    def test_thermal_emit_density_keys_flip_kernel_twins_once(self, tmp_path):
+        # 3x3's two-dimensional flip kernel makes twins of every member's
+        # ket and of its target's, so 512 members hold 256 keys
+        code = cli.main(["thermal", "--nx", "3", "--ny", "3", "--members", "all",
+                         "--emit-density", "--samples", "3", "--outdir", str(tmp_path)])
+        assert code == 0
+        doc = json.loads((tmp_path / "thermal.json").read_text())
+        written = doc["density"]
+        assert len(doc["members"]) == 512 and len(written["basis"]) == 256
+        rho = np.array(written["entries"]).reshape(-1).view(complex).reshape(256, 256)
+        assert float(np.trace(rho).real) == pytest.approx(doc["trace"], abs=1e-12)
+        assert float(np.sum(np.abs(rho) ** 2)) == pytest.approx(doc["purity"], abs=1e-12)
 
     @pytest.mark.parametrize(
         "flag,value",
@@ -283,20 +315,6 @@ class TestExitCodes:
             "each state is one member of the mixture\n"
         )
         assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize(
-        "argv",
-        [["thermal", "--emit-density"], ["thermal", "--emit-density", "--members", "all"],
-         ["thermal", "--emit-density", "--members", "0x0,0x1"]],
-        ids=["thermal", "thermal-members-all", "thermal-members-list"],
-    )
-    def test_hilbert_cap_exits_3_before_first_order_work(
-        self, argv, tmp_path, monkeypatch, capsys
-    ):
-        forbid_member_work(monkeypatch)
-        code = cli.main([*argv, "--nx", "3", "--ny", "3", "--outdir", str(tmp_path)])
-        assert code == 3
-        assert "lattice too large" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", [5, 6], ids=["5x5", "6x6"])
     def test_thermal_member_list_over_budget_exits_3_before_listing(

@@ -53,21 +53,6 @@ def test_library_entry_points_raise_the_cap_message(call):
     assert str(info.value) == cap_message(GEOM_3X3.n_sites)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["thermal", "--emit-density"], ["thermal", "--emit-density", "--members", "all"]],
-    ids=["thermal", "thermal-members-all"],
-)
-def test_cli_prints_the_cap_message(argv, tmp_path, capsys):
-    code = cli.main([*argv, "--nx", "3", "--ny", "3", "--samples", "3",
-                     "--outdir", str(tmp_path / "out")])
-    assert code == 3
-    assert capsys.readouterr().err == (
-        f"computation failed: {cap_message(GEOM_3X3.n_sites)}\n"
-    )
-    assert not (tmp_path / "out").exists()
-
-
 class TestManifoldLimit:
     @pytest.fixture(autouse=True)
     def no_enumeration(self, monkeypatch):
