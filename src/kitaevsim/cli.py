@@ -607,7 +607,7 @@ def _thermal_summary(geom, params, drive, configs, times, cfg: RunConfig, emit_d
     }
     if emit_density:
         names = ([label, *(target.label for target in tg)] for label, tg in zip(labels, targets))
-        summary["density"] = keyed_density(geom, keys, amplitudes, weights, names).to_payload()
+        summary["density"] = keyed_density(geom, keys, amplitudes, weights, names)
     return summary
 
 
@@ -615,10 +615,12 @@ def cmd_thermal(cfg: RunConfig, args) -> int:
     geom, params, drive, _, times = _build_scene(cfg)
     n = geom.n_plaquettes
     count = {"weight01": n + 1, "all": 1 << n}.get(args.members, args.members.count(",") + 1)
+    member_bytes = THERMAL_MEMBER_BYTES
     if args.emit_density:
-        # each member has at most one target, so the mixture at most 2 * count keys
-        require_budget(16 * (2 * count) ** 2, f"the mixture density matrix over up to {2 * count} keys takes")
-    require_budget(count * THERMAL_MEMBER_BYTES, f"{count} thermal members need about")
+        # a member writes at most two basis labels, its own and its target's,
+        # none longer than ExcitedLabel.label of the last plaquette and all n bits
+        member_bytes += 2 * len(f"exc:p{n - 1}:0x{(1 << n) - 1:x}")
+    require_budget(count * member_bytes, f"{count} thermal members need about")
     if args.members == "weight01":
         members_cfg = [FlipConfig(0, n)] + [FlipConfig(1 << q, n) for q in range(n)]
     elif args.members == "all":

@@ -17,22 +17,22 @@ of them (:func:`keyed_mixture`, keyed against one reference for all)
 are squared singular values of small label-amplitude matrices
 (:func:`schmidt_weights`), indexed by one pass that keys every label and
 splits its key into A and B sites, with no 2**n_sites ket.  The mixture
-itself, as ``thermal --emit-density`` writes it, is kept over that same
-key basis (:func:`keyed_density`).  The 2**n forms
+itself, as ``thermal --emit-density`` writes it, is written over that
+same key basis (:func:`keyed_density`).  The 2**n forms
 (:func:`embed_active_state`, :func:`reduced_entropy`,
 :meth:`ThermalEnsemble.density`) stay for the acceptance checks, the
 benchmark and the tests, under the Hilbert cap.
 
 A :class:`DensityMatrix` is kept as its factors, rho = sum_k p_k
 |psi_k><psi_k|: one amplitude vector for a pure state, or member kets and
-their weights for a mixture.  Its payload is written over its support,
-the basis states where some ket is nonzero: every entry outside it is
-zero, so the payload lists the support's labels and the entries of the
-support block only, each formed by the products the whole matrix would
-take, a row at a time as ``output.write_json`` writes them, so neither
-the block nor the dim x dim matrix is held.  ``matrix``, ``trace``,
-``purity`` and ``diagnostics`` form the dim x dim matrix when asked, for
-checks at small dim.
+their weights for a mixture.  Its payload is written as those factors:
+the labels of its support, the basis states where some ket is nonzero,
+one weight per member, and each nonzero amplitude as a (member, basis
+index, [re, im]) triple, from which
+rho[a, b] = sum_k p_k psi_k[a] conj(psi_k[b]) is exact and every entry
+outside the support is zero; nothing the size of the support squared is
+formed.  ``matrix``, ``trace``, ``purity`` and ``diagnostics`` form the
+dim x dim matrix when asked, for checks at small dim.
 
 Entropy uses the natural logarithm, so a maximally mixed qubit pair
 carries ln 2 per qubit.
@@ -53,11 +53,8 @@ from .perturbation import CoefficientSeries
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
 
 # the memory budget every size check holds a request to, in bytes: a
-# density matrix's payload counts the [re, im] entries of its support
-# block (16 * |support|**2), and a mixture over the full Hilbert basis
-# 16 * dim**2 (the 2x3 torus's 256 MiB, the 2x4 torus's 64 GiB).  Evolve's
-# support is the initial state and at most one connected target, and so
-# is each thermal member's: its mixture has at most 2 keys per member
+# mixture over the full Hilbert basis counts 16 * dim**2 (the 2x3 torus's
+# 256 MiB, the 2x4 torus's 64 GiB)
 DENSE_DENSITY_BUDGET_BYTES = 1 << 30
 
 
@@ -118,46 +115,34 @@ class DensityMatrix:
         return issues
 
     def to_payload(self) -> dict:
-        """JSON-ready form over the support: its basis labels, the full
-        ``dim``, and the row-major [re, im] entries of the support block,
-        an iterator of its rows (:meth:`_support_rows`)."""
-        support = np.flatnonzero((self.kets != 0).any(axis=0))
-        n = len(support)
-        require_budget(16 * n * n, f"the {n}x{n} support block of the density matrix takes")
-        if self.labels is not None:
-            basis = [self.labels[k] for k in support.tolist()]
-        else:
-            basis = [f"hilbert:{k}" for k in support.tolist()]
-        return {"basis": basis, "dim": self.dim, "entries": self._support_rows(support)}
+        """JSON-ready factors over the support (:func:`_factor_payload`),
+        with the weight 1.0 for a pure state."""
+        member, column = np.nonzero(self.kets)
+        weights = np.ones(1) if self.weights is None else self.weights
+        name = "hilbert:{}".format if self.labels is None else self.labels.__getitem__
+        return _factor_payload(self.dim, weights, member, column, self.kets[member, column], name)
 
-    def _support_rows(self, support: np.ndarray):
-        """The support block's [re, im] entries, one matrix row at a time
-        as a (len(support), 2) float array, formed as asked.
 
-        A pure state's entry is the product psi_m * conj(psi_n), as
-        ``np.outer`` forms it; a mixture's starts at zero and adds
-        psi_k,m conj(psi_k,n) * p_k member by member.  Each row's products
-        are formed over the whole basis and then taken on the support: a
-        complex product's last bit can depend on the length of the row it
-        is formed in, and so each entry, the sign of a zero included, is
-        that of the whole matrix built by the same products, all of whose
-        other entries are zero.  A member whose (finite) ket is zero at the
-        row's state is skipped: it would add signed zeros, and a sum
-        started at +0.0 is never -0.0, so adding them changes no bit.  Each
-        member's conjugate row is taken as its product needs it.
-        """
-        part = np.empty((1, self.dim), dtype=complex)
-        for m in support.tolist():
-            psi = self.kets[:, m:m + 1]
-            if self.weights is None:
-                row = np.outer(psi[0], self.kets[0].conj())[:, support]
-            else:
-                row = np.zeros((1, len(support)), dtype=complex)
-                for k in np.flatnonzero(psi[:, 0]).tolist():
-                    np.multiply.outer(psi[k], self.kets[k].conj(), out=part)
-                    part *= self.weights[k]
-                    row += part[:, support]
-            yield row.reshape(-1).view(float).reshape(-1, 2)
+def _factor_payload(dim: int, weights, member, column, values, name) -> dict:
+    """The payload of rho = sum_k p_k |psi_k><psi_k| over a basis of ``dim``
+    states from its nonzero ket amplitudes, psi_member[e][column[e]] =
+    values[e], ordered by member and then by column as ``np.nonzero``
+    orders them.
+
+    ``basis`` names the support, the columns that hold an amplitude, in
+    increasing order (``name(column)``), ``index`` is each amplitude's
+    place in it and ``amplitude`` its [re, im], a real value's with a
+    +0.0 imaginary part; ``weights`` holds p_k.
+    """
+    support, index = np.unique(column, return_inverse=True)
+    return {
+        "basis": [name(k) for k in support.tolist()],
+        "dim": dim,
+        "weights": np.asarray(weights, dtype=float),
+        "member": member,
+        "index": index,
+        "amplitude": np.asarray(values, dtype=complex).view(float).reshape(-1, 2),
+    }
 
 
 @dataclass
@@ -482,23 +467,27 @@ def keyed_mixture(geom: LatticeGeometry, keys, amps, weights) -> dict[str, float
     }
 
 
-def keyed_density(geom: LatticeGeometry, keys, amps, weights, names) -> DensityMatrix:
-    """The mixture sum_k p_k |psi_k><psi_k| over the orthonormal basis of
-    its members' keys, with no 2**n_sites ket.
+def keyed_density(geom: LatticeGeometry, keys, amps, weights, names) -> dict:
+    """The payload of the mixture sum_k p_k |psi_k><psi_k| over the
+    orthonormal basis of its members' keys, with no 2**n_sites ket and no
+    member x key matrix.
 
     ``keys`` and ``amps`` are as for :func:`keyed_mixture`, and ``names``
     yields, member by member, the labels of those keys.  The keys are
-    numbered in order of first appearance (:func:`_keyed_indices`), row k
-    of the kets holds member k's amplitudes at its keys' numbers, and each
-    key is named by the first label that holds it.
+    numbered in order of first appearance (:func:`_keyed_indices`) and
+    each is named by the first label that holds it; the payload is
+    :meth:`DensityMatrix.to_payload`'s for the kets whose row k holds
+    member k's amplitudes at its keys' numbers.
     """
     member, key_col, _, _ = _keyed_indices(geom, keys)
-    kets = np.zeros((len(amps), int(key_col.max()) + 1), dtype=complex)
-    kets[member, key_col] = np.concatenate(amps)
+    values = np.concatenate(amps)
     first = {}
     for k, name in zip(key_col.tolist(), (name for member_names in names for name in member_names)):
         first.setdefault(k, name)
-    return DensityMatrix(kets, np.asarray(weights), tuple(first.values()))
+    # the nonzero amplitudes by member and then by key, as np.nonzero gives them
+    at = np.flatnonzero(values)
+    at = at[np.lexsort((key_col[at], member[at]))]
+    return _factor_payload(len(first), weights, member[at], key_col[at], values[at], first.__getitem__)
 
 
 def embed_active_state(

@@ -15,11 +15,10 @@ previous block's bits; a block that repeats the kept one, such as each
 zero series after another, is written from that text in one join around
 its own scalar cells.  Any other block's text is held one chunk at a
 time.  ``write_json`` writes its document chunk by chunk as the
-indented encoder gives it, and each numpy array, or each iterator of
-arrays whose rows it stacks, where the array's placeholder chunk comes,
-in blocks of JSON_BLOCK_ROWS rows.  A block's distinct values in each
-column are formatted once each, so a mostly-zero block costs little
-more than a sort and a join.
+indented encoder gives it, and each numpy array where its placeholder
+chunk comes, in blocks of JSON_BLOCK_ROWS rows.  A block's distinct
+values in each column are formatted once each, so a mostly-zero block
+costs little more than a sort and a join.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from collections.abc import Iterator
 from itertools import repeat
 from pathlib import Path
 from typing import TextIO
@@ -38,7 +36,8 @@ from . import __version__
 
 # first-axis rows of an array that write_json encodes at once; encoding
 # an (N, 2) block of distinct floats peaks at about 320 KB (1.3 MB at 4096
-# rows, more than the 1 MiB of a 256 x 256 density matrix)
+# rows).  The longest arrays written are a density payload's (nnz, 2)
+# amplitudes, at most two rows a thermal member
 JSON_BLOCK_ROWS = 1024
 
 # rows that write_csv writes at once; a longer block goes out in chunks of
@@ -184,15 +183,11 @@ def write_csv(path: Path, config: dict, columns: list[str], blocks) -> None:
 
 
 def _lift_arrays(node, arrays: list):
-    """Copy of ``node`` with each nonempty array, and each iterator of
-    arrays, replaced by a placeholder.
+    """Copy of ``node`` with each nonempty array replaced by a placeholder.
 
     The arrays are appended to ``arrays``; the k-th one's placeholder is
     the string NUL + "ndarray:k".  An empty array becomes its (short) list.
     """
-    if isinstance(node, Iterator):
-        arrays.append(node)
-        return f"\0ndarray:{len(arrays) - 1}"
     if isinstance(node, np.ndarray):
         if node.size == 0:
             return node.tolist()
@@ -237,38 +232,33 @@ def _encode(rows: np.ndarray, inner: str) -> str:
     return "".join(cells.reshape(-1).tolist())[len(inner) + 2:]
 
 
-def _write_array(fh: TextIO, arr, indent: str) -> None:
-    """Write ``arr``, a numpy array or an iterator of arrays whose rows it
-    stacks, as ``json.dumps(arr.tolist(), indent=2)`` lays it out.
+def _write_array(fh: TextIO, arr: np.ndarray, indent: str) -> None:
+    """Write the nonempty ``arr`` as ``json.dumps(arr.tolist(), indent=2)``
+    lays it out.
 
-    ``indent`` is the indentation of the line the array starts on.  Each
+    ``indent`` is the indentation of the line the array starts on.  The
     array is encoded in blocks of JSON_BLOCK_ROWS rows, each written as it
-    is encoded; an iterator that gives no rows is written as ``[]``.
+    is encoded.
     """
     inner = indent + "  "
-    empty = True
-    fh.write("[")
-    for block in [arr] if isinstance(arr, np.ndarray) else arr:
-        for start in range(0, len(block), JSON_BLOCK_ROWS):
-            # every row is preceded by ",\n" + inner but the array's first,
-            # by "\n" + inner
-            fh.write("\n" + inner if empty else ",\n" + inner)
-            empty = False
-            fh.write(_encode(block[start:start + JSON_BLOCK_ROWS], inner))
-    fh.write("]" if empty else "\n" + indent + "]")
+    for start in range(0, len(arr), JSON_BLOCK_ROWS):
+        # every row is preceded by ",\n" + inner but the array's first,
+        # by "[\n" + inner
+        fh.write(("[\n" if start == 0 else ",\n") + inner)
+        fh.write(_encode(arr[start:start + JSON_BLOCK_ROWS], inner))
+    fh.write("\n" + indent + "]")
 
 
 def write_json(path: Path, config: dict, payload: dict) -> None:
     """JSON document whose first key is the reproducibility header.
 
     The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True)``
-    with every numpy array in ``payload`` given as its ``tolist()``, and
-    every iterator of arrays as the list of their rows.  Each chunk of
-    ``JSONEncoder.iterencode`` goes to the file as it comes, so the
-    document's text is never held whole, and each array is streamed in
-    row blocks where its placeholder chunk comes, so no list of its
-    entries is ever built; an iterator's arrays are asked for only then.
-    An array that cannot be streamed raises before the file is opened.
+    with every numpy array in ``payload`` given as its ``tolist()``.  Each
+    chunk of ``JSONEncoder.iterencode`` goes to the file as it comes, so
+    the document's text is never held whole, and each array is streamed
+    in row blocks where its placeholder chunk comes, so no list of its
+    entries is ever built.  An array that cannot be streamed raises before
+    the file is opened.
     """
     doc = {
         "meta": {

@@ -135,7 +135,7 @@ class CoefficientSeries:
             raise ValueError("times and values length mismatch")
         if len(self.times) == 0 or self.times[0] != 0.0:
             raise ValueError("coefficient grid must start at t = 0")
-        if np.any(np.diff(self.times) <= 0):
+        if not (self.times[1:] > self.times[:-1]).all():
             raise ValueError("coefficient grid must be strictly increasing")
         if abs(self.values[0]) > 1e-12:
             raise ValueError("first-order coefficient must vanish at t = 0")

@@ -45,8 +45,8 @@ summed as ``ThermalEnsemble.density`` once built it, and
 :func:`dense_density_payload` the payload every ``density`` field was
 written as before it moved to the support: every basis label and all
 dim x dim entries, ``np.outer`` for a pure state and
-:func:`dense_mixture` for a mixture.  The support block of
-``DensityMatrix.to_payload`` must reproduce their entries bit for bit.
+:func:`dense_mixture` for a mixture.  The kets rebuilt from the triples
+of ``DensityMatrix.to_payload`` must give their nonzero entries bit for bit.
 
 :func:`loop_evolve_coefficients` is the first order of one member keyed
 against the member itself, its drive element a product along the string

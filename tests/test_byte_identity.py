@@ -34,7 +34,14 @@ mixture from the members' 2**n kets to their keys' basis: the same test
 lifts each new payload back to the Hilbert basis, holds it to the
 mixture of the members' kets within 1e-12, and rebuilds the dense layout
 of that mixture to its dense-layout digests; both
-``thermal_weights.csv`` pins held unedited.
+``thermal_weights.csv`` pins held unedited.  The five ``density.json``
+pins and the two ``thermal.json`` pins were re-taken once more when each
+``density`` payload moved from the support block's entries to its
+factors, a weight per member and the nonzero ket amplitudes as (member,
+basis index, [re, im]) triples, after
+:func:`test_support_payload_rebuilds_the_dense_layout` rebuilt every
+dense-layout digest from the triples and every byte of the files outside
+``density`` was checked equal to that of the code before the change.
 
 The runs write to the relative directory ``out`` under a fresh working
 directory, so the configuration recorded in each header, and with it the
@@ -105,7 +112,7 @@ DIGESTS = {
     ("4x4", "evolve", "energies.csv"):
         "d29a6a0d17054f04506dbf9f01430a18ad4f60478e7c52dabdd2be6c7553597b",
     ("4x4", "evolve", "density.json"):
-        "f0816a99e2bf22234e4e443bd6e271efb429543f25ffb1893a2e70ebfc4e408b",
+        "6c2317f3e747eac1ac74de3e7f5512398538c8043235dd7094f557ca70fe0187",
     ("4x4", "sweep", "sweep.csv"):
         "6e534bf44ae38ca351c92e6e296f0fee049ae12837dadfab72dc03de7e0d1089",
     ("4x4", "sweep", "sweep_summary.json"):
@@ -121,7 +128,7 @@ DIGESTS = {
     ("3x3", "evolve", "energies.csv"):
         "5d205c49adb9ca54d1b4b33847ec297622143057cf28f7ba1d307e627ba8a25b",
     ("3x3", "evolve", "density.json"):
-        "a95195171a885e7e386a1e1d26c72594f39d2afa1150b4ab985ca3ab404fa32b",
+        "a24d602ccef60971a57999f055be21945dc6b2a33fe679511678f9f132fa9735",
     ("3x3", "sweep", "sweep.csv"):
         "5896cec623d03df7cb5ff8d66b38ff55b9580a96a4c51c982b6efe27afda6837",
     ("3x3", "sweep", "sweep_summary.json"):
@@ -137,7 +144,7 @@ DIGESTS = {
     ("12x4", "evolve", "energies.csv"):
         "ee301e9153299010c062db51fd9b6bac056911ab80d94c44673084a2b03decf6",
     ("12x4", "evolve", "density.json"):
-        "c032cb12dc58fd9e0b4afffabd5198d24bd8e7c4adf756319c431c91fa63b438",
+        "a13d0e22ec69a8f2f512496c5dc0e4f69948d9c49b9e414af1284ef5b1611a47",
     ("12x4", "sweep", "sweep.csv"):
         "a03431b5b7feb37d1b954cdfd3cc59b265e0e26ad067eedb93b22600b1a3da98",
     ("12x4", "sweep", "sweep_summary.json"):
@@ -153,21 +160,21 @@ DIGESTS = {
     ("12x12", "evolve", "energies.csv"):
         "0d0a062a07037363ec93d273f2506161757f65fd952ce4d960447af3a9eab346",
     ("12x12", "evolve", "density.json"):
-        "ea638a69fe8470fbbef0c8b7f72624a37eb19b3a3b5a05d94df5a308d154d694",
+        "cc2fcad2cd69e645fbc9803411ac72dc2f8e5c8034ef92c76b5d4c893b764067",
     ("2x3", "evolve", "coefficients.csv"):
         "1f808541dd17aa06c6f0ef000bf2e140ace692c3c9d3eaa4d4d1afb4148f2521",
     ("2x3", "evolve", "energies.csv"):
         "4fffd1e98c904cf086c93e967272d4126c1b789976f301e952cb724b65c7c8e2",
     ("2x3", "evolve", "density.json"):
-        "afb8fb67bd421b9414135148a8c36d3827062397e997ae2c7a0b70af8645cd94",
+        "39ebf2080c932545ea66395f23558e91bec521c68c6aca1b107e4d40f68ee929",
     ("2x3", "correlate", "correlations.csv"):
         "ebaa89f9929ddeacb0792916f9db4834de6955bc50ce39891f3e54046d698bb8",
     ("2x2-all", "thermal", "thermal.json"):
-        "ff2ab57c4bde51d0670ca7b617be1e6951f63b6f1485d1392eb57e264903f259",
+        "26ae59c38e6285536bac5ade0f0c0a92e07d1f8ca4a7a485e2cb4e28df5e561c",
     ("2x2-all", "thermal", "thermal_weights.csv"):
         "107ff5da3297f552b6980e0fde1d98b055f2bd7ab921626760be448e8aa1b89b",
     ("2x2-pair", "thermal", "thermal.json"):
-        "3fdab045d9132bba2af3de7559613f0941091c94ac99a95a43e974446e1eaa3b",
+        "664f14ab1f479c1cfc964b1126fa2a3585b7d374ba4d048a4f7177d819d924f5",
     ("2x2-pair", "thermal", "thermal_weights.csv"):
         "ddde63bda682dcf28b686d81b18cf6a0aef60e701a2a80592861b97b98bcbc8d",
 }
@@ -230,21 +237,26 @@ def member_ket(geom, names, amps):
 
 @pytest.mark.parametrize("scene,command,name", [*sorted(DENSE_LAYOUT_DIGESTS), *HILBERT_CHECKED])
 def test_support_payload_rebuilds_the_dense_layout(scene, command, name, tmp_path, monkeypatch, capsys):
-    """The density written over its support holds the dense layout's
-    entries there bit for bit, every other dense entry is zero, and the
-    dense layout rebuilt from the same state has the file's former digest.
+    """The density written as its factors, a weight per member and the
+    nonzero ket amplitudes as (member, basis index, [re, im]) triples,
+    rebuilds the dense layout the file was once written in, to its digest.
 
-    A thermal mixture is written over its members' keys.  Lifted by V,
-    whose columns are the product kets of its basis labels, it is the
-    mixture of the members' 2**n kets to 1e-12, and that mixture's dense
-    layout, where pinned, has the digest of the file written over the
-    Hilbert basis."""
+    Evolve's pure state is rebuilt over its labels from the triples; every
+    amplitude they leave out is zero.  Those zeros are +0.0 or -0.0 in the
+    state, and the dense layout's text of the products they enter, "0.0"
+    or "-0.0", follows them, so they are taken from the state.  A thermal
+    mixture is written over its members' keys: each member's 2**n ket is
+    the sum of its amplitudes times the product kets of their basis
+    labels, equal to the ket ``--emit-density`` built over the Hilbert
+    basis, and the mixture of those kets under the written weights has,
+    where pinned, the digest of the file written over the Hilbert basis
+    (a sum from zero leaves no sign of a zero to follow)."""
     states, documents, mixtures = [], [], []
     to_payload = DensityMatrix.to_payload
 
     def keep_mixture(geom, keys, amps, weights, names):
         names = [list(member_names) for member_names in names]
-        mixtures.append((geom, names, amps, weights))
+        mixtures.append((geom, names, amps))
         return keyed_density(geom, keys, amps, weights, names)
 
     def keep_state(rho):
@@ -262,35 +274,34 @@ def test_support_payload_rebuilds_the_dense_layout(scene, command, name, tmp_pat
     argv, _ = COMMANDS[command]
     outdir = f"out/{command}"
     assert cli.main([*argv, *SCENES[scene], *COMMON, "--outdir", outdir]) == 0
-    (rho,), ((config, payload),) = states, documents
+    ((config, payload),) = documents
 
-    dense = reference.dense_density_payload(rho)
     written = json.loads((tmp_path / outdir / name).read_text())["density"]
-    index = {label: k for k, label in enumerate(dense["basis"])}
-    at = [index[label] for label in written["basis"]]
-    assert written["dim"] == dense["dim"] == len(dense["basis"])
-    if command == "evolve":
-        # the initial state and at most one connected target
-        assert len(at) <= 2
-    matrix = dense["entries"].reshape(-1).view(complex).reshape(rho.dim, rho.dim)
-    support = np.ix_(at, at)
-    block = np.array(written["entries"], dtype=float).reshape(-1).view(complex)
-    assert block.tobytes() == matrix[support].tobytes()
-    outside = matrix.copy()
-    outside[support] = 0.0
-    assert not outside.any()
+    weights = np.array(written["weights"])
+    member, index = np.array(written["member"], dtype=np.intp), np.array(written["index"], dtype=np.intp)
+    amplitude = np.array(written["amplitude"], dtype=float).reshape(-1).view(complex)
+    basis = written["basis"]
+    assert len(set(basis)) == len(basis) == index.max() + 1 <= written["dim"]
 
-    if command == "thermal":
-        ((geom, names, amps, weights),) = mixtures
-        kets = np.array([member_ket(geom, n, a) for n, a in zip(names, amps)])
-        v = np.array([build_product_ket(geom, *parse_label(geom, label)) for label in written["basis"]]).T
-        lifted = v @ block.reshape(len(at), len(at))
-        for rows in np.array_split(np.arange(len(v)), max(1, len(v) // 256)):
-            want = (kets[:, rows].T * weights) @ kets.conj()
-            assert np.max(np.abs(lifted[rows] @ v.conj().T - want)) <= 1e-12
+    if command == "evolve":
+        (rho,) = states
+        # the initial state and at most one connected target
+        assert len(basis) <= 2 and written["weights"] == [1.0] and written["dim"] == rho.dim
+        at = np.array([rho.labels.index(label) for label in basis])
+        kets = np.where(rho.kets == 0, rho.kets, 0)
+        kets[member, at[index]] = amplitude
+        assert kets.tobytes() == rho.kets.tobytes()
+        dense = reference.dense_density_payload(DensityMatrix(kets, labels=rho.labels))
+    else:
+        ((geom, names, amps),) = mixtures
+        v = [build_product_ket(geom, *parse_label(geom, label)) for label in basis]
+        kets = np.zeros((len(weights), 2**geom.n_sites), dtype=complex)
+        for k, i, a in zip(member.tolist(), index.tolist(), amplitude.tolist()):
+            kets[k] += a * v[i]
+        assert np.array_equal(kets, [member_ket(geom, n, a) for n, a in zip(names, amps)])
         if (scene, command, name) not in DENSE_LAYOUT_DIGESTS:
             return
-        dense = reference.dense_density_payload(DensityMatrix(kets, np.asarray(weights)))
+        dense = reference.dense_density_payload(DensityMatrix(kets, weights))
 
     write_json(tmp_path / "dense.json", config, {**payload, "density": dense})
     digest = hashlib.sha256((tmp_path / "dense.json").read_bytes()).hexdigest()

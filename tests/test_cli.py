@@ -233,15 +233,33 @@ class TestExitCodes:
         assert peak < 16 * 512 * 512, f"peak {peak} bytes"
         assert json.loads((tmp_path / "thermal.json").read_text())["density"]["dim"] == 512
 
+    def test_thermal_emit_density_memory_is_linear_in_the_members(self, tmp_path):
+        # 32x32 weight01: 1025 members over 2050 keys, whose support block
+        # of 2050**2 entries took 38.8 MB; the first run leaves the imports
+        # and caches in place, the second is traced
+        argv = ["thermal", "--nx", "32", "--ny", "32", "--emit-density", "--samples", "17",
+                "--outdir", str(tmp_path)]
+        assert cli.main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000, f"peak {peak} bytes"
+        assert len(json.loads((tmp_path / "thermal.json").read_text())["density"]["weights"]) == 1025
+
     def test_thermal_emit_density_over_memory_budget_exits_3(self, tmp_path, monkeypatch, capsys):
-        # 65537 weight01 members hold at most 131074 keys, whose mixture
-        # would take 16 * 131074**2 bytes; sized before any member is listed
+        # 65537 weight01 members, each sized at THERMAL_MEMBER_BYTES plus
+        # two basis labels as long as the longest, "exc:p65535:0xff...f"
+        # with 16384 hex digits; sized before any member is listed
         forbid_member_work(monkeypatch)
         out = tmp_path / "out"
         code = cli.main(["thermal", "--nx", "256", "--ny", "256", "--emit-density",
                          "--samples", "3", "--outdir", str(out)])
         assert code == 3
-        assert "274886295616 bytes" in capsys.readouterr().err
+        nbytes = 65537 * (cli.THERMAL_MEMBER_BYTES + 2 * len("exc:p65535:0x") + 2 * 16384)
+        assert f"65537 thermal members need about {nbytes} bytes" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("nx,ny,members", [(2, 4, "weight01"), (8, 8, "0x0,0x1")],
@@ -253,6 +271,20 @@ class TestExitCodes:
         doc = json.loads((tmp_path / "thermal.json").read_text())
         assert doc["density"]["dim"] <= 2 * len(doc["members"])
 
+    @pytest.mark.parametrize("members,count", [("all", 16), ("0x0", 1)])
+    def test_thermal_emit_density_without_targets_writes_real_amplitudes(self, members, count, tmp_path):
+        # plaquette 1 connects no 2x2 member to a target: each member is
+        # its own key with the float amplitude 1.0, an odd count for 0x0
+        code = cli.main(["thermal", "--nx", "2", "--ny", "2", "--plaquette", "1", "--members", members,
+                         "--emit-density", "--samples", "3", "--outdir", str(tmp_path)])
+        assert code == 0
+        doc = json.loads((tmp_path / "thermal.json").read_text())
+        written = doc["density"]
+        assert written["basis"] == doc["members"] and written["dim"] == count
+        assert written["weights"] == doc["weights"]
+        assert written["member"] == written["index"] == list(range(count))
+        assert written["amplitude"] == [[1.0, 0.0]] * count
+
     def test_thermal_emit_density_keys_flip_kernel_twins_once(self, tmp_path):
         # 3x3's two-dimensional flip kernel makes twins of every member's
         # ket and of its target's, so 512 members hold 256 keys
@@ -262,7 +294,10 @@ class TestExitCodes:
         doc = json.loads((tmp_path / "thermal.json").read_text())
         written = doc["density"]
         assert len(doc["members"]) == 512 and len(written["basis"]) == 256
-        rho = np.array(written["entries"]).reshape(-1).view(complex).reshape(256, 256)
+        # rho = sum_k w_k |psi_k><psi_k| from the triples
+        kets = np.zeros((512, 256), dtype=complex)
+        kets[written["member"], written["index"]] = np.array(written["amplitude"]).reshape(-1).view(complex)
+        rho = (kets.T * written["weights"]) @ kets.conj()
         assert float(np.trace(rho).real) == pytest.approx(doc["trace"], abs=1e-12)
         assert float(np.sum(np.abs(rho) ** 2)) == pytest.approx(doc["purity"], abs=1e-12)
 
@@ -681,7 +716,8 @@ class TestPipelineCommands:
         assert len(rows(full / "coefficients.csv")) == 4 * 5
         assert rows(lone / "energies.csv") == rows(full / "energies.csv")[:1]
         density = json.loads((lone / "density.json").read_text())["density"]
-        assert density == {"basis": ["cfg:0x0"], "dim": 1, "entries": [[1.0, 0.0]]}
+        assert density == {"basis": ["cfg:0x0"], "dim": 1, "weights": [1.0],
+                           "member": [0], "index": [0], "amplitude": [[1.0, 0.0]]}
 
     def test_emit_plot_script(self, tmp_path):
         out = tmp_path / "plot"

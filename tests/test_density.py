@@ -1,7 +1,7 @@
-import io
 import json
 import math
 import os
+import tempfile
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from kitaevsim import output, pauli
 from kitaevsim.density import (
+    DensityMatrix,
     ThermalEnsemble,
     _keyed_indices,
     assemble_state,
@@ -20,6 +21,7 @@ from kitaevsim.density import (
     ActiveState,
     embed_active_state,
     entropy_of_density,
+    keyed_density,
     keyed_mixture,
     partial_trace_matrix,
     reduced_density_matrix,
@@ -340,28 +342,39 @@ class TestThermal:
         assert peak < 1 << 20
 
 
-def written_entries(entries) -> str:
-    """The JSON text output.write_json streams for ``entries``."""
-    fh = io.StringIO()
-    output._write_array(fh, entries, "")
-    return fh.getvalue()
+def written_rows(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as output.write_json writes it and json reads it back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.json"
+        output.write_json(path, {}, {"rows": arr})
+        return np.array(json.loads(path.read_text())["rows"], dtype=float)
+
+
+def rebuilt_kets(payload: dict, labels) -> np.ndarray:
+    """The member kets a payload's triples give over the basis ``labels``,
+    +0.0 at every amplitude they leave out."""
+    index = {label: k for k, label in enumerate(labels)}
+    at = np.array([index[label] for label in payload["basis"]], dtype=np.intp)
+    kets = np.zeros((len(payload["weights"]), payload["dim"]), dtype=complex)
+    kets[payload["member"], at[payload["index"]]] = payload["amplitude"].reshape(-1).view(complex)
+    return kets
 
 
 def test_density_blocks_sum_the_same_products_as_whole_projectors(monkeypatch):
-    # JSON blocks of 83 entries, longer than the 16-entry matrix rows the
-    # payload gives one at a time
+    # JSON blocks of 5 rows split the 48 written amplitudes; the mixture
+    # rebuilt from them sums the products the whole projectors take
     rng = np.random.default_rng(3)
     kets = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
     kets /= np.linalg.norm(kets, axis=1)[:, None]
     ens = ThermalEnsemble(list(kets), thermal_weights(np.arange(3.0), 0.7))
-    monkeypatch.setattr(output, "JSON_BLOCK_ROWS", 83)
+    monkeypatch.setattr(output, "JSON_BLOCK_ROWS", 5)
     expected = np.zeros((16, 16), dtype=complex)
     for p, psi in zip(ens.weights, ens.states):
         expected += np.multiply.outer(psi, psi.conj()) * p
-    # repr texts are equal only for bit-identical floats
-    assert written_entries(ens.density().to_payload()["entries"]) == json.dumps(
-        expected.reshape(-1).view(float).reshape(-1, 2).tolist(), indent=2
-    )
+    payload = ens.density().to_payload()
+    payload["amplitude"] = written_rows(payload["amplitude"])
+    kets = rebuilt_kets(payload, [f"hilbert:{k}" for k in range(16)])
+    assert reference.dense_mixture(payload["weights"], kets).tobytes() == expected.tobytes()
 
 
 def test_density_payload_writes_in_less_than_the_dense_matrix():
@@ -383,7 +396,7 @@ def test_density_payload_writes_in_less_than_the_dense_matrix():
 
 def test_a_sparse_mixture_payload_writes_its_support_block():
     # three members each nonzero on 40 of 1024 states: the payload lists
-    # their union and its |S| x |S| entries
+    # their union and the 120 nonzero amplitudes, by member and then state
     dim = 1024
     rng = np.random.default_rng(4)
     kets = np.zeros((3, dim), dtype=complex)
@@ -394,7 +407,40 @@ def test_a_sparse_mixture_payload_writes_its_support_block():
     support = np.flatnonzero(kets.any(axis=0))
     payload = ThermalEnsemble(list(kets), thermal_weights(np.arange(3.0), 1.0)).density().to_payload()
     assert payload["basis"] == [f"hilbert:{k}" for k in support]
-    assert sum(map(len, payload["entries"])) == len(support) ** 2
+    member, state = np.nonzero(kets)
+    assert payload["member"].tolist() == member.tolist()
+    assert support[payload["index"]].tolist() == state.tolist()
+    assert payload["amplitude"].shape == (120, 2)
+
+
+KEYED_AMPS = {
+    "complex": [np.array([0.6, 0.8j]), np.array([-0.6j, 0.8]), np.array([1.0 + 0j, 0.0])],
+    # float amplitudes, as a member with no target gives, five of them
+    # nonzero: each is written with a +0.0 imaginary part
+    "real": [np.array([0.6, 0.8]), np.array([-0.6, 0.8]), np.array([1.0, 0.0])],
+}
+
+
+@pytest.mark.parametrize("kind", KEYED_AMPS)
+def test_keyed_density_is_the_payload_of_its_member_kets(kind):
+    # four keys on 2x2; member 1's second label holds the key member 0
+    # numbered first, and member 2's second amplitude is zero
+    geom = build_lattice(2, 2)
+    k0, k1, k2, k3 = (frozenset(sites) for sites in ([], [0], [1, 2], [3]))
+    keys = [[k0, k1], [k2, k0], [k3, k1]]
+    amps = KEYED_AMPS[kind]
+    names = [["l0", "l1"], ["l2", "l0'"], ["l3", "l1'"]]
+    weights = np.array([0.5, 0.3, 0.2])
+    payload = keyed_density(geom, keys, amps, weights, names)
+    kets = np.zeros((3, 4), dtype=complex)
+    kets[[0, 0, 1, 1, 2, 2], [0, 1, 2, 0, 3, 1]] = np.concatenate(amps)
+    want = DensityMatrix(kets, weights, ("l0", "l1", "l2", "l3")).to_payload()
+    assert list(payload) == list(want)
+    for field, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert payload[field].dtype == value.dtype and np.array_equal(payload[field], value), field
+        else:
+            assert payload[field] == value, field
 
 
 def signed_zero_kets(rng, k: int, dim: int) -> np.ndarray:
@@ -406,30 +452,6 @@ def signed_zero_kets(rng, k: int, dim: int) -> np.ndarray:
     return parts.view(complex)[..., 0]
 
 
-def rebuilt(payload: dict, labels) -> tuple[np.ndarray, list[int]]:
-    """The dim x dim matrix a payload gives over the basis ``labels``, zero
-    outside its support, and the support's indices into ``labels``."""
-    index = {label: k for k, label in enumerate(labels)}
-    at = [index[label] for label in payload["basis"]]
-    entries = np.concatenate([np.empty((0, 2)), *payload["entries"]]).reshape(-1).view(complex)
-    dense = np.zeros((payload["dim"], payload["dim"]), dtype=complex)
-    dense[np.ix_(at, at)] = entries.reshape(len(at), len(at))
-    return dense, at
-
-
-def test_support_entries_keep_the_bits_of_whole_rows():
-    # a mixture's psi_0 conj(psi_0) formed in a row of one entry or in the
-    # basis's row of two can differ in its last bit (numpy's vector loop
-    # may fuse a multiply and an add); the payload's entry is the whole
-    # matrix's
-    psi = np.array([0.18905338 - 0.52274844j, 0.0])
-    psi /= np.linalg.norm(psi)
-    rho = ThermalEnsemble([psi], np.ones(1)).density()
-    dense = reference.dense_mixture(np.ones(1), [psi])
-    (block,) = rho.to_payload()["entries"]
-    assert block.tobytes() == dense[:1, :1].tobytes()
-
-
 @settings(max_examples=25, deadline=None, database=None)
 @given(
     dim=st.integers(1, 256),
@@ -439,9 +461,9 @@ def test_support_entries_keep_the_bits_of_whole_rows():
     data=st.data(),
 )
 def test_streamed_entries_are_the_dense_entries_bit_for_bit(dim, seed, weights, data):
-    # weights None draws a pure state; JSON blocks split matrix rows
+    # weights None draws a pure state; JSON blocks split the amplitudes
     rng = np.random.default_rng(seed)
-    block = data.draw(st.sampled_from([n for n in (1, 5, dim - 1, dim + 3) if n > 0]))
+    block = data.draw(st.sampled_from([1, 5, 64]))
     if weights is None:
         amps = signed_zero_kets(rng, 1, dim)[0]
         if not amps.any():
@@ -458,20 +480,27 @@ def test_streamed_entries_are_the_dense_entries_bit_for_bit(dim, seed, weights, 
         dense = reference.dense_mixture(np.array(weights), kets)
     payload = rho.to_payload()
     assert payload["dim"] == dim
-    got, at = rebuilt(payload, labels)
-    # the support: every basis state where some ket is nonzero, in order
-    assert at == np.flatnonzero((kets != 0).any(axis=0)).tolist()
-    support = np.ix_(at, at)
-    # bit for bit over the support, -0.0 against 0.0 too, and 0 elsewhere
-    assert got[support].tobytes() == dense[support].tobytes()
-    outside = dense.copy()
-    outside[support] = 0.0
-    assert not outside.any()
-    # repr texts are equal only for bit-identical floats
+    assert payload["weights"].tolist() == ([1.0] if weights is None else weights)
+    # repr texts round-trip every bit, -0.0 parts too
     with mock.patch.object(output, "JSON_BLOCK_ROWS", block):
-        written = written_entries(rho.to_payload()["entries"])
-    assert written == json.dumps(
-        dense[support].reshape(-1).view(float).reshape(-1, 2).tolist(), indent=2)
+        written = written_rows(payload["amplitude"])
+    assert written.tobytes() == payload["amplitude"].tobytes()
+    got = rebuilt_kets(payload, labels)
+    # the support: every basis state where some ket is nonzero, in order
+    support = np.flatnonzero((kets != 0).any(axis=0))
+    assert [labels.index(label) for label in payload["basis"]] == support.tolist()
+    nonzero = kets != 0
+    assert got[nonzero].tobytes() == kets[nonzero].tobytes()
+    assert not got[~nonzero].any()
+    if weights is None:
+        # a product with a zero amplitude is a zero whose sign the payload
+        # does not hold
+        at = np.ix_(support, support)
+        assert np.outer(got[0], got[0].conj())[at].tobytes() == dense[at].tobytes()
+        assert np.array_equal(np.outer(got[0], got[0].conj()), dense)
+    else:
+        # a sum started at +0.0 keeps no sign of a zero
+        assert reference.dense_mixture(np.array(weights), got).tobytes() == dense.tobytes()
 
 
 @settings(max_examples=50, deadline=None, database=None)

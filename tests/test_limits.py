@@ -7,7 +7,13 @@ import pytest
 
 from kitaevsim import cli, density
 from kitaevsim.correlation import correlation_exact_scan
-from kitaevsim.density import DENSE_DENSITY_BUDGET_BYTES, ActiveState, density_matrix, reduced_entropy
+from kitaevsim.density import (
+    DENSE_DENSITY_BUDGET_BYTES,
+    ActiveState,
+    DensityMatrix,
+    density_matrix,
+    reduced_entropy,
+)
 from kitaevsim.hamiltonian import CouplingParams
 from kitaevsim.lattice import build_lattice
 from kitaevsim.manifold import FlipConfig, build_product_ket
@@ -81,8 +87,8 @@ class TestManifoldLimit:
 
 
 class TestDensityPayloadBudget:
-    """The budget holds the support block a density payload writes, 16
-    bytes an entry, not the dim x dim matrix."""
+    """A density payload is the state's factors, its nonzero amplitudes and
+    weights, never the dim x dim matrix the budget would refuse."""
 
     def test_91x91_evolve_writes_at_most_two_labels(self, tmp_path):
         # its 8282 x 8282 active-basis matrix would be over the budget
@@ -94,18 +100,31 @@ class TestDensityPayloadBudget:
         assert written["dim"] == 91 * 91 + 1
         assert len(written["basis"]) <= 2
 
-    @pytest.mark.parametrize("over", [1, 0], ids=["over", "at"])
-    def test_to_payload_sizes_the_support_block(self, over, monkeypatch):
-        # three of ten amplitudes are nonzero: a 3 x 3 block of 144 bytes
-        amps = np.zeros(10, dtype=complex)
-        amps[[1, 4, 8]] = [0.6, 0.64j, -0.48]
-        rho = density_matrix(ActiveState(tuple(f"s{k}" for k in range(10)), np.zeros(10), amps, 1.0))
-        monkeypatch.setattr(density, "DENSE_DENSITY_BUDGET_BYTES", 144 - over)
-        if over:
-            with pytest.raises(RuntimeError, match="3x3 support block of the density matrix takes 144 bytes"):
-                rho.to_payload()
+    @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixture"])
+    def test_to_payload_triples_rebuild_the_matrix(self, pure):
+        # three of ten states are nonzero in the pure state, four in the
+        # mixture, every other column zero; some parts of the nonzero
+        # amplitudes and of the zeros are -0.0
+        amps = np.zeros((2, 10), dtype=complex)
+        amps[:, 2] = complex(0.0, -0.0)
+        amps[0, [1, 4, 8]] = [complex(0.6, -0.0), 0.64j, complex(-0.48, 0.0)]
+        amps[1, [4, 9]] = [complex(-0.0, 0.8), complex(0.6, -0.0)]
+        labels = tuple(f"s{k}" for k in range(10))
+        if pure:
+            rho = density_matrix(ActiveState(labels, np.zeros(10), amps[0], 1.0))
         else:
-            assert rho.to_payload()["basis"] == ["s1", "s4", "s8"]
+            rho = DensityMatrix(amps, np.array([0.25, 0.75]), labels)
+        payload = rho.to_payload()
+        support = [1, 4, 8] if pure else [1, 4, 8, 9]
+        assert payload["basis"] == [labels[k] for k in support] and payload["dim"] == 10
+        assert payload["weights"].tolist() == ([1.0] if pure else [0.25, 0.75])
+        kets = np.zeros((len(payload["weights"]), 10), dtype=complex)
+        kets[payload["member"], np.array(support)[payload["index"]]] = \
+            payload["amplitude"].reshape(-1).view(complex)
+        # every nonzero amplitude bit for bit
+        nonzero = rho.kets != 0
+        assert kets[nonzero].tobytes() == rho.kets[nonzero].tobytes()
+        assert np.array_equal((kets.T * payload["weights"]) @ kets.conj(), rho.matrix)
 
 
 def forbid(monkeypatch, name):

@@ -108,18 +108,6 @@ def as_lists(node):
     return node
 
 
-def as_blocks(node):
-    """``node`` with each array given as an iterator of three row blocks,
-    some empty when it has fewer than three rows."""
-    if isinstance(node, np.ndarray):
-        return iter(np.array_split(node, 3))
-    if isinstance(node, dict):
-        return {k: as_blocks(v) for k, v in node.items()}
-    if isinstance(node, list):
-        return [as_blocks(v) for v in node]
-    return node
-
-
 def reference_bytes(tmp_path: Path, payload: dict) -> bytes:
     """The stdlib encoding of the header plus the list form of ``payload``."""
     write_json(tmp_path / "meta.json", CONFIG, {})
@@ -128,7 +116,7 @@ def reference_bytes(tmp_path: Path, payload: dict) -> bytes:
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
-@pytest.mark.parametrize("form", ["lists", "arrays", "blocks"])
+@pytest.mark.parametrize("form", ["lists", "arrays"])
 @settings(database=None, max_examples=40, deadline=None)
 @given(payload=payloads(), block=st.sampled_from([JSON_BLOCK_ROWS, 16]))
 @example(payload={"arr": SIGNED_ZERO_RUNS}, block=JSON_BLOCK_ROWS)
@@ -138,7 +126,7 @@ def reference_bytes(tmp_path: Path, payload: dict) -> bytes:
 def test_write_json_matches_the_stdlib_encoding(form, payload, block, tmp_path_factory):
     # arrays are encoded in blocks of ``block`` rows
     tmp_path = tmp_path_factory.mktemp("json")
-    written = {"lists": as_lists, "arrays": lambda p: p, "blocks": as_blocks}[form](payload)
+    written = {"lists": as_lists, "arrays": lambda p: p}[form](payload)
     with mock.patch.object(output, "JSON_BLOCK_ROWS", block):
         write_json(tmp_path / "doc.json", CONFIG, written)
     assert (tmp_path / "doc.json").read_bytes() == reference_bytes(tmp_path, payload)
@@ -153,7 +141,7 @@ def test_write_json_rejects_arrays_it_cannot_stream(arr, tmp_path):
 
 def test_density_payload_streams_in_bounded_memory(tmp_path):
     # evolve's shape: a pure state with few nonzero amplitudes, whose
-    # payload is the 3 x 3 block over them
+    # payload lists those three
     dim = 1024
     amps = np.zeros(dim, dtype=complex)
     amps[[0, 7, 300]] = [0.6, 0.64j, -0.48]
@@ -168,7 +156,7 @@ def test_density_payload_streams_in_bounded_memory(tmp_path):
     assert peak < 16 * dim * dim // 8, f"peak {peak} bytes for a {16 * dim * dim}-byte matrix"
     written = json.loads((tmp_path / "density.json").read_text())["density"]
     assert (written["basis"], written["dim"]) == (["s0", "s7", "s300"], dim)
-    assert len(written["entries"]) == 9
+    assert written["amplitude"] == [[0.6, 0.0], [0.0, 0.64], [-0.48, 0.0]]
 
 
 # ---------------------------------------------------------------- write_csv

@@ -457,3 +457,10 @@ class TestEvolveCoefficients:
                 target=target, e_target=0.0, e_initial=0.0,
                 times=np.array([0.5, 1.0]), values=np.array([0.0, 0.0]),
             )
+        # grids that start at 0 but do not increase strictly
+        for times in ([0.0, 2.0, 1.0], [0.0, 1.0, 1.0]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                CoefficientSeries(
+                    target=target, e_target=0.0, e_initial=0.0,
+                    times=np.array(times), values=np.zeros(3),
+                )
